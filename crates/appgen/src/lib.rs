@@ -11,7 +11,9 @@ pub mod spec;
 
 pub use corpus::{load_dir, Scenario, Status};
 pub use gen::generate;
-pub use oracle::{check_spec, explore_probe, static_pass, CheckReport, Divergence, Observed};
+pub use oracle::{
+    check_parking, check_spec, explore_probe, static_pass, CheckReport, Divergence, Observed,
+};
 pub use shrink::shrink;
 pub use spec::{AppSpec, FilterSpec, KernelOp, LinkSpec, ModuleSpec};
 

@@ -20,6 +20,10 @@
 //!   `period_lb × steps` (the static throughput bound is a true bound).
 //! * **D6** — record → reverse-continue → replay is a fixpoint: the
 //!   state hash round-trips and no `REPLAY501` finding appears.
+//! * **D7** — parking is invisible: a run that parks blocked PEs (the
+//!   runtime answers `TrapHandler::still_blocked`) and a reference run
+//!   that re-presents their traps every cycle report the same counts on
+//!   every cycle and reach the same full state hash.
 //! * **D8** — on maybe-race (`RACE401`) and maybe-deadlock
 //!   (`DFA003`/`DFA004`) apps, the optimized multiverse search (sleep
 //!   sets + equivalence pruning) must reach the same witness-existence
@@ -38,7 +42,9 @@ use std::collections::BTreeMap;
 
 use debuginfo::{Finding, Severity};
 use dfdbg::{Session, Stop};
-use p2012::{BlockReason, PeStatus, PlatformConfig};
+use p2012::{
+    BlockReason, PeId, PeState, PeStatus, PlatformConfig, TrapCtx, TrapHandler, TrapResult, Word,
+};
 
 use crate::spec::AppSpec;
 
@@ -54,7 +60,7 @@ const TT_INTERVAL: u64 = 500;
 /// `BUILD`), carrying the oracle id that shrinking must preserve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Which direction fired: `D1`..`D6`, `D8`, or `BUILD`.
+    /// Which direction fired: `D1`..`D8`, or `BUILD`.
     pub oracle: String,
     pub detail: String,
 }
@@ -402,6 +408,104 @@ fn check_replay_fixpoint(spec: &AppSpec) -> Result<(), Divergence> {
     Ok(())
 }
 
+/// The reference stepper for D7: forwards every trap-interface call to
+/// the runtime except [`TrapHandler::still_blocked`], so a blocked PE
+/// re-presents its trap every cycle instead of parking.
+struct Polling<'a>(&'a mut pedf::Runtime);
+
+impl TrapHandler for Polling<'_> {
+    fn trap(
+        &mut self,
+        ctx: &mut TrapCtx<'_>,
+        pe: PeId,
+        current: &mut PeState,
+        id: u16,
+        args: &[Word],
+    ) -> TrapResult {
+        self.0.trap(ctx, pe, current, id, args)
+    }
+
+    fn on_task_complete(&mut self, ctx: &mut TrapCtx<'_>, pe: PeId, current: &mut PeState) {
+        self.0.on_task_complete(ctx, pe, current)
+    }
+
+    fn on_cycle(&mut self, ctx: &mut TrapCtx<'_>) {
+        self.0.on_cycle(ctx)
+    }
+
+    fn choose_dma_order(&mut self, n_active: u32, clock: u64) -> u32 {
+        self.0.choose_dma_order(n_active, clock)
+    }
+}
+
+/// Cycles between two full-state comparisons in [`check_parking`].
+const PARKING_HASH_EVERY: u64 = 1_000;
+
+/// D7: step two copies of `sys` in lockstep, one parking its blocked PEs
+/// and one polling them through [`Polling`]. Every cycle's `CycleReport`
+/// must agree, and so must the full state hash every
+/// [`PARKING_HASH_EVERY`] cycles and at the end. The run goes on past a
+/// faulted PE (the others keep running) and ends at quiescence, after
+/// 1,000 cycles of deadlock, or after `max_cycles`. Returns the number of
+/// cycles compared.
+pub fn check_parking(sys: &pedf::System, max_cycles: u64) -> Result<u64, Divergence> {
+    let (mut parked, mut polled) = (sys.clone(), sys.clone());
+    let mut stuck = 0u32;
+    let mut cycles = 0;
+    while cycles < max_cycles {
+        let clock = parked.clock();
+        let a = parked.step();
+        let b = polled
+            .platform
+            .step_cycle(&mut Polling(&mut polled.runtime));
+        cycles += 1;
+        if a != b {
+            return Err(Divergence::new(
+                "D7",
+                format!("cycle {clock}: parked run reported {a:?}, polling run {b:?}"),
+            ));
+        }
+        stuck = if parked.platform.is_deadlocked() {
+            stuck + 1
+        } else {
+            0
+        };
+        if parked.platform.is_quiescent() || stuck > 1_000 {
+            break;
+        }
+        if cycles % PARKING_HASH_EVERY == 0 {
+            same_state(&parked, &polled)?;
+        }
+    }
+    same_state(&parked, &polled)?;
+    Ok(cycles)
+}
+
+fn same_state(parked: &pedf::System, polled: &pedf::System) -> Result<(), Divergence> {
+    let (a, b) = (
+        replay::full_state_hash(parked),
+        replay::full_state_hash(polled),
+    );
+    if a == b {
+        return Ok(());
+    }
+    Err(Divergence::new(
+        "D7",
+        format!(
+            "cycle {}: state hash {a:#018x} parked, {b:#018x} polled",
+            parked.clock()
+        ),
+    ))
+}
+
+/// D7 over a generated app, from its first boot instruction on.
+fn check_parking_spec(spec: &AppSpec) -> Result<(), Divergence> {
+    let (mut sys, app) = build(spec, &BTreeMap::new()).map_err(|e| Divergence::new("BUILD", e))?;
+    let host = sys.platform.host_id();
+    sys.platform.invoke(host, app.boot_entry, &[]);
+    check_parking(&sys, MAX_CYCLES).map(|_| ())
+}
+
 /// D8: one bounded multiverse search over the spec's interleavings.
 /// `optimized` toggles the two pruning mechanisms together; everything
 /// else (depth, points, codes, budget) is identical, so the two runs
@@ -623,6 +727,9 @@ pub fn check_spec(spec: &AppSpec) -> Result<CheckReport, Divergence> {
     // D6: the replay fixpoint, on every app.
     report.replay_checked = true;
     check_replay_fixpoint(spec)?;
+
+    // D7: parked and polled blocked PEs step identically, on every app.
+    check_parking_spec(spec)?;
 
     // D8: bounded explore vs. brute-force ground truth, on apps whose
     // static verdict says an interleaving search has something to find.

@@ -17,7 +17,7 @@ use appgen::{check_spec, generate, shrink};
 /// Oracle directions the farm cross-checks (`appgen::oracle`), plus the
 /// `BUILD` bucket for generated apps the toolchain itself rejects. Listed
 /// exhaustively so the JSON artifact always carries every key, zero or not.
-pub const ORACLES: &[&str] = &["BUILD", "D1", "D2", "D3", "D4", "D5", "D6", "D8"];
+pub const ORACLES: &[&str] = &["BUILD", "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8"];
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

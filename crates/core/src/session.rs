@@ -172,6 +172,11 @@ pub struct Session {
     /// present once `enable_time_travel` ran. Taken out of the session
     /// while the run-loop hook uses it (it needs `&mut self` alongside).
     tt: Option<CheckpointManager<SessionSnap>>,
+    /// The furthest cycle this session's timeline has reached, noted
+    /// whenever `restart` leaves it. `goto` replays up to it even past a
+    /// stop that ended the program, but never runs an ended program
+    /// beyond it.
+    horizon: u64,
     /// Result of the most recent `explore`, kept for the server's
     /// per-session multiverse counters and for witness reuse.
     pub last_explore: Option<multiverse::ExploreReport>,
@@ -216,6 +221,7 @@ impl Session {
             sched_input: None,
             last_sched: None,
             tt: None,
+            horizon: 0,
             last_explore: None,
         }
     }
@@ -255,6 +261,7 @@ impl Session {
             sched_input: self.sched_input.clone(),
             last_sched: self.last_sched.clone(),
             tt: self.tt.clone(),
+            horizon: self.horizon,
             last_explore: self.last_explore.clone(),
         }
     }
@@ -1546,6 +1553,7 @@ impl Session {
     /// to the checkpoint. Breakpoints, watchpoints and `$N` history
     /// survive, as in GDB's `restart`.
     pub fn restart(&mut self, id: u32) -> CmdResult<u64> {
+        self.horizon = self.horizon.max(self.sys.clock());
         let snap = {
             // Field access, not `tt_mgr()`: the manager must stay
             // borrowed from `self.tt` alone so `self.sys` can be handed
@@ -1562,7 +1570,10 @@ impl Session {
 
     /// Land on an exact cycle: restore the nearest checkpoint at or before
     /// `target`, then replay forward deterministically. Replays re-verify
-    /// every recorded boundary they cross.
+    /// every recorded boundary they cross. Past the furthest cycle the
+    /// timeline has reached, a program that finishes, deadlocks or faults
+    /// before `target` has no history to land on: the replay stops there
+    /// with an error naming that cycle.
     pub fn goto_cycle(&mut self, target: u64) -> CmdResult<()> {
         let id = {
             let mgr = self.tt_mgr()?;
@@ -1573,7 +1584,18 @@ impl Session {
         while self.sys.clock() < target {
             // Stops pop without consuming cycles; re-issuing with the
             // remaining budget always makes progress toward `target`.
-            let _ = self.run(target - self.sys.clock());
+            let ended = match self.run(target - self.sys.clock()) {
+                Stop::Quiescent => "finished",
+                Stop::Deadlock => "deadlocked",
+                Stop::Fault { .. } => "faulted",
+                _ => continue,
+            };
+            let clock = self.sys.clock();
+            if clock < target && clock >= self.horizon {
+                return Err(format!(
+                    "the program {ended} at cycle {clock}, before cycle {target}"
+                ));
+            }
         }
         Ok(())
     }
@@ -1926,6 +1948,7 @@ impl Session {
             return;
         };
         let clock = self.sys.clock();
+        self.horizon = clock;
         let snap = self.snap();
         mgr.invalidate_after(clock.saturating_sub(1));
         mgr.checkpoint_at(&mut self.sys, snap);

@@ -237,23 +237,36 @@ impl Platform {
         // first (rotation over the active set). The default answer keeps
         // the historical index order, and engines with nothing in flight
         // never observe the rotation (their step is a no-op).
-        let active: Vec<usize> = (0..self.dma.len())
-            .filter(|&i| self.dma[i].in_flight() > 0)
-            .collect();
-        if active.len() >= 2 {
-            let r =
-                handler.choose_dma_order(active.len() as u32, self.clock) as usize % active.len();
-            for k in 0..active.len() {
-                let i = active[(k + r) % active.len()];
-                self.dma[i].step(&mut self.mem);
-            }
-        } else if let Some(&i) = active.first() {
-            self.dma[i].step(&mut self.mem);
+        let n_active = self.dma.iter().filter(|d| d.in_flight() > 0).count();
+        let r = if n_active >= 2 {
+            handler.choose_dma_order(n_active as u32, self.clock) as usize % n_active
+        } else {
+            0
+        };
+        // The rotation without collecting the active set: the active
+        // engines from the `r`-th on, then the first `r`. A step changes
+        // only its own engine, so those `r` are still active and still
+        // first on the second pass.
+        let mem = &mut self.mem;
+        for d in self.dma.iter_mut().filter(|d| d.in_flight() > 0).skip(r) {
+            d.step(mem);
+        }
+        for d in self.dma.iter_mut().filter(|d| d.in_flight() > 0).take(r) {
+            d.step(mem);
         }
 
         for i in 0..self.pes.len() {
-            let mut pe = std::mem::take(&mut self.pes[i]);
             let id = PeId(i as u16);
+            if let PeStatus::Blocked(reason) = self.pes[i].status {
+                // Parked: the handler vouches that a retry would block
+                // again untouched, so the dispatch is skipped. It still
+                // counts, which keeps every report identical to polling.
+                if handler.still_blocked(id, reason) {
+                    report.traps += 1;
+                    continue;
+                }
+            }
+            let mut pe = std::mem::take(&mut self.pes[i]);
             match pe.status {
                 PeStatus::Blocked(_) => {
                     if let Some((tid, argc, retc)) = pe.pending_trap(&self.program) {
@@ -550,8 +563,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blocked_trap_is_retried_until_served() {
+    /// `mem[L2_BASE] = trap42(5)`, then halt.
+    fn trap_42_program() -> (Program, CodeAddr) {
         let mut b = ProgramBuilder::new();
         let entry = b.begin_func(0);
         b.emit(Insn::Enter(0));
@@ -564,8 +577,12 @@ mod tests {
         });
         b.emit(Insn::StoreMem);
         b.emit(Insn::Halt);
-        let prog = b.finish();
+        (b.finish(), entry)
+    }
 
+    #[test]
+    fn blocked_trap_is_retried_until_served() {
+        let (prog, entry) = trap_42_program();
         let mut p = Platform::new(PlatformConfig::default());
         p.load(prog);
         p.invoke(PeId(0), entry, &[]);
@@ -577,6 +594,140 @@ mod tests {
         assert_eq!(h.served, 1);
         assert_eq!(p.mem.peek(L2_BASE).unwrap(), 10);
         assert!(matches!(p.pes[0].status, PeStatus::Halted));
+    }
+
+    /// Blocks trap 42 until `open`; answers the parking hook only when
+    /// `park` is set, so one run can be stepped parked or polled.
+    struct Gate {
+        park: bool,
+        open: bool,
+        calls: u32,
+    }
+
+    impl TrapHandler for Gate {
+        fn trap(
+            &mut self,
+            _ctx: &mut TrapCtx<'_>,
+            _pe: PeId,
+            _current: &mut PeState,
+            id: u16,
+            args: &[Word],
+        ) -> TrapResult {
+            assert_eq!(id, 42);
+            self.calls += 1;
+            if self.open {
+                TrapResult::Done1(args[0] * 2)
+            } else {
+                TrapResult::Block(BlockReason::Other("gate"))
+            }
+        }
+
+        fn still_blocked(&self, _pe: PeId, _reason: BlockReason) -> bool {
+            self.park && !self.open
+        }
+    }
+
+    #[test]
+    fn parked_pe_is_not_dispatched_but_still_counts_its_trap() {
+        let run = |park: bool| {
+            let (prog, entry) = trap_42_program();
+            let mut p = Platform::new(PlatformConfig::default());
+            p.load(prog);
+            p.invoke(PeId(0), entry, &[]);
+            let mut h = Gate {
+                park,
+                open: false,
+                calls: 0,
+            };
+            let reports: Vec<CycleReport> = (0..60)
+                .map(|cycle| {
+                    h.open = cycle >= 30;
+                    p.step_cycle(&mut h)
+                })
+                .collect();
+            assert_eq!(p.mem.peek(L2_BASE).unwrap(), 10);
+            (reports, h.calls)
+        };
+        let (parked, parked_calls) = run(true);
+        let (polled, polled_calls) = run(false);
+        assert_eq!(parked, polled, "parking must not change any cycle's report");
+        assert_eq!(parked_calls, 2, "one dispatch blocks, the next completes");
+        let traps: u32 = polled.iter().map(|r| r.traps).sum();
+        assert_eq!(polled_calls, traps, "polling dispatches every counted trap");
+        assert!(traps > 20, "the PE must have waited: {traps} traps");
+    }
+
+    /// PE0 raises a signal (trap 7) that PE1 waits for in trap 8.
+    #[derive(Default)]
+    struct Signal {
+        raised_at: Option<u64>,
+        served_at: Option<u64>,
+    }
+
+    impl TrapHandler for Signal {
+        fn trap(
+            &mut self,
+            ctx: &mut TrapCtx<'_>,
+            _pe: PeId,
+            _current: &mut PeState,
+            id: u16,
+            _args: &[Word],
+        ) -> TrapResult {
+            match id {
+                7 => {
+                    self.raised_at = Some(ctx.clock);
+                    TrapResult::Done
+                }
+                8 if self.raised_at.is_some() => {
+                    self.served_at = Some(ctx.clock);
+                    TrapResult::Done
+                }
+                8 => TrapResult::Block(BlockReason::Other("signal")),
+                _ => TrapResult::Fault("unexpected trap"),
+            }
+        }
+
+        fn still_blocked(&self, _pe: PeId, _reason: BlockReason) -> bool {
+            self.raised_at.is_none()
+        }
+    }
+
+    #[test]
+    fn pe_unblocked_earlier_in_the_cycle_completes_in_that_cycle() {
+        let mut b = ProgramBuilder::new();
+        let raise = b.begin_func(0);
+        b.emit(Insn::Enter(0));
+        for _ in 0..5 {
+            b.emit(Insn::Const(0));
+        }
+        b.emit(Insn::Trap {
+            id: 7,
+            argc: 0,
+            retc: 0,
+        });
+        b.emit(Insn::Halt);
+        let wait = b.begin_func(0);
+        b.emit(Insn::Enter(0));
+        b.emit(Insn::Trap {
+            id: 8,
+            argc: 0,
+            retc: 0,
+        });
+        b.emit(Insn::Halt);
+        let mut p = Platform::new(PlatformConfig::default());
+        p.load(b.finish());
+        // PE0 steps before PE1 within a cycle.
+        p.invoke(PeId(0), raise, &[]);
+        p.invoke(PeId(1), wait, &[]);
+        let mut h = Signal::default();
+        p.run(&mut h, 20);
+        assert!(
+            h.raised_at.is_some_and(|c| c > 2),
+            "PE1 must park before PE0 raises: {:?}",
+            h.raised_at
+        );
+        assert_eq!(h.served_at, h.raised_at);
+        assert!(matches!(p.pes[1].status, PeStatus::Halted));
     }
 
     #[test]

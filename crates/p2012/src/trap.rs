@@ -26,8 +26,10 @@ pub enum TrapResult {
     Done,
     /// Commit with one result word (retc must be 1).
     Done1(Word),
-    /// The condition is not satisfiable this cycle; park the PE. The same
-    /// trap is re-presented every subsequent cycle until it completes.
+    /// The condition is not satisfiable this cycle; park the PE. The trap
+    /// stays pending. On each later cycle the platform first asks
+    /// [`TrapHandler::still_blocked`]: while that answers true the PE stays
+    /// parked without a dispatch, otherwise the same trap is re-presented.
     Block(BlockReason),
     /// The runtime detected a protocol violation (e.g. unknown trap id);
     /// the PE faults and the debugger reports it.
@@ -74,6 +76,18 @@ pub trait TrapHandler {
         id: u16,
         args: &[Word],
     ) -> TrapResult;
+
+    /// Whether `pe`, parked on `reason`, would block again with no side
+    /// effect if its pending trap were dispatched now. The platform asks
+    /// before each retry and skips the dispatch while the answer is true
+    /// (the cycle still counts the trap in
+    /// [`crate::platform::CycleReport::traps`]), so a true answer must be
+    /// exact or the PE sleeps through its wake-up. The default, false,
+    /// re-presents the trap every cycle.
+    fn still_blocked(&self, pe: PeId, reason: BlockReason) -> bool {
+        let _ = (pe, reason);
+        false
+    }
 
     /// A task started with [`TrapCtx::invoke`] (or
     /// [`crate::Platform::invoke`]) ran to completion on `pe`.

@@ -9,10 +9,11 @@
 //! Traps are two-phase: [`PeState::step`] reports a pending trap without
 //! consuming its operands, the platform consults the runtime handler, and
 //! either [`PeState::complete_trap`] commits the instruction or
-//! [`PeState::block`] parks the PE. A blocked PE re-presents the same trap
-//! every cycle until the handler lets it through — this is how token-starved
-//! filters wait "for more data", the state §III requires the debugger to be
-//! able to display per actor.
+//! [`PeState::block`] parks the PE. A blocked PE keeps its trap pending; the
+//! platform re-presents it once the handler no longer vouches that the wait
+//! still holds ([`crate::TrapHandler::still_blocked`]) — this is how
+//! token-starved filters wait "for more data", the state §III requires the
+//! debugger to be able to display per actor.
 
 use debuginfo::{CodeAddr, Word};
 
@@ -285,8 +286,9 @@ impl PeState {
             PeStatus::Running => {}
             PeStatus::Idle => return StepEvent::Idle,
             PeStatus::Blocked(_) => {
-                // The platform retries the pending trap; step() itself has
-                // nothing to do for a blocked PE.
+                // The platform re-presents the pending trap when the
+                // handler lets it (`TrapHandler::still_blocked`); step()
+                // itself has nothing to do for a blocked PE.
                 return StepEvent::Stalled;
             }
             PeStatus::Halted => return StepEvent::Halted,

@@ -136,6 +136,10 @@ pub struct Runtime {
     pub fifos: Vec<FifoState>,
     modules_rt: Vec<ModuleRt>,
     pe_actor: HashMap<PeId, ActorId>,
+    /// The filters of each module in registration order, indexed by actor
+    /// id (empty for non-modules). Static once the graph is registered;
+    /// the WAIT_FOR_ACTOR_* traps and the parking check both read it.
+    module_filters: Vec<Vec<ActorId>>,
     pub booted: bool,
     /// Output of `pedf_print` (the application's console).
     pub console: Vec<String>,
@@ -166,6 +170,7 @@ impl Runtime {
             fifos: Vec::new(),
             modules_rt: Vec::new(),
             pe_actor: HashMap::new(),
+            module_filters: Vec::new(),
             booted: false,
             console: Vec::new(),
             events: EventBuffer::default(),
@@ -211,6 +216,10 @@ impl Runtime {
         {
             Ok(aid) => {
                 self.actors_rt.push(ActorRt::default());
+                self.module_filters.push(Vec::new());
+                if let (ActorKind::Filter, Some(module)) = (kind, parent) {
+                    self.module_filters[module.0 as usize].push(aid);
+                }
                 // May already exist if limits were configured pre-boot.
                 if self.modules_rt.len() <= aid.0 as usize {
                     self.modules_rt
@@ -503,12 +512,31 @@ impl Runtime {
         })
     }
 
-    fn module_filters(&self, module: ActorId) -> Vec<ActorId> {
-        self.graph
-            .children(module)
-            .filter(|a| a.kind == ActorKind::Filter)
-            .map(|a| a.id)
-            .collect()
+    /// The module whose controller runs on `pe`: the lookup of
+    /// [`Runtime::controller_module`] without its protocol-fault reports.
+    fn waiting_module(&self, pe: PeId) -> Option<ActorId> {
+        let a = self.graph.actor(*self.pe_actor.get(&pe)?);
+        if a.kind == ActorKind::Controller {
+            a.parent
+        } else {
+            None
+        }
+    }
+
+    /// Whether the controller of `module` must keep waiting: in
+    /// WAIT_FOR_ACTOR_INIT (`InitWait`) while a started filter has not
+    /// begun, in WAIT_FOR_ACTOR_SYNC (`SyncWait`) while a sync-requested
+    /// filter has not stopped. The trap service and the parking check
+    /// both ask here, so they cannot drift apart.
+    fn wait_pending(&self, module: ActorId, wait: BlockReason) -> bool {
+        self.module_filters[module.0 as usize].iter().any(|f| {
+            let rt = &self.actors_rt[f.0 as usize];
+            match wait {
+                BlockReason::InitWait => rt.started && !rt.begun,
+                BlockReason::SyncWait => rt.sync_requested && rt.sched != FilterSched::Synced,
+                _ => false,
+            }
+        })
     }
 
     // ---- trap servicing entry point ---------------------------------------
@@ -664,11 +692,7 @@ impl Runtime {
                     Ok(m) => m,
                     Err(r) => return r,
                 };
-                let pending = self.module_filters(module).into_iter().any(|f| {
-                    let rt = &self.actors_rt[f.0 as usize];
-                    rt.started && !rt.begun
-                });
-                if pending {
+                if self.wait_pending(module, BlockReason::InitWait) {
                     TrapResult::Block(BlockReason::InitWait)
                 } else {
                     TrapResult::Done
@@ -679,16 +703,11 @@ impl Runtime {
                     Ok(m) => m,
                     Err(r) => return r,
                 };
-                let filters = self.module_filters(module);
-                let pending = filters.iter().any(|f| {
-                    let rt = &self.actors_rt[f.0 as usize];
-                    rt.sync_requested && rt.sched != FilterSched::Synced
-                });
-                if pending {
+                if self.wait_pending(module, BlockReason::SyncWait) {
                     return TrapResult::Block(BlockReason::SyncWait);
                 }
                 // Step boundary: reset every synced filter for the next step.
-                for f in filters {
+                for f in &self.module_filters[module.0 as usize] {
                     let rt = &mut self.actors_rt[f.0 as usize];
                     if rt.sync_requested {
                         rt.sync_requested = false;
@@ -894,6 +913,23 @@ impl Runtime {
         self.actors_rt[actor.0 as usize].sched
     }
 
+    /// Test-only: overwrite a filter's scheduling flags.
+    #[cfg(test)]
+    pub(crate) fn force_filter_flags(
+        &mut self,
+        actor: ActorId,
+        sched: FilterSched,
+        started: bool,
+        begun: bool,
+        sync_requested: bool,
+    ) {
+        let rt = &mut self.actors_rt[actor.0 as usize];
+        rt.sched = sched;
+        rt.started = started;
+        rt.begun = begun;
+        rt.sync_requested = sync_requested;
+    }
+
     /// True while a policy-deferred WORK start is still pending: some
     /// elected filter's `defer_until` lies strictly in the future, so the
     /// machine *will* make progress even though every PE currently looks
@@ -1076,6 +1112,28 @@ impl TrapHandler for Runtime {
         self.service(ctx, pe, current, id, args)
     }
 
+    /// Exact by construction: a blocked pop has already drained its link
+    /// into the read window and a blocked push has passed every protocol
+    /// check, so a retry of either re-tests only the FIFO; a WAIT retry
+    /// re-tests only `wait_pending`. DMA and runtime-defined
+    /// waits are re-presented every cycle.
+    fn still_blocked(&self, pe: PeId, reason: BlockReason) -> bool {
+        match reason {
+            BlockReason::TokenWait { link } => self
+                .fifos
+                .get(link as usize)
+                .is_some_and(FifoState::is_empty),
+            BlockReason::SpaceWait { link } => self
+                .fifos
+                .get(link as usize)
+                .is_some_and(FifoState::is_full),
+            BlockReason::InitWait | BlockReason::SyncWait => self
+                .waiting_module(pe)
+                .is_some_and(|m| self.wait_pending(m, reason)),
+            BlockReason::DmaWait { .. } | BlockReason::Other(_) => false,
+        }
+    }
+
     fn choose_dma_order(&mut self, n_active: u32, clock: u64) -> u32 {
         u32::from(self.policy.decide(ChoiceKind::DmaOrder, n_active, clock))
     }
@@ -1143,14 +1201,13 @@ impl TrapHandler for Runtime {
         // Late-start scheduled filters whose PE freed up outside
         // on_task_complete (e.g. after a fault recovery).
         if self.booted {
-            let pending: Vec<ActorId> = self
-                .graph
-                .filters()
-                .filter(|a| self.actors_rt[a.id.0 as usize].sched == FilterSched::Scheduled)
-                .map(|a| a.id)
-                .collect();
-            for actor in pending {
+            for i in 0..self.graph.actors.len() {
+                let actor = ActorId(i as u32);
                 let a = self.graph.actor(actor);
+                if a.kind != ActorKind::Filter || self.actors_rt[i].sched != FilterSched::Scheduled
+                {
+                    continue;
+                }
                 let (Some(pe), Some(work)) = (a.pe, a.work_addr) else {
                     continue;
                 };

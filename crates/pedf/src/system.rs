@@ -126,12 +126,16 @@ mod tests {
     //! the blueprint the ADL elaborator automates.
 
     use super::*;
-    use crate::api::{self, ApiStubs, StringPool};
+    use crate::api::{self, traps, ApiStubs, StringPool};
     use crate::envio::{EnvSink, EnvSource, ValueGen};
     use crate::graph::{ActorId, ConnId, LinkId};
     use crate::runtime::FilterSched;
     use debuginfo::{DebugInfoBuilder, TypeTable, Value};
-    use p2012::{Insn, Platform, PlatformConfig, ProgramBuilder};
+    use p2012::{
+        BlockReason, Insn, PeState, Platform, PlatformConfig, ProgramBuilder, TrapCtx, TrapHandler,
+        TrapResult,
+    };
+    use proptest::prelude::*;
 
     struct Pipeline {
         sys: System,
@@ -442,6 +446,76 @@ mod tests {
             .add_source(EnvSource::new(ConnId(2), 1, ValueGen::Constant(1)))
             .unwrap_err();
         assert!(err.contains("unbound"), "{err}");
+    }
+
+    const SCHEDS: [FilterSched; 4] = [
+        FilterSched::NotScheduled,
+        FilterSched::Scheduled,
+        FilterSched::Running,
+        FilterSched::Synced,
+    ];
+
+    fn runtime_hash(rt: &Runtime) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        rt.hash_state(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The parking hook is exact: over random link fill levels and
+        /// filter states, `still_blocked` holds iff servicing the parked
+        /// trap returns the same `Block` and leaves the runtime untouched.
+        #[test]
+        fn still_blocked_iff_service_blocks_without_side_effect(
+            fill in 0u32..9,
+            f1 in (0usize..4, any::<bool>(), any::<bool>(), any::<bool>()),
+            f2 in (0usize..4, any::<bool>(), any::<bool>(), any::<bool>()),
+        ) {
+            let mut p = build(1, 1);
+            p.sys.boot(p.boot_entry).unwrap();
+            for v in 0..fill {
+                p.sys
+                    .runtime
+                    .inject_token(&mut p.sys.platform.mem, LinkId(0), &Value::u32(v))
+                    .unwrap();
+            }
+            for (actor, (s, started, begun, sync)) in [(2, f1), (3, f2)] {
+                p.sys
+                    .runtime
+                    .force_filter_flags(ActorId(actor), SCHEDS[s], started, begun, sync);
+            }
+            // Every blocking trap of the pipeline: (PE, trap, args, reason).
+            let cases = [
+                (PeId(2), traps::POP_TOKEN, vec![1u32, 0], BlockReason::TokenWait { link: 0 }),
+                (PeId(1), traps::PUSH_TOKEN, vec![0, 0, 7], BlockReason::SpaceWait { link: 0 }),
+                (PeId(0), traps::WAIT_ACTOR_INIT, vec![], BlockReason::InitWait),
+                (PeId(0), traps::WAIT_ACTOR_SYNC, vec![], BlockReason::SyncWait),
+            ];
+            for (pe, id, args, reason) in cases {
+                let System { mut platform, mut runtime } = p.sys.clone();
+                let parked = runtime.still_blocked(pe, reason);
+                let before = runtime_hash(&runtime);
+                let mut ctx = TrapCtx {
+                    mem: &mut platform.mem,
+                    dma: &mut platform.dma,
+                    pes: &mut platform.pes,
+                    clock: platform.clock,
+                };
+                let result = runtime.trap(&mut ctx, pe, &mut PeState::default(), id, &args);
+                let untouched = runtime_hash(&runtime) == before;
+                prop_assert_eq!(
+                    parked,
+                    result == TrapResult::Block(reason) && untouched,
+                    "{:?} at fill {}: service gave {:?}",
+                    reason,
+                    fill,
+                    result
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! and the iteration index — deterministic, so any finding names the
 //! exact invocation that reproduces it), runs every oracle direction
 //! (static verdicts vs. dynamic outcome, capacity minima both arms,
-//! throughput bound, replay fixpoint), and on the first divergence
+//! throughput bound, replay fixpoint, parked vs. polled stepping,
+//! explore agreement), and on the first divergence
 //! shrinks it to a minimal app, prints it, writes it into `--corpus` (if
 //! given) as a `status open` scenario, and exits non-zero.
 //!

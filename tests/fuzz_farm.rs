@@ -6,8 +6,10 @@
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
-use appgen::{check_spec, generate, load_dir, shrink, AppSpec};
+use appgen::{check_parking, check_spec, generate, load_dir, shrink, AppSpec};
 use dfa::testhook;
+use h264_pipeline::{attach_env, build_decoder, Bug};
+use p2012::PlatformConfig;
 
 /// The DFA004 mutation hook is process-global and every test here runs
 /// the analyzers, so all of them serialize on one lock: no test may see
@@ -155,6 +157,32 @@ fn pop_first_ring_explore_agreement_is_trivial() {
         fw.overrides.is_empty(),
         "trivial witness needs no overrides"
     );
+}
+
+/// D7 on the case study: every decoder variant, booted with its
+/// environment attached, steps identically whether its blocked PEs are
+/// parked or polled.
+#[test]
+fn parking_matches_polling_on_every_decoder_variant() {
+    const N_MBS: u64 = 8;
+    for bug in [
+        Bug::None,
+        Bug::RateMismatch,
+        Bug::WrongValue,
+        Bug::Deadlock,
+        Bug::OobStore,
+        Bug::SharedScratch,
+        Bug::BenignScratch,
+        Bug::DmaOverlap,
+        Bug::TightFifo,
+    ] {
+        let (mut sys, app) = build_decoder(bug, N_MBS, PlatformConfig::default()).unwrap();
+        sys.boot(app.boot_entry).unwrap();
+        attach_env(&mut sys, &app, N_MBS, 0xbeef).unwrap();
+        let cycles =
+            check_parking(&sys, 1_000_000).unwrap_or_else(|d| panic!("{bug:?}: {}", d.detail));
+        assert!(cycles > 1_000, "{bug:?} compared only {cycles} cycles");
+    }
 }
 
 /// The mutation self-check end to end, in-process: weaken DFA004 via the

@@ -105,6 +105,31 @@ fn goto_cycle_lands_exactly_and_is_deterministic() {
     assert!(s.replay_findings().is_empty(), "{:?}", s.replay_findings());
 }
 
+/// `goto` past the end of the program stops at the end with an error
+/// instead of ticking the finished machine forward, and records nothing
+/// beyond it; the end itself stays reachable.
+#[test]
+fn goto_past_the_end_of_the_program_is_an_error() {
+    let mut reference = session_with(Bug::None, 4, 0xbeef);
+    reference.checkpoint_now().unwrap();
+    assert_eq!(run_to_terminal(&mut reference), Stop::Quiescent);
+    let end = reference.sys.clock();
+
+    let mut s = session_with(Bug::None, 4, 0xbeef);
+    s.checkpoint_now().unwrap();
+    let err = s.goto_cycle(20_000_000).unwrap_err();
+    assert!(err.contains(&format!("finished at cycle {end}")), "{err}");
+    assert_eq!(s.sys.clock(), end);
+    assert_eq!(
+        s.checkpoint_footprint(),
+        reference.checkpoint_footprint(),
+        "goto recorded checkpoints past the end of the program"
+    );
+    s.goto_cycle(end).unwrap();
+    assert_eq!(s.sys.clock(), end);
+    assert_eq!(s.state_hash(), reference.state_hash());
+}
+
 // ---- the §III deadlock, backwards -------------------------------------------
 
 #[test]
