@@ -477,8 +477,9 @@ impl Capture {
         }
     }
 
-    /// Drain events captured this cycle.
-    pub fn drain(&mut self) -> Vec<DfEvent> {
-        std::mem::take(&mut self.out)
+    /// Move the events captured this cycle to the end of `out`. Both
+    /// buffers keep their capacity.
+    pub fn drain_into(&mut self, out: &mut Vec<DfEvent>) {
+        out.append(&mut self.out);
     }
 }

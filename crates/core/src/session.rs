@@ -180,6 +180,11 @@ pub struct Session {
     /// Result of the most recent `explore`, kept for the server's
     /// per-session multiverse counters and for witness reuse.
     pub last_explore: Option<multiverse::ExploreReport>,
+    /// Buffers each cycle's runtime and captured events are drained
+    /// into, kept so the run loop does not allocate per cycle. Empty
+    /// between cycles.
+    runtime_events: Vec<RuntimeEvent>,
+    captured: Vec<DfEvent>,
 }
 
 impl Session {
@@ -223,6 +228,8 @@ impl Session {
             tt: None,
             horizon: 0,
             last_explore: None,
+            runtime_events: Vec::new(),
+            captured: Vec::new(),
         }
     }
 
@@ -263,6 +270,8 @@ impl Session {
             tt: self.tt.clone(),
             horizon: self.horizon,
             last_explore: self.last_explore.clone(),
+            runtime_events: Vec::new(),
+            captured: Vec::new(),
         }
     }
 
@@ -519,9 +528,9 @@ impl Session {
         // 1. Runtime event stream: env I/O always; everything in
         //    cooperation mode.
         let coop = self.capture.mode == CaptureMode::RuntimeEvents;
-        let evs = self.sys.runtime.events.drain();
+        self.sys.runtime.events.drain_into(&mut self.runtime_events);
         let mut stops = Vec::new();
-        for ev in evs {
+        for ev in self.runtime_events.drain(..) {
             let mapped = match ev {
                 RuntimeEvent::TokenPushed { conn, value, .. } => Some(DfEvent::TokenPushed {
                     conn,
@@ -579,7 +588,8 @@ impl Session {
 
         // 2. Function-breakpoint capture.
         self.capture.observe(&self.sys.platform, &self.model.graph);
-        for ev in self.capture.drain() {
+        self.capture.drain_into(&mut self.captured);
+        for ev in self.captured.drain(..) {
             self.model.apply(ev, cycle, &mut stops);
         }
         if self.model.booted && !self.graph_learned {

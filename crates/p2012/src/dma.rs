@@ -112,7 +112,7 @@ impl DmaEngine {
             h.write_u32(t.req.dst);
             h.write_u32(t.req.len);
             h.write_u32(t.copied);
-            h.write(format!("{:?}", t.state).as_bytes());
+            crate::vm::hash_debug(h, &t.state);
         }
     }
 

@@ -32,14 +32,16 @@ pub mod vm;
 pub use dma::{DmaEngine, DmaRequest, DmaStatus};
 pub use isa::{Insn, Program, ProgramBuilder};
 pub use memory::{
-    MemError, MemImage, Memory, MemoryMap, PageId, Region, WatchHit, WatchKind, PAGE_WORDS,
+    MemError, MemImage, Memory, MemoryMap, PageId, PageView, Region, WatchHit, WatchKind,
+    PAGE_WORDS,
 };
 pub use platform::{
     ClusterId, CycleReport, PeClass, PeId, Platform, PlatformConfig, PlatformState,
 };
 pub use trap::{NullHandler, TrapCtx, TrapHandler, TrapResult};
 pub use vm::{
-    BlockReason, Frame, PeState, PeStatus, StepEvent, VmFault, MAX_CALL_DEPTH, MAX_OPERAND_STACK,
+    hash_debug, BlockReason, Frame, PeState, PeStatus, StepEvent, VmFault, MAX_CALL_DEPTH,
+    MAX_OPERAND_STACK,
 };
 
 pub use debuginfo::{CodeAddr, Word};

@@ -23,7 +23,7 @@
 //! thousand forked sessions of the same booted application share one set
 //! of page buffers until they actually diverge.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use debuginfo::Word;
 
@@ -181,22 +181,39 @@ impl Page {
     }
 }
 
+/// One page as [`Memory::pages`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageView<'a> {
+    /// The shared zero page: this many words, all zero.
+    Zero(usize),
+    /// Any other page (owned, or shared with a fork or a base image),
+    /// including one that happens to hold only zeros.
+    Words(&'a [Word]),
+}
+
 /// One bank as a vector of COW pages (the last page may be partial).
 #[derive(Debug, Clone)]
 struct Bank {
     pages: Vec<Page>,
 }
 
+/// The one all-zero page every untouched full page of every bank points
+/// at, process-wide. [`Memory::pages`] recognises it by address, which is
+/// what lets a full-memory hash skip the words it is known to hold.
+fn zero_page() -> &'static Arc<[Word]> {
+    static ZERO: OnceLock<Arc<[Word]>> = OnceLock::new();
+    ZERO.get_or_init(|| Arc::from(vec![0; PAGE_WORDS as usize].into_boxed_slice()))
+}
+
 impl Bank {
     fn new(words: u32) -> Bank {
         // Untouched banks are all zeros: every full page starts as a
-        // reference to one shared zero page, so constructing (and forking)
-        // a memory costs pointers, not megabytes.
-        let zero: Arc<[Word]> = Arc::from(vec![0; PAGE_WORDS as usize].into_boxed_slice());
+        // reference to the shared zero page, so constructing (and
+        // forking) a memory costs pointers, not megabytes.
         let mut pages = Vec::with_capacity(pages_for(words));
         let mut remaining = words as usize;
         while remaining >= PAGE_WORDS as usize {
-            pages.push(Page::Shared(Arc::clone(&zero)));
+            pages.push(Page::Shared(Arc::clone(zero_page())));
             remaining -= PAGE_WORDS as usize;
         }
         if remaining > 0 {
@@ -246,12 +263,11 @@ impl Bank {
         }
     }
 
-    fn hash_into<H: std::hash::Hasher>(&self, h: &mut H) {
-        for p in &self.pages {
-            for w in p.as_slice() {
-                h.write_u32(*w);
-            }
-        }
+    fn views(&self) -> impl Iterator<Item = PageView<'_>> {
+        self.pages.iter().map(|p| match p {
+            Page::Shared(z) if Arc::ptr_eq(z, zero_page()) => PageView::Zero(z.len()),
+            p => PageView::Words(p.as_slice()),
+        })
     }
 
     fn owned_words(&self) -> usize {
@@ -570,16 +586,15 @@ impl Memory {
             + self.l3.owned_words()
     }
 
-    /// Feed the complete memory content to a hasher (baseline hash of a
-    /// checkpoint chain; boundary hashes only cover dirty pages). Generic
-    /// (not `dyn`) on purpose: this walks every word of every bank, and
-    /// monomorphisation lets the hasher's word fast path inline.
-    pub fn hash_full<H: std::hash::Hasher>(&self, h: &mut H) {
-        for bank in &self.l1 {
-            bank.hash_into(h);
-        }
-        self.l2.hash_into(h);
-        self.l3.hash_into(h);
+    /// Every page of every bank in address order (L1 banks by cluster,
+    /// then L2, then L3): the shared zero page as its length alone, any
+    /// other page as its words. A full-memory walk (the baseline hash of
+    /// a checkpoint chain) costs what memory holds, not its size.
+    pub fn pages(&self) -> impl Iterator<Item = PageView<'_>> {
+        self.l1
+            .iter()
+            .chain([&self.l2, &self.l3])
+            .flat_map(Bank::views)
     }
 }
 

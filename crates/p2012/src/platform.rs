@@ -10,6 +10,13 @@
 //! SystemC functional simulator's cooperative user-level threads. The same
 //! program and inputs therefore always produce the same interleaving, which
 //! is what makes the paper's breakpoint-heavy debugging non-intrusive.
+//!
+//! Like a sleeping SystemC thread, a PE that cannot act costs next to
+//! nothing: [`Platform::step_cycle`] settles idle, halted, faulted,
+//! stalled and parked PEs in their slot, and steps running PEs in place.
+//! A PE leaves its slot only while the [`TrapHandler`] serves it (a trap,
+//! a finished task, or an unparked blocked PE), so the handler's view of
+//! the other PEs never aliases the one it serves.
 
 use debuginfo::{CodeAddr, Word};
 
@@ -226,94 +233,108 @@ impl Platform {
     pub fn step_cycle(&mut self, handler: &mut dyn TrapHandler) -> CycleReport {
         let mut report = CycleReport::default();
 
-        handler.on_cycle(&mut TrapCtx {
-            mem: &mut self.mem,
-            dma: &mut self.dma,
-            pes: &mut self.pes,
-            clock: self.clock,
-        });
+        handler.on_cycle(&mut self.trap_ctx());
         // DMA-completion ordering is a scheduler choice point: when two or
         // more engines are in flight, the handler elects which advances
         // first (rotation over the active set). The default answer keeps
         // the historical index order, and engines with nothing in flight
         // never observe the rotation (their step is a no-op).
         let n_active = self.dma.iter().filter(|d| d.in_flight() > 0).count();
-        let r = if n_active >= 2 {
-            handler.choose_dma_order(n_active as u32, self.clock) as usize % n_active
-        } else {
-            0
-        };
-        // The rotation without collecting the active set: the active
-        // engines from the `r`-th on, then the first `r`. A step changes
-        // only its own engine, so those `r` are still active and still
-        // first on the second pass.
-        let mem = &mut self.mem;
-        for d in self.dma.iter_mut().filter(|d| d.in_flight() > 0).skip(r) {
-            d.step(mem);
-        }
-        for d in self.dma.iter_mut().filter(|d| d.in_flight() > 0).take(r) {
-            d.step(mem);
+        if n_active > 0 {
+            let r = if n_active >= 2 {
+                handler.choose_dma_order(n_active as u32, self.clock) as usize % n_active
+            } else {
+                0
+            };
+            // The rotation without collecting the active set: the active
+            // engines from the `r`-th on, then the first `r`. A step
+            // changes only its own engine, so those `r` are still active
+            // and still first on the second pass.
+            let mem = &mut self.mem;
+            for d in self.dma.iter_mut().filter(|d| d.in_flight() > 0).skip(r) {
+                d.step(mem);
+            }
+            for d in self.dma.iter_mut().filter(|d| d.in_flight() > 0).take(r) {
+                d.step(mem);
+            }
         }
 
         for i in 0..self.pes.len() {
             let id = PeId(i as u16);
-            if let PeStatus::Blocked(reason) = self.pes[i].status {
-                // Parked: the handler vouches that a retry would block
-                // again untouched, so the dispatch is skipped. It still
-                // counts, which keeps every report identical to polling.
-                if handler.still_blocked(id, reason) {
-                    report.traps += 1;
+            // Settle in place what needs no handler: idle, halted,
+            // faulted, stalled and parked PEs, and running PEs whose
+            // instruction retires without a trap. Only a trap, a finished
+            // task or an unparked blocked PE moves out of its slot, since
+            // the handler then sees the other PEs through `TrapCtx::pes`.
+            let pe = &mut self.pes[i];
+            let (tid, argc, retc) = match pe.status {
+                PeStatus::Idle | PeStatus::Halted => continue,
+                PeStatus::Faulted(_) => {
+                    report.faults += 1;
                     continue;
                 }
-            }
-            let mut pe = std::mem::take(&mut self.pes[i]);
-            match pe.status {
-                PeStatus::Blocked(_) => {
-                    if let Some((tid, argc, retc)) = pe.pending_trap(&self.program) {
-                        report.traps += 1;
-                        self.dispatch_trap(handler, id, &mut pe, tid, argc, retc);
-                    } else {
-                        // Blocked without a pending trap cannot happen for
-                        // well-formed runtimes; fault loudly instead of
-                        // spinning forever.
-                        pe.status =
-                            PeStatus::Faulted(VmFault::Runtime("blocked without pending trap"));
-                        report.faults += 1;
-                    }
+                PeStatus::Running if pe.stall > 0 => {
+                    pe.stall -= 1;
+                    continue;
                 }
-                _ => match pe.step(&self.program, &mut self.mem) {
-                    StepEvent::TrapPending {
-                        id: tid,
-                        argc,
-                        retc,
-                    } => {
-                        report.traps += 1;
-                        self.dispatch_trap(handler, id, &mut pe, tid, argc, retc);
-                    }
+                PeStatus::Running => match pe.step(&self.program, &mut self.mem) {
+                    StepEvent::TrapPending { id, argc, retc } => (id, argc, retc),
                     StepEvent::TaskComplete => {
                         report.completions += 1;
-                        handler.on_task_complete(
-                            &mut TrapCtx {
-                                mem: &mut self.mem,
-                                dma: &mut self.dma,
-                                pes: &mut self.pes,
-                                clock: self.clock,
-                            },
-                            id,
-                            &mut pe,
-                        );
+                        let mut pe = std::mem::take(&mut self.pes[i]);
+                        handler.on_task_complete(&mut self.trap_ctx(), id, &mut pe);
+                        self.pes[i] = pe;
+                        continue;
                     }
                     StepEvent::Executed | StepEvent::Called { .. } | StepEvent::Returned { .. } => {
-                        report.executed += 1
+                        report.executed += 1;
+                        continue;
                     }
-                    StepEvent::Fault(_) => report.faults += 1,
-                    StepEvent::Stalled | StepEvent::Idle | StepEvent::Halted => {}
+                    StepEvent::Fault(_) => {
+                        report.faults += 1;
+                        continue;
+                    }
+                    StepEvent::Stalled | StepEvent::Idle | StepEvent::Halted => continue,
                 },
-            }
+                PeStatus::Blocked(reason) => {
+                    // Parked: the handler vouches that a retry would block
+                    // again untouched, so the dispatch is skipped. It
+                    // still counts, which keeps every report identical to
+                    // polling.
+                    if handler.still_blocked(id, reason) {
+                        report.traps += 1;
+                        continue;
+                    }
+                    match pe.pending_trap(&self.program) {
+                        Some(trap) => trap,
+                        None => {
+                            // Blocked without a pending trap cannot happen
+                            // for well-formed runtimes; fault loudly
+                            // instead of spinning forever.
+                            pe.status =
+                                PeStatus::Faulted(VmFault::Runtime("blocked without pending trap"));
+                            report.faults += 1;
+                            continue;
+                        }
+                    }
+                }
+            };
+            report.traps += 1;
+            let mut pe = std::mem::take(&mut self.pes[i]);
+            self.dispatch_trap(handler, id, &mut pe, tid, argc, retc);
             self.pes[i] = pe;
         }
         self.clock += 1;
         report
+    }
+
+    fn trap_ctx(&mut self) -> TrapCtx<'_> {
+        TrapCtx {
+            mem: &mut self.mem,
+            dma: &mut self.dma,
+            pes: &mut self.pes,
+            clock: self.clock,
+        }
     }
 
     fn dispatch_trap(
@@ -329,18 +350,7 @@ impl Platform {
         let mut buf = [0 as Word; 8];
         let args = pe.trap_args(argc);
         buf[..args.len()].copy_from_slice(args);
-        let result = handler.trap(
-            &mut TrapCtx {
-                mem: &mut self.mem,
-                dma: &mut self.dma,
-                pes: &mut self.pes,
-                clock: self.clock,
-            },
-            id,
-            pe,
-            trap_id,
-            &buf[..argc as usize],
-        );
+        let result = handler.trap(&mut self.trap_ctx(), id, pe, trap_id, &buf[..argc as usize]);
         match result {
             TrapResult::Done => {
                 debug_assert_eq!(retc, 0, "trap {trap_id} must return a value");
@@ -728,6 +738,73 @@ mod tests {
         );
         assert_eq!(h.served_at, h.raised_at);
         assert!(matches!(p.pes[1].status, PeStatus::Halted));
+    }
+
+    /// Without traps, a cycle must report and leave behind exactly what
+    /// calling `PeState::step` on every PE in index order does: the
+    /// settled statuses (stalled, faulted, halted, idle) included.
+    #[test]
+    fn settling_in_place_matches_stepping_every_pe() {
+        let mut b = ProgramBuilder::new();
+        // Loads from L3 (a 31-cycle stall each) into L2, forever.
+        let copy = b.begin_func(0);
+        b.emit(Insn::Enter(0));
+        let top = b.here();
+        b.emit(Insn::Const(L2_BASE));
+        b.emit(Insn::Const(crate::memory::L3_BASE));
+        b.emit(Insn::LoadMem);
+        b.emit(Insn::StoreMem);
+        b.emit(Insn::Jump(top));
+        let div0 = b.begin_func(0);
+        b.emit(Insn::Enter(0));
+        b.emit(Insn::Const(1));
+        b.emit(Insn::Const(0));
+        b.emit(Insn::Div);
+        let halt = b.begin_func(0);
+        b.emit(Insn::Enter(0));
+        b.emit(Insn::Halt);
+        let ret = b.begin_func(0);
+        b.emit(Insn::Enter(0));
+        b.emit(Insn::Ret { retc: 0 });
+        let mut p = Platform::new(PlatformConfig::default());
+        p.load(b.finish());
+        for (pe, entry) in [copy, div0, halt, ret].into_iter().enumerate() {
+            p.invoke(PeId(pe as u16), entry, &[]);
+        }
+        let mut reference = p.clone();
+        let state = |p: &Platform| {
+            use std::hash::Hasher;
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            p.hash_state(&mut h);
+            h.finish()
+        };
+        let mut stalled = 0;
+        for _ in 0..200 {
+            let got = p.step_cycle(&mut NullHandler);
+            stalled += u32::from(p.pes[0].stall > 0);
+            let mut want = CycleReport::default();
+            for pe in &mut reference.pes {
+                match pe.step(&reference.program, &mut reference.mem) {
+                    StepEvent::Executed | StepEvent::Called { .. } | StepEvent::Returned { .. } => {
+                        want.executed += 1
+                    }
+                    StepEvent::TaskComplete => want.completions += 1,
+                    StepEvent::Fault(_) => want.faults += 1,
+                    StepEvent::TrapPending { .. } => unreachable!("no traps here"),
+                    StepEvent::Stalled | StepEvent::Idle | StepEvent::Halted => {}
+                }
+            }
+            reference.clock += 1;
+            assert_eq!(got, want, "cycle {}", reference.clock);
+            assert_eq!(state(&p), state(&reference), "cycle {}", reference.clock);
+        }
+        assert!(
+            stalled > 100 && p.pes[0].retired > 5,
+            "{stalled} stalled cycles"
+        );
+        assert!(matches!(p.pes[1].status, PeStatus::Faulted(_)));
+        assert!(matches!(p.pes[2].status, PeStatus::Halted));
+        assert!(matches!(p.pes[3].status, PeStatus::Idle));
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! still holds ([`crate::TrapHandler::still_blocked`]) — this is how
 //! token-starved filters wait "for more data", the state §III requires the
 //! debugger to be able to display per actor.
+//!
+//! The platform calls [`PeState::step`] only for a running PE with no
+//! stall left to pay; it settles every other status itself. `step` still
+//! answers every status, so a PE driven on its own (as the tests here do)
+//! behaves the same.
 
 use debuginfo::{CodeAddr, Word};
 
@@ -110,6 +115,22 @@ impl std::fmt::Display for VmFault {
             VmFault::Runtime(msg) => write!(f, "runtime fault: {msg}"),
         }
     }
+}
+
+/// Feed `v`'s `Debug` form to `h`, streamed piece by piece instead of
+/// formatted into a `String` first. A hasher whose `write` simply absorbs
+/// bytes in order (as the replay engine's FNV does) gets exactly the
+/// value that `h.write(format!("{v:?}").as_bytes())` would give.
+pub fn hash_debug(h: &mut dyn std::hash::Hasher, v: &dyn std::fmt::Debug) {
+    struct Sink<'a>(&'a mut dyn std::hash::Hasher);
+    impl std::fmt::Write for Sink<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    // `Sink` never fails, and a `Debug` impl fails only when its sink does.
+    let _ = std::fmt::write(&mut Sink(h), format_args!("{v:?}"));
 }
 
 /// One call frame.
@@ -219,7 +240,7 @@ impl PeState {
         h.write_u32(self.pc);
         // Status carries enums with payloads; its Debug form is a stable,
         // collision-safe encoding without hand-maintaining a discriminant.
-        h.write(format!("{:?}", self.status).as_bytes());
+        hash_debug(h, &self.status);
         h.write_u32(self.stall);
         h.write_u64(self.retired);
         h.write_u64(self.invocations);

@@ -137,9 +137,11 @@ impl EventBuffer {
         self.dropped
     }
 
-    /// Drain accumulated events (observer, once per cycle).
-    pub fn drain(&mut self) -> Vec<RuntimeEvent> {
-        std::mem::take(&mut self.events).into_iter().collect()
+    /// Move the accumulated events, oldest first, to the end of `out`
+    /// (observer, once per cycle). Both buffers keep their capacity, so
+    /// an observer that reuses `out` allocates nothing per cycle.
+    pub fn drain_into(&mut self, out: &mut Vec<RuntimeEvent>) {
+        out.extend(self.events.drain(..));
     }
 
     pub fn len(&self) -> usize {
@@ -174,7 +176,9 @@ mod tests {
         b.enable();
         b.push(|| RuntimeEvent::BootComplete);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.drain(), vec![RuntimeEvent::BootComplete]);
+        let mut out = Vec::new();
+        b.drain_into(&mut out);
+        assert_eq!(out, vec![RuntimeEvent::BootComplete]);
         assert!(b.is_empty());
         b.disable();
         b.push(|| RuntimeEvent::BootComplete);

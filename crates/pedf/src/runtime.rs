@@ -25,8 +25,6 @@
 //! already written this step) and push immediately — these eager pop/push
 //! points are precisely the events the paper's debugger intercepts.
 
-use std::collections::HashMap;
-
 use debuginfo::{TypeTable, Value, Word};
 use p2012::{BlockReason, PeId, PeState, PeStatus, TrapCtx, TrapHandler, TrapResult};
 
@@ -34,7 +32,7 @@ use crate::api::{self, traps};
 use crate::envio::{EnvSink, EnvSource};
 use crate::events::{EventBuffer, RuntimeEvent};
 use crate::fifo::FifoState;
-use crate::graph::{ActorId, ActorKind, AppGraph, ConnId, Dir, LinkId};
+use crate::graph::{Actor, ActorId, ActorKind, AppGraph, ConnId, Dir, LinkId};
 use crate::policy::{ChoiceKind, SchedulePolicy, DELAYS};
 
 /// Scheduling state of a filter within the current step, phrased like the
@@ -82,6 +80,16 @@ struct ConnRt {
     window_tokens: u32,
     /// Tokens written this step (outputs).
     written: u32,
+}
+
+/// The actor mapped on a PE, and its module when that actor is a
+/// controller: worked out once, at registration, so the trap paths and
+/// the parking check index instead of walking the graph.
+#[derive(Debug, Clone, Copy)]
+struct PeActor {
+    actor: ActorId,
+    /// The parent module of a controller; `None` for any other actor.
+    module: Option<ActorId>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -135,7 +143,9 @@ pub struct Runtime {
     /// FIFO state per link (parallel to `graph.links`).
     pub fifos: Vec<FifoState>,
     modules_rt: Vec<ModuleRt>,
-    pe_actor: HashMap<PeId, ActorId>,
+    /// Indexed by [`PeId`]; sized to the platform at the first
+    /// registration.
+    pe_actor: Vec<Option<PeActor>>,
     /// The filters of each module in registration order, indexed by actor
     /// id (empty for non-modules). Static once the graph is registered;
     /// the WAIT_FOR_ACTOR_* traps and the parking check both read it.
@@ -169,7 +179,7 @@ impl Runtime {
             conns_rt: Vec::new(),
             fifos: Vec::new(),
             modules_rt: Vec::new(),
-            pe_actor: HashMap::new(),
+            pe_actor: Vec::new(),
             module_filters: Vec::new(),
             booted: false,
             console: Vec::new(),
@@ -225,8 +235,16 @@ impl Runtime {
                     self.modules_rt
                         .resize_with(aid.0 as usize + 1, ModuleRt::default);
                 }
-                if let Some(pe) = pe {
-                    self.pe_actor.insert(pe, aid);
+                if self.pe_actor.len() < ctx.pes.len() {
+                    self.pe_actor.resize(ctx.pes.len(), None);
+                }
+                // A PE the platform lacks can never trap, so it needs no
+                // slot.
+                if let Some(slot) = pe.and_then(|pe| self.pe_actor.get_mut(pe.index())) {
+                    *slot = Some(PeActor {
+                        actor: aid,
+                        module: parent.filter(|_| kind == ActorKind::Controller),
+                    });
                 }
                 self.events
                     .push(|| RuntimeEvent::ActorRegistered { actor: aid });
@@ -489,38 +507,39 @@ impl Runtime {
         TrapResult::Done
     }
 
+    /// The actor mapped on `pe`, if any.
+    fn pe_actor(&self, pe: PeId) -> Option<PeActor> {
+        self.pe_actor.get(pe.index()).copied().flatten()
+    }
+
     /// The module whose controller is executing on `pe`.
     fn controller_module(&mut self, pe: PeId) -> Result<ActorId, TrapResult> {
-        let Some(&actor) = self.pe_actor.get(&pe) else {
+        let Some(bound) = self.pe_actor(pe) else {
             return Err(self.fail(
                 format!("controller call from unmapped {pe}"),
                 "not a controller",
             ));
         };
-        let a = self.graph.actor(actor);
+        if let Some(module) = bound.module {
+            return Ok(module);
+        }
+        let a = self.graph.actor(bound.actor);
         if a.kind != ActorKind::Controller {
             return Err(self.fail(
                 format!("controller call from non-controller `{}`", a.name),
                 "not a controller",
             ));
         }
-        a.parent.ok_or_else(|| {
-            self.fail(
-                "controller without module".into(),
-                "controller without module",
-            )
-        })
+        Err(self.fail(
+            "controller without module".into(),
+            "controller without module",
+        ))
     }
 
     /// The module whose controller runs on `pe`: the lookup of
     /// [`Runtime::controller_module`] without its protocol-fault reports.
     fn waiting_module(&self, pe: PeId) -> Option<ActorId> {
-        let a = self.graph.actor(*self.pe_actor.get(&pe)?);
-        if a.kind == ActorKind::Controller {
-            a.parent
-        } else {
-            None
-        }
+        self.pe_actor(pe)?.module
     }
 
     /// Whether the controller of `module` must keep waiting: in
@@ -726,14 +745,8 @@ impl Runtime {
                 // A controller's WORK never returns between steps (it loops
                 // until `pedf_continue` says stop), so its I/O windows reset
                 // at the step boundary it declares, not at task completion.
-                if let Some(&ctrl) = self.pe_actor.get(&pe) {
-                    let conns: Vec<ConnId> = self.graph.actor(ctrl).conns().collect();
-                    for c in conns {
-                        let rt = &mut self.conns_rt[c.0 as usize];
-                        rt.window.clear();
-                        rt.window_tokens = 0;
-                        rt.written = 0;
-                    }
+                if let Some(ctrl) = self.pe_actor(pe) {
+                    reset_windows(&mut self.conns_rt, self.graph.actor(ctrl.actor));
                 }
                 let m = &mut self.modules_rt[module.0 as usize];
                 m.steps += 1;
@@ -1065,7 +1078,7 @@ impl Runtime {
         h.write_u64(self.stats.tokens_popped);
         h.write_u64(self.stats.work_invocations);
         for a in &self.actors_rt {
-            h.write(format!("{:?}", a.sched).as_bytes());
+            p2012::hash_debug(h, &a.sched);
             h.write_u8(u8::from(a.started));
             h.write_u8(u8::from(a.begun));
             h.write_u8(u8::from(a.sync_requested));
@@ -1097,6 +1110,16 @@ impl Runtime {
             h.write_u64(k.checksum);
         }
         self.policy.hash_state(h);
+    }
+}
+
+/// Clear `actor`'s read windows and write counts at a step boundary.
+fn reset_windows(conns_rt: &mut [ConnRt], actor: &Actor) {
+    for c in actor.conns() {
+        let rt = &mut conns_rt[c.0 as usize];
+        rt.window.clear();
+        rt.window_tokens = 0;
+        rt.written = 0;
     }
 }
 
@@ -1139,7 +1162,7 @@ impl TrapHandler for Runtime {
     }
 
     fn on_task_complete(&mut self, ctx: &mut TrapCtx<'_>, pe: PeId, current: &mut PeState) {
-        let Some(&actor) = self.pe_actor.get(&pe) else {
+        let Some(PeActor { actor, .. }) = self.pe_actor(pe) else {
             return; // boot code finishing on the host
         };
         let kind = self.graph.actor(actor).kind;
@@ -1155,13 +1178,7 @@ impl TrapHandler for Runtime {
             rt.steps_done
         };
         // Step boundary: reset this filter's I/O windows.
-        let conns: Vec<ConnId> = self.graph.actor(actor).conns().collect();
-        for c in conns {
-            let rt = &mut self.conns_rt[c.0 as usize];
-            rt.window.clear();
-            rt.window_tokens = 0;
-            rt.written = 0;
-        }
+        reset_windows(&mut self.conns_rt, self.graph.actor(actor));
         self.events
             .push(|| RuntimeEvent::WorkEnded { actor, steps_done });
         let rt = &mut self.actors_rt[actor.0 as usize];
@@ -1201,11 +1218,15 @@ impl TrapHandler for Runtime {
         // Late-start scheduled filters whose PE freed up outside
         // on_task_complete (e.g. after a fault recovery).
         if self.booted {
-            for i in 0..self.graph.actors.len() {
+            for i in 0..self.actors_rt.len() {
+                // Almost always false: test the runtime's own contiguous
+                // state before touching the graph.
+                if self.actors_rt[i].sched != FilterSched::Scheduled {
+                    continue;
+                }
                 let actor = ActorId(i as u32);
                 let a = self.graph.actor(actor);
-                if a.kind != ActorKind::Filter || self.actors_rt[i].sched != FilterSched::Scheduled
-                {
+                if a.kind != ActorKind::Filter {
                     continue;
                 }
                 let (Some(pe), Some(work)) = (a.pe, a.work_addr) else {

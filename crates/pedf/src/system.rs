@@ -400,7 +400,8 @@ mod tests {
         p.sys.runtime.events.enable();
         p.sys.boot(p.boot_entry).unwrap();
         p.sys.run_to_quiescence(100_000);
-        let evs = p.sys.runtime.events.drain();
+        let mut evs = Vec::new();
+        p.sys.runtime.events.drain_into(&mut evs);
         let pushes = evs
             .iter()
             .filter(|e| matches!(e, RuntimeEvent::TokenPushed { .. }))

@@ -29,7 +29,7 @@
 //! that follows verifies the hash chain boundary by boundary.
 
 use debuginfo::{Finding, Severity, Word};
-use p2012::{MemImage, PageId};
+use p2012::{MemImage, Memory, PageId, PageView, PAGE_WORDS};
 use pedf::{RuntimeState, System};
 
 pub const RULE_DIVERGENCE: &str = "REPLAY501";
@@ -42,9 +42,24 @@ pub const RULE_DIVERGENCE: &str = "REPLAY501";
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 impl Fnv64 {
     pub fn new() -> Self {
         Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Absorb `n` zero words. Each is `h = (h ^ 0) * P`, so `n` of them
+    /// are `h * P^n` (mod 2^64): one multiply gives exactly what `n`
+    /// calls of `write_u32(0)` would.
+    fn write_zero_words(&mut self, n: usize) {
+        const PAGE_FACTOR: u64 = FNV_PRIME.wrapping_pow(PAGE_WORDS);
+        let factor = if n == PAGE_WORDS as usize {
+            PAGE_FACTOR
+        } else {
+            FNV_PRIME.wrapping_pow(n as u32)
+        };
+        self.0 = self.0.wrapping_mul(factor);
     }
 
     /// Continue a hash chain from a previous boundary value.
@@ -69,7 +84,7 @@ impl std::hash::Hasher for Fnv64 {
     fn write(&mut self, bytes: &[u8]) {
         for b in bytes {
             self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
@@ -92,7 +107,7 @@ impl std::hash::Hasher for Fnv64 {
     }
 
     fn write_u64(&mut self, i: u64) {
-        self.0 = (self.0 ^ i).wrapping_mul(0x0000_0100_0000_01b3);
+        self.0 = (self.0 ^ i).wrapping_mul(FNV_PRIME);
     }
 
     fn write_usize(&mut self, i: usize) {
@@ -130,14 +145,32 @@ fn hash_machine_into(sys: &System, h: &mut Fnv64) {
     sys.runtime.hash_state(h);
 }
 
+/// Every word of memory in address order, as `write_u32` each. The
+/// shared zero page is absorbed in one multiply, every other page (even
+/// one that holds only zeros) word by word; both give the same value.
+fn hash_memory_into(mem: &Memory, h: &mut Fnv64) {
+    use std::hash::Hasher;
+    for page in mem.pages() {
+        match page {
+            PageView::Zero(n) => h.write_zero_words(n),
+            PageView::Words(words) => {
+                for w in words {
+                    h.write_u32(*w);
+                }
+            }
+        }
+    }
+}
+
 /// Hash of the complete system state, *including* full memory content.
-/// This is the strong equality used by tests and the CI determinism gate;
-/// boundary hashes inside the chain only cover dirty pages (cheap).
+/// This is the strong equality used by tests and the CI determinism gate,
+/// and the baseline of every checkpoint chain; boundary hashes inside the
+/// chain only cover dirty pages (cheap).
 pub fn full_state_hash(sys: &System) -> u64 {
     use std::hash::Hasher;
     let mut h = Fnv64::new();
     hash_machine_into(sys, &mut h);
-    sys.platform.mem.hash_full(&mut h);
+    hash_memory_into(&sys.platform.mem, &mut h);
     h.finish()
 }
 
@@ -197,18 +230,15 @@ impl<X> CheckpointManager<X> {
     /// Establish the baseline: full memory image, full-memory hash, reset
     /// dirty tracking. Becomes checkpoint 0 (with no delta pages).
     pub fn baseline(&mut self, sys: &mut System, payload: X) -> u32 {
-        use std::hash::Hasher;
         let _ = sys.platform.mem.take_dirty();
-        let mut h = Fnv64::new();
-        hash_machine_into(sys, &mut h);
-        sys.platform.mem.hash_full(&mut h);
+        let hash = full_state_hash(sys);
         let id = self.next_id;
         self.next_id += 1;
         self.base = Some(sys.platform.mem.snapshot_full());
         self.checkpoints.push(Checkpoint {
             id,
             clock: sys.clock(),
-            hash: h.finish(),
+            hash,
             machine: capture_machine(sys),
             pages: Vec::new(),
             payload,
@@ -271,7 +301,7 @@ impl<X> CheckpointManager<X> {
         let mut h = Fnv64::chained(prev);
         hash_machine_into(sys, &mut h);
         for p in pages {
-            h.write(format!("{p:?}").as_bytes());
+            p2012::hash_debug(&mut h, p);
             for w in sys.platform.mem.page_data(*p) {
                 h.write_u32(*w);
             }
@@ -409,12 +439,17 @@ mod tests {
         let r = debuginfo::registry::find(RULE_DIVERGENCE).expect("registered");
         assert_eq!(r.group, "REPLAY");
     }
-    use p2012::{Insn, PeId, Platform, PlatformConfig, ProgramBuilder};
+    use p2012::memory::{L3_BASE, PAGE_WORDS};
+    use p2012::{Insn, MemoryMap, PeId, Platform, PlatformConfig, ProgramBuilder};
     use pedf::Runtime;
 
-    /// A minimal system: one PE incrementing a counter in L2 forever.
-    /// No dataflow graph — the runtime is a passive trap handler here.
     fn counter_system() -> System {
+        counter_system_on(MemoryMap::default())
+    }
+
+    /// A minimal system: two PEs incrementing counters in L2 forever.
+    /// No dataflow graph — the runtime is a passive trap handler here.
+    fn counter_system_on(mem: MemoryMap) -> System {
         let mut b = ProgramBuilder::new();
         let entry = b.begin_func(1);
         b.emit(Insn::Enter(1));
@@ -427,7 +462,10 @@ mod tests {
         b.emit(Insn::StoreMem);
         b.emit(Insn::Jump(top));
         let prog = b.finish();
-        let mut platform = Platform::new(PlatformConfig::default());
+        let mut platform = Platform::new(PlatformConfig {
+            mem,
+            ..PlatformConfig::default()
+        });
         platform.load(prog);
         platform.invoke(PeId(0), entry, &[L2_BASE]);
         platform.invoke(PeId(1), entry, &[L2_BASE + 5000]);
@@ -530,6 +568,80 @@ mod tests {
         assert_eq!(mgr.checkpoints().count(), 2);
     }
 
+    /// `full_state_hash` the slow way: the machine, then every mapped word
+    /// in address order, one `write_u32` each.
+    fn serial_full_hash(sys: &System) -> u64 {
+        use std::hash::Hasher;
+        let mut h = Fnv64::new();
+        hash_machine_into(sys, &mut h);
+        let mem = &sys.platform.mem;
+        let map = mem.map();
+        let mut banks: Vec<(u32, u32)> = (0..map.clusters)
+            .map(|c| (map.l1_base(c), map.l1_words))
+            .collect();
+        banks.push((L2_BASE, map.l2_words));
+        banks.push((L3_BASE, map.l3_words));
+        for (base, words) in banks {
+            for addr in base..base + words {
+                h.write_u32(mem.peek(addr).unwrap());
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn full_state_hash_equals_a_serial_word_loop() {
+        let check = |sys: &System, what: &str| {
+            assert_eq!(full_state_hash(sys), serial_full_hash(sys), "{what}");
+        };
+        check(&counter_system(), "fresh default machine");
+
+        // L2 and L3 end in a partial page here.
+        let mut sys = counter_system_on(MemoryMap {
+            l2_words: 6 * PAGE_WORDS + 10,
+            l3_words: 3 * PAGE_WORDS + 7,
+            ..MemoryMap::default()
+        });
+        assert!(sys
+            .platform
+            .mem
+            .pages()
+            .any(|p| matches!(p, PageView::Zero(_))));
+        check(&sys, "canonical zero pages");
+        sys.platform.mem.poke(L3_BASE + 5, 9).unwrap();
+        sys.platform.mem.poke(L3_BASE + 5, 0).unwrap();
+        assert!(sys.platform.mem.pages().any(
+            |p| matches!(p, PageView::Words(w) if w.len() == PAGE_WORDS as usize
+                && w.iter().all(|&x| x == 0))
+        ));
+        check(&sys, "an owned page written back to zero");
+        sys.platform
+            .mem
+            .poke(L2_BASE + 6 * PAGE_WORDS + 3, 77)
+            .unwrap();
+        sys.platform.mem.poke(L3_BASE + 3 * PAGE_WORDS, 5).unwrap();
+        check(&sys, "partial last pages");
+
+        let mut mgr: CheckpointManager<()> = CheckpointManager::new(100);
+        mgr.baseline(&mut sys, ());
+        assert_eq!(
+            mgr.checkpoints().next().unwrap().hash,
+            serial_full_hash(&sys)
+        );
+        let img = sys.platform.mem.snapshot_full();
+        sys.run(100);
+        let cp = mgr.checkpoint_at(&mut sys, ());
+        sys.run(150);
+        check(&sys, "after running");
+        let child = sys.fork();
+        check(&sys, "fork parent");
+        check(&child, "fork child");
+        mgr.restore(&mut sys, cp).unwrap();
+        check(&sys, "after restore");
+        sys.platform.mem.restore_full(&img);
+        check(&sys, "after restore_full");
+    }
+
     #[test]
     fn fnv64_is_stable_across_runs() {
         use std::hash::Hasher;
@@ -550,5 +662,19 @@ mod tests {
         assert_eq!(c.finish(), d.finish());
         d.write_u32(8);
         assert_ne!(c.finish(), d.finish());
+    }
+
+    #[test]
+    fn zero_words_absorb_like_the_word_loop() {
+        use std::hash::Hasher;
+        for n in [0, 1, 7, PAGE_WORDS as usize - 1, PAGE_WORDS as usize] {
+            let mut fast = Fnv64::chained(0x1234);
+            let mut slow = fast.clone();
+            fast.write_zero_words(n);
+            for _ in 0..n {
+                slow.write_u32(0);
+            }
+            assert_eq!(fast.finish(), slow.finish(), "{n} zero words");
+        }
     }
 }
