@@ -800,8 +800,8 @@ fn main() {
         );
     }
     println!(
-        "\nShape check (EXPERIMENTS.md E6): setup (full baseline image + \
-         hash) is\na one-time per-session cost; the steady-state \
+        "\nShape check (EXPERIMENTS.md E6): setup (baseline hash + machine \
+         fork) is\na one-time per-session cost; the steady-state \
          recording overhead at the\ndefault 10k-cycle interval stays \
          within the 10% gate. Denser intervals\nbuy shorter replays \
          (reverse latency is bounded by one restore plus at\nmost two \

@@ -23,15 +23,15 @@ const SEED: u32 = 0xbeef;
 #[derive(Debug, Clone)]
 pub struct ReplayPoint {
     pub interval: u64,
-    /// One-time `enable_time_travel` cost: full memory image + baseline
-    /// hash. Paid once per session, independent of run length, so it is
+    /// One-time `enable_time_travel` cost: baseline hash + machine
+    /// fork. Paid once per session, independent of run length, so it is
     /// reported separately from the recording overhead.
     pub setup: Duration,
     /// Wall time of the recorded run itself (after setup).
     pub wall: Duration,
     pub cycles: u64,
     pub checkpoints: usize,
-    /// Total dirty pages stored across all delta checkpoints.
+    /// Total pages dirtied across all checkpoint intervals.
     pub pages_stored: usize,
     /// Wall-clock ratio of the recorded run against the `interval == 0`
     /// control — the steady-state recording overhead.

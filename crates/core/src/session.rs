@@ -1491,9 +1491,9 @@ impl Session {
     }
 
     /// Turn on deterministic checkpointing: the current state becomes the
-    /// baseline (checkpoint 0, full memory image) and the run loop records
-    /// a delta checkpoint every `interval` cycles. Usually called right
-    /// after [`Session::boot`].
+    /// baseline (checkpoint 0, a copy-on-write fork of the machine) and
+    /// the run loop records a checkpoint every `interval` cycles. Usually
+    /// called right after [`Session::boot`].
     pub fn enable_time_travel(&mut self, interval: u64) -> u32 {
         let mut mgr = CheckpointManager::new(interval);
         let snap = self.snap();
@@ -1688,7 +1688,7 @@ impl Session {
                     break;
                 }
                 let c = mgr.get(info.id).expect("listed checkpoint");
-                if c.machine.platform.pes[pe.index()].retired < r_now {
+                if c.sys.platform.pes[pe.index()].retired < r_now {
                     cand = Some(info.id);
                 }
             }
@@ -1805,10 +1805,8 @@ impl Session {
         replay::full_state_hash(&self.sys)
     }
 
-    /// Divergence findings (`REPLAY501`) accumulated by boundary
-    /// verification during replays.
-    /// `(checkpoints, delta pages stored)` — the E6 bench reports the
-    /// recording footprint per interval.
+    /// `(checkpoints, pages dirtied between them)` — the E6 bench reports
+    /// the recording footprint per interval.
     pub fn checkpoint_footprint(&self) -> (usize, usize) {
         match &self.tt {
             Some(m) => (
@@ -1819,6 +1817,8 @@ impl Session {
         }
     }
 
+    /// Divergence findings (`REPLAY501`) accumulated by boundary
+    /// verification during replays.
     pub fn replay_findings(&self) -> &[debuginfo::Finding] {
         self.tt.as_ref().map_or(&[], |m| m.findings())
     }

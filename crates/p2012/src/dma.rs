@@ -288,7 +288,7 @@ mod tests {
     fn checkpoint_mid_transfer_replays_completion_at_same_cycle() {
         // A checkpoint taken while a transfer is in flight must capture the
         // pending retire: restoring the snapshot (engine clone + memory
-        // image) and re-stepping completes the transfer after exactly the
+        // fork) and re-stepping completes the transfer after exactly the
         // same number of cycles, with identical memory and state hash.
         let mut mem = Memory::new(MemoryMap::default());
         for i in 0..12 {
@@ -303,9 +303,9 @@ mod tests {
         dma.step(&mut mem); // 4 of 12 words copied
         assert_eq!(dma.status(id), DmaStatus::InFlight { remaining: 8 });
 
-        // Checkpoint: whole-engine clone plus full memory image.
+        // Checkpoint: whole-engine clone plus copy-on-write memory fork.
         let snap_dma = dma.clone();
-        let snap_mem = mem.snapshot_full();
+        let snap_mem = mem.fork();
 
         // Original timeline: completes after two more steps.
         dma.step(&mut mem);
@@ -316,7 +316,7 @@ mod tests {
         // Restore and replay: the pending retire is still there, the
         // remaining words land on the same cycles, the hash matches.
         let mut dma2 = snap_dma;
-        mem.restore_full(&snap_mem);
+        let mut mem = snap_mem;
         assert_eq!(dma2.status(id), DmaStatus::InFlight { remaining: 8 });
         assert_eq!(dma2.in_flight(), 1);
         dma2.step(&mut mem);

@@ -32,12 +32,9 @@ pub mod vm;
 pub use dma::{DmaEngine, DmaRequest, DmaStatus};
 pub use isa::{Insn, Program, ProgramBuilder};
 pub use memory::{
-    MemError, MemImage, Memory, MemoryMap, PageId, PageView, Region, WatchHit, WatchKind,
-    PAGE_WORDS,
+    MemError, Memory, MemoryMap, PageId, PageView, Region, WatchHit, WatchKind, PAGE_WORDS,
 };
-pub use platform::{
-    ClusterId, CycleReport, PeClass, PeId, Platform, PlatformConfig, PlatformState,
-};
+pub use platform::{ClusterId, CycleReport, PeClass, PeId, Platform, PlatformConfig};
 pub use trap::{NullHandler, TrapCtx, TrapHandler, TrapResult};
 pub use vm::{
     hash_debug, BlockReason, Frame, PeState, PeStatus, StepEvent, VmFault, MAX_CALL_DEPTH,

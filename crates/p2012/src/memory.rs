@@ -15,13 +15,13 @@
 //! undebuggged fast path honest for the overhead benchmarks (experiment E1).
 //!
 //! Banks are stored as copy-on-write pages ([`PAGE_WORDS`] words each): a
-//! page is either shared (`Arc`, refcounted with every fork and base image
-//! that references it) or privately owned. Reads never promote; the first
+//! page is either shared (`Arc`, refcounted with every fork that
+//! references it) or privately owned. Reads never promote; the first
 //! store to a shared page copies just that page. This is what makes
-//! [`Memory::fork`] — and with it debugger-session forking and checkpoint
-//! base images — O(pages) in pointers rather than O(words) in copies: a
-//! thousand forked sessions of the same booted application share one set
-//! of page buffers until they actually diverge.
+//! [`Memory::fork`] — and with it debugger-session forking and
+//! time-travel checkpoints — O(pages) in pointers rather than O(words) in
+//! copies: a thousand forked sessions of the same booted application
+//! share one set of page buffers until they actually diverge.
 
 use std::sync::{Arc, OnceLock};
 
@@ -126,9 +126,10 @@ impl std::fmt::Display for MemError {
     }
 }
 
-/// Granularity of the dirty-page tracking used by checkpoint/replay: a
-/// bank is split into pages of this many words, and only pages written
-/// since the last checkpoint boundary are copied into the next delta.
+/// Granularity of copy-on-write sharing and of the dirty-page tracking
+/// used by checkpoint/replay: a bank is split into pages of this many
+/// words, and only pages written since the last checkpoint boundary enter
+/// the next boundary hash.
 pub const PAGE_WORDS: u32 = 1024;
 
 /// One dirty-trackable page: a bank (region) plus the page index within
@@ -140,7 +141,7 @@ pub struct PageId {
 }
 
 /// One copy-on-write page of bank backing store. `Shared` pages are
-/// referenced by forked memories and checkpoint base images; the first
+/// referenced by forked memories (checkpoints among them); the first
 /// store promotes the page to `Owned` by copying it.
 #[derive(Debug, Clone)]
 enum Page {
@@ -169,14 +170,10 @@ impl Page {
         }
     }
 
-    /// Freeze into shared form (fork/snapshot time) and hand out the Arc.
-    fn share(&mut self) -> Arc<[Word]> {
+    /// Freeze into shared form (fork time).
+    fn share(&mut self) {
         if let Page::Owned(v) = self {
             *self = Page::Shared(Arc::from(std::mem::take(v).into_boxed_slice()));
-        }
-        match self {
-            Page::Shared(p) => Arc::clone(p),
-            Page::Owned(_) => unreachable!("just shared"),
         }
     }
 }
@@ -186,7 +183,7 @@ impl Page {
 pub enum PageView<'a> {
     /// The shared zero page: this many words, all zero.
     Zero(usize),
-    /// Any other page (owned, or shared with a fork or a base image),
+    /// Any other page (owned, or shared with a fork),
     /// including one that happens to hold only zeros.
     Words(&'a [Word]),
 }
@@ -238,28 +235,10 @@ impl Bank {
         self.pages[page as usize].as_slice()
     }
 
-    fn restore_page(&mut self, page: u32, data: &[Word]) {
-        // Restores always carry a whole page; replacing the buffer avoids
-        // promoting (copying) a shared page only to overwrite it.
-        debug_assert_eq!(data.len(), self.pages[page as usize].as_slice().len());
-        self.pages[page as usize] = Page::Owned(data.to_vec());
-    }
-
-    /// Freeze every page into shared form, returning the Arcs (snapshot).
-    fn share(&mut self) -> Vec<Arc<[Word]>> {
-        self.pages.iter_mut().map(Page::share).collect()
-    }
-
-    /// Freeze every page into shared form without collecting (fork).
-    fn share_in_place(&mut self) {
+    /// Freeze every page into shared form (fork).
+    fn share(&mut self) {
         for p in &mut self.pages {
             p.share();
-        }
-    }
-
-    fn restore_from(&mut self, shared: &[Arc<[Word]>]) {
-        for (p, s) in self.pages.iter_mut().zip(shared) {
-            *p = Page::Shared(Arc::clone(s));
         }
     }
 
@@ -276,28 +255,6 @@ impl Bank {
             .filter(|p| matches!(p, Page::Owned(_)))
             .map(|p| p.as_slice().len())
             .sum()
-    }
-}
-
-/// A full image of every memory bank — the base a checkpoint chain starts
-/// from. Pages are shared with the live memory they were snapshotted
-/// from, so taking (and keeping) an image costs refcounts, not copies;
-/// deltas (dirty pages) apply on top of this.
-#[derive(Debug, Clone)]
-pub struct MemImage {
-    l1: Vec<Vec<Arc<[Word]>>>,
-    l2: Vec<Arc<[Word]>>,
-    l3: Vec<Arc<[Word]>>,
-}
-
-impl MemImage {
-    /// The words of `page` within this image (last page may be partial).
-    pub fn page_data(&self, p: PageId) -> &[Word] {
-        match p.region {
-            Region::L1 { cluster } => &self.l1[cluster as usize][p.page as usize],
-            Region::L2 => &self.l2[p.page as usize],
-            Region::L3 => &self.l3[p.page as usize],
-        }
     }
 }
 
@@ -511,7 +468,9 @@ impl Memory {
     // ---- checkpoint/replay support ----------------------------------------
 
     /// Drain the dirty-page set (sorted) and clear all flags. Called at
-    /// each checkpoint boundary so the next interval starts clean.
+    /// each checkpoint boundary so the next interval starts clean. (Not
+    /// the same as "owned": a fork taken mid-interval shares pages this
+    /// memory has already dirtied.)
     pub fn take_dirty(&mut self) -> Vec<PageId> {
         let mut list = std::mem::take(&mut self.dirty_list);
         for p in &list {
@@ -532,49 +491,27 @@ impl Memory {
         self.bank(p.region).page(p.page)
     }
 
-    /// Overwrite one page with checkpointed content. Bypasses dirty
-    /// marking: a restore rewinds the memory image, it is not a write the
-    /// replayed execution performed.
-    pub fn restore_page(&mut self, p: PageId, data: &[Word]) {
-        self.bank_mut(p.region).restore_page(p.page, data);
-    }
-
-    /// Full image of all banks (checkpoint base image). Freezes every page
-    /// into shared form, so the image and the live memory reference the
-    /// same buffers until the simulation writes again — taking a baseline
-    /// is O(pages), not O(words).
-    pub fn snapshot_full(&mut self) -> MemImage {
-        MemImage {
-            l1: self.l1.iter_mut().map(Bank::share).collect(),
-            l2: self.l2.share(),
-            l3: self.l3.share(),
-        }
-    }
-
-    /// Restore every bank from a full image (shared page references — the
-    /// next write promotes). Clears pending watch hits (they belong to the
-    /// abandoned timeline) but keeps the installed watches — like GDB,
-    /// watchpoints survive time travel.
-    pub fn restore_full(&mut self, img: &MemImage) {
-        for (bank, shared) in self.l1.iter_mut().zip(&img.l1) {
-            bank.restore_from(shared);
-        }
-        self.l2.restore_from(&img.l2);
-        self.l3.restore_from(&img.l3);
-        self.hits.clear();
-    }
-
     /// Copy-on-write fork: every page of every bank becomes shared between
     /// `self` and the returned memory; the first store on either side
     /// copies just the page it touches. Watches, dirty tracking and access
     /// counters carry over verbatim.
     pub fn fork(&mut self) -> Memory {
         for b in &mut self.l1 {
-            b.share_in_place();
+            b.share();
         }
-        self.l2.share_in_place();
-        self.l3.share_in_place();
+        self.l2.share();
+        self.l3.share();
         self.clone()
+    }
+
+    /// Time travel: `self` (a checkpoint's memory) is about to replace
+    /// `live`. The installed watches are the user's, not recorded
+    /// history, so they move across — like GDB's, watchpoints survive
+    /// time travel. Pending hits belong to the abandoned timeline and are
+    /// dropped.
+    pub fn adopt_watches(&mut self, live: &mut Memory) {
+        self.watches = std::mem::take(&mut live.watches);
+        self.hits.clear();
     }
 
     /// Words privately owned by this memory (copy-on-write pages actually
@@ -715,42 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_page_bypasses_dirty_marking() {
-        let mut m = mem();
-        m.write(L1_BASE + 3, 77).unwrap();
-        let page = PageId {
-            region: Region::L1 { cluster: 0 },
-            page: 0,
-        };
-        let saved: Vec<Word> = m.page_data(page).to_vec();
-        assert_eq!(saved[3], 77);
-        m.take_dirty();
-        m.restore_page(page, &saved);
-        assert!(m.take_dirty().is_empty(), "restore is not an app write");
-    }
-
-    #[test]
-    fn full_image_round_trip() {
-        let mut m = mem();
-        m.write(L1_BASE + 1, 11).unwrap();
-        m.write(L2_BASE + 2, 22).unwrap();
-        let img = m.snapshot_full();
-        m.write(L1_BASE + 1, 99).unwrap();
-        m.write(L3_BASE, 5).unwrap();
-        m.restore_full(&img);
-        assert_eq!(m.peek(L1_BASE + 1).unwrap(), 11);
-        assert_eq!(m.peek(L2_BASE + 2).unwrap(), 22);
-        assert_eq!(m.peek(L3_BASE).unwrap(), 0);
-        assert_eq!(
-            img.page_data(PageId {
-                region: Region::L2,
-                page: 0
-            })[2],
-            22
-        );
-    }
-
-    #[test]
     fn forked_memories_do_not_alias() {
         let mut m = mem();
         m.write(L2_BASE, 1).unwrap();
@@ -779,22 +680,6 @@ mod tests {
         child.write(L2_BASE + 1, 2).unwrap();
         assert_eq!(child.take_dirty().len(), 1);
         assert!(m.take_dirty().is_empty(), "parent saw the child's write");
-    }
-
-    #[test]
-    fn snapshot_stays_frozen_while_live_memory_moves_on() {
-        let mut m = mem();
-        m.write(L2_BASE + 3, 33).unwrap();
-        let img = m.snapshot_full();
-        m.write(L2_BASE + 3, 44).unwrap();
-        let p = PageId {
-            region: Region::L2,
-            page: 0,
-        };
-        assert_eq!(img.page_data(p)[3], 33, "image must not track live writes");
-        assert_eq!(m.peek(L2_BASE + 3).unwrap(), 44);
-        m.restore_full(&img);
-        assert_eq!(m.peek(L2_BASE + 3).unwrap(), 33);
     }
 
     #[test]

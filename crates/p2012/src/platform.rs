@@ -121,19 +121,6 @@ impl CycleReport {
     }
 }
 
-/// A snapshot of the machine minus memory content: clock, every PE's
-/// execution state, every DMA engine (including in-flight transfers) and
-/// the access counters. Memory is checkpointed separately (base image +
-/// dirty-page deltas) by the replay engine.
-#[derive(Debug, Clone)]
-pub struct PlatformState {
-    pub clock: u64,
-    pub pes: Vec<PeState>,
-    pub dma: Vec<DmaEngine>,
-    pub mem_reads: u64,
-    pub mem_writes: u64,
-}
-
 /// The simulated machine.
 #[derive(Debug, Clone)]
 pub struct Platform {
@@ -418,30 +405,6 @@ impl Platform {
             program: self.program.clone(),
             clock: self.clock,
         }
-    }
-
-    /// Capture everything about the machine except memory content, which
-    /// the replay engine tracks separately via dirty pages.
-    pub fn capture_state(&self) -> PlatformState {
-        PlatformState {
-            clock: self.clock,
-            pes: self.pes.clone(),
-            dma: self.dma.clone(),
-            mem_reads: self.mem.reads,
-            mem_writes: self.mem.writes,
-        }
-    }
-
-    /// Restore a previously captured machine state (memory content is
-    /// restored separately). Pending watch hits belong to the abandoned
-    /// timeline and are dropped.
-    pub fn restore_state(&mut self, s: &PlatformState) {
-        self.clock = s.clock;
-        self.pes.clone_from(&s.pes);
-        self.dma.clone_from(&s.dma);
-        self.mem.reads = s.mem_reads;
-        self.mem.writes = s.mem_writes;
-        let _ = self.mem.take_hits();
     }
 
     /// Feed the full machine state (sans memory content) to a hasher.

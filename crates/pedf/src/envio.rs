@@ -125,19 +125,15 @@ impl EnvSource {
         fresh
     }
 
-    /// Checkpointable state: the emission cursor plus the generator. The
-    /// recording itself is append-only and shared across timelines.
-    pub fn capture_state(&self) -> EnvSourceState {
-        EnvSourceState {
-            produced: self.produced,
-            gen: self.gen.clone(),
-        }
-    }
-
-    pub fn restore_state(&mut self, s: &EnvSourceState) {
-        self.produced = s.produced;
-        if !self.re_pull {
-            self.gen = s.gen.clone();
+    /// Time travel: `self`, this source as a checkpoint recorded it, is
+    /// about to replace `live`. The recording is append-only and shared
+    /// by every timeline, so `live`'s (the longer one) moves across, and
+    /// the checkpoint's `produced` re-serves it. A `re_pull` source models
+    /// an environment that cannot rewind, so it keeps `live`'s generator.
+    pub fn adopt_environment(&mut self, live: &mut EnvSource) {
+        std::mem::swap(&mut self.recorded, &mut live.recorded);
+        if self.re_pull {
+            std::mem::swap(&mut self.gen, &mut live.gen);
         }
     }
 
@@ -156,21 +152,6 @@ impl EnvSource {
         let elapsed = clock - self.start_at;
         self.produced < elapsed / u64::from(self.period) + 1
     }
-}
-
-/// Checkpointable part of an [`EnvSource`] (see [`EnvSource::capture_state`]).
-#[derive(Debug, Clone)]
-pub struct EnvSourceState {
-    pub produced: u64,
-    pub gen: ValueGen,
-}
-
-/// Checkpointable part of an [`EnvSink`].
-#[derive(Debug, Clone)]
-pub struct EnvSinkState {
-    pub consumed: u64,
-    pub checksum: u64,
-    pub tail: Vec<Word>,
 }
 
 /// Drains tokens from a boundary link, recording a bounded tail of values
@@ -204,20 +185,6 @@ impl EnvSink {
 
     pub fn due(&self, clock: u64) -> bool {
         self.consumed < clock / u64::from(self.period) + 1
-    }
-
-    pub fn capture_state(&self) -> EnvSinkState {
-        EnvSinkState {
-            consumed: self.consumed,
-            checksum: self.checksum,
-            tail: self.tail.clone(),
-        }
-    }
-
-    pub fn restore_state(&mut self, s: &EnvSinkState) {
-        self.consumed = s.consumed;
-        self.checksum = s.checksum;
-        self.tail.clone_from(&s.tail);
     }
 
     pub fn record(&mut self, head_word: Word) {
@@ -290,10 +257,18 @@ mod tests {
         assert!(!s.due(9));
     }
 
+    /// Time travel as the replay engine does it: the checkpoint's copy
+    /// replaces the live source, carrying the environment across.
+    fn rewind(live: &mut EnvSource, checkpoint: &EnvSource) {
+        let mut restored = checkpoint.clone();
+        restored.adopt_environment(live);
+        *live = restored;
+    }
+
     #[test]
     fn source_replays_recorded_values_after_rewind() {
         let mut s = EnvSource::new(ConnId(0), 1, ValueGen::Lcg { state: 7 });
-        let snap = s.capture_state();
+        let snap = s.clone();
         let mut first = Vec::new();
         for _ in 0..5 {
             first.push(s.pull());
@@ -301,7 +276,7 @@ mod tests {
         }
         // Rewind to the start and replay: identical values, even though the
         // generator was advanced past them.
-        s.restore_state(&snap);
+        rewind(&mut s, &snap);
         for v in &first {
             assert_eq!(s.pull(), *v);
             s.produced += 1;
@@ -309,21 +284,23 @@ mod tests {
         // Continuing past the recording stays on the original sequence.
         let a = s.pull();
         s.produced += 1;
-        s.restore_state(&snap);
+        rewind(&mut s, &snap);
         for _ in 0..5 {
             s.pull();
             s.produced += 1;
         }
         assert_eq!(s.pull(), a, "6th value must match across timelines");
+        assert_eq!(s.recorded.len(), 6, "one recording across timelines");
     }
 
     #[test]
     fn re_pull_source_diverges_on_replay() {
         let mut s = EnvSource::new(ConnId(0), 1, ValueGen::Lcg { state: 7 }).with_re_pull();
-        let snap = s.capture_state();
+        let snap = s.clone();
         let first = s.pull();
         s.produced += 1;
-        s.restore_state(&snap); // generator NOT rewound: environment moved on
+        rewind(&mut s, &snap); // generator NOT rewound: environment moved on
+        assert_eq!(s.produced, 0);
         let replayed = s.pull();
         assert_ne!(first, replayed, "re-pull must not reproduce history");
     }
@@ -332,10 +309,12 @@ mod tests {
     fn sink_state_round_trips() {
         let mut k = EnvSink::new(ConnId(1), 1);
         k.record(7);
-        let snap = k.capture_state();
+        let snap = k.clone();
         k.record(8);
         k.record(9);
-        k.restore_state(&snap);
+        // Nothing of a sink outlives its timeline: a restore is the
+        // checkpoint's copy, whole.
+        k = snap;
         assert_eq!(k.consumed, 1);
         assert_eq!(k.checksum, 7);
         assert_eq!(k.tail, vec![7]);

@@ -30,7 +30,7 @@ pub mod runtime;
 pub mod system;
 
 pub use api::{ApiStubs, StringPool};
-pub use envio::{EnvSink, EnvSinkState, EnvSource, EnvSourceState, ValueGen};
+pub use envio::{EnvSink, EnvSource, ValueGen};
 pub use events::{EventBuffer, RuntimeEvent};
 pub use fifo::FifoState;
 pub use graph::{
@@ -38,5 +38,5 @@ pub use graph::{
     LinkId,
 };
 pub use policy::{ChoiceKind, ChoiceRec, DecisionPoint, SchedulePolicy, DELAYS};
-pub use runtime::{FilterSched, Runtime, RuntimeState, RuntimeStats};
+pub use runtime::{FilterSched, Runtime, RuntimeStats};
 pub use system::System;

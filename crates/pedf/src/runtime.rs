@@ -107,31 +107,13 @@ pub struct RuntimeStats {
     pub work_invocations: u64,
 }
 
-/// Opaque snapshot of the runtime's dynamic state, for checkpoint/replay.
-/// The static parts (graph, type table, PE↔actor mapping) are excluded:
-/// checkpoints are only taken after boot, when those no longer change.
-#[derive(Debug, Clone)]
-pub struct RuntimeState {
-    actors_rt: Vec<ActorRt>,
-    conns_rt: Vec<ConnRt>,
-    fifos: Vec<FifoState>,
-    modules_rt: Vec<ModuleRt>,
-    booted: bool,
-    console: Vec<String>,
-    events: EventBuffer,
-    protocol_errors: Vec<String>,
-    stats: RuntimeStats,
-    sources: Vec<crate::envio::EnvSourceState>,
-    sinks: Vec<crate::envio::EnvSinkState>,
-    policy: SchedulePolicy,
-}
-
 /// The runtime system. Implements [`TrapHandler`]; owns all dynamic
 /// dataflow state.
 ///
 /// `Clone` is deliberate: every field is plain data (env sources/sinks
-/// included), so session forking can duplicate the whole runtime in one
-/// deep copy instead of re-running boot + environment setup.
+/// included), so session forking and every time-travel checkpoint
+/// duplicate the whole runtime in one deep copy instead of re-running
+/// boot + environment setup.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     /// Shared type table (same ids as the image's debug info).
@@ -163,7 +145,7 @@ pub struct Runtime {
     pub stats: RuntimeStats,
     /// The scheduler-choice seam: answers every election with code 0 by
     /// default (today's deterministic order) unless overrides are
-    /// installed. Machine state — captured, restored and hashed with the
+    /// installed. Machine state — forked, restored and hashed with the
     /// rest of the runtime so replay from a checkpoint re-consumes the
     /// same decision indices.
     pub policy: SchedulePolicy,
@@ -1029,46 +1011,15 @@ impl Runtime {
 
     // ---- checkpoint/replay -------------------------------------------------
 
-    /// Capture the dynamic runtime state (see [`RuntimeState`]).
-    pub fn capture_state(&self) -> RuntimeState {
-        RuntimeState {
-            actors_rt: self.actors_rt.clone(),
-            conns_rt: self.conns_rt.clone(),
-            fifos: self.fifos.clone(),
-            modules_rt: self.modules_rt.clone(),
-            booted: self.booted,
-            console: self.console.clone(),
-            events: self.events.clone(),
-            protocol_errors: self.protocol_errors.clone(),
-            stats: self.stats,
-            sources: self.sources.iter().map(EnvSource::capture_state).collect(),
-            sinks: self.sinks.iter().map(EnvSink::capture_state).collect(),
-            policy: self.policy.clone(),
+    /// Time travel: `self`, the runtime as a checkpoint recorded it, is
+    /// about to replace `live`. Everything here is recorded machine state
+    /// except the environment's recordings (and the generator of a
+    /// `re_pull` source), which carry across; see
+    /// [`EnvSource::adopt_environment`].
+    pub fn adopt_environment(&mut self, live: &mut Runtime) {
+        for (src, l) in self.sources.iter_mut().zip(&mut live.sources) {
+            src.adopt_environment(l);
         }
-    }
-
-    /// Restore a captured runtime state. The graph, type table and
-    /// PE↔actor mapping are static after boot and left untouched; env
-    /// sources rewind to their recorded position (unless they are
-    /// `re_pull` test sources, which model an un-rewindable environment).
-    pub fn restore_state(&mut self, s: &RuntimeState) {
-        self.actors_rt.clone_from(&s.actors_rt);
-        self.conns_rt.clone_from(&s.conns_rt);
-        self.fifos.clone_from(&s.fifos);
-        self.modules_rt.clone_from(&s.modules_rt);
-        self.booted = s.booted;
-        self.console.clone_from(&s.console);
-        self.events = s.events.clone();
-        self.protocol_errors.clone_from(&s.protocol_errors);
-        self.stats = s.stats;
-        for (src, st) in self.sources.iter_mut().zip(&s.sources) {
-            src.restore_state(st);
-        }
-        for (snk, st) in self.sinks.iter_mut().zip(&s.sinks) {
-            snk.restore_state(st);
-        }
-        self.policy = s.policy.clone();
-        self.pop_buf.clear();
     }
 
     /// Feed the dynamic runtime state to a hasher (divergence check).

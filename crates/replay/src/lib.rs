@@ -6,31 +6,39 @@
 //! *checkpoint + forward replay* — exactly GDB's record/replay strategy,
 //! and the enabling primitive of multiverse debugging (MIO, PAPERS.md).
 //!
-//! A [`CheckpointManager`] owns a chain of checkpoints:
+//! A [`CheckpointManager`] owns a chain of checkpoints, and each one is a
+//! copy-on-write [`System::fork`] of the whole machine: every PE's VM
+//! state, DMA engines with in-flight transfers, the PEDF runtime (FIFO
+//! counters, scheduler state, env-I/O cursors) and memory. The fork
+//! shares every page with the live machine, so a checkpoint costs a page
+//! table and a runtime clone; a page is copied only when the simulation
+//! writes it again. This is the same primitive session attach and
+//! multiverse exploration use — the machine has one way to copy itself.
 //!
-//! * the **baseline** holds a full [`MemImage`] plus the complete machine
-//!   state ([`MachineState`]: every PE's VM state, DMA engines with
-//!   in-flight transfers, the PEDF runtime with FIFO counters, scheduler
-//!   state and env-I/O cursors);
-//! * every later checkpoint stores the machine state plus only the
-//!   **dirty pages** written since the previous boundary (copy-on-write
-//!   keyed by the `MemoryMap` regions — idle banks cost nothing);
-//! * each boundary carries a **chained state hash**: `hash[i] =
-//!   fnv64(hash[i-1], machine, dirty pages)`. A replayed execution
+//! The chain is also a divergence detector:
+//!
+//! * the **baseline** (checkpoint 0) carries the full state hash;
+//! * every later boundary carries a **chained state hash**: `hash[i] =
+//!   fnv64(hash[i-1], machine, dirty pages)`, over the pages written
+//!   since the previous boundary (dirty tracking keyed by the
+//!   `MemoryMap` regions — idle banks cost nothing). A replayed execution
 //!   recomputes the chain and any mismatch is reported as a `REPLAY501`
-//!   finding through the shared `debuginfo::Finding` pipeline — the
-//!   engine doubles as a divergence detector proving the simulator stays
-//!   deterministic.
+//!   finding through the shared `debuginfo::Finding` pipeline, proving
+//!   the simulator stays deterministic.
 //!
-//! Restoring to checkpoint `C` rewinds the machine state wholesale and
-//! rewinds memory page-wise: only pages written after `C` are touched,
-//! each taken from the most recent delta at or before `C` (falling back
-//! to the baseline image). Later checkpoints are *kept*, so the replay
-//! that follows verifies the hash chain boundary by boundary.
+//! Restoring to checkpoint `C` replaces the machine with a clone of `C`'s
+//! fork; its pages stay shared, so this costs what a fork does. Two
+//! things live outside the recorded machine and carry over from the
+//! machine being replaced: the installed memory watches (like GDB's,
+//! watchpoints survive time travel; pending hits are dropped) and the
+//! environment's recordings (append-only and shared by every timeline; a
+//! `re_pull` test source also keeps its live generator). Later
+//! checkpoints are *kept*, so the replay that follows verifies the hash
+//! chain boundary by boundary.
 
-use debuginfo::{Finding, Severity, Word};
-use p2012::{MemImage, Memory, PageId, PageView, PAGE_WORDS};
-use pedf::{RuntimeState, System};
+use debuginfo::{Finding, Severity};
+use p2012::{Memory, PageId, PageView, PAGE_WORDS};
+use pedf::System;
 
 pub const RULE_DIVERGENCE: &str = "REPLAY501";
 
@@ -115,30 +123,7 @@ impl std::hash::Hasher for Fnv64 {
     }
 }
 
-// ---- machine state ---------------------------------------------------------
-
-/// Everything about the simulated machine except memory *content*:
-/// platform (clock, PEs, DMA, access counters) and the PEDF runtime's
-/// dynamic state (FIFOs, scheduler, env-I/O cursors, counters).
-#[derive(Debug, Clone)]
-pub struct MachineState {
-    pub platform: p2012::PlatformState,
-    pub runtime: RuntimeState,
-}
-
-/// Capture the machine (memory content is tracked separately).
-pub fn capture_machine(sys: &System) -> MachineState {
-    MachineState {
-        platform: sys.platform.capture_state(),
-        runtime: sys.runtime.capture_state(),
-    }
-}
-
-/// Restore a captured machine.
-pub fn restore_machine(sys: &mut System, m: &MachineState) {
-    sys.platform.restore_state(&m.platform);
-    sys.runtime.restore_state(&m.runtime);
-}
+// ---- state hashing ---------------------------------------------------------
 
 fn hash_machine_into(sys: &System, h: &mut Fnv64) {
     sys.platform.hash_state(h);
@@ -176,18 +161,19 @@ pub fn full_state_hash(sys: &System) -> u64 {
 
 // ---- checkpoints -----------------------------------------------------------
 
-/// One checkpoint: machine state + the pages dirtied since the previous
-/// boundary + the chained hash at this boundary + a client payload (the
-/// debugger stores its session-model snapshot there).
+/// One checkpoint: a fork of the machine + the chained hash at this
+/// boundary + a client payload (the debugger stores its session-model
+/// snapshot there).
 #[derive(Debug, Clone)]
 pub struct Checkpoint<X> {
     pub id: u32,
     pub clock: u64,
     /// Chained boundary hash (see module docs).
     pub hash: u64,
-    pub machine: MachineState,
-    /// Sorted by [`PageId`]; content as of `clock`.
-    pub pages: Vec<(PageId, Vec<Word>)>,
+    /// Pages dirtied since the previous boundary (0 for the baseline).
+    pub pages: usize,
+    /// The machine at `clock`, never stepped: restores clone it.
+    pub sys: System,
     pub payload: X,
 }
 
@@ -205,7 +191,6 @@ pub struct CheckpointInfo {
 pub struct CheckpointManager<X> {
     /// Auto-checkpoint interval in cycles.
     pub interval: u64,
-    base: Option<MemImage>,
     checkpoints: Vec<Checkpoint<X>>,
     findings: Vec<Finding>,
     next_id: u32,
@@ -216,7 +201,6 @@ impl<X> CheckpointManager<X> {
         assert!(interval >= 1, "checkpoint interval must be positive");
         CheckpointManager {
             interval,
-            base: None,
             checkpoints: Vec::new(),
             findings: Vec::new(),
             next_id: 0,
@@ -224,23 +208,26 @@ impl<X> CheckpointManager<X> {
     }
 
     pub fn is_initialized(&self) -> bool {
-        self.base.is_some()
+        !self.checkpoints.is_empty()
     }
 
-    /// Establish the baseline: full memory image, full-memory hash, reset
-    /// dirty tracking. Becomes checkpoint 0 (with no delta pages).
+    /// Establish the baseline: reset dirty tracking, hash the full state
+    /// and fork the machine. Becomes checkpoint 0 (with no dirty pages).
     pub fn baseline(&mut self, sys: &mut System, payload: X) -> u32 {
         let _ = sys.platform.mem.take_dirty();
         let hash = full_state_hash(sys);
+        self.push(sys, hash, 0, payload)
+    }
+
+    fn push(&mut self, sys: &mut System, hash: u64, pages: usize, payload: X) -> u32 {
         let id = self.next_id;
         self.next_id += 1;
-        self.base = Some(sys.platform.mem.snapshot_full());
         self.checkpoints.push(Checkpoint {
             id,
             clock: sys.clock(),
             hash,
-            machine: capture_machine(sys),
-            pages: Vec::new(),
+            pages,
+            sys: sys.fork(),
             payload,
         });
         id
@@ -250,7 +237,7 @@ impl<X> CheckpointManager<X> {
         self.checkpoints.iter().map(|c| CheckpointInfo {
             id: c.id,
             clock: c.clock,
-            pages: c.pages.len(),
+            pages: c.pages,
             hash: c.hash,
         })
     }
@@ -315,21 +302,7 @@ impl<X> CheckpointManager<X> {
         let dirty = sys.platform.mem.take_dirty();
         let prev = self.checkpoints.last().map_or(0, |c| c.hash);
         let hash = Self::boundary_hash(prev, sys, &dirty);
-        let pages = dirty
-            .into_iter()
-            .map(|p| (p, sys.platform.mem.page_data(p).to_vec()))
-            .collect();
-        let id = self.next_id;
-        self.next_id += 1;
-        self.checkpoints.push(Checkpoint {
-            id,
-            clock: sys.clock(),
-            hash,
-            machine: capture_machine(sys),
-            pages,
-            payload,
-        });
-        id
+        self.push(sys, hash, dirty.len(), payload)
     }
 
     /// A replayed execution reached a recorded boundary: recompute the
@@ -366,49 +339,25 @@ impl<X> CheckpointManager<X> {
         }
     }
 
-    /// Rewind the system to checkpoint `id`. Machine state is restored
-    /// wholesale; memory is rewound page-wise (only pages written after
-    /// the checkpoint are touched). Later checkpoints are kept so the
-    /// subsequent replay verifies against them.
+    /// Replace the system with checkpoint `id`'s machine, carrying over
+    /// the installed watches and the environment's recordings (see the
+    /// module docs). The restored machine starts with no dirty pages, as
+    /// the checkpoint did, so the replay regenerates the original dirty
+    /// sets. Later checkpoints are kept so the replay verifies against
+    /// them.
     pub fn restore(&self, sys: &mut System, id: u32) -> Option<&Checkpoint<X>> {
-        let pos = self.checkpoints.iter().position(|c| c.id == id)?;
-        let cp = &self.checkpoints[pos];
-        let base = self.base.as_ref()?;
-
-        // Pages possibly newer than the checkpoint: everything dirtied
-        // since the last boundary, plus every page in later checkpoints.
-        let mut affected = sys.platform.mem.take_dirty();
-        for later in &self.checkpoints[pos + 1..] {
-            affected.extend(later.pages.iter().map(|(p, _)| *p));
-        }
-        affected.sort_unstable();
-        affected.dedup();
-
-        for page in affected {
-            // Content at cp.clock: the most recent delta at or before the
-            // checkpoint, falling back to the baseline image.
-            let mut data: Option<&[Word]> = None;
-            for earlier in self.checkpoints[..=pos].iter().rev() {
-                if let Ok(i) = earlier.pages.binary_search_by_key(&page, |(p, _)| *p) {
-                    data = Some(&earlier.pages[i].1);
-                    break;
-                }
-            }
-            let data = data.unwrap_or_else(|| base.page_data(page));
-            sys.platform.mem.restore_page(page, data);
-        }
-
-        restore_machine(sys, &cp.machine);
-        // Restore writes bypass dirty marking, but be explicit: the replay
-        // must regenerate the same dirty sets the original run did.
-        debug_assert!(sys.platform.mem.take_dirty().is_empty());
+        let cp = self.get(id)?;
+        let mut restored = cp.sys.clone();
+        restored.platform.mem.adopt_watches(&mut sys.platform.mem);
+        restored.runtime.adopt_environment(&mut sys.runtime);
+        *sys = restored;
         Some(cp)
     }
 
     /// Drop every checkpoint after `clock`: the debugger mutated history
     /// (token injection/alteration), so later boundaries describe a
-    /// timeline that no longer exists. The baseline is always retained —
-    /// without it no memory restore is possible.
+    /// timeline that no longer exists. The baseline is always retained:
+    /// the chain starts there.
     pub fn invalidate_after(&mut self, clock: u64) {
         let mut first = true;
         self.checkpoints.retain(|c| {
@@ -506,6 +455,27 @@ mod tests {
         mgr.restore(&mut sys, base).unwrap();
         assert_eq!(sys.clock(), 0);
         assert_eq!(full_state_hash(&sys), h0);
+    }
+
+    #[test]
+    fn restores_go_forward_as_well_as_back() {
+        let mut sys = counter_system();
+        let mut mgr: CheckpointManager<()> = CheckpointManager::new(100);
+        mgr.baseline(&mut sys, ());
+        sys.run(100);
+        let cp1 = mgr.checkpoint_at(&mut sys, ());
+        let h1 = full_state_hash(&sys);
+        sys.run(100);
+        let cp2 = mgr.checkpoint_at(&mut sys, ());
+        let h2 = full_state_hash(&sys);
+        sys.run(50);
+
+        // Back to cp1, then straight on to the last checkpoint with no
+        // replay in between: every page written after cp1 must come back.
+        mgr.restore(&mut sys, cp1).unwrap();
+        assert_eq!(full_state_hash(&sys), h1);
+        mgr.restore(&mut sys, cp2).unwrap();
+        assert_eq!(full_state_hash(&sys), h2);
     }
 
     #[test]
@@ -623,12 +593,11 @@ mod tests {
         check(&sys, "partial last pages");
 
         let mut mgr: CheckpointManager<()> = CheckpointManager::new(100);
-        mgr.baseline(&mut sys, ());
+        let base = mgr.baseline(&mut sys, ());
         assert_eq!(
             mgr.checkpoints().next().unwrap().hash,
             serial_full_hash(&sys)
         );
-        let img = sys.platform.mem.snapshot_full();
         sys.run(100);
         let cp = mgr.checkpoint_at(&mut sys, ());
         sys.run(150);
@@ -638,8 +607,8 @@ mod tests {
         check(&child, "fork child");
         mgr.restore(&mut sys, cp).unwrap();
         check(&sys, "after restore");
-        sys.platform.mem.restore_full(&img);
-        check(&sys, "after restore_full");
+        mgr.restore(&mut sys, base).unwrap();
+        check(&sys, "after restoring the baseline");
     }
 
     #[test]

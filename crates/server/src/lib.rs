@@ -43,6 +43,6 @@ pub use resume::SessionRecipe;
 pub use server::{render_remote_help, Server, ServerConfig, Shared, SERVER_COMMANDS};
 pub use session::{
     build_app, build_cli, build_cli_cached, cache_key, local_transcript, parse_variant,
-    variant_name, DecoderCache, ANALYZE_SCRIPT, CHECKPOINT_INTERVAL, DEADLOCK_SCRIPT,
-    DEFAULT_N_MBS, EXPLORE_SCRIPT, SCRIPT_N_MBS,
+    variant_name, variant_names, DecoderCache, ANALYZE_SCRIPT, CHECKPOINT_INTERVAL,
+    DEADLOCK_SCRIPT, DEFAULT_N_MBS, EXPLORE_SCRIPT, SCRIPT_N_MBS,
 };

@@ -39,8 +39,8 @@ use crate::proto::{Frame, Request};
 use crate::registry::{Registry, SessionInfo, SessionState};
 use crate::resume::SessionRecipe;
 use crate::session::{
-    attach_banner, build_cli, build_cli_cached, parse_variant, variant_name, DecoderCache,
-    DEFAULT_N_MBS,
+    attach_banner, build_cli, build_cli_cached, parse_variant, variant_name, variant_names,
+    DecoderCache, DEFAULT_N_MBS,
 };
 
 /// How often blocked reads wake up to poll the shutdown flag and the
@@ -139,7 +139,7 @@ pub struct ServerCommandSpec {
 pub const SERVER_COMMANDS: &[ServerCommandSpec] = &[
     ServerCommandSpec {
         name: "attach",
-        usage: "attach <none|rate|value|deadlock|oob|race|dma> [n_mbs]",
+        usage: "attach <variant> [n_mbs]",
         help: "boot a decoder variant under this session",
     },
     ServerCommandSpec {
@@ -544,15 +544,13 @@ impl Connection {
         let Some(&variant) = args.first() else {
             return (
                 false,
-                "error: usage: attach <none|rate|value|deadlock|oob|race|dma> [n_mbs]".into(),
+                format!("error: usage: attach <{}> [n_mbs]", variant_names()),
             );
         };
         let Some(bug) = parse_variant(variant) else {
             return (
                 false,
-                format!(
-                    "error: unknown variant `{variant}` (none|rate|value|deadlock|oob|race|dma)"
-                ),
+                format!("error: unknown variant `{variant}` ({})", variant_names()),
             );
         };
         let n_mbs = match args.get(1) {

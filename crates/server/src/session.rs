@@ -26,21 +26,34 @@ pub const DEFAULT_N_MBS: u64 = 32;
 /// has), part of what keeps transcripts reproducible across processes.
 pub const ENV_SEED: u32 = 0xbeef;
 
-/// Parse a decoder-variant name as accepted on the REPL/server command
-/// line.
+/// Every decoder-variant name a front end accepts, and the variant it
+/// names.
+const VARIANTS: [(&str, Bug); 10] = [
+    ("none", Bug::None),
+    ("clean", Bug::None),
+    ("rate", Bug::RateMismatch),
+    ("value", Bug::WrongValue),
+    ("deadlock", Bug::Deadlock),
+    ("oob", Bug::OobStore),
+    ("race", Bug::SharedScratch),
+    ("benign", Bug::BenignScratch),
+    ("dma", Bug::DmaOverlap),
+    ("capacity", Bug::TightFifo),
+];
+
+/// Parse a decoder-variant name as accepted on the command line of the
+/// REPL, the server and `analyze`.
 pub fn parse_variant(s: &str) -> Option<Bug> {
-    Some(match s {
-        "none" | "clean" => Bug::None,
-        "rate" => Bug::RateMismatch,
-        "value" => Bug::WrongValue,
-        "deadlock" => Bug::Deadlock,
-        "oob" => Bug::OobStore,
-        "race" => Bug::SharedScratch,
-        "benign" => Bug::BenignScratch,
-        "dma" => Bug::DmaOverlap,
-        "capacity" => Bug::TightFifo,
-        _ => return None,
-    })
+    VARIANTS
+        .iter()
+        .find(|(name, _)| *name == s)
+        .map(|&(_, bug)| bug)
+}
+
+/// Every name [`parse_variant`] accepts, `|`-separated, for usage and
+/// error messages.
+pub fn variant_names() -> String {
+    VARIANTS.map(|(name, _)| name).join("|")
 }
 
 /// The canonical command-line spelling of a variant.
@@ -187,12 +200,20 @@ mod tests {
             Bug::Deadlock,
             Bug::OobStore,
             Bug::SharedScratch,
+            Bug::BenignScratch,
             Bug::DmaOverlap,
             Bug::TightFifo,
         ] {
             assert_eq!(parse_variant(variant_name(bug)), Some(bug));
         }
         assert_eq!(parse_variant("frobnicate"), None);
+        assert_eq!(
+            variant_names(),
+            "none|clean|rate|value|deadlock|oob|race|benign|dma|capacity"
+        );
+        assert!(variant_names()
+            .split('|')
+            .all(|n| parse_variant(n).is_some()));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! inspection.
 //!
 //! ```text
-//! analyze [clean|deadlock|rate|oob|race|dma|capacity] [--deny warnings]
-//!         [--expect-findings] [--json]
+//! analyze [<variant>] [--deny warnings] [--expect-findings] [--json]
 //! ```
+//!
+//! The variant names are the REPL's and the server's
+//! (`server::parse_variant`); the default is the clean decoder.
 //!
 //! Exit status is non-zero when `--deny warnings` sees a finding at
 //! warning level or above, or when `--expect-findings` sees none at
@@ -52,6 +54,7 @@ use dataflow_debugger::h264::{
     attach_env, build_decoder, build_decoder_with_caps, decoder_sources, golden, Bug,
 };
 use dataflow_debugger::p2012::{BlockReason, PeStatus, PlatformConfig};
+use dataflow_debugger::server::{parse_variant, variant_names};
 use dataflow_debugger::{bcv, dfa, sched};
 
 fn main() -> ExitCode {
@@ -65,14 +68,6 @@ fn main() -> ExitCode {
     let mut witness_check = false;
     for a in &args {
         match a.as_str() {
-            "clean" => variant = Bug::None,
-            "deadlock" => variant = Bug::Deadlock,
-            "rate" => variant = Bug::RateMismatch,
-            "oob" => variant = Bug::OobStore,
-            "race" => variant = Bug::SharedScratch,
-            "benign" => variant = Bug::BenignScratch,
-            "dma" => variant = Bug::DmaOverlap,
-            "capacity" => variant = Bug::TightFifo,
             "--deny" => {}
             "warnings" => deny_warnings = true,
             "--expect-findings" => expect_findings = true,
@@ -80,14 +75,17 @@ fn main() -> ExitCode {
             "--replay-check" => replay_check = true,
             "--sched-check" => sched_check = true,
             "--witness-check" => witness_check = true,
-            other => {
-                eprintln!(
-                    "usage: analyze [clean|deadlock|rate|oob|race|benign|dma|capacity] \
-                     [--deny warnings] [--expect-findings] [--json] \
-                     [--replay-check] [--sched-check] [--witness-check] (got `{other}`)"
-                );
-                return ExitCode::FAILURE;
-            }
+            other => match parse_variant(other) {
+                Some(bug) => variant = bug,
+                None => {
+                    eprintln!(
+                        "usage: analyze [{}] [--deny warnings] [--expect-findings] [--json] \
+                         [--replay-check] [--sched-check] [--witness-check] (got `{other}`)",
+                        variant_names()
+                    );
+                    return ExitCode::FAILURE;
+                }
+            },
         }
     }
     if replay_check {

@@ -4,7 +4,7 @@
 //! commands from stdin:
 //!
 //! ```text
-//! cargo run --bin dfdbg-repl [-- none|rate|value|deadlock|oob|race|dma [n_mbs]]
+//! cargo run --bin dfdbg-repl [-- <variant> [n_mbs]]
 //! (gdb) filter pipe catch work
 //! (gdb) continue
 //! (gdb) info links
@@ -25,11 +25,16 @@ use std::io::{BufRead, IsTerminal, Write as _};
 
 use dataflow_debugger::h264::Bug;
 use dataflow_debugger::server::{
-    build_cli, parse_variant, session::attach_banner, variant_name, Client, DEFAULT_N_MBS,
+    build_cli, parse_variant, session::attach_banner, variant_name, variant_names, Client,
+    DEFAULT_N_MBS,
 };
 
-const USAGE: &str = "usage: dfdbg-repl [--connect <addr>] \
-                     [none|rate|value|deadlock|oob|race|dma [n_mbs]]";
+fn usage() -> String {
+    format!(
+        "usage: dfdbg-repl [--connect <addr>] [{} [n_mbs]]",
+        variant_names()
+    )
+}
 
 struct Args {
     connect: Option<String>,
@@ -51,7 +56,7 @@ fn parse_args() -> Result<Args, String> {
                 connect = Some(addr);
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 std::process::exit(0);
             }
             _ => positional.push(a),
@@ -59,9 +64,8 @@ fn parse_args() -> Result<Args, String> {
     }
     let bug = match positional.first() {
         None => Bug::None,
-        Some(s) => parse_variant(s).ok_or_else(|| {
-            format!("unknown variant `{s}` (none|rate|value|deadlock|oob|race|dma)")
-        })?,
+        Some(s) => parse_variant(s)
+            .ok_or_else(|| format!("unknown variant `{s}` ({})", variant_names()))?,
     };
     let n_mbs = match positional.get(1) {
         None => DEFAULT_N_MBS,
@@ -84,7 +88,7 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("dfdbg: {e}\n{USAGE}");
+            eprintln!("dfdbg: {e}\n{}", usage());
             std::process::exit(2);
         }
     };

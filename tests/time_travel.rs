@@ -130,6 +130,51 @@ fn goto_past_the_end_of_the_program_is_an_error() {
     assert_eq!(s.state_hash(), reference.state_hash());
 }
 
+// ---- watchpoints across time travel -----------------------------------------
+
+/// Watchpoints are the user's, not recorded history: like GDB's, they
+/// survive time travel. One installed after a checkpoint still fires
+/// after `restart` to it, one removed after the checkpoint stays removed,
+/// and a hit left pending on the abandoned timeline never surfaces.
+#[test]
+fn watchpoints_survive_restart_and_abandoned_hits_do_not() {
+    let mut s = session_with(Bug::None, 6, 0xbeef);
+    s.enable_time_travel(500);
+    let removed = s.watch_object("RedFilter_data_mb_count").unwrap();
+    let addr = match s.run(2_000_000) {
+        Stop::Watchpoint { id, addr, .. } => {
+            assert_eq!(id, removed);
+            addr
+        }
+        other => panic!("{other:?}"),
+    };
+    let cp = s.checkpoint_now().unwrap();
+    let cp_clock = s.sys.clock();
+    assert!(s.remove_watchpoint(removed));
+    let kept = s.watch_object("RedFilter_data_mb_count").unwrap();
+
+    let next = s.run(2_000_000);
+    let next_clock = s.sys.clock();
+    assert!(
+        matches!(next, Stop::Watchpoint { id, old: 1, new: 2, .. } if id == kept),
+        "{next:?}"
+    );
+    // A hit this timeline never delivers.
+    s.sys.platform.mem.write(addr, 0xdead).unwrap();
+    assert!(s.sys.platform.mem.has_hits());
+
+    assert_eq!(s.restart(cp).unwrap(), cp_clock);
+    assert!(!s.sys.platform.mem.has_hits(), "abandoned hit survived");
+    assert_eq!(
+        s.run(2_000_000),
+        next,
+        "only the live watch fires, as before"
+    );
+    assert_eq!(s.sys.clock(), next_clock);
+    assert_eq!(s.watchpoints().len(), 1);
+    assert!(s.replay_findings().is_empty(), "{:?}", s.replay_findings());
+}
+
 // ---- the §III deadlock, backwards -------------------------------------------
 
 #[test]
