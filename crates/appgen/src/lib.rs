@@ -6,14 +6,17 @@
 pub mod corpus;
 pub mod gen;
 pub mod oracle;
+pub mod seed;
 pub mod shrink;
 pub mod spec;
 
 pub use corpus::{load_dir, Scenario, Status};
 pub use gen::generate;
 pub use oracle::{
-    check_parking, check_spec, explore_probe, static_pass, CheckReport, Divergence, Observed,
+    capacity_arms, check_parking, check_spec, explore_probe, observe, replay_round_trip,
+    static_pass, CapacityArms, CheckReport, Divergence, Observed, RoundTrip,
 };
+pub use seed::{iter_seed, parse_seed};
 pub use shrink::shrink;
 pub use spec::{AppSpec, FilterSpec, KernelOp, LinkSpec, ModuleSpec};
 

@@ -37,6 +37,11 @@
 //! fault, no timeout". `RACE401` likewise predicts nothing about the
 //! terminal outcome (the generated racy apps complete either way); its
 //! teeth are the D8 agreement check.
+//!
+//! The D3 and D6 cores, [`capacity_arms`] and [`replay_round_trip`], take
+//! any app: `analyze --sched-check` and `analyze --replay-check` run the
+//! same code on the H.264 decoder variants, so the CI gates and the fuzz
+//! oracles cannot drift apart.
 
 use std::collections::BTreeMap;
 
@@ -204,12 +209,18 @@ pub fn dynamic_run(
         }
         stuck > 1_000
     });
-    let finished = sys.platform.is_quiescent();
-    let observed = if let Some((pe, fault)) = sys.first_fault() {
+    let observed = observe(&sys);
+    Ok((sys, app, observed))
+}
+
+/// Classify where a run stopped: a faulted PE, quiescence, a wedge (with
+/// the blocked actors), or neither within the cycle budget.
+pub fn observe(sys: &pedf::System) -> Observed {
+    if let Some((pe, fault)) = sys.first_fault() {
         Observed::Fault {
             msg: format!("{pe}: {fault}"),
         }
-    } else if finished {
+    } else if sys.platform.is_quiescent() {
         Observed::Completed {
             cycles: sys.clock(),
         }
@@ -227,8 +238,7 @@ pub fn dynamic_run(
         Observed::Wedged { blocked }
     } else {
         Observed::Timeout
-    };
-    Ok((sys, app, observed))
+    }
 }
 
 fn expected_outcome(v: &StaticVerdict) -> Result<Expect, Divergence> {
@@ -273,22 +283,49 @@ fn deadlock_blame(sys: &pedf::System, dfa_rep: &dfa::Report) -> bool {
     })
 }
 
-/// D3: the capacity-minimum differential arms, mirroring
-/// `analyze --sched-check`.
-fn check_capacity_arms(
-    spec: &AppSpec,
-    verdict: &StaticVerdict,
-    report: &mut CheckReport,
-) -> Result<(), Divergence> {
-    let sources = spec.to_sources();
-    let (_sys, app) = build(spec, &BTreeMap::new()).map_err(|e| Divergence::new("BUILD", e))?;
-    let caps = verdict.sched.min_caps_by_label(&app.graph);
+/// What [`capacity_arms`] ran and confirmed.
+pub struct CapacityArms {
+    /// Every analyzed link's predicted minimal capacity, by producer
+    /// `actor::conn` label.
+    pub caps: BTreeMap<String, u32>,
+    /// The run with every analyzed FIFO at its predicted minimum; it
+    /// completed.
+    pub at_min: (pedf::System, mind::CompiledApp),
+    /// Each above-floor link squeezed one slot below its minimum:
+    /// `(producer label, predicted minimum, link label)`. Each wedged,
+    /// blamed on that link, with the static re-pass agreeing.
+    pub squeezed: Vec<(String, u32, String)>,
+}
+
+/// D3 core: `sched`'s capacity minima are dynamically minimal. `report`
+/// is the static pass over `graph` as built. Arm A runs with every
+/// analyzed FIFO at its predicted minimum and requires completion. Arm B
+/// squeezes each link whose minimum exceeds the one-slot floor to one slot
+/// below it and requires a wedge with a producer `SpaceWait`ing on exactly
+/// that link, and an `SCH501` on it from a re-pass over the squeezed
+/// build. `run` builds, boots and runs the app at the given capacity
+/// overrides and classifies the end state with [`observe`]. `Ok(None)`
+/// when no link was analyzed (nothing to check).
+pub fn capacity_arms(
+    report: &sched::Report,
+    graph: &pedf::AppGraph,
+    sources: &mind::SourceRegistry,
+    mut run: impl FnMut(
+        &BTreeMap<String, u32>,
+    ) -> Result<(pedf::System, mind::CompiledApp, Observed), String>,
+) -> Result<Option<CapacityArms>, Divergence> {
+    if report.structural {
+        return Err(Divergence::new(
+            "D3",
+            "abstract network deadlocks at any capacity; sizing not applicable",
+        ));
+    }
+    let caps = report.min_caps_by_label(graph);
     if caps.is_empty() {
-        return Ok(());
+        return Ok(None);
     }
     // Arm A: complete at the predicted minima.
-    let (_sys, _app, observed) =
-        dynamic_run(spec, &caps).map_err(|e| Divergence::new("BUILD", e))?;
+    let (sys, app, observed) = run(&caps).map_err(|e| Divergence::new("BUILD", e))?;
     if !matches!(observed, Observed::Completed { .. }) {
         return Err(Divergence::new(
             "D3",
@@ -298,17 +335,17 @@ fn check_capacity_arms(
             ),
         ));
     }
+    let at_min = (sys, app);
     // Arm B: one slot below any above-floor minimum must wedge, blamed on
     // the squeezed link, with the static re-pass agreeing.
+    let mut squeezed = Vec::new();
     for (label, &cap) in &caps {
         if cap < 2 {
             continue;
         }
-        report.squeezed_links += 1;
         let mut tight = caps.clone();
         tight.insert(label.clone(), cap - 1);
-        let (sys, app_tight, observed) =
-            dynamic_run(spec, &tight).map_err(|e| Divergence::new("BUILD", e))?;
+        let (sys, app_tight, observed) = run(&tight).map_err(|e| Divergence::new("BUILD", e))?;
         if !matches!(observed, Observed::Wedged { .. }) {
             return Err(Divergence::new(
                 "D3",
@@ -337,7 +374,7 @@ fn check_capacity_arms(
                 format!("wedge not blamed on squeezed {label}: no producer space-waits on it"),
             ));
         }
-        let squeezed_rep = sched::analyze(&sched::AnalysisInput::from_app(&app_tight, &sources));
+        let squeezed_rep = sched::analyze(&sched::AnalysisInput::from_app(&app_tight, sources));
         let label_full = app_tight.graph.link_label(victim);
         if !squeezed_rep
             .findings
@@ -349,12 +386,128 @@ fn check_capacity_arms(
                 format!("squeezed build carries no SCH501 on {label_full}"),
             ));
         }
+        squeezed.push((label.clone(), cap, label_full));
     }
+    Ok(Some(CapacityArms {
+        caps,
+        at_min,
+        squeezed,
+    }))
+}
+
+/// D3 over a generated app.
+fn check_capacity_arms(
+    spec: &AppSpec,
+    verdict: &StaticVerdict,
+    report: &mut CheckReport,
+) -> Result<(), Divergence> {
+    let (_sys, app) = build(spec, &BTreeMap::new()).map_err(|e| Divergence::new("BUILD", e))?;
+    let arms = capacity_arms(&verdict.sched, &app.graph, &spec.to_sources(), |caps| {
+        dynamic_run(spec, caps)
+    })?;
+    report.squeezed_links = arms.map_or(0, |a| a.squeezed.len());
     Ok(())
 }
 
-/// D6: record → reverse-continue → replay must be a fixpoint, whatever
-/// the app's terminal state is.
+/// What [`replay_round_trip`] saw.
+#[derive(Debug, Clone)]
+pub struct RoundTrip {
+    /// Catchpoint stops before the terminal one.
+    pub stops: u64,
+    /// The stop that ended the forward run: deadlock, quiescence, fault
+    /// or the cycle limit.
+    pub terminal: Stop,
+    pub end_cycle: u64,
+    pub end_hash: u64,
+    /// Where `reverse-continue` from the end landed.
+    pub landed: u64,
+    /// Where the replay back to `end_cycle` stopped, and its state hash.
+    pub replayed_cycle: u64,
+    pub replayed_hash: u64,
+    /// The replay engine's `REPLAY501` divergence findings.
+    pub findings: Vec<Finding>,
+}
+
+impl RoundTrip {
+    /// D6's verdict: the replay reaches the end cycle with the end state
+    /// hash, and the replay engine saw no divergence.
+    pub fn check(&self) -> Result<(), Divergence> {
+        if self.replayed_hash != self.end_hash {
+            return Err(Divergence::new(
+                "D6",
+                format!(
+                    "state hash diverged: {:#018x} -> {:#018x}",
+                    self.end_hash, self.replayed_hash
+                ),
+            ));
+        }
+        if self.replayed_cycle != self.end_cycle {
+            return Err(Divergence::new(
+                "D6",
+                format!(
+                    "replay landed at {} not {}",
+                    self.replayed_cycle, self.end_cycle
+                ),
+            ));
+        }
+        if let Some(f) = self.findings.first() {
+            return Err(Divergence::new(
+                "D6",
+                format!("{} replay findings ({})", self.findings.len(), f.rule),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// D6 core: record → reverse-continue → replay. `session` is booted, with
+/// its environment attached and time travel enabled. Catch every module
+/// step begin, run to a terminal stop (`run_budget` cycles per resume, at
+/// most `max_stops` catchpoint stops), `reverse-continue` from there, then
+/// replay forward to the end cycle. [`RoundTrip::check`] judges the
+/// result.
+pub fn replay_round_trip(
+    session: &mut Session,
+    run_budget: u64,
+    max_stops: u64,
+) -> Result<RoundTrip, Divergence> {
+    session
+        .catch_step(None, true)
+        .map_err(|e| Divergence::new("BUILD", format!("catch step: {e}")))?;
+    let mut stops = 0u64;
+    let terminal = loop {
+        match session.run(run_budget) {
+            s @ (Stop::Deadlock | Stop::Quiescent | Stop::CycleLimit | Stop::Fault { .. }) => {
+                break s;
+            }
+            _ => stops += 1,
+        }
+        if stops > max_stops {
+            return Err(Divergence::new("D6", "runaway stop loop under recording"));
+        }
+    };
+    let end_cycle = session.sys.clock();
+    let end_hash = session.state_hash();
+    session
+        .reverse_continue()
+        .map_err(|e| Divergence::new("D6", format!("reverse-continue failed: {e}")))?;
+    let landed = session.sys.clock();
+    session
+        .goto_cycle(end_cycle)
+        .map_err(|e| Divergence::new("D6", format!("replay to end failed: {e}")))?;
+    Ok(RoundTrip {
+        stops,
+        terminal,
+        end_cycle,
+        end_hash,
+        landed,
+        replayed_cycle: session.sys.clock(),
+        replayed_hash: session.state_hash(),
+        findings: session.replay_findings().to_vec(),
+    })
+}
+
+/// D6 over a generated app, whatever its terminal state is.
 fn check_replay_fixpoint(spec: &AppSpec) -> Result<(), Divergence> {
     let (sys, mut app) = build(spec, &BTreeMap::new()).map_err(|e| Divergence::new("BUILD", e))?;
     let boot = app.boot_entry;
@@ -364,48 +517,7 @@ fn check_replay_fixpoint(spec: &AppSpec) -> Result<(), Divergence> {
         .boot(boot)
         .map_err(|e| Divergence::new("BUILD", format!("boot: {e}")))?;
     session.enable_time_travel(TT_INTERVAL);
-    session
-        .catch_step(None, true)
-        .map_err(|e| Divergence::new("BUILD", format!("catch step: {e}")))?;
-    let mut stops = 0u64;
-    loop {
-        match session.run(MAX_CYCLES) {
-            Stop::Deadlock | Stop::Quiescent | Stop::CycleLimit | Stop::Fault { .. } => break,
-            _ => stops += 1,
-        }
-        if stops > 100_000 {
-            return Err(Divergence::new("D6", "runaway stop loop under recording"));
-        }
-    }
-    let end_clock = session.sys.clock();
-    let end_hash = session.state_hash();
-    session
-        .reverse_continue()
-        .map_err(|e| Divergence::new("D6", format!("reverse-continue failed: {e}")))?;
-    session
-        .goto_cycle(end_clock)
-        .map_err(|e| Divergence::new("D6", format!("replay to end failed: {e}")))?;
-    let replayed_hash = session.state_hash();
-    if replayed_hash != end_hash {
-        return Err(Divergence::new(
-            "D6",
-            format!("state hash diverged: {end_hash:#018x} -> {replayed_hash:#018x}"),
-        ));
-    }
-    if session.sys.clock() != end_clock {
-        return Err(Divergence::new(
-            "D6",
-            format!("replay landed at {} not {end_clock}", session.sys.clock()),
-        ));
-    }
-    let findings = session.replay_findings();
-    if !findings.is_empty() {
-        return Err(Divergence::new(
-            "D6",
-            format!("{} replay findings ({})", findings.len(), findings[0].rule),
-        ));
-    }
-    Ok(())
+    replay_round_trip(&mut session, MAX_CYCLES, 100_000)?.check()
 }
 
 /// The reference stepper for D7: forwards every trap-interface call to

@@ -12,32 +12,12 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use appgen::{check_spec, generate, shrink};
+use appgen::{check_spec, generate, iter_seed, shrink};
 
 /// Oracle directions the farm cross-checks (`appgen::oracle`), plus the
 /// `BUILD` bucket for generated apps the toolchain itself rejects. Listed
 /// exhaustively so the JSON artifact always carries every key, zero or not.
 pub const ORACLES: &[&str] = &["BUILD", "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8"];
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
-/// Same per-iteration seed derivation as the `dfdbg-fuzz` driver, so any
-/// divergence counted here reproduces under the CLI with the same seed.
-pub fn iter_seed(base: u64, iter: u64) -> u64 {
-    fnv64(&[base.to_le_bytes(), iter.to_le_bytes()].concat())
-}
-
-/// Seed a string the way `dfdbg-fuzz --seed` does.
-pub fn seed_of(text: &str) -> u64 {
-    fnv64(text.as_bytes())
-}
 
 #[derive(Debug, Clone)]
 pub struct FarmSummary {

@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use h264_pipeline::{attach_env, build_decoder_with_caps, decoder_sources, Bug};
+use h264_pipeline::{build_decoder, decoder_sources, run_decoder_with_caps, Bug};
 use p2012::PlatformConfig;
 
 #[derive(Debug)]
@@ -41,9 +41,7 @@ pub struct BoundRow {
 /// Run one E9 cell: analyze `bug`, rebuild at the chosen capacities, run
 /// `n_mbs` macroblocks to completion, compare against the bound.
 pub fn throughput_bound(bug: Bug, n_mbs: u64, minimal: bool) -> BoundRow {
-    let empty = std::collections::BTreeMap::new();
-    let (_sys, app) =
-        build_decoder_with_caps(bug, n_mbs, PlatformConfig::default(), &empty).expect("build");
+    let (_sys, app) = build_decoder(bug, n_mbs, PlatformConfig::default()).expect("build");
     let input = sched::AnalysisInput::from_app(&app, &decoder_sources(bug));
     let t0 = Instant::now();
     let report = sched::analyze(&input);
@@ -56,14 +54,12 @@ pub fn throughput_bound(bug: Bug, n_mbs: u64, minimal: bool) -> BoundRow {
     let caps = if minimal {
         report.min_caps_by_label(&app.graph)
     } else {
-        empty
+        Default::default()
     };
-    let (mut sys, app) =
-        build_decoder_with_caps(bug, n_mbs, PlatformConfig::default(), &caps).expect("rebuild");
-    sys.boot(app.boot_entry).expect("boot");
-    attach_env(&mut sys, &app, n_mbs, 0xbeef).expect("attach env");
+    let (sys, _app) =
+        run_decoder_with_caps(bug, n_mbs, 0xbeef, 100_000_000, &caps).expect("rebuild");
     assert!(
-        sys.run_to_quiescence(100_000_000),
+        sys.platform.is_quiescent(),
         "E9 run did not finish ({bug:?}, {})",
         if minimal { "minimal" } else { "as-built" }
     );

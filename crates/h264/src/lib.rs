@@ -93,11 +93,7 @@ pub fn run_decoder(
     seed: u32,
     max_cycles: u64,
 ) -> Result<DecodeResult, String> {
-    let (mut sys, app) =
-        build_decoder(bug, n_mbs, PlatformConfig::default()).map_err(|e| e.to_string())?;
-    sys.boot(app.boot_entry)?;
-    attach_env(&mut sys, &app, n_mbs, seed)?;
-    let finished = sys.run_to_quiescence(max_cycles);
+    let (sys, app) = run_decoder_with_caps(bug, n_mbs, seed, max_cycles, &BTreeMap::new())?;
     if let Some((pe, fault)) = sys.first_fault() {
         return Err(format!("fault on {pe}: {fault}"));
     }
@@ -109,9 +105,28 @@ pub fn run_decoder(
         frames: sink.tail.clone(),
         checksum: sink.checksum,
         cycles: sys.clock(),
-        finished,
+        finished: sys.platform.is_quiescent(),
         tokens_moved: sys.runtime.stats.tokens_pushed,
     })
+}
+
+/// [`run_decoder`] at FIFO capacity overrides (see
+/// [`build_decoder_with_caps`]): build, boot, attach the environment and
+/// run for at most `max_cycles` or until quiescence. Returns the machine
+/// as the run left it — finished, wedged or faulted — for inspection.
+pub fn run_decoder_with_caps(
+    bug: Bug,
+    n_mbs: u64,
+    seed: u32,
+    max_cycles: u64,
+    caps: &BTreeMap<String, u32>,
+) -> Result<(System, CompiledApp), String> {
+    let (mut sys, app) = build_decoder_with_caps(bug, n_mbs, PlatformConfig::default(), caps)
+        .map_err(|e| e.to_string())?;
+    sys.boot(app.boot_entry)?;
+    attach_env(&mut sys, &app, n_mbs, seed)?;
+    sys.run_to_quiescence(max_cycles);
+    Ok((sys, app))
 }
 
 /// Actor ids frequently needed by experiments.

@@ -5,10 +5,13 @@
 //!
 //! ```text
 //! analyze [<variant>] [--deny warnings] [--expect-findings] [--json]
+//!         [--replay-check | --sched-check | --witness-check]
 //! ```
 //!
 //! The variant names are the REPL's and the server's
-//! (`server::parse_variant`); the default is the clean decoder.
+//! (`server::parse_variant`); the default is the clean decoder. `--deny`
+//! must be followed by `warnings`, and at most one check mode may be
+//! given; anything else prints the usage line and exits nonzero.
 //!
 //! Exit status is non-zero when `--deny warnings` sees a finding at
 //! warning level or above, or when `--expect-findings` sees none at
@@ -18,44 +21,53 @@
 //! known-bad graphs must stay detected). `--json` replaces the human-readable output
 //! with machine-readable findings in a deterministic, byte-stable order.
 //!
-//! `--replay-check` instead *executes* the variant under the debugger with
-//! time travel enabled, drives a `reverse-continue` round trip, and prints
-//! byte-stable state hashes plus the findings JSON. CI runs it twice and
-//! byte-compares the outputs: any nondeterminism in the simulator, the
-//! replay engine or the analyzers shows up as a diff or as a `REPLAY501`
-//! finding (non-zero exit).
+//! The three check modes run the same differential oracles the fuzz farm
+//! runs on generated apps (`appgen::oracle`), on the decoder variant, and
+//! print byte-stable transcripts that CI diffs against `ci/*_check.txt`:
 //!
-//! `--sched-check` is the differential gate for the `sched` capacity and
-//! throughput predictions: it rebuilds the variant with every analyzed
-//! FIFO pinned to its *predicted minimal* capacity and requires the run to
-//! complete; then, for every link whose minimum exceeds the floor of one,
-//! rebuilds with that single link one slot below the minimum and requires
-//! the run to wedge with a producer blocked on exactly the link the static
-//! `SCH501` finding blames. The measured end-to-end cycle count must also
-//! respect the static throughput lower bound. Everything printed is
-//! byte-stable, so CI can diff two invocations.
-//!
-//! `--witness-check` is the differential gate for the multiverse engine
-//! (`crates/multiverse`): the seeded `deadlock` and `race` variants must
-//! yield *replayable* dynamic witnesses (MV701/MV702) that land a fresh
-//! session at the failure with the statically blamed edge/pair confirmed
-//! dynamically, while the `benign` variant — statically indistinguishable
-//! from the race (`RACE401` fires on the same shared word) but
-//! data-dependently immune — must be refuted within the default budget
-//! (MV703). Witnessed findings carry the replayable choice trace in the
-//! findings JSON (`witness` field); the output is byte-stable.
+//! * `--replay-check` is oracle D6 (`replay_round_trip`): execute the
+//!   variant under the debugger with time travel enabled, catching every
+//!   module step begin, then `reverse-continue` from the terminal stop and
+//!   replay to the end. The state hash must round-trip and the replay
+//!   engine must report no `REPLAY501` divergence.
+//! * `--sched-check` is oracle D3 (`capacity_arms`): with every analyzed
+//!   FIFO at its *predicted minimal* capacity the decoder must complete;
+//!   one slot below each above-floor minimum it must wedge with a
+//!   producer blocked on exactly the link the static `SCH501` blames. On
+//!   top, the seeded `capacity` variant must carry its `SCH501` as built
+//!   (the clean one none), the clean output must match the golden model
+//!   at minimal capacities, and the measured cycle count must respect the
+//!   static throughput lower bound.
+//! * `--witness-check` is the differential gate for the multiverse engine
+//!   (`crates/multiverse`): the seeded `deadlock` and `race` variants must
+//!   yield *replayable* dynamic witnesses (MV701/MV702) that land a fresh
+//!   session at the failure with the statically blamed edge/pair confirmed
+//!   dynamically, while the `benign` variant — statically indistinguishable
+//!   from the race (`RACE401` fires on the same shared word) but
+//!   data-dependently immune — must be refuted within the default budget
+//!   (MV703). Witnessed findings carry the replayable choice trace in the
+//!   findings JSON (`witness` field).
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use dataflow_debugger::appgen::{capacity_arms, observe, replay_round_trip};
 use dataflow_debugger::dfdbg::{Session, Stop};
 use dataflow_debugger::h264::{
-    attach_env, build_decoder, build_decoder_with_caps, decoder_sources, golden, Bug,
+    attach_env, build_decoder, decoder_sources, golden, run_decoder_with_caps, Bug,
 };
 use dataflow_debugger::p2012::{BlockReason, PeStatus, PlatformConfig};
 use dataflow_debugger::server::{parse_variant, variant_names};
 use dataflow_debugger::{bcv, dfa, sched};
+
+fn usage(problem: &str) -> ExitCode {
+    eprintln!(
+        "usage: analyze [{}] [--deny warnings] [--expect-findings] [--json] \
+         [--replay-check | --sched-check | --witness-check] ({problem})",
+        variant_names()
+    );
+    ExitCode::FAILURE
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,47 +75,34 @@ fn main() -> ExitCode {
     let mut deny_warnings = false;
     let mut expect_findings = false;
     let mut json = false;
-    let mut replay_check = false;
-    let mut sched_check = false;
-    let mut witness_check = false;
-    for a in &args {
+    let mut checks: Vec<fn(Bug) -> ExitCode> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
         match a.as_str() {
-            "--deny" => {}
-            "warnings" => deny_warnings = true,
+            "--deny" => match it.next().map(String::as_str) {
+                Some("warnings") => deny_warnings = true,
+                _ => return usage("`--deny` must be followed by `warnings`"),
+            },
             "--expect-findings" => expect_findings = true,
             "--json" => json = true,
-            "--replay-check" => replay_check = true,
-            "--sched-check" => sched_check = true,
-            "--witness-check" => witness_check = true,
+            "--replay-check" => checks.push(run_replay_check),
+            "--sched-check" => checks.push(run_sched_check),
+            "--witness-check" => checks.push(run_witness_check),
             other => match parse_variant(other) {
                 Some(bug) => variant = bug,
-                None => {
-                    eprintln!(
-                        "usage: analyze [{}] [--deny warnings] [--expect-findings] [--json] \
-                         [--replay-check] [--sched-check] [--witness-check] (got `{other}`)",
-                        variant_names()
-                    );
-                    return ExitCode::FAILURE;
-                }
+                None => return usage(&format!("got `{other}`")),
             },
         }
     }
-    if replay_check {
-        return run_replay_check(variant);
-    }
-    if sched_check {
-        return run_sched_check(variant);
-    }
-    if witness_check {
-        return run_witness_check(variant);
+    match checks[..] {
+        [] => {}
+        [check] => return check(variant),
+        _ => return usage("give at most one check mode"),
     }
 
     let (_sys, app) = match build_decoder(variant, 4, PlatformConfig::default()) {
         Ok(x) => x,
-        Err(e) => {
-            eprintln!("build failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return gate_failed(format!("build failed: {e}")),
     };
     let sources = decoder_sources(variant);
     let input = dfa::AnalysisInput::from_app(&app, &sources);
@@ -174,144 +173,76 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The CI determinism gate: execute `variant` under the debugger with
-/// time travel enabled, catch every module step begin, run to a terminal
-/// stop, then drive a `reverse-continue` + replay round trip. Everything
-/// printed is byte-stable across runs (no wall-clock, no addresses), so
-/// CI can diff two invocations; within one invocation the final state
-/// hash must survive restore + replay unchanged and the replay engine
-/// must report zero `REPLAY501` divergences.
+/// Print a gate failure and fail.
+fn gate_failed(detail: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {detail}");
+    ExitCode::FAILURE
+}
+
+/// Build `variant` fresh, boot it under the debugger and attach the
+/// environment: the starting point of every dynamic gate.
+fn decoder_session(variant: Bug, n_mbs: u64) -> Result<Session, String> {
+    let (sys, mut app) = build_decoder(variant, n_mbs, PlatformConfig::default())
+        .map_err(|e| format!("build failed: {e}"))?;
+    let boot = app.boot_entry;
+    let info = std::mem::take(&mut app.info);
+    let mut session = Session::attach(sys, info);
+    session
+        .boot(boot)
+        .map_err(|e| format!("boot failed: {e}"))?;
+    attach_env(&mut session.sys, &app, n_mbs, 0xbeef)
+        .map_err(|e| format!("env attach failed: {e}"))?;
+    Ok(session)
+}
+
+/// The CI determinism gate, oracle D6 on the decoder: everything printed
+/// is byte-stable across runs (no wall-clock, no addresses), so CI can
+/// diff it against the pinned transcript.
 fn run_replay_check(variant: Bug) -> ExitCode {
     const N_MBS: u64 = 8;
     const INTERVAL: u64 = 2_000;
 
-    let (sys, mut app) = match build_decoder(variant, N_MBS, PlatformConfig::default()) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("build failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let mut session = match decoder_session(variant, N_MBS) {
+        Ok(s) => s,
+        Err(e) => return gate_failed(e),
     };
-    let boot = app.boot_entry;
-    let info = std::mem::take(&mut app.info);
-    let mut session = Session::attach(sys, info);
-    if let Err(e) = session.boot(boot) {
-        eprintln!("boot failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = attach_env(&mut session.sys, &app, N_MBS, 0xbeef) {
-        eprintln!("env attach failed: {e}");
-        return ExitCode::FAILURE;
-    }
     session.enable_time_travel(INTERVAL);
-    if let Err(e) = session.catch_step(None, true) {
-        eprintln!("catch step failed: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    let mut hits = 0u64;
-    let terminal = loop {
-        match session.run(50_000_000) {
-            Stop::Dataflow(_) => hits += 1,
-            s @ (Stop::Deadlock | Stop::Quiescent | Stop::CycleLimit | Stop::Fault { .. }) => {
-                break s;
-            }
-            _ => hits += 1,
-        }
-        if hits > 1_000_000 {
-            eprintln!("error: runaway stop loop");
-            return ExitCode::FAILURE;
-        }
+    let trip = match replay_round_trip(&mut session, 50_000_000, 1_000_000) {
+        Ok(t) => t,
+        Err(d) => return gate_failed(d.detail),
     };
-    let terminal = match terminal {
+    let terminal = match trip.terminal {
         Stop::Deadlock => "deadlock",
         Stop::Quiescent => "quiescent",
         Stop::Fault { .. } => "fault",
         _ => "cycle-limit",
     };
-    let end_clock = session.sys.clock();
-    let end_hash = session.state_hash();
-    println!("replay-check {variant:?}: {hits} stops, terminal {terminal}");
-    println!("end cycle {end_clock} hash {end_hash:#018x}");
-
-    let landed = match session.reverse_continue() {
-        Ok(_) => session.sys.clock(),
-        Err(e) => {
-            eprintln!("reverse-continue failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("reverse-continue landed at cycle {landed}");
-
-    if let Err(e) = session.goto_cycle(end_clock) {
-        eprintln!("replay to end failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let replayed_hash = session.state_hash();
     println!(
-        "replayed to cycle {} hash {replayed_hash:#018x}",
-        session.sys.clock()
+        "replay-check {variant:?}: {} stops, terminal {terminal}",
+        trip.stops
     );
-
-    let findings = session.replay_findings();
-    println!("replay findings: {}", findings.len());
-    let mut ok = true;
-    if !findings.is_empty() {
+    println!("end cycle {} hash {:#018x}", trip.end_cycle, trip.end_hash);
+    println!("reverse-continue landed at cycle {}", trip.landed);
+    println!(
+        "replayed to cycle {} hash {:#018x}",
+        trip.replayed_cycle, trip.replayed_hash
+    );
+    println!("replay findings: {}", trip.findings.len());
+    if !trip.findings.is_empty() {
         print!(
             "{}",
-            dataflow_debugger::debuginfo::render_findings(findings)
+            dataflow_debugger::debuginfo::render_findings(&trip.findings)
         );
-        ok = false;
     }
-    if replayed_hash != end_hash {
-        eprintln!("error: state hash diverged across the reverse-continue round trip");
-        ok = false;
-    }
-    if session.sys.clock() != end_clock {
-        eprintln!("error: replay overshot the original cycle");
-        ok = false;
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    match trip.check() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(d) => gate_failed(d.detail),
     }
 }
 
-/// One simulator run for the sched gate: build `variant` with explicit
-/// capacity overrides, boot, attach the environment, run. Returns the
-/// system (for blame inspection), the app, and whether it reached
-/// quiescence. Faults are gate failures in their own right.
-fn run_with_caps(
-    variant: Bug,
-    caps: &BTreeMap<String, u32>,
-    max_cycles: u64,
-) -> Result<
-    (
-        dataflow_debugger::pedf::System,
-        dataflow_debugger::h264::CompiledApp,
-        bool,
-    ),
-    String,
-> {
-    const N_MBS: u64 = 8;
-    let (mut sys, app) = build_decoder_with_caps(variant, N_MBS, PlatformConfig::default(), caps)
-        .map_err(|e| format!("build failed: {e}"))?;
-    sys.boot(app.boot_entry)?;
-    attach_env(&mut sys, &app, N_MBS, 0xbeef)?;
-    let finished = sys.run_to_quiescence(max_cycles);
-    if let Some((pe, fault)) = sys.first_fault() {
-        return Err(format!("fault on {pe}: {fault}"));
-    }
-    Ok((sys, app, finished))
-}
-
-/// The differential gate for the static performance analyzer: every
-/// capacity the abstract model calls minimal must be dynamically minimal
-/// on the real simulator — sufficient at the predicted size, insufficient
-/// one slot below it (with the dynamic deadlock blamed on the very link
-/// the static `SCH501` names) — and the measured cycle count must respect
-/// the static throughput lower bound.
+/// The differential gate for the static performance analyzer, oracle D3
+/// on the decoder, plus the decoder's own checks: the seeded `SCH501`,
+/// the golden checksum and the throughput bound.
 fn run_sched_check(variant: Bug) -> ExitCode {
     const N_MBS: u64 = 8;
     const MAX_CYCLES: u64 = 5_000_000;
@@ -319,64 +250,48 @@ fn run_sched_check(variant: Bug) -> ExitCode {
     // Static pass over the variant exactly as the ADL builds it.
     let (_sys, app) = match build_decoder(variant, N_MBS, PlatformConfig::default()) {
         Ok(x) => x,
-        Err(e) => {
-            eprintln!("build failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return gate_failed(format!("build failed: {e}")),
     };
     let sources = decoder_sources(variant);
-    let input = sched::AnalysisInput::from_app(&app, &sources);
-    let report = sched::analyze(&input);
-    if report.structural {
-        eprintln!("error: abstract network deadlocks at any capacity; sizing not applicable");
-        return ExitCode::FAILURE;
-    }
-    let caps = report.min_caps_by_label(&app.graph);
-    if caps.is_empty() {
-        eprintln!("error: no analyzable link (nothing to check)");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "sched-check {variant:?}: {} analyzed links, period bound {} cycles",
-        caps.len(),
-        report.period_lb
-    );
-    for (label, cap) in &caps {
-        println!("  min cap {label} = {cap}");
-    }
+    let report = sched::analyze(&sched::AnalysisInput::from_app(&app, &sources));
 
     // Static detection direction: the seeded capacity bug must already be
     // an SCH501 on the as-built graph; the clean graph must carry none.
-    let sch501: Vec<String> = report
+    let sch501: Vec<&str> = report
         .findings
         .iter()
         .filter(|f| f.rule == sched::rules::CAPACITY_BELOW_MIN)
-        .map(|f| f.subject.clone())
+        .map(|f| f.subject.as_str())
         .collect();
     match variant {
         Bug::TightFifo if sch501.is_empty() => {
-            eprintln!("error: seeded tight FIFO produced no SCH501 finding");
-            return ExitCode::FAILURE;
+            return gate_failed("seeded tight FIFO produced no SCH501 finding");
         }
         Bug::None if !sch501.is_empty() => {
-            eprintln!("error: clean graph produced SCH501 findings: {sch501:?}");
-            return ExitCode::FAILURE;
+            return gate_failed(format!("clean graph produced SCH501 findings: {sch501:?}"));
         }
         _ => {}
     }
 
-    // Arm A: at the predicted minimal sizes the real decoder completes.
-    let (sys, app_min, finished) = match run_with_caps(variant, &caps, MAX_CYCLES) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: run at minimal capacities: {e}");
-            return ExitCode::FAILURE;
-        }
+    let arms = capacity_arms(&report, &app.graph, &sources, |caps| {
+        let (sys, app) = run_decoder_with_caps(variant, N_MBS, 0xbeef, MAX_CYCLES, caps)?;
+        let observed = observe(&sys);
+        Ok((sys, app, observed))
+    });
+    let arms = match arms {
+        Ok(Some(arms)) => arms,
+        Ok(None) => return gate_failed("no analyzable link (nothing to check)"),
+        Err(d) => return gate_failed(d.detail),
     };
-    if !finished {
-        eprintln!("error: decoder wedged at the predicted minimal capacities");
-        return ExitCode::FAILURE;
+    println!(
+        "sched-check {variant:?}: {} analyzed links, period bound {} cycles",
+        arms.caps.len(),
+        report.period_lb
+    );
+    for (label, cap) in &arms.caps {
+        println!("  min cap {label} = {cap}");
     }
+    let (sys, app_min) = &arms.at_min;
     let cycles = sys.clock();
     println!("minimal capacities: completed in {cycles} cycles");
 
@@ -389,8 +304,7 @@ fn run_sched_check(variant: Bug) -> ExitCode {
             .sink_for(app_min.boundary_out["frame_out"])
             .expect("sink attached");
         if sink.checksum != golden::checksum(&expect) {
-            eprintln!("error: output diverged from the golden model at minimal capacities");
-            return ExitCode::FAILURE;
+            return gate_failed("output diverged from the golden model at minimal capacities");
         }
         println!("golden checksum intact at minimal capacities");
     }
@@ -400,105 +314,29 @@ fn run_sched_check(variant: Bug) -> ExitCode {
     if report.period_lb > 0 {
         let bound = report.period_lb * N_MBS;
         if cycles < bound {
-            eprintln!(
-                "error: measured {cycles} cycles beats the static bound {bound} \
+            return gate_failed(format!(
+                "measured {cycles} cycles beats the static bound {bound} \
                  ({} per iteration): the bound is unsound",
                 report.period_lb
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         println!("throughput: {cycles} cycles for {N_MBS} iterations >= static bound {bound}");
     }
 
-    // Arm B: one slot below the minimum each above-floor link wedges the
-    // decoder, and the dynamically blamed producer matches the prediction.
-    let mut squeezed = 0usize;
-    for (label, &cap) in &caps {
-        if cap < 2 {
-            continue;
-        }
-        squeezed += 1;
-        let mut tight = caps.clone();
-        tight.insert(label.clone(), cap - 1);
-        let (sys, app_tight, finished) = match run_with_caps(variant, &tight, MAX_CYCLES) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("error: run with {label} squeezed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if finished {
-            eprintln!(
-                "error: decoder completed with {label} at {} — the predicted \
-                 minimum {cap} is not minimal",
-                cap - 1
-            );
-            return ExitCode::FAILURE;
-        }
-        if !sys.platform.is_deadlocked() {
-            eprintln!("error: squeezed run hit the cycle limit without deadlocking");
-            return ExitCode::FAILURE;
-        }
-        let conn = app_tight.conn(label).expect("label round-trips");
-        let victim = app_tight.graph.conn(conn).link.expect("bound conn");
-        let blamed = sys.runtime.graph.actors.iter().any(|a| {
-            a.pe.is_some_and(|pe| {
-                matches!(
-                    sys.pe_status(pe),
-                    PeStatus::Blocked(BlockReason::SpaceWait { link: l }) if l == victim.0
-                )
-            })
-        });
-        if !blamed {
-            eprintln!("error: deadlock not blamed on {label}: no producer space-waits on it");
-            return ExitCode::FAILURE;
-        }
-        // Cross-check the static side on the squeezed build: the same
-        // link must carry the SCH501.
-        let squeezed_input = sched::AnalysisInput::from_app(&app_tight, &sources);
-        let squeezed_report = sched::analyze(&squeezed_input);
-        let label_full = app_tight.graph.link_label(victim);
-        let hit = squeezed_report
-            .findings
-            .iter()
-            .any(|f| f.rule == sched::rules::CAPACITY_BELOW_MIN && f.subject == label_full);
-        if !hit {
-            eprintln!("error: squeezed build carries no SCH501 on {label_full}");
-            return ExitCode::FAILURE;
-        }
+    for (label, cap, link) in &arms.squeezed {
         println!(
-            "  {label} at {}: wedges, dynamic blame and SCH501 agree on {label_full}",
+            "  {label} at {}: wedges, dynamic blame and SCH501 agree on {link}",
             cap - 1
         );
     }
-    if squeezed == 0 {
+    if arms.squeezed.is_empty() {
         println!("no analyzed link above the one-slot floor; squeeze arm vacuous");
-    }
-    if matches!(variant, Bug::TightFifo) && squeezed == 0 {
-        eprintln!("error: seeded tight FIFO exposed no above-floor link to squeeze");
-        return ExitCode::FAILURE;
+        if matches!(variant, Bug::TightFifo) {
+            return gate_failed("seeded tight FIFO exposed no above-floor link to squeeze");
+        }
     }
     println!("sched-check PASS");
     ExitCode::SUCCESS
-}
-
-/// Build `variant` fresh, boot it under the debugger, attach the
-/// environment, and replay `witness` — the same construction path the
-/// witness was found on, so the anchor hash must match. Returns the
-/// landed session for postcondition checks.
-fn replay_in_fresh_session(variant: Bug, n_mbs: u64, witness: &str) -> Result<Session, String> {
-    let (sys, mut app) = build_decoder(variant, n_mbs, PlatformConfig::default())
-        .map_err(|e| format!("rebuild failed: {e}"))?;
-    let boot = app.boot_entry;
-    let info = std::mem::take(&mut app.info);
-    let mut session = Session::attach(sys, info);
-    session
-        .boot(boot)
-        .map_err(|e| format!("boot failed: {e}"))?;
-    attach_env(&mut session.sys, &app, n_mbs, 0xbeef).map_err(|e| format!("env: {e}"))?;
-    let out = session.explore_replay(witness)?;
-    println!("{out}");
-    Ok(session)
 }
 
 /// The differential gate for the multiverse engine: the seeded `deadlock`
@@ -517,22 +355,16 @@ fn run_witness_check(variant: Bug) -> ExitCode {
     let until = match variant {
         Bug::Deadlock => multiverse::Until::Deadlock,
         Bug::SharedScratch | Bug::BenignScratch => multiverse::Until::Race,
-        _ => {
-            eprintln!("error: --witness-check supports the deadlock, race and benign variants");
-            return ExitCode::FAILURE;
-        }
+        _ => return gate_failed("--witness-check supports the deadlock, race and benign variants"),
     };
     let expect_witness = !matches!(variant, Bug::BenignScratch);
 
     // Static pass first: these are the claims the dynamic gate must
     // confirm or refute (spans resolve while the app still owns its
     // debug info).
-    let (sys, mut app) = match build_decoder(variant, N_MBS, PlatformConfig::default()) {
+    let (_sys, app) = match build_decoder(variant, N_MBS, PlatformConfig::default()) {
         Ok(x) => x,
-        Err(e) => {
-            eprintln!("build failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return gate_failed(format!("build failed: {e}")),
     };
     let sources = decoder_sources(variant);
     let input = dfa::AnalysisInput::from_app(&app, &sources);
@@ -554,12 +386,10 @@ fn run_witness_check(variant: Bug) -> ExitCode {
         .map(|f| f.subject.clone());
     match variant {
         Bug::Deadlock if static_edge.is_none() => {
-            eprintln!("error: deadlock variant carries no static DFA003/DFA004 edge finding");
-            return ExitCode::FAILURE;
+            return gate_failed("deadlock variant carries no static DFA003/DFA004 edge finding");
         }
         Bug::SharedScratch | Bug::BenignScratch if race_pair.is_none() => {
-            eprintln!("error: variant carries no static RACE401 — nothing to witness-check");
-            return ExitCode::FAILURE;
+            return gate_failed("variant carries no static RACE401 — nothing to witness-check");
         }
         _ => {}
     }
@@ -571,17 +401,10 @@ fn run_witness_check(variant: Bug) -> ExitCode {
     }
 
     // Boot the debugger session and explore from the initial state.
-    let boot = app.boot_entry;
-    let info = std::mem::take(&mut app.info);
-    let mut session = Session::attach(sys, info);
-    if let Err(e) = session.boot(boot) {
-        eprintln!("boot failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = attach_env(&mut session.sys, &app, N_MBS, 0xbeef) {
-        eprintln!("env attach failed: {e}");
-        return ExitCode::FAILURE;
-    }
+    let mut session = match decoder_session(variant, N_MBS) {
+        Ok(s) => s,
+        Err(e) => return gate_failed(e),
+    };
     session.load_bcv_input(bcv_input);
     println!(
         "witness-check {variant:?} ({} direction, until {})",
@@ -594,10 +417,7 @@ fn run_witness_check(variant: Bug) -> ExitCode {
     );
     let transcript = match session.explore(None, None, until) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("explore failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return gate_failed(format!("explore failed: {e}")),
     };
     println!("{transcript}");
     let report = session
@@ -632,7 +452,11 @@ fn run_witness_check(variant: Bug) -> ExitCode {
             // Replay in a fresh session (anchor must match a from-scratch
             // build) and confirm the failure dynamically.
             let wstr = w.to_string();
-            match replay_in_fresh_session(variant, N_MBS, &wstr) {
+            let replayed = decoder_session(variant, N_MBS).and_then(|mut fresh| {
+                println!("{}", fresh.explore_replay(&wstr)?);
+                Ok(fresh)
+            });
+            match replayed {
                 Ok(landed) => {
                     match variant {
                         Bug::Deadlock => {

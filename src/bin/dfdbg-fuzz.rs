@@ -32,32 +32,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use dataflow_debugger::appgen::{self, corpus, Scenario, Status};
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
-fn parse_seed(s: &str) -> u64 {
-    if let Some(hex) = s.strip_prefix("0x") {
-        if let Ok(v) = u64::from_str_radix(hex, 16) {
-            return v;
-        }
-    }
-    if let Ok(v) = s.parse::<u64>() {
-        return v;
-    }
-    fnv64(s.as_bytes())
-}
-
-fn iter_seed(base: u64, iter: u64) -> u64 {
-    fnv64(&[base.to_le_bytes(), iter.to_le_bytes()].concat())
-}
+use dataflow_debugger::appgen::{self, corpus, iter_seed, parse_seed, Scenario, Status};
 
 struct Args {
     iters: u64,
