@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin report [n_mbs] [--json]
+//! cargo run --release -p bench --bin report -- --e6-smoke
 //! cargo run --release -p bench --bin report -- --e8-smoke
 //! cargo run --release -p bench --bin report -- --e9-smoke
 //! cargo run --release -p bench --bin report -- --e10-smoke
@@ -12,6 +13,12 @@
 //! With `--json`, each experiment additionally writes a machine-readable
 //! `BENCH_E<n>.json` next to the working directory (hand-rolled writer —
 //! the build environment is offline, no serde).
+//!
+//! `--e6-smoke` runs only the E6 recording gate: a 256-macroblock decode
+//! under `catch recv pipe::mc_in` must stop at the same cycles and end in
+//! the same state with time travel on and off, every checkpoint must
+//! replay to that end with no `REPLAY501`, and the checkpoints must share
+//! the recorded history within the chunk bound.
 //!
 //! `--e8-smoke` runs only a scaled-down E8 gate (64-session attach storm:
 //! the compile cache must be hit exactly once, transcripts must stay
@@ -39,8 +46,9 @@ use std::fmt::Write as _;
 
 use bench::{
     analyze_decoder, attach_load, checkpoint_overhead, fuzz_farm, fuzz_study, localization,
-    mutation_study, reverse_continue_latency, row_label, run_overhead, scaling, server_load,
-    throughput_study, verify_decoder, BoundRow, DebugConfig, FarmSummary, MutationOutcome,
+    mutation_study, recording_check, reverse_continue_latency, row_label, run_overhead, scaling,
+    server_load, throughput_study, verify_decoder, BoundRow, DebugConfig, FarmSummary,
+    MutationOutcome,
 };
 use h264_pipeline::Bug;
 
@@ -66,6 +74,42 @@ fn jstr(s: &str) -> String {
 fn write_json(path: &str, body: &str) {
     std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("wrote {path}");
+}
+
+/// The CI gate behind `--e6-smoke`: time travel must not change what the
+/// user sees, every checkpoint must replay to the recorded end, and the
+/// checkpoints must share the recorded history (see
+/// `bench::recording_check`).
+fn run_e6_smoke() -> i32 {
+    const N_MBS: u64 = 256;
+    println!(
+        "e6-smoke: {N_MBS}-macroblock decode under `catch recv pipe::mc_in`, \
+         time travel every {} cycles vs. off",
+        server::CHECKPOINT_INTERVAL
+    );
+    let r = recording_check(N_MBS, server::CHECKPOINT_INTERVAL);
+    println!(
+        "e6-smoke: {} stops, end at cycle {}, {} checkpoints, {} live chunks, \
+         {} distinct (bound {} + {} x {})",
+        r.stops,
+        r.end_cycle,
+        r.checkpoints,
+        r.live_chunks,
+        r.distinct_chunks,
+        r.live_chunks,
+        bench::CHUNKS_PER_CHECKPOINT,
+        r.checkpoints,
+    );
+    for f in &r.failures {
+        eprintln!("e6-smoke: FAIL: {f}");
+    }
+    if r.failures.is_empty() {
+        println!("e6-smoke: OK");
+        0
+    } else {
+        eprintln!("e6-smoke: {} failure(s)", r.failures.len());
+        1
+    }
 }
 
 /// The CI gate behind `--e8-smoke`: a scaled-down attach storm that must
@@ -445,6 +489,7 @@ type Smoke = (&'static str, fn() -> i32);
 
 /// Each smoke flag runs only its gate and exits with its status.
 const SMOKES: &[Smoke] = &[
+    ("--e6-smoke", run_e6_smoke),
     ("--e8-smoke", run_e8_smoke),
     ("--e9-smoke", run_e9_smoke),
     ("--e10-smoke", run_e10_smoke),
@@ -752,14 +797,14 @@ fn main() {
     println!("E6  Time travel: recording cost per interval, reverse latency");
     println!("=====================================================================");
     println!(
-        "{:<16} {:>10} {:>12} {:>13} {:>8} {:>9}",
-        "interval", "setup", "run wall", "checkpoints", "pages", "overhead"
+        "{:<16} {:>10} {:>12} {:>13} {:>8} {:>8} {:>9}",
+        "interval", "setup", "run wall", "checkpoints", "pages", "chunks", "overhead"
     );
     let curve = checkpoint_overhead(n_mbs, &[1_000, 5_000, 10_000, 50_000]);
     let mut e6 = Vec::new();
     for p in &curve {
         println!(
-            "{:<16} {:>8.2}ms {:>10.2}ms {:>13} {:>8} {:>8.2}x",
+            "{:<16} {:>8.2}ms {:>10.2}ms {:>13} {:>8} {:>8} {:>8.2}x",
             if p.interval == 0 {
                 "off (control)".to_string()
             } else {
@@ -769,18 +814,20 @@ fn main() {
             p.wall.as_secs_f64() * 1e3,
             p.checkpoints,
             p.pages_stored,
+            p.chunks,
             p.overhead,
         );
         e6.push(format!(
             "{{\"interval\": {}, \"setup_ms\": {:.3}, \"wall_ms\": {:.3}, \
              \"cycles\": {}, \"checkpoints\": {}, \"pages_stored\": {}, \
-             \"overhead\": {:.4}}}",
+             \"chunks\": {}, \"overhead\": {:.4}}}",
             p.interval,
             p.setup.as_secs_f64() * 1e3,
             p.wall.as_secs_f64() * 1e3,
             p.cycles,
             p.checkpoints,
             p.pages_stored,
+            p.chunks,
             p.overhead,
         ));
     }

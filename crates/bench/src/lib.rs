@@ -50,7 +50,10 @@ pub use analysis::{analyze_decoder, verify_decoder, AnalysisResult, VerifyResult
 pub use fuzz_farm::{fuzz_study, mutation_study, FarmSummary, MutationOutcome};
 pub use localization::{localize, LocalizationResult, Strategy};
 pub use overhead::{run_overhead, DebugConfig, OverheadResult};
-pub use replay::{checkpoint_overhead, reverse_continue_latency, ReplayPoint, ReverseLatency};
+pub use replay::{
+    checkpoint_overhead, recording_check, reverse_continue_latency, RecordingCheck, ReplayPoint,
+    ReverseLatency, CHUNKS_PER_CHECKPOINT,
+};
 pub use scaling::{bounded_storm, catchpoint_scaling, ScalingPoint, StormResult};
 pub use sched_bound::{row_label, throughput_bound, throughput_study, BoundRow};
 pub use server::{attach_load, server_load, AttachLoadResult, ServerLoadResult};

@@ -146,7 +146,7 @@ fn dataflow_aware(bug: Bug) -> (u32, String, bool) {
             // 4. print the recording, compare Izz with the expected stream
             n += 1;
             let conn = s.conn_named("pipe::Red2PipeCbMB_in").unwrap();
-            let hist: Vec<u64> = s.model.conns[conn.0 as usize].history.clone();
+            let hist = &s.model.conns[conn.0 as usize].history;
             let mut bad_index = None;
             let mut lcg = golden::Lcg::new(SEED);
             for (i, id) in hist.iter().enumerate() {

@@ -8,6 +8,11 @@
 //! measures what the user actually waits for: the latency of a
 //! `reverse-continue` from the end of the run, which is one restore plus
 //! at most two interval-long replays.
+//!
+//! [`recording_check`] is the CI gate behind `report --e6-smoke`:
+//! recording must not change what the user sees (§V: observing "does
+//! not alter the execution semantic"), every checkpoint must replay to
+//! the same end, and checkpoints must share the recorded history.
 
 use std::time::{Duration, Instant};
 
@@ -33,6 +38,10 @@ pub struct ReplayPoint {
     pub checkpoints: usize,
     /// Total pages dirtied across all checkpoint intervals.
     pub pages_stored: usize,
+    /// Distinct chunks of recorded token and timeline history held by
+    /// the session and its checkpoints together (see
+    /// `Session::recorded_chunks`).
+    pub chunks: usize,
     /// Wall-clock ratio of the recorded run against the `interval == 0`
     /// control — the steady-state recording overhead.
     pub overhead: f64,
@@ -119,6 +128,7 @@ pub fn checkpoint_overhead(n_mbs: u64, intervals: &[u64]) -> Vec<ReplayPoint> {
             run_to_end(&mut s);
             let wall = start.elapsed();
             let (checkpoints, pages_stored) = s.checkpoint_footprint();
+            let (_, chunks) = s.recorded_chunks();
             assert!(
                 s.replay_findings().is_empty(),
                 "recording flagged divergence on a clean run"
@@ -130,6 +140,7 @@ pub fn checkpoint_overhead(n_mbs: u64, intervals: &[u64]) -> Vec<ReplayPoint> {
                 cycles: s.clock(),
                 checkpoints,
                 pages_stored,
+                chunks,
                 overhead: 1.0, // anchored below once the best rep is known
             };
             if best.as_ref().is_none_or(|b| p.wall < b.wall) {
@@ -167,6 +178,122 @@ pub fn reverse_continue_latency(n_mbs: u64, interval: u64) -> ReverseLatency {
     }
 }
 
+/// The sharing bound [`recording_check`] holds a recording to: distinct
+/// recorded chunks <= live chunks + `CHUNKS_PER_CHECKPOINT` x
+/// checkpoints. `tests/time_travel.rs` pins the same bound on a
+/// 512-macroblock decode, where 4.5 new chunks per checkpoint were
+/// measured.
+pub const CHUNKS_PER_CHECKPOINT: usize = 6;
+
+/// What [`recording_check`] saw, and every violated property.
+#[derive(Debug, Clone)]
+pub struct RecordingCheck {
+    pub stops: usize,
+    pub end_cycle: u64,
+    pub checkpoints: usize,
+    pub live_chunks: usize,
+    pub distinct_chunks: usize,
+    pub failures: Vec<String>,
+}
+
+/// Decode `n_mbs` macroblocks under `catch recv pipe::mc_in`, once with
+/// time travel at `interval` and once without, and check that
+///
+/// * (a) both stop at the same cycles with the same `describe` text and
+///   end in the same state hash and `info links` — recording is not
+///   intrusive;
+/// * (b) `restart` to every checkpoint, then replaying forward to the
+///   end, gives the end hash and `info links` again, with no `REPLAY501`;
+/// * (c) the checkpoints share the recorded history within
+///   [`CHUNKS_PER_CHECKPOINT`].
+pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
+    let mut failures = Vec::new();
+    let run = |time_travel: bool, failures: &mut Vec<String>| {
+        let mut s = debug_session(n_mbs);
+        if time_travel {
+            s.enable_time_travel(interval);
+        }
+        s.catch_iface_receive("pipe::mc_in").expect("catchpoint");
+        let mut stops = Vec::new();
+        loop {
+            match s.run(50_000_000) {
+                Stop::Quiescent => break,
+                stop @ Stop::Dataflow(_) => stops.push((s.clock(), s.describe(&stop))),
+                other => {
+                    failures.push(format!("time travel {time_travel}: stopped with {other:?}"));
+                    break;
+                }
+            }
+        }
+        (s, stops)
+    };
+    let (plain, plain_stops) = run(false, &mut failures);
+    let (mut s, stops) = run(true, &mut failures);
+    if stops != plain_stops {
+        let at = stops.iter().zip(&plain_stops).position(|(a, b)| a != b);
+        failures.push(format!(
+            "(a) stop sequences differ: {} stops recorded, {} without, first difference at {at:?}",
+            stops.len(),
+            plain_stops.len()
+        ));
+    }
+    let end = s.clock();
+    let end_hash = s.state_hash();
+    if end_hash != plain.state_hash() || end != plain.clock() {
+        failures.push(format!(
+            "(a) end state differs: cycle {end} hash {end_hash:#018x} recorded, \
+             cycle {} hash {:#018x} without",
+            plain.clock(),
+            plain.state_hash()
+        ));
+    }
+    let links = s.info_links();
+    if links != plain.info_links() {
+        failures.push("(a) `info links` at the end differs".to_string());
+    }
+    let (checkpoints, _) = s.checkpoint_footprint();
+    let (live_chunks, distinct_chunks) = s.recorded_chunks();
+    for id in 0..checkpoints as u32 {
+        if let Err(e) = s.restart(id) {
+            failures.push(format!("(b) restart {id}: {e}"));
+            continue;
+        }
+        while s.clock() < end {
+            let budget = end - s.clock();
+            if let Stop::Quiescent | Stop::Deadlock | Stop::Fault { .. } = s.run(budget) {
+                break;
+            }
+        }
+        if s.clock() != end || s.state_hash() != end_hash {
+            failures.push(format!(
+                "(b) restart {id}: replay ended at cycle {} hash {:#018x}",
+                s.clock(),
+                s.state_hash()
+            ));
+        }
+        if s.info_links() != links {
+            failures.push(format!("(b) restart {id}: `info links` differs at the end"));
+        }
+    }
+    for f in s.replay_findings() {
+        failures.push(format!("(b) {}: {}", f.rule, f.message));
+    }
+    if distinct_chunks > live_chunks + CHUNKS_PER_CHECKPOINT * checkpoints {
+        failures.push(format!(
+            "(c) {distinct_chunks} distinct chunks > {live_chunks} live + \
+             {CHUNKS_PER_CHECKPOINT} x {checkpoints} checkpoints"
+        ));
+    }
+    RecordingCheck {
+        stops: stops.len(),
+        end_cycle: end,
+        checkpoints,
+        live_chunks,
+        distinct_chunks,
+        failures,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +310,13 @@ mod tests {
         assert!(pts[2].checkpoints >= 1);
         // Identical simulated execution in all configurations.
         assert!(pts.iter().all(|p| p.cycles == pts[0].cycles));
+    }
+
+    #[test]
+    fn recording_check_passes_on_a_short_decode() {
+        let r = recording_check(6, 1_000);
+        assert!(r.failures.is_empty(), "{:?}", r.failures);
+        assert!(r.stops == 6 && r.checkpoints > 1, "{r:?}");
     }
 
     #[test]

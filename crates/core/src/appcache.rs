@@ -123,7 +123,7 @@ impl<A> CachedApp<A> {
     }
 
     /// Fork an independent session off the prototype (copy-on-write
-    /// memory, `Arc`-shared debug info, deep-copied mutable state).
+    /// memory and recorded history, `Arc`-shared debug info).
     pub fn fork(&self) -> Session {
         self.proto.lock().unwrap().fork()
     }

@@ -29,6 +29,7 @@
 //! is reached". Control and scheduling breakpoints stay active.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use debuginfo::{CodeAddr, DebugInfo, Word};
 use p2012::{Insn, PeId, PeStatus, Platform, Program};
@@ -122,9 +123,31 @@ pub enum CaptureMode {
     RuntimeEvents,
 }
 
-/// The capture engine. `Clone` is load-bearing: checkpoints snapshot the
-/// capture state (pending calls, per-PE counters) so replays resume
-/// observation mid-call without double-reporting.
+/// The resolved framework stubs: fixed once the program is loaded.
+#[derive(Debug)]
+struct StubTable {
+    /// Sorted by entry address (stubs are emitted contiguously).
+    stubs: Vec<StubInfo>,
+    /// Dense dispatch table over `[lo, hi)`: `lut[pc - lo]` is the
+    /// covering stub's index, resolving any in-stub pc with one load
+    /// instead of a hash probe plus binary search. Empty when the stub
+    /// span is too sparse to justify the memory (then the sorted table is
+    /// searched).
+    lut: Vec<u16>,
+    /// Address range covering every stub: one comparison rules out the
+    /// overwhelmingly common case (a PE executing kernel code).
+    lo: CodeAddr,
+    hi: CodeAddr,
+}
+
+/// The capture engine. `Clone` is the time-travel engine's checkpoint of
+/// capture state: the per-PE view of in-flight calls and counters, so
+/// replays resume observation mid-call without double-reporting. The
+/// stub table and the PE -> actor map are fixed after boot and shared
+/// behind `Arc`, so a clone copies a few words per PE.
+///
+/// `data_exchange` and `actor_filter` are user settings, not recorded
+/// history: a restore keeps the live ones ([`Capture::adopt_settings`]).
 #[derive(Debug, Clone)]
 pub struct Capture {
     pub mode: CaptureMode,
@@ -133,18 +156,7 @@ pub struct Capture {
     /// §V mitigation 2 (framework cooperation variant B): restrict
     /// data-exchange interception to the connections of selected actors.
     pub actor_filter: Option<Vec<ActorId>>,
-    /// Sorted by entry address (stubs are emitted contiguously).
-    stubs: Vec<StubInfo>,
-    /// Dense dispatch table over `[stub_lo, stub_hi)`: `lut[pc - stub_lo]`
-    /// is the covering stub's index, resolving any in-stub pc with one
-    /// load instead of a hash probe plus binary search. Empty when the
-    /// stub span is too sparse to justify the memory (then the sorted
-    /// table is searched).
-    stub_lut: Vec<u16>,
-    /// Address range covering every stub: one comparison rules out the
-    /// overwhelmingly common case (a PE executing kernel code).
-    stub_lo: CodeAddr,
-    stub_hi: CodeAddr,
+    stubs: Arc<StubTable>,
     pending: Vec<Option<Pending>>,
     /// Per-PE region the capture decided to ignore (data-exchange stub
     /// while those breakpoints are disabled): avoids re-resolving the same
@@ -153,7 +165,7 @@ pub struct Capture {
     /// Per-PE (invocations, completions) counters last seen.
     seen: Vec<(u64, u64)>,
     /// PE -> actor map, filled once the model's graph is booted.
-    pe_actor: HashMap<PeId, ActorId>,
+    pe_actor: Arc<HashMap<PeId, ActorId>>,
     /// Events captured this cycle.
     pub out: Vec<DfEvent>,
 }
@@ -208,47 +220,55 @@ impl Capture {
             mode: CaptureMode::FunctionBreakpoints,
             data_exchange: true,
             actor_filter: None,
-            stubs,
-            stub_lut,
-            stub_lo,
-            stub_hi,
+            stubs: Arc::new(StubTable {
+                stubs,
+                lut: stub_lut,
+                lo: stub_lo,
+                hi: stub_hi,
+            }),
             pending: vec![None; pes],
             ignore_region: vec![None; pes],
             seen: vec![(0, 0); pes],
-            pe_actor: HashMap::new(),
+            pe_actor: Arc::default(),
             out: Vec::new(),
         }
     }
 
+    /// Time travel: `self` (a checkpoint's capture state) is about to
+    /// replace `live`; the user's data-exchange settings move across.
+    pub fn adopt_settings(&mut self, live: &Capture) {
+        self.data_exchange = live.data_exchange;
+        self.actor_filter.clone_from(&live.actor_filter);
+    }
+
     pub fn stub_count(&self) -> usize {
-        self.stubs.len()
+        self.stubs.stubs.len()
     }
 
     /// Called once the model's graph is complete (BootComplete) so work
     /// entry/exit can be attributed to actors.
     pub fn learn_graph(&mut self, graph: &AppGraph) {
-        self.pe_actor.clear();
-        for a in &graph.actors {
-            if let Some(pe) = a.pe {
-                self.pe_actor.insert(pe, a.id);
-            }
-        }
+        let pe_actor = graph
+            .actors
+            .iter()
+            .filter_map(|a| Some((a.pe?, a.id)))
+            .collect();
+        self.pe_actor = Arc::new(pe_actor);
     }
 
     fn stub_covering(&self, pc: CodeAddr) -> Option<usize> {
         // One load in the dense table resolves entry *and* mid-body pcs
         // (mid-body pcs occur when interception is re-enabled or a call
         // blocks). Callers have already range-checked against
-        // `stub_lo..stub_hi`.
-        if !self.stub_lut.is_empty() {
-            let i = *self
-                .stub_lut
-                .get((pc.checked_sub(self.stub_lo)?) as usize)?;
+        // the stub range.
+        let t = &self.stubs;
+        if !t.lut.is_empty() {
+            let i = *t.lut.get((pc.checked_sub(t.lo)?) as usize)?;
             return (i != u16::MAX).then_some(i as usize);
         }
         // Sparse fallback: binary-search the sorted stub table.
-        let i = self.stubs.partition_point(|s| s.entry <= pc);
-        let s = self.stubs.get(i.checked_sub(1)?)?;
+        let i = t.stubs.partition_point(|s| s.entry <= pc);
+        let s = t.stubs.get(i.checked_sub(1)?)?;
         (pc < s.end).then_some(i - 1)
     }
 
@@ -283,7 +303,7 @@ impl Capture {
 
             // Finish-breakpoint side: resolve a pending call.
             if let Some(p) = &self.pending[i] {
-                let stub = self.stubs[p.stub];
+                let stub = self.stubs.stubs[p.stub];
                 let gone = pe.frames.is_empty()
                     || matches!(pe.status, PeStatus::Faulted(_) | PeStatus::Halted);
                 if gone {
@@ -299,8 +319,8 @@ impl Capture {
             // Entry-breakpoint side: a PE sitting inside a stub. One range
             // comparison rules out PEs executing ordinary kernel code.
             if self.pending[i].is_none()
-                && pe.pc >= self.stub_lo
-                && pe.pc < self.stub_hi
+                && pe.pc >= self.stubs.lo
+                && pe.pc < self.stubs.hi
                 && matches!(pe.status, PeStatus::Running | PeStatus::Blocked(_))
             {
                 if let Some((lo, hi)) = self.ignore_region[i] {
@@ -310,7 +330,7 @@ impl Capture {
                     self.ignore_region[i] = None;
                 }
                 if let Some(si) = self.stub_covering(pe.pc) {
-                    let stub = self.stubs[si];
+                    let stub = self.stubs.stubs[si];
                     if pe.pc > stub.trap_pc {
                         // Missed the call (capture was off); ignore it.
                     } else if self.wants(stub.kind, pe_id) {
@@ -326,7 +346,7 @@ impl Capture {
                     }
                 }
             } else if self.ignore_region[i].is_some()
-                && (pe.pc < self.stub_lo || pe.pc >= self.stub_hi)
+                && (pe.pc < self.stubs.lo || pe.pc >= self.stubs.hi)
             {
                 self.ignore_region[i] = None;
             }
@@ -373,7 +393,7 @@ impl Capture {
             let ctrl = self.pe_actor.get(&pe)?;
             graph.actor(*ctrl).parent
         };
-        let stub = self.stubs[p.stub];
+        let stub = self.stubs.stubs[p.stub];
         let a = &p.args;
         let mem = &platform.mem;
         let pes = &platform.pes;

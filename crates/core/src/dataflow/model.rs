@@ -17,10 +17,13 @@
 //! framework calls.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use debuginfo::{TypeTable, Value, Word};
 use p2012::PeId;
 use pedf::{ActorId, ActorKind, AppGraph, ConnId, Dir, LinkClass, LinkId};
+
+use super::chunked::Chunked;
 
 /// Identity of one token for its whole life. Generational: the low 32
 /// bits name an arena slot, the high 32 bits the slot's generation at
@@ -197,8 +200,8 @@ pub struct DfConn {
     pub total: u64,
     /// Recording enabled (`iface ... record`).
     pub record: bool,
-    /// Recorded token history (bounded).
-    pub history: Vec<TokenId>,
+    /// Recorded token history: a ring keeping the newest `HISTORY_CAP`.
+    pub history: Chunked<TokenId>,
 }
 
 /// Debugger-side link state: the queue of Token objects.
@@ -300,12 +303,16 @@ pub const RECORD_LIMIT: usize = 1 << 16;
 /// depends on them), and stale ids held by provenance chains, histories
 /// or `last_received` pointers simply stop resolving instead of aliasing
 /// a reused slot.
+///
+/// The slots, the free list and the eviction ring are [`Chunked`], so a
+/// clone (a checkpoint, a forked session) shares them and each side
+/// copies only the chunks it writes afterwards.
 #[derive(Debug, Clone)]
 pub struct TokenStore {
-    slots: Vec<TokenSlot>,
-    free: Vec<u32>,
+    slots: Chunked<TokenSlot>,
+    free: Chunked<u32>,
     /// Live tokens in allocation order: the eviction ring.
-    order: VecDeque<TokenId>,
+    order: Chunked<TokenId>,
     limit: usize,
     allocated: u64,
     evicted: u64,
@@ -320,9 +327,9 @@ struct TokenSlot {
 impl Default for TokenStore {
     fn default() -> Self {
         TokenStore {
-            slots: Vec::new(),
-            free: Vec::new(),
-            order: VecDeque::new(),
+            slots: Chunked::default(),
+            free: Chunked::default(),
+            order: Chunked::default(),
             limit: RECORD_LIMIT,
             allocated: 0,
             evicted: 0,
@@ -368,29 +375,27 @@ impl TokenStore {
     }
 
     pub fn get_mut(&mut self, id: TokenId) -> Option<&mut TokenRec> {
-        let slot = self.slots.get_mut(token_slot(id) as usize)?;
-        if slot.generation != token_generation(id) {
-            return None;
-        }
-        slot.rec.as_mut()
+        // Resolve read-only first: a stale id must not copy a shared chunk.
+        self.get(id)?;
+        self.slots.get_mut(token_slot(id) as usize)?.rec.as_mut()
     }
 
     /// Allocate a slot, build the record (the closure receives the new
     /// token's id), and evict past the bound.
     fn alloc(&mut self, make: impl FnOnce(TokenId) -> TokenRec) -> TokenId {
-        let slot = match self.free.pop() {
+        let slot = match self.free.pop_back() {
             Some(s) => s,
             None => {
-                self.slots.push(TokenSlot {
+                self.slots.push_back(TokenSlot {
                     generation: 0,
                     rec: None,
                 });
                 (self.slots.len() - 1) as u32
             }
         };
-        let generation = self.slots[slot as usize].generation;
-        let id = (u64::from(generation) << 32) | u64::from(slot);
-        self.slots[slot as usize].rec = Some(make(id));
+        let entry = self.slots.get_mut(slot as usize).expect("slot exists");
+        let id = (u64::from(entry.generation) << 32) | u64::from(slot);
+        entry.rec = Some(make(id));
         self.order.push_back(id);
         self.allocated += 1;
         self.evict_excess();
@@ -409,12 +414,17 @@ impl TokenStore {
             let Some(id) = self.order.pop_front() else {
                 break;
             };
-            let slot = &mut self.slots[token_slot(id) as usize];
-            let consumed = slot.rec.as_ref().is_none_or(|r| r.consumed_at.is_some());
+            let i = token_slot(id) as usize;
+            let consumed = self
+                .slots
+                .get(i)
+                .and_then(|s| s.rec.as_ref())
+                .is_none_or(|r| r.consumed_at.is_some());
             if consumed {
+                let slot = self.slots.get_mut(i).expect("live slot");
                 slot.rec = None;
                 slot.generation = slot.generation.wrapping_add(1);
-                self.free.push(token_slot(id));
+                self.free.push_back(token_slot(id));
                 self.evicted += 1;
                 excess -= 1;
             } else {
@@ -424,6 +434,14 @@ impl TokenStore {
         for id in retained.into_iter().rev() {
             self.order.push_front(id);
         }
+    }
+
+    /// The identity of every chunk the store holds.
+    fn chunk_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots
+            .chunk_ids()
+            .chain(self.free.chunk_ids())
+            .chain(self.order.chunk_ids())
     }
 }
 
@@ -530,13 +548,22 @@ impl CatchIndex {
 }
 
 /// The reconstructed model (graph + dynamic state + catchpoints).
-/// `Clone` is load-bearing: the time-travel engine snapshots the whole
-/// model per checkpoint so rewinding restores Token objects, windows and
-/// counters alongside the machine.
+///
+/// `Clone` is the time-travel engine's checkpoint of the model, and it
+/// is cheap: what is fixed after boot (the graph, the type table) sits
+/// behind `Arc`, and the recorded history that grows with the run (the
+/// token store, the timeline, the interface histories) is [`Chunked`].
+/// A clone copies pointers plus the small per-actor/connection/link
+/// tables; later writes copy only the chunks they touch.
+///
+/// What the user installed on the model is not recorded history:
+/// catchpoints, declared flow behaviours, `iface … record` flags, the
+/// timeline switch and the record limit. A restore keeps the live ones
+/// ([`DfModel::adopt_settings`]), like GDB keeps breakpoints.
 #[derive(Debug, Clone)]
 pub struct DfModel {
-    pub graph: AppGraph,
-    pub types: TypeTable,
+    pub graph: Arc<AppGraph>,
+    pub types: Arc<TypeTable>,
     pub booted: bool,
     pub actors: Vec<DfActor>,
     pub conns: Vec<DfConn>,
@@ -555,15 +582,15 @@ pub struct DfModel {
     /// the visualization extension the paper lists as future work.
     /// Disabled by default; a bounded ring keeping the newest events.
     pub timeline_enabled: bool,
-    pub timeline: VecDeque<TimelineEvent>,
+    pub timeline: Chunked<TimelineEvent>,
     timeline_limit: usize,
 }
 
 impl Default for DfModel {
     fn default() -> Self {
         DfModel {
-            graph: AppGraph::default(),
-            types: TypeTable::default(),
+            graph: Arc::default(),
+            types: Arc::default(),
             booted: false,
             actors: Vec::new(),
             conns: Vec::new(),
@@ -574,7 +601,7 @@ impl Default for DfModel {
             next_catch: 0,
             anomalies: Vec::new(),
             timeline_enabled: false,
-            timeline: VecDeque::new(),
+            timeline: Chunked::default(),
             timeline_limit: RECORD_LIMIT,
         }
     }
@@ -600,9 +627,43 @@ pub enum TimelineKind {
 impl DfModel {
     pub fn new(types: TypeTable) -> Self {
         DfModel {
-            types,
+            types: Arc::new(types),
             ..Default::default()
         }
+    }
+
+    /// Time travel: `self` (a checkpoint's model) is about to replace
+    /// `live`. Everything the user installed moves across — catchpoints,
+    /// flow behaviours, recording flags, the timeline switch and the
+    /// record limit — so, like breakpoints, they survive a restore to a
+    /// point before they were set. Turning recording off cleared the
+    /// history, so a restored history on an interface no longer recording
+    /// is dropped too.
+    pub fn adopt_settings(&mut self, live: &mut DfModel) {
+        self.catchpoints = std::mem::take(&mut live.catchpoints);
+        self.catch_index = std::mem::take(&mut live.catch_index);
+        self.next_catch = live.next_catch;
+        for (a, l) in self.actors.iter_mut().zip(&live.actors) {
+            a.behavior = l.behavior;
+        }
+        for (c, l) in self.conns.iter_mut().zip(&live.conns) {
+            c.record = l.record;
+            if !c.record && !c.history.is_empty() {
+                c.history.clear();
+            }
+        }
+        self.timeline_enabled = live.timeline_enabled;
+        self.set_record_limit(live.record_limit());
+    }
+
+    /// The identity of every chunk of recorded history the model holds
+    /// (token store, timeline, interface histories): counting distinct
+    /// ids across checkpoints measures how much storage they share.
+    pub fn chunk_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.tokens
+            .chunk_ids()
+            .chain(self.timeline.chunk_ids())
+            .chain(self.conns.iter().flat_map(|c| c.history.chunk_ids()))
     }
 
     /// Look up a live token; panics if evicted or unknown. Use only for
@@ -658,9 +719,8 @@ impl DfModel {
     }
 
     /// Replace the installed catchpoints wholesale, rebuilding the lookup
-    /// index. The time-travel engine uses this so catchpoints — like GDB
-    /// breakpoints — survive restores to snapshots taken before they were
-    /// installed.
+    /// index. `reverse-continue` uses this to start every replay pass
+    /// from the same set, since replays reap temporary catchpoints.
     pub fn set_catchpoints(&mut self, catchpoints: Vec<Catchpoint>, next_catch: u32) {
         self.catch_index = CatchIndex::default();
         for c in &catchpoints {
@@ -739,10 +799,14 @@ impl DfModel {
                 pe,
                 work,
             } => {
-                if let Err(e) =
-                    self.graph
-                        .register_actor(id, &name, kind, parent.map(ActorId), pe, work)
-                {
+                if let Err(e) = Arc::make_mut(&mut self.graph).register_actor(
+                    id,
+                    &name,
+                    kind,
+                    parent.map(ActorId),
+                    pe,
+                    work,
+                ) {
                     self.anomalies.push(e.to_string());
                     return;
                 }
@@ -755,7 +819,9 @@ impl DfModel {
                 dir,
                 ty,
             } => {
-                if let Err(e) = self.graph.register_conn(id, ActorId(actor), &name, dir, ty) {
+                if let Err(e) =
+                    Arc::make_mut(&mut self.graph).register_conn(id, ActorId(actor), &name, dir, ty)
+                {
                     self.anomalies.push(e.to_string());
                     return;
                 }
@@ -769,7 +835,7 @@ impl DfModel {
                 class,
                 fifo_base,
             } => {
-                if let Err(e) = self.graph.register_link(
+                if let Err(e) = Arc::make_mut(&mut self.graph).register_link(
                     id,
                     ConnId(from),
                     ConnId(to),
@@ -974,9 +1040,9 @@ impl DfModel {
         let total = rc.total;
         if rc.record {
             if rc.history.len() == HISTORY_CAP {
-                rc.history.remove(0);
+                rc.history.pop_front();
             }
-            rc.history.push(token);
+            rc.history.push_back(token);
         }
         if let Some(ids) = self.catch_index.sent_by_conn.get(&conn.0) {
             for &id in ids {
@@ -1069,9 +1135,9 @@ impl DfModel {
             rc.total += 1;
             if rc.record {
                 if rc.history.len() == HISTORY_CAP {
-                    rc.history.remove(0);
+                    rc.history.pop_front();
                 }
-                rc.history.push(id);
+                rc.history.push_back(id);
             }
         }
         let Some(token) = last_token else {

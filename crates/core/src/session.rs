@@ -103,21 +103,30 @@ enum StepMode {
 /// Errors from session commands (bad names, unresolved symbols, ...).
 pub type CmdResult<T> = Result<T, String>;
 
-/// The debugger-side state a checkpoint must carry beyond the machine:
-/// the reconstructed dataflow model (Token objects, windows, counters),
-/// the capture engine (pending calls, per-PE counters) and the run loop's
-/// transient state. Breakpoints, watchpoints and the value history
-/// deliberately stay *outside* — like GDB's, they survive time travel.
+/// The run loop's recorded state: the capture engine's per-PE view of
+/// in-flight calls, the entry-breakpoint counters, the breakpoint skip
+/// set, pending stops and the stepping mode. Together with the model it
+/// is the debugger's half of a checkpoint ([`Recorded`]).
 #[derive(Clone)]
-struct SessionSnap {
-    model: DfModel,
+struct RunState {
     capture: Capture,
+    /// Per-PE invocation counters, for entry breakpoints on runtime-
+    /// scheduled tasks (see `check_entry_breakpoints`).
     inv_seen: Vec<u64>,
     skip: HashSet<(PeId, CodeAddr)>,
     stop_queue: VecDeque<Stop>,
     step_mode: StepMode,
     graph_learned: bool,
 }
+
+/// The debugger's half of a checkpoint, beside the machine's fork: the
+/// reconstructed model and the run loop's state. Both clone in O(what
+/// changed) — the model's static parts are `Arc`-shared and its history
+/// is chunked copy-on-write — so a checkpoint, a restore and
+/// [`Session::fork`] all take the same plain clone. Breakpoints,
+/// watchpoints, catchpoints, user settings and the value history are not
+/// recorded history; each owning module carries them across a restore.
+type Recorded = (DfModel, RunState);
 
 const TT_DISABLED: &str = "time travel is not enabled (use `checkpoint` first)";
 
@@ -128,7 +137,7 @@ pub struct Session {
     /// the same compiled app (the compile-once cache hands out one `Arc`).
     pub info: Arc<DebugInfo>,
     pub model: DfModel,
-    pub capture: Capture,
+    run: RunState,
     breakpoints: Vec<Breakpoint>,
     bp_addrs: HashMap<CodeAddr, Vec<u32>>,
     /// Address range covered by *enabled* breakpoints: a one-compare gate
@@ -137,41 +146,34 @@ pub struct Session {
     bp_lo: CodeAddr,
     bp_hi: CodeAddr,
     next_bp: u32,
-    skip: HashSet<(PeId, CodeAddr)>,
     watchpoints: Vec<Watchpoint>,
     next_watch: u32,
     focus: Option<PeId>,
-    step_mode: StepMode,
-    stop_queue: VecDeque<Stop>,
-    graph_learned: bool,
-    /// Per-PE invocation counters, for entry breakpoints on runtime-
-    /// scheduled tasks (see `check_entry_breakpoints`).
-    inv_seen: Vec<u64>,
     /// `$N` value history (1-based), as in GDB.
     pub value_history: Vec<Value>,
     /// Static-analysis input (graph + kernel sources), loaded via
     /// [`Session::load_analysis`] from the compiled app.
-    analysis: Option<dfa::AnalysisInput>,
+    analysis: Option<Arc<dfa::AnalysisInput>>,
     /// Result of the most recent `analyze`, consumed by `graph dot` to
     /// paint deadlocked (red) and rate-inconsistent (yellow) elements.
     pub last_analysis: Option<dfa::Report>,
     /// Bytecode-verifier input (linked image + platform map), loaded via
     /// [`Session::load_bcv_input`]; `analyze` runs it alongside `dfa`.
-    bcv_input: Option<bcv::AnalysisInput>,
+    bcv_input: Option<Arc<bcv::AnalysisInput>>,
     /// Result of the most recent bytecode verification, consumed by
     /// `graph dot` to draw race pairs as dashed red edges.
     pub last_bcv: Option<bcv::Report>,
     /// Static performance-analysis input (graph + kernels + image),
     /// loaded via [`Session::load_sched_input`]; `analyze` runs the
     /// buffer-sizing/WCET/throughput passes alongside `dfa` and `bcv`.
-    sched_input: Option<sched::AnalysisInput>,
+    sched_input: Option<Arc<sched::AnalysisInput>>,
     /// Result of the most recent sched analysis, consumed by `graph dot`
     /// to paint the throughput-critical cycle bold.
     pub last_sched: Option<sched::Report>,
     /// The time-travel engine (checkpoint chain + divergence findings),
     /// present once `enable_time_travel` ran. Taken out of the session
     /// while the run-loop hook uses it (it needs `&mut self` alongside).
-    tt: Option<CheckpointManager<SessionSnap>>,
+    tt: Option<CheckpointManager<Recorded>>,
     /// The furthest cycle this session's timeline has reached, noted
     /// whenever `restart` leaves it. `goto` replays up to it even past a
     /// stop that ended the program, but never runs an ended program
@@ -204,20 +206,22 @@ impl Session {
             sys,
             info,
             model,
-            capture,
+            run: RunState {
+                capture,
+                inv_seen: vec![0; n_pes],
+                skip: HashSet::new(),
+                stop_queue: VecDeque::new(),
+                step_mode: StepMode::None,
+                graph_learned: false,
+            },
             breakpoints: Vec::new(),
             bp_addrs: HashMap::new(),
             bp_lo: CodeAddr::MAX,
             bp_hi: 0,
             next_bp: 1,
-            skip: HashSet::new(),
             watchpoints: Vec::new(),
             next_watch: 1,
             focus: None,
-            step_mode: StepMode::None,
-            stop_queue: VecDeque::new(),
-            graph_learned: false,
-            inv_seen: vec![0; n_pes],
             value_history: Vec::new(),
             analysis: None,
             last_analysis: None,
@@ -235,9 +239,10 @@ impl Session {
 
     /// Fork an independent session from this one. Simulator memory is
     /// shared copy-on-write with the parent (see [`pedf::System::fork`]),
-    /// the immutable debug info is `Arc`-shared, and every piece of
-    /// mutable debugger state — model, capture, breakpoints, time-travel
-    /// chain — is deep-copied. The fork and the parent diverge freely;
+    /// the immutable debug info and analysis inputs are `Arc`-shared, and
+    /// the recorded half — model and run-loop state — takes the same
+    /// copy-on-write clone a checkpoint does, as does every checkpoint of
+    /// the time-travel chain. The fork and the parent diverge freely;
     /// neither can observe the other's writes. This is what makes
     /// attaching the N-th session of a variant O(dirtied pages) instead
     /// of O(recompile + boot).
@@ -246,20 +251,15 @@ impl Session {
             sys: self.sys.fork(),
             info: Arc::clone(&self.info),
             model: self.model.clone(),
-            capture: self.capture.clone(),
+            run: self.run.clone(),
             breakpoints: self.breakpoints.clone(),
             bp_addrs: self.bp_addrs.clone(),
             bp_lo: self.bp_lo,
             bp_hi: self.bp_hi,
             next_bp: self.next_bp,
-            skip: self.skip.clone(),
             watchpoints: self.watchpoints.clone(),
             next_watch: self.next_watch,
             focus: self.focus,
-            step_mode: self.step_mode,
-            stop_queue: self.stop_queue.clone(),
-            graph_learned: self.graph_learned,
-            inv_seen: self.inv_seen.clone(),
             value_history: self.value_history.clone(),
             analysis: self.analysis.clone(),
             last_analysis: self.last_analysis.clone(),
@@ -278,24 +278,24 @@ impl Session {
     /// Supply the static analyzer's input. Built from the [`mind`] output
     /// (`dfa::AnalysisInput::from_app`) before the `CompiledApp` is handed
     /// to `attach`; without it the `analyze` command reports an error.
-    pub fn load_analysis(&mut self, input: dfa::AnalysisInput) {
-        self.analysis = Some(input);
+    pub fn load_analysis(&mut self, input: impl Into<Arc<dfa::AnalysisInput>>) {
+        self.analysis = Some(input.into());
     }
 
     /// Supply the bytecode verifier's input (built with
     /// `bcv::AnalysisInput::from_app`). Once loaded, `analyze` also runs
     /// the image verification and race analysis, merging its findings
     /// into the same table.
-    pub fn load_bcv_input(&mut self, input: bcv::AnalysisInput) {
-        self.bcv_input = Some(input);
+    pub fn load_bcv_input(&mut self, input: impl Into<Arc<bcv::AnalysisInput>>) {
+        self.bcv_input = Some(input.into());
     }
 
     /// Supply the static performance analyzer's input (built with
     /// `sched::AnalysisInput::from_app`). Once loaded, `analyze` also
     /// reports minimal FIFO capacities, WCET intervals and the
     /// throughput bound, merging the findings into the same table.
-    pub fn load_sched_input(&mut self, input: sched::AnalysisInput) {
-        self.sched_input = Some(input);
+    pub fn load_sched_input(&mut self, input: impl Into<Arc<sched::AnalysisInput>>) {
+        self.sched_input = Some(input.into());
     }
 
     /// `analyze [--deny warnings]` — run the static dataflow analyzer over
@@ -357,19 +357,19 @@ impl Session {
     /// the runtime publishes events directly; function breakpoints on data
     /// exchanges are disabled.
     pub fn use_framework_cooperation(&mut self) {
-        self.capture.mode = CaptureMode::RuntimeEvents;
+        self.run.capture.mode = CaptureMode::RuntimeEvents;
         self.sys.runtime.events.enable();
     }
 
     /// §V mitigation 1: toggle the data-exchange breakpoints.
     pub fn set_data_exchange_breakpoints(&mut self, on: bool) {
-        self.capture.data_exchange = on;
+        self.run.capture.data_exchange = on;
     }
 
     /// §V mitigation 2: restrict data-exchange breakpoints to the named
     /// actors ("actor-specific location for data exchange breakpoints").
     pub fn set_actor_breakpoint_filter(&mut self, filters: Option<Vec<ActorId>>) {
-        self.capture.actor_filter = filters;
+        self.run.capture.actor_filter = filters;
     }
 
     /// Boot the application under debugger control; the graph is
@@ -402,7 +402,7 @@ impl Session {
 
     /// Run until something stops the machine, for at most `max_cycles`.
     pub fn run(&mut self, max_cycles: u64) -> Stop {
-        if let Some(s) = self.stop_queue.pop_front() {
+        if let Some(s) = self.run.stop_queue.pop_front() {
             self.note_focus(&s);
             return s;
         }
@@ -413,11 +413,11 @@ impl Session {
                 return stop;
             }
             let report = self.sys.step();
-            self.skip.clear();
+            self.run.skip.clear();
 
             // Watchpoints.
             for hit in self.sys.platform.mem.take_hits() {
-                self.stop_queue.push_back(Stop::Watchpoint {
+                self.run.stop_queue.push_back(Stop::Watchpoint {
                     id: hit.id,
                     addr: hit.addr,
                     old: hit.old,
@@ -444,21 +444,21 @@ impl Session {
                         fault: f,
                     };
                     // Report each fault once.
-                    if !self.stop_queue.contains(&stop) {
-                        self.stop_queue.push_back(stop);
+                    if !self.run.stop_queue.contains(&stop) {
+                        self.run.stop_queue.push_back(stop);
                     }
                 }
             }
 
             // Stepping modes.
             if let Some(stop) = self.check_step_mode() {
-                self.stop_queue.push_back(stop);
+                self.run.stop_queue.push_back(stop);
             }
 
             // Time travel: at a recorded boundary, verify the replayed
             // hash chain (divergence -> REPLAY501); on new ground, create
             // the periodic checkpoint. Runs before the stop queue pops so
-            // pending stops are part of the snapshot. The manager is
+            // pending stops are part of the checkpoint. The manager is
             // *taken* for the duration of the hook (it is a few words;
             // the checkpoint payloads live behind its Vec) so there is a
             // single `if let` and no `is_some`/`unwrap` pair to desync.
@@ -467,13 +467,12 @@ impl Session {
                 if mgr.has_checkpoint_at(clock) {
                     mgr.verify_boundary(&mut self.sys, clock);
                 } else if mgr.creation_due(clock) {
-                    let snap = self.snap();
-                    mgr.checkpoint_at(&mut self.sys, snap);
+                    mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone()));
                 }
                 self.tt = Some(mgr);
             }
 
-            if let Some(s) = self.stop_queue.pop_front() {
+            if let Some(s) = self.run.stop_queue.pop_front() {
                 self.note_focus(&s);
                 return s;
             }
@@ -527,7 +526,7 @@ impl Session {
         let cycle = self.sys.clock();
         // 1. Runtime event stream: env I/O always; everything in
         //    cooperation mode.
-        let coop = self.capture.mode == CaptureMode::RuntimeEvents;
+        let coop = self.run.capture.mode == CaptureMode::RuntimeEvents;
         self.sys.runtime.events.drain_into(&mut self.runtime_events);
         let mut stops = Vec::new();
         for ev in self.runtime_events.drain(..) {
@@ -551,7 +550,7 @@ impl Session {
                 RuntimeEvent::BootComplete if coop => {
                     // Cooperation mode skips registration interception:
                     // adopt the runtime's graph wholesale.
-                    self.model.graph = self.sys.runtime.graph.clone();
+                    self.model.graph = Arc::new(self.sys.runtime.graph.clone());
                     self.model
                         .actors
                         .resize_with(self.model.graph.actors.len(), Default::default);
@@ -587,18 +586,20 @@ impl Session {
         // runtime's filter states lazily instead (displays read them).
 
         // 2. Function-breakpoint capture.
-        self.capture.observe(&self.sys.platform, &self.model.graph);
-        self.capture.drain_into(&mut self.captured);
+        self.run
+            .capture
+            .observe(&self.sys.platform, &self.model.graph);
+        self.run.capture.drain_into(&mut self.captured);
         for ev in self.captured.drain(..) {
             self.model.apply(ev, cycle, &mut stops);
         }
-        if self.model.booted && !self.graph_learned {
-            self.capture.learn_graph(&self.model.graph);
-            self.graph_learned = true;
+        if self.model.booted && !self.run.graph_learned {
+            self.run.capture.learn_graph(&self.model.graph);
+            self.run.graph_learned = true;
         }
         // Step-both second leg: arm the receive end when the send fires.
         for s in &stops {
-            self.stop_queue.push_back(Stop::Dataflow(s.clone()));
+            self.run.stop_queue.push_back(Stop::Dataflow(s.clone()));
         }
     }
 
@@ -647,7 +648,7 @@ impl Session {
                 continue;
             }
             let pe_id = PeId(i as u16);
-            if self.skip.contains(&(pe_id, pe.pc)) {
+            if self.run.skip.contains(&(pe_id, pe.pc)) {
                 continue;
             }
             let Some(bp_id) = self.enabled_bp_at(pe.pc) else {
@@ -657,7 +658,7 @@ impl Session {
             break;
         }
         let (pe, addr, bp_id) = found?;
-        self.skip.insert((pe, addr));
+        self.run.skip.insert((pe, addr));
         Some(self.fire_breakpoint(pe, addr, bp_id))
     }
 
@@ -686,10 +687,10 @@ impl Session {
         for i in 0..self.sys.platform.pes.len() {
             let pe = &self.sys.platform.pes[i];
             let inv = pe.invocations;
-            if inv == self.inv_seen[i] {
+            if inv == self.run.inv_seen[i] {
                 continue;
             }
-            self.inv_seen[i] = inv;
+            self.run.inv_seen[i] = inv;
             if self.bp_lo > self.bp_hi {
                 continue;
             }
@@ -703,7 +704,7 @@ impl Session {
                 continue;
             };
             let stop = self.fire_breakpoint(PeId(i as u16), entry, bp_id);
-            self.stop_queue.push_back(stop);
+            self.run.stop_queue.push_back(stop);
         }
     }
 
@@ -858,14 +859,14 @@ impl Session {
     pub fn stepi(&mut self) -> CmdResult<Stop> {
         let pe = self.focused()?;
         let target = self.sys.platform.pes[pe.index()].retired + 1;
-        self.step_mode = StepMode::Insn { pe, target };
+        self.run.step_mode = StepMode::Insn { pe, target };
         Ok(self.run(1_000_000))
     }
 
     /// `step` — to the next source line, entering calls.
     pub fn step(&mut self) -> CmdResult<Stop> {
         let pe = self.focused()?;
-        self.step_mode = StepMode::Line {
+        self.run.step_mode = StepMode::Line {
             pe,
             start_line: self.current_line(pe),
             start_depth: self.sys.platform.pes[pe.index()].frame_depth(),
@@ -878,7 +879,7 @@ impl Session {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> CmdResult<Stop> {
         let pe = self.focused()?;
-        self.step_mode = StepMode::Line {
+        self.run.step_mode = StepMode::Line {
             pe,
             start_line: self.current_line(pe),
             start_depth: self.sys.platform.pes[pe.index()].frame_depth(),
@@ -894,7 +895,7 @@ impl Session {
         if depth == 0 {
             return Err("no frame to finish".to_string());
         }
-        self.step_mode = StepMode::Finish {
+        self.run.step_mode = StepMode::Finish {
             pe,
             target_depth: depth - 1,
         };
@@ -902,12 +903,12 @@ impl Session {
     }
 
     fn check_step_mode(&mut self) -> Option<Stop> {
-        match self.step_mode {
+        match self.run.step_mode {
             StepMode::None => None,
             StepMode::Insn { pe, target } => {
                 let p = &self.sys.platform.pes[pe.index()];
                 if p.retired >= target || matches!(p.status, PeStatus::Idle | PeStatus::Halted) {
-                    self.step_mode = StepMode::None;
+                    self.run.step_mode = StepMode::None;
                     Some(Stop::StepDone { pe })
                 } else {
                     None
@@ -921,7 +922,7 @@ impl Session {
             } => {
                 let p = &self.sys.platform.pes[pe.index()];
                 if matches!(p.status, PeStatus::Idle | PeStatus::Halted) {
-                    self.step_mode = StepMode::None;
+                    self.run.step_mode = StepMode::None;
                     return Some(Stop::StepDone { pe });
                 }
                 if !matches!(p.status, PeStatus::Running) || p.stall > 0 {
@@ -932,7 +933,7 @@ impl Session {
                 }
                 let here = self.current_line(pe);
                 if here.is_some() && here != start_line {
-                    self.step_mode = StepMode::None;
+                    self.run.step_mode = StepMode::None;
                     return Some(Stop::StepDone { pe });
                 }
                 None
@@ -942,7 +943,7 @@ impl Session {
                 if p.frame_depth() <= target_depth
                     || matches!(p.status, PeStatus::Idle | PeStatus::Halted)
                 {
-                    self.step_mode = StepMode::None;
+                    self.run.step_mode = StepMode::None;
                     Some(Stop::FinishDone { pe })
                 } else {
                     None
@@ -1414,7 +1415,7 @@ impl Session {
             &mut stops,
         );
         for s in stops {
-            self.stop_queue.push_back(Stop::Dataflow(s));
+            self.run.stop_queue.push_back(Stop::Dataflow(s));
         }
         self.note_history_mutation();
         Ok(index)
@@ -1461,43 +1462,13 @@ impl Session {
 
     // ---- time travel (checkpoint / replay / reverse execution) ---------------
 
-    /// Capture the debugger-side checkpoint payload.
-    fn snap(&self) -> SessionSnap {
-        SessionSnap {
-            model: self.model.clone(),
-            capture: self.capture.clone(),
-            inv_seen: self.inv_seen.clone(),
-            skip: self.skip.clone(),
-            stop_queue: self.stop_queue.clone(),
-            step_mode: self.step_mode,
-            graph_learned: self.graph_learned,
-        }
-    }
-
-    fn apply_snap(&mut self, s: SessionSnap) {
-        // Catchpoints are user-installed stop conditions, not recorded
-        // history: like breakpoints they survive time travel, even when
-        // the snapshot predates their installation.
-        let catchpoints = std::mem::take(&mut self.model.catchpoints);
-        let next_catch = self.model.next_catch_id();
-        self.model = s.model;
-        self.model.set_catchpoints(catchpoints, next_catch);
-        self.capture = s.capture;
-        self.inv_seen = s.inv_seen;
-        self.skip = s.skip;
-        self.stop_queue = s.stop_queue;
-        self.step_mode = s.step_mode;
-        self.graph_learned = s.graph_learned;
-    }
-
     /// Turn on deterministic checkpointing: the current state becomes the
     /// baseline (checkpoint 0, a copy-on-write fork of the machine) and
     /// the run loop records a checkpoint every `interval` cycles. Usually
     /// called right after [`Session::boot`].
     pub fn enable_time_travel(&mut self, interval: u64) -> u32 {
         let mut mgr = CheckpointManager::new(interval);
-        let snap = self.snap();
-        let id = mgr.baseline(&mut self.sys, snap);
+        let id = mgr.baseline(&mut self.sys, (self.model.clone(), self.run.clone()));
         self.tt = Some(mgr);
         id
     }
@@ -1510,7 +1481,7 @@ impl Session {
     /// Every reverse/restore entry point goes through this accessor (or
     /// takes the manager outright) instead of pairing an `is_some` guard
     /// with later `unwrap`s that a refactor could desync.
-    fn tt_mgr(&self) -> Result<&CheckpointManager<SessionSnap>, String> {
+    fn tt_mgr(&self) -> Result<&CheckpointManager<Recorded>, String> {
         self.tt.as_ref().ok_or_else(|| TT_DISABLED.to_string())
     }
 
@@ -1532,8 +1503,7 @@ impl Session {
                  history (run forward past the last checkpoint first)"
                 .to_string())
         } else {
-            let snap = self.snap();
-            Ok(mgr.checkpoint_at(&mut self.sys, snap))
+            Ok(mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone())))
         };
         self.tt = Some(mgr);
         result
@@ -1560,11 +1530,11 @@ impl Session {
 
     /// `restart <id>` — rewind the whole platform (VMs, memories, FIFOs,
     /// in-flight DMA, scheduler, env-I/O cursors) and the debugger model
-    /// to the checkpoint. Breakpoints, watchpoints and `$N` history
-    /// survive, as in GDB's `restart`.
+    /// to the checkpoint. Breakpoints, watchpoints, catchpoints, user
+    /// settings and `$N` history survive, as in GDB's `restart`.
     pub fn restart(&mut self, id: u32) -> CmdResult<u64> {
         self.horizon = self.horizon.max(self.sys.clock());
-        let snap = {
+        let (mut model, mut run) = {
             // Field access, not `tt_mgr()`: the manager must stay
             // borrowed from `self.tt` alone so `self.sys` can be handed
             // to `restore` mutably alongside it.
@@ -1574,7 +1544,10 @@ impl Session {
                 .ok_or_else(|| format!("no checkpoint {id}"))?;
             cp.payload.clone()
         };
-        self.apply_snap(snap);
+        model.adopt_settings(&mut self.model);
+        run.capture.adopt_settings(&self.run.capture);
+        self.model = model;
+        self.run = run;
         Ok(self.sys.clock())
     }
 
@@ -1817,6 +1790,23 @@ impl Session {
         }
     }
 
+    /// `(live, distinct)` chunks of recorded token and timeline storage:
+    /// the chunks the current model holds, and the distinct chunks held
+    /// by it and every checkpoint of the chain together. Copy-on-write
+    /// sharing keeps `distinct` near `live` plus what each checkpoint
+    /// interval wrote, instead of `live` times the number of checkpoints.
+    pub fn recorded_chunks(&self) -> (usize, usize) {
+        let live = self.model.chunk_ids().count();
+        let mut distinct: HashSet<usize> = self.model.chunk_ids().collect();
+        if let Some(mgr) = &self.tt {
+            for info in mgr.checkpoints() {
+                let (model, _) = &mgr.get(info.id).expect("listed checkpoint").payload;
+                distinct.extend(model.chunk_ids());
+            }
+        }
+        (live, distinct.len())
+    }
+
     /// Divergence findings (`REPLAY501`) accumulated by boundary
     /// verification during replays.
     pub fn replay_findings(&self) -> &[debuginfo::Finding] {
@@ -1959,9 +1949,8 @@ impl Session {
         };
         let clock = self.sys.clock();
         self.horizon = clock;
-        let snap = self.snap();
         mgr.invalidate_after(clock.saturating_sub(1));
-        mgr.checkpoint_at(&mut self.sys, snap);
+        mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone()));
         self.tt = Some(mgr);
     }
 
@@ -2160,7 +2149,7 @@ impl Session {
         let g = &self.model.graph;
         let mut out = String::from("[\n");
         let mut first = true;
-        for ev in &self.model.timeline {
+        for ev in self.model.timeline.iter() {
             let actor = g.actor(ev.actor);
             let module = actor
                 .parent

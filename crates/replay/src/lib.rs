@@ -162,8 +162,8 @@ pub fn full_state_hash(sys: &System) -> u64 {
 // ---- checkpoints -----------------------------------------------------------
 
 /// One checkpoint: a fork of the machine + the chained hash at this
-/// boundary + a client payload (the debugger stores its session-model
-/// snapshot there).
+/// boundary + a client payload (the debugger stores its recorded half
+/// there: its model and run-loop state, copy-on-write like the machine).
 #[derive(Debug, Clone)]
 pub struct Checkpoint<X> {
     pub id: u32,

@@ -260,3 +260,43 @@ fn catchpoint_disable_enable_roundtrip() {
     );
     assert!(!s.set_catch_enabled(999, true));
 }
+
+/// `iface … print` once the recorded history has wrapped its 4,096-token
+/// ring: the oldest tokens are dropped and numbering restarts at `#1` on
+/// the oldest kept. The digest pins the whole transcript byte for byte.
+#[test]
+fn wrapped_interface_history_prints_the_newest_4096() {
+    use std::hash::Hasher;
+    let mut s = booted_session(4_200);
+    let d = s.model.graph.actor_by_name("decoder").unwrap().id;
+    let frame = s.model.graph.conn_by_name(d, "frame_out").unwrap().id;
+    s.sys
+        .runtime
+        .add_sink(pedf::EnvSink::new(frame, 1))
+        .unwrap();
+    s.iface_record("pipe::mc_in", true).unwrap();
+    loop {
+        match s.run(50_000_000) {
+            Stop::Quiescent | Stop::Deadlock | Stop::CycleLimit => break,
+            _ => {}
+        }
+    }
+    let conn = s.conn_named("pipe::mc_in").unwrap();
+    let total = s.model.conns[conn.0 as usize].total;
+    let out = s.iface_print("pipe::mc_in").unwrap();
+    let mut h = replay::Fnv64::new();
+    h.write(out.as_bytes());
+    let lines = out.lines().count();
+    let (first, last) = (out.lines().next().unwrap(), out.lines().last().unwrap());
+    assert!(total > 4096, "only {total} tokens: the ring never wrapped");
+    assert_eq!(
+        (lines, first, last, h.finish()),
+        (
+            4096,
+            "#1 (U32) 2774957681",
+            "#4096 (U32) 1977864086",
+            16968508590166728458
+        ),
+        "{total} tokens"
+    );
+}

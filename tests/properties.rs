@@ -78,6 +78,16 @@ fn run_chain(stages: u32, addends: &[u32], inputs: &[u32]) -> Vec<u32> {
         .clone()
 }
 
+/// A booted decoder session with its environment attached.
+fn decoder_session(seed: u32, n: u64) -> Session {
+    let (sys, app) = build_decoder(Bug::None, n, PlatformConfig::default()).unwrap();
+    let boot = app.boot_entry;
+    let mut s = Session::attach(sys, app.info.clone());
+    s.boot(boot).unwrap();
+    h264_pipeline::attach_env(&mut s.sys, &app, n, seed).unwrap();
+    s
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -123,27 +133,7 @@ proptest! {
         seed in any::<u32>(),
         n in 2u32..8,
     ) {
-        let (sys, app) = build_decoder(
-            Bug::None, u64::from(n), PlatformConfig::default(),
-        ).unwrap();
-        let boot = app.boot_entry;
-        let mut s = Session::attach(sys, app.info);
-        s.boot(boot).unwrap();
-        s.sys.runtime.add_source(
-            pedf::EnvSource::new(
-                app.boundary_in["bits_in"], 2,
-                pedf::ValueGen::Lcg { state: seed },
-            ).with_limit(u64::from(n)),
-        ).unwrap();
-        s.sys.runtime.add_source(
-            pedf::EnvSource::new(
-                app.boundary_in["cfg_in"], 2,
-                pedf::ValueGen::Counter { next: 0, step: 1 },
-            ).with_limit(u64::from(n)),
-        ).unwrap();
-        s.sys.runtime.add_sink(
-            pedf::EnvSink::new(app.boundary_out["frame_out"], 1),
-        ).unwrap();
+        let mut s = decoder_session(seed, u64::from(n));
         loop {
             match s.run(10_000_000) {
                 Stop::Quiescent => break,
@@ -180,27 +170,7 @@ proptest! {
         interval_sel in 0u64..3,
     ) {
         let interval = [100u64, 300, 1_000][interval_sel as usize];
-        let (sys, app) = build_decoder(
-            Bug::None, 6, PlatformConfig::default(),
-        ).unwrap();
-        let boot = app.boot_entry;
-        let mut s = Session::attach(sys, app.info);
-        s.boot(boot).unwrap();
-        s.sys.runtime.add_source(
-            pedf::EnvSource::new(
-                app.boundary_in["bits_in"], 2,
-                pedf::ValueGen::Lcg { state: seed },
-            ).with_limit(6),
-        ).unwrap();
-        s.sys.runtime.add_source(
-            pedf::EnvSource::new(
-                app.boundary_in["cfg_in"], 2,
-                pedf::ValueGen::Counter { next: 0, step: 1 },
-            ).with_limit(6),
-        ).unwrap();
-        s.sys.runtime.add_sink(
-            pedf::EnvSink::new(app.boundary_out["frame_out"], 1),
-        ).unwrap();
+        let mut s = decoder_session(seed, 6);
         s.enable_time_travel(interval);
 
         // forward(n)
@@ -223,5 +193,111 @@ proptest! {
             s.replay_findings().is_empty(),
             "{:?}", s.replay_findings()
         );
+    }
+}
+
+/// Interfaces the token-altering operations aim at.
+const TOKEN_TARGETS: [&str; 4] = ["bh::bits_in", "pipe::mc_in", "ipred::Red_in", "red::bh_in"];
+
+/// What the recorded model shows: `info links` (with the token store
+/// line), `info filters` and the provenance paths of two filters.
+fn model_text(s: &Session) -> String {
+    let mut out = s.info_links();
+    out.push_str(&s.info_filters());
+    for f in ["pipe", "ipred"] {
+        out.push_str(&s.info_last_token(f).unwrap());
+    }
+    out
+}
+
+/// `token origin` of pipe's last token, asked on a fork so the session
+/// itself does not move.
+fn origin_text(s: &mut Session) -> String {
+    match s.last_received("pipe").unwrap() {
+        Some(tok) => s.fork().token_origin(tok).unwrap_or_else(|e| e),
+        None => String::new(),
+    }
+}
+
+/// One random operation (`op` in 0..6): a run, a token alteration, or a
+/// record limit small enough to evict across chunk boundaries.
+fn random_op(s: &mut Session, op: u32, arg: u32) {
+    let target = TOKEN_TARGETS[(arg % 4) as usize];
+    // Errors (an empty queue, a rejected injection) leave the session
+    // unchanged and are part of the sequence.
+    match op {
+        0 | 1 => {
+            s.run(u64::from(arg % 1_500) + 1);
+        }
+        2 => {
+            let _ = s.token_set(target, 0, &[arg]);
+        }
+        3 => {
+            let _ = s.token_drop(target, 0);
+        }
+        4 => {
+            let _ = s.token_inject(target, &[arg]);
+        }
+        _ => s.model.set_record_limit((arg % 400) as usize + 8),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The recorded history is copy-on-write: mutating a fork never shows
+    /// in its parent, and `restart k` brings back exactly what the model
+    /// showed when checkpoint k was taken. Forks and checkpoints share the
+    /// static graph by pointer.
+    #[test]
+    fn forks_and_checkpoints_are_isolated_copies(
+        seed in any::<u32>(),
+        ops in prop::collection::vec((0u32..9, any::<u32>()), 10..24),
+        fork_ops in prop::collection::vec((0u32..7, any::<u32>()), 3..10),
+    ) {
+        let mut s = decoder_session(seed, 40);
+        s.configure_filter("red", dfdbg::FlowBehavior::Merger).unwrap();
+        s.configure_filter("pipe", dfdbg::FlowBehavior::Pipeline).unwrap();
+        s.iface_record("pipe::mc_in", true).unwrap();
+        s.enable_time_travel(700);
+        let graph = std::sync::Arc::clone(&s.model.graph);
+
+        // (checkpoint id, record limit then, model text then)
+        let mut taken: Vec<(u32, usize, String)> = Vec::new();
+        for &(op, arg) in &ops {
+            match op {
+                6 | 7 => {
+                    if let Ok(id) = s.checkpoint_now() {
+                        taken.push((id, s.model.record_limit(), model_text(&s)));
+                    }
+                }
+                8 => {
+                    // Mutate a fork; the parent must not see any of it.
+                    let before = (model_text(&s), origin_text(&mut s));
+                    let mut f = s.fork();
+                    prop_assert!(std::sync::Arc::ptr_eq(&f.model.graph, &graph));
+                    for &(fop, farg) in &fork_ops {
+                        if fop == 6 {
+                            let _ = f.restart(farg % 4);
+                        } else {
+                            random_op(&mut f, fop, farg);
+                        }
+                    }
+                    let after = (model_text(&s), origin_text(&mut s));
+                    prop_assert_eq!(before, after);
+                }
+                _ => random_op(&mut s, op, arg),
+            }
+        }
+
+        for (id, limit, text) in taken {
+            // The limit is a user setting that survives restart; put back
+            // the one in force when the checkpoint was taken.
+            s.model.set_record_limit(limit);
+            if s.restart(id).is_ok() {
+                prop_assert!(std::sync::Arc::ptr_eq(&s.model.graph, &graph));
+                prop_assert_eq!(model_text(&s), text, "restart {}", id);
+            }
+        }
     }
 }
