@@ -631,21 +631,7 @@ fn explore_once(
     let (mut sys, app) = build(spec, &BTreeMap::new()).map_err(|e| Divergence::new("BUILD", e))?;
     sys.boot(app.boot_entry)
         .map_err(|e| Divergence::new("BUILD", format!("boot: {e}")))?;
-    let race_sites = verdict
-        .bcv
-        .race_sites
-        .iter()
-        .map(|s| multiverse::RaceSite {
-            lo: s.lo,
-            hi: s.hi,
-            actors: (s.a.0, s.b.0),
-            label: format!(
-                "{} <-> {}",
-                app.graph.qualified_name(s.a),
-                app.graph.qualified_name(s.b)
-            ),
-        })
-        .collect();
+    let race_sites = dfdbg::race_watch_sites(&app.graph, &verdict.bcv.race_sites);
     let cfg = multiverse::ExploreConfig {
         budget: 256,
         horizon: 50_000,

@@ -6,10 +6,11 @@
 //!    instruction has its operands, the operand stack stays within the VM
 //!    limit, control flow never escapes the function's extent, and joins
 //!    agree on depth (BCV201–BCV204);
-//! 2. an **interval abstract interpretation** (reusing [`dfa::interval`])
-//!    that tracks value ranges through locals and the operand stack to
-//!    collect every raw `LoadMem`/`StoreMem` address range and to prove
-//!    computed local indexes stay inside the frame (MEM304).
+//! 2. an **interval abstract interpretation** (a worklist fixpoint over
+//!    the [`crate::absint`] machine) that tracks value ranges through
+//!    locals and the operand stack to collect every raw
+//!    `LoadMem`/`StoreMem` address range and to prove computed local
+//!    indexes stay inside the frame (MEM304).
 //!
 //! Pass 2 only runs when pass 1 is clean — a function with inconsistent
 //! stack depths has no well-defined abstract state to join.
@@ -20,16 +21,11 @@ use debuginfo::{CodeAddr, Finding, LineTable, Severity, Span};
 use dfa::interval::Iv;
 use p2012::{isa::FuncMeta, Insn, Program, MAX_OPERAND_STACK};
 
+use crate::absint::{self, Control, Effect, Frame};
 use crate::rules;
 
 /// Number of fixpoint visits to a program point before widening kicks in.
 const WIDEN_AFTER: u32 = 4;
-
-/// Widest representable interval (top for widening; [`Iv::top`] is the
-/// *unsigned* word range and would lose definitely-negative values).
-fn full() -> Iv {
-    Iv::new(-dfa::interval::INF, dfa::interval::INF)
-}
 
 /// One raw memory access discovered in a function: the instruction and the
 /// bounded, inclusive word-address range it may touch. Unbounded addresses
@@ -53,9 +49,6 @@ impl Access {
 pub struct FuncReport {
     pub findings: Vec<Finding>,
     pub accesses: Vec<Access>,
-    /// Entry addresses of functions this one calls (normalized to
-    /// [`FuncMeta::addr`]).
-    pub calls: BTreeSet<CodeAddr>,
 }
 
 /// Build a source span for `pc`, if the line table covers it (runtime
@@ -111,14 +104,15 @@ fn effect(prog: &Program, insn: Insn) -> (usize, usize) {
 }
 
 /// Successor program points of `insn` at `pc`. Empty for terminators.
-fn successors(insn: Insn, pc: CodeAddr) -> Vec<CodeAddr> {
+fn successors(insn: Insn, pc: CodeAddr) -> impl Iterator<Item = CodeAddr> {
     use Insn::*;
-    match insn {
-        Jump(t) => vec![t],
-        JumpIfZero(t) | JumpIfNot(t) => vec![pc + 1, t],
-        Ret { .. } | Halt => vec![],
-        _ => vec![pc + 1],
-    }
+    let (first, second) = match insn {
+        Jump(t) => (Some(t), None),
+        JumpIfZero(t) | JumpIfNot(t) => (Some(pc + 1), Some(t)),
+        Ret { .. } | Halt => (None, None),
+        _ => (Some(pc + 1), None),
+    };
+    first.into_iter().chain(second)
 }
 
 /// Pass 1: prove stack-depth consistency over the function's CFG.
@@ -213,16 +207,9 @@ fn check_depths(
     emitted.is_empty()
 }
 
-/// Abstract machine state at one program point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct AbsState {
-    locals: Vec<Iv>,
-    stack: Vec<Iv>,
-}
-
 /// Join `new` into `old`. With `widen`, any slot still moving is pushed
 /// straight to the full interval so the fixpoint terminates.
-fn join_into(old: &mut AbsState, new: &AbsState, widen: bool) -> bool {
+fn join_into(old: &mut Frame, new: &Frame, widen: bool) -> bool {
     let mut changed = false;
     if old.locals.len() < new.locals.len() {
         old.locals.resize(new.locals.len(), Iv::exact(0));
@@ -231,7 +218,7 @@ fn join_into(old: &mut AbsState, new: &AbsState, widen: bool) -> bool {
     let mut merge = |dst: &mut Iv, src: Iv| {
         let joined = Iv::join(*dst, src);
         if joined != *dst {
-            *dst = if widen { full() } else { joined };
+            *dst = if widen { Iv::full() } else { joined };
             changed = true;
         }
     };
@@ -246,165 +233,15 @@ fn join_into(old: &mut AbsState, new: &AbsState, widen: bool) -> bool {
     changed
 }
 
-/// What one abstract step observed.
-#[derive(Debug, Default)]
-struct StepObs {
-    /// `(address interval, is_write)` of a raw memory access.
-    access: Option<(Iv, bool)>,
-    /// Definitely out-of-frame computed local index: `(base, offset)`.
-    idx_oob: Option<(u16, Iv)>,
-}
-
-/// Abstract transfer function; mutates `st`, returns observations.
-fn transfer(prog: &Program, insn: Insn, st: &mut AbsState) -> StepObs {
-    use Insn::*;
-    let mut obs = StepObs::default();
-    let pop = |st: &mut AbsState| st.stack.pop().unwrap_or_else(full);
-    match insn {
-        Enter(n) => st.locals.resize(n as usize, Iv::exact(0)),
-        Const(w) => st.stack.push(Iv::exact(i64::from(w))),
-        LoadLocal(n) => {
-            let v = st.locals.get(n as usize).copied().unwrap_or_else(full);
-            st.stack.push(v);
-        }
-        StoreLocal(n) => {
-            let v = pop(st);
-            if let Some(slot) = st.locals.get_mut(n as usize) {
-                *slot = v;
-            }
-        }
-        LoadLocalIdx(base) => {
-            let off = pop(st);
-            if oob_index(base, off, st.locals.len()) {
-                obs.idx_oob = Some((base, off));
-            }
-            st.stack.push(full());
-        }
-        StoreLocalIdx(base) => {
-            let _value = pop(st);
-            let off = pop(st);
-            if oob_index(base, off, st.locals.len()) {
-                obs.idx_oob = Some((base, off));
-            }
-        }
-        Dup => {
-            let v = *st.stack.last().unwrap_or(&Iv::top());
-            st.stack.push(v);
-        }
-        Drop => {
-            pop(st);
-        }
-        Swap => {
-            let n = st.stack.len();
-            if n >= 2 {
-                st.stack.swap(n - 1, n - 2);
-            }
-        }
-        Add | Sub | Mul | Div | Rem | BitAnd | BitOr | BitXor | Shl | Shr | Sar | Eq | Ne | LtS
-        | LeS | GtS | GeS | LtU | GeU => {
-            let b = pop(st);
-            let a = pop(st);
-            st.stack.push(binop(insn, a, b));
-        }
-        Neg => {
-            let a = pop(st);
-            st.stack.push(Iv::sub(Iv::exact(0), a));
-        }
-        Not => {
-            let a = pop(st);
-            st.stack.push(match a.truth() {
-                dfa::interval::Tri::False => Iv::exact(1),
-                dfa::interval::Tri::True => Iv::exact(0),
-                dfa::interval::Tri::Maybe => Iv::boolean(),
-            });
-        }
-        BitNot => {
-            let a = pop(st);
-            let v = match a.as_exact() {
-                Some(x) if (0..=i64::from(u32::MAX)).contains(&x) => {
-                    Iv::exact(i64::from(!(x as u32)))
-                }
-                _ => Iv::top(),
-            };
-            st.stack.push(v);
-        }
-        Jump(_) | Nop | Halt => {}
-        JumpIfZero(_) | JumpIfNot(_) => {
-            pop(st);
-        }
-        Call { addr, argc } => {
-            for _ in 0..argc {
-                pop(st);
-            }
-            for _ in 0..ret_count(prog, addr) {
-                st.stack.push(Iv::top());
-            }
-        }
-        Ret { retc } => {
-            for _ in 0..retc {
-                pop(st);
-            }
-        }
-        LoadMem => {
-            let addr = pop(st);
-            obs.access = Some((addr, false));
-            st.stack.push(Iv::top());
-        }
-        StoreMem => {
-            let _value = pop(st);
-            let addr = pop(st);
-            obs.access = Some((addr, true));
-        }
-        Trap { argc, retc, .. } => {
-            for _ in 0..argc {
-                pop(st);
-            }
-            for _ in 0..retc {
-                st.stack.push(Iv::top());
-            }
-        }
+/// One abstract step of the fixpoint. A call is summarized rather than
+/// entered: its results are unknown words.
+fn transfer(prog: &Program, insn: Insn, st: &mut Frame) -> Effect {
+    let effect = absint::exec(insn, st);
+    if let Control::Call { addr, .. } = effect.control {
+        st.stack
+            .extend((0..ret_count(prog, addr)).map(|_| Iv::top()));
     }
-    obs
-}
-
-/// `true` when `base + offset` provably misses the frame of `locals` slots.
-fn oob_index(base: u16, off: Iv, locals: usize) -> bool {
-    let base = i64::from(base);
-    base + off.lo >= locals as i64 || base + off.hi < 0
-}
-
-fn binop(insn: Insn, a: Iv, b: Iv) -> Iv {
-    use Insn::*;
-    match insn {
-        Add => Iv::add(a, b),
-        Sub => Iv::sub(a, b),
-        Mul => Iv::mul(a, b),
-        Div => Iv::div(a, b),
-        Rem => Iv::rem(a, b),
-        BitAnd => Iv::bit_op(a, b, |x, y| x & y),
-        BitOr => Iv::bit_op(a, b, |x, y| x | y),
-        BitXor => Iv::bit_op(a, b, |x, y| x ^ y),
-        Shl => Iv::shl(a, b),
-        Shr => Iv::shr(a, b),
-        Sar => {
-            if a.lo >= 0 {
-                Iv::shr(a, b)
-            } else {
-                full()
-            }
-        }
-        Eq => Iv::eq(a, b),
-        Ne => match Iv::eq(a, b).as_exact() {
-            Some(0) => Iv::exact(1),
-            Some(_) => Iv::exact(0),
-            None => Iv::boolean(),
-        },
-        LtS | LtU => Iv::lt(a, b),
-        LeS => Iv::le(a, b),
-        GtS => Iv::lt(b, a),
-        GeS | GeU => Iv::le(b, a),
-        _ => full(),
-    }
+    effect
 }
 
 /// Largest access range (in words) worth recording; wider intervals carry
@@ -421,11 +258,11 @@ fn interpret(
     lines: &LineTable,
     report: &mut FuncReport,
 ) {
-    let entry = AbsState {
+    let entry = Frame {
         locals: vec![Iv::top(); f.argc as usize],
         stack: Vec::new(),
     };
-    let mut states: BTreeMap<CodeAddr, AbsState> = BTreeMap::new();
+    let mut states: BTreeMap<CodeAddr, Frame> = BTreeMap::new();
     let mut visits: BTreeMap<CodeAddr, u32> = BTreeMap::new();
     states.insert(f.addr, entry);
     let mut work = vec![f.addr];
@@ -456,8 +293,8 @@ fn interpret(
     for (&pc, st) in &states {
         let Some(insn) = prog.fetch(pc) else { continue };
         let mut st = st.clone();
-        let obs = transfer(prog, insn, &mut st);
-        if let Some((addr, write)) = obs.access {
+        let effect = transfer(prog, insn, &mut st);
+        if let Some((addr, write)) = effect.access {
             if addr.lo >= 0
                 && addr.hi <= i64::from(u32::MAX)
                 && addr.hi - addr.lo <= MAX_RANGE_WORDS
@@ -470,7 +307,7 @@ fn interpret(
                 });
             }
         }
-        if let Some((base, off)) = obs.idx_oob {
+        if let Some((base, off)) = effect.idx_oob {
             let mut fi = Finding::new(
                 rules::LOCAL_INDEX_OOB,
                 Severity::Error,
@@ -487,11 +324,6 @@ fn interpret(
             }
             report.findings.push(fi);
         }
-        if let Insn::Call { addr, .. } = insn {
-            if let Some(callee) = prog.func_at(addr) {
-                report.calls.insert(callee.addr);
-            }
-        }
     }
 }
 
@@ -505,16 +337,6 @@ pub fn verify_function(
     let mut report = FuncReport::default();
     if check_depths(prog, f, subject, lines, &mut report.findings) {
         interpret(prog, f, subject, lines, &mut report);
-    } else {
-        // Depth pass failed: still harvest call targets syntactically so
-        // reachability (and therefore finding attribution) stays intact.
-        for pc in f.addr..f.end {
-            if let Some(Insn::Call { addr, .. }) = prog.fetch(pc) {
-                if let Some(callee) = prog.func_at(addr) {
-                    report.calls.insert(callee.addr);
-                }
-            }
-        }
     }
     report
 }

@@ -32,6 +32,7 @@ use p2012::{MemoryMap, PeId, Program, Region, MAX_CALL_DEPTH};
 use pedf::graph::ActorKind;
 use pedf::{ActorId, AppGraph};
 
+pub mod absint;
 pub mod image;
 pub mod race;
 
@@ -552,6 +553,32 @@ mod tests {
         b.emit(Insn::Halt);
         let r = verify(&base_input(b.finish()));
         assert_eq!(rule_ids(&r), vec![rules::LOCAL_INDEX_OOB]);
+    }
+
+    #[test]
+    fn an_address_stored_through_a_computed_index_reads_back_exactly() {
+        let mut b = ProgramBuilder::new();
+        b.begin_func(0);
+        b.emit(Insn::Enter(2));
+        b.emit(Insn::Const(1)); // offset: slot 0 + 1
+        b.emit(Insn::Const(0x2000_0000)); // value
+        b.emit(Insn::StoreLocalIdx(0));
+        b.emit(Insn::LoadLocal(1));
+        b.emit(Insn::LoadMem);
+        b.emit(Insn::Drop);
+        b.emit(Insn::Ret { retc: 0 });
+        let prog = b.finish();
+        let rep = image::verify_function(&prog, &prog.funcs[0], "f", &LineTable::default());
+        assert!(rep.findings.is_empty());
+        assert_eq!(
+            rep.accesses,
+            [Access {
+                pc: 5,
+                lo: 0x2000_0000,
+                hi: 0x2000_0000,
+                write: false
+            }]
+        );
     }
 
     /// Emit a work function storing `value` to the exact address `addr`.

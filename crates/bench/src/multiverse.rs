@@ -63,20 +63,7 @@ fn explore_variant(
 ) -> Result<ExploreRow, String> {
     let (app, mut session) = build_app(bug, E11_N_MBS)?;
     let bcv_rep = bcv::verify(&bcv::AnalysisInput::from_app(&app));
-    let race_sites = bcv_rep
-        .race_sites
-        .iter()
-        .map(|s| multiverse::RaceSite {
-            lo: s.lo,
-            hi: s.hi,
-            actors: (s.a.0, s.b.0),
-            label: format!(
-                "{} <-> {}",
-                app.graph.qualified_name(s.a),
-                app.graph.qualified_name(s.b)
-            ),
-        })
-        .collect();
+    let race_sites = dfdbg::race_watch_sites(&app.graph, &bcv_rep.race_sites);
     let cfg = multiverse::ExploreConfig {
         until,
         sleep_sets: optimized,

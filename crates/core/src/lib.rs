@@ -42,4 +42,4 @@ pub use dataflow::{
     CaptureMode, CatchCond, DfEvent, DfModel, DfSched, DfStop, FlowBehavior, TokenId, TokenRec,
     TokenStore, RECORD_LIMIT,
 };
-pub use session::{Breakpoint, CmdResult, Session, Stop, Watchpoint};
+pub use session::{race_watch_sites, Breakpoint, CmdResult, Session, Stop, Watchpoint};

@@ -1816,35 +1816,17 @@ impl Session {
     // ---- multiverse exploration -------------------------------------------
 
     /// The statically racy shared ranges (bcv RACE401 sites) as dynamic
-    /// watch targets for the explorer, with actor names resolved. Runs the
-    /// bytecode verifier on demand if `analyze` hasn't yet.
+    /// watch targets for the explorer. Runs the bytecode verifier on
+    /// demand if `analyze` hasn't yet.
     fn explore_race_sites(&mut self) -> Vec<multiverse::RaceSite> {
         if self.last_bcv.is_none() {
             if let Some(bi) = &self.bcv_input {
                 self.last_bcv = Some(bcv::verify(bi));
             }
         }
-        let graph = &self.sys.runtime.graph;
-        let name = |id: ActorId| {
-            if (id.0 as usize) < graph.actors.len() {
-                graph.qualified_name(id)
-            } else {
-                format!("actor#{}", id.0)
-            }
-        };
         self.last_bcv
             .as_ref()
-            .map(|r| {
-                r.race_sites
-                    .iter()
-                    .map(|s| multiverse::RaceSite {
-                        lo: s.lo,
-                        hi: s.hi,
-                        actors: (s.a.0, s.b.0),
-                        label: format!("{} <-> {}", name(s.a), name(s.b)),
-                    })
-                    .collect()
-            })
+            .map(|r| race_watch_sites(&self.sys.runtime.graph, &r.race_sites))
             .unwrap_or_default()
     }
 
@@ -2192,3 +2174,28 @@ impl Session {
 }
 
 pub use model::DfSched;
+
+/// bcv's RACE401 sites as the explorer's watch targets, labelled
+/// `a <-> b` with actor names resolved (`actor#N` for an id the graph
+/// does not know).
+pub fn race_watch_sites(
+    graph: &pedf::AppGraph,
+    sites: &[bcv::race::RaceSite],
+) -> Vec<multiverse::RaceSite> {
+    let name = |id: ActorId| {
+        if (id.0 as usize) < graph.actors.len() {
+            graph.qualified_name(id)
+        } else {
+            format!("actor#{}", id.0)
+        }
+    };
+    sites
+        .iter()
+        .map(|s| multiverse::RaceSite {
+            lo: s.lo,
+            hi: s.hi,
+            actors: (s.a.0, s.b.0),
+            label: format!("{} <-> {}", name(s.a), name(s.b)),
+        })
+        .collect()
+}

@@ -7,6 +7,12 @@
 //! range widen towards infinity rather than wrapping, which keeps the
 //! domain sound for everything the analyzer derives from it (io indices,
 //! loop bounds, branch conditions — all small in practice).
+//!
+//! [`Iv::unary`] and [`Iv::binary`] are the one operator table: every
+//! interval interpreter, over the kernelc AST or over its bytecode, maps
+//! an operator onto a value through them.
+
+use kernelc::ast::{BinOp, UnOp};
 
 /// Pseudo-infinity. Far below `i64::MAX` so sums of two infinities cannot
 /// overflow the machine integer.
@@ -50,6 +56,12 @@ impl Iv {
     /// The full unknown-word range `[0, INF]`: kernel values are unsigned.
     pub fn top() -> Iv {
         Iv { lo: 0, hi: INF }
+    }
+
+    /// The widest interval, `[-INF, INF]`. Unlike [`Iv::top`] it keeps
+    /// definitely-negative values, which `Neg` and signed shifts produce.
+    pub fn full() -> Iv {
+        Iv { lo: -INF, hi: INF }
     }
 
     /// A boolean-valued unknown, `[0, 1]`.
@@ -173,6 +185,58 @@ impl Iv {
             (Some(x), Some(y)) => Iv::from_bool(x == y),
             _ if a.hi < b.lo || b.hi < a.lo => Iv::exact(0),
             _ => Iv::boolean(),
+        }
+    }
+
+    /// `op a` for a kernelc unary operator.
+    pub fn unary(op: UnOp, a: Iv) -> Iv {
+        match op {
+            UnOp::Neg => Iv::sub(Iv::exact(0), a),
+            UnOp::Not => match a.truth() {
+                Tri::True => Iv::exact(0),
+                Tri::False => Iv::exact(1),
+                Tri::Maybe => Iv::boolean(),
+            },
+            UnOp::BitNot => match a.as_exact() {
+                Some(x) if (0..=i64::from(u32::MAX)).contains(&x) => {
+                    Iv::exact(i64::from(!(x as u32)))
+                }
+                _ => Iv::top(),
+            },
+        }
+    }
+
+    /// `a op b` for a kernelc binary operator, with both operands
+    /// evaluated. `&&` and `||` combine the operands' truth; an
+    /// interpreter that short-circuits decides first whether `b` runs.
+    pub fn binary(op: BinOp, a: Iv, b: Iv) -> Iv {
+        match op {
+            BinOp::Add => Iv::add(a, b),
+            BinOp::Sub => Iv::sub(a, b),
+            BinOp::Mul => Iv::mul(a, b),
+            BinOp::Div => Iv::div(a, b),
+            BinOp::Rem => Iv::rem(a, b),
+            BinOp::BitAnd => Iv::bit_op(a, b, |x, y| x & y),
+            BinOp::BitOr => Iv::bit_op(a, b, |x, y| x | y),
+            BinOp::BitXor => Iv::bit_op(a, b, |x, y| x ^ y),
+            BinOp::Shl => Iv::shl(a, b),
+            BinOp::Shr => Iv::shr(a, b),
+            BinOp::Lt => Iv::lt(a, b),
+            BinOp::Le => Iv::le(a, b),
+            BinOp::Gt => Iv::lt(b, a),
+            BinOp::Ge => Iv::le(b, a),
+            BinOp::Eq => Iv::eq(a, b),
+            BinOp::Ne => Iv::unary(UnOp::Not, Iv::eq(a, b)),
+            BinOp::LAnd => match (a.truth(), b.truth()) {
+                (Tri::False, _) | (_, Tri::False) => Iv::exact(0),
+                (Tri::True, Tri::True) => Iv::exact(1),
+                _ => Iv::boolean(),
+            },
+            BinOp::LOr => match (a.truth(), b.truth()) {
+                (Tri::True, _) | (_, Tri::True) => Iv::exact(1),
+                (Tri::False, Tri::False) => Iv::exact(0),
+                _ => Iv::boolean(),
+            },
         }
     }
 }

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use debuginfo::{Finding, Severity, Span};
-use kernelc::ast::{BinOp, Block, Expr, LValue, PedfExpr, Stmt, UnOp, Unit};
+use kernelc::ast::{BinOp, Block, Expr, LValue, PedfExpr, Stmt, Unit};
 
 use crate::interval::{Iv, Tri, INF};
 use crate::rules;
@@ -364,20 +364,7 @@ impl<'a> Interp<'a> {
             }
             Expr::Unary(op, inner) => {
                 let v = self.eval(inner, st);
-                match op {
-                    UnOp::Neg => Iv::sub(Iv::exact(0), v),
-                    UnOp::Not => match v.truth() {
-                        Tri::True => Iv::exact(0),
-                        Tri::False => Iv::exact(1),
-                        Tri::Maybe => Iv::boolean(),
-                    },
-                    UnOp::BitNot => match v.as_exact() {
-                        Some(x) if (0..=u32::MAX as i64).contains(&x) => {
-                            Iv::exact(!(x as u32) as i64)
-                        }
-                        _ => Iv::top(),
-                    },
-                }
+                Iv::unary(*op, v)
             }
             Expr::Binary(op, lhs, rhs) => self.eval_binary(*op, lhs, rhs, st),
             Expr::Call { name, args } => self.eval_call(name, args, st),
@@ -386,61 +373,29 @@ impl<'a> Interp<'a> {
     }
 
     fn eval_binary(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr, st: &mut State) -> Iv {
+        let l = self.eval(lhs, st);
         // Short-circuit operators evaluate the rhs conditionally; since the
         // rhs can carry side effects visible to the analysis (io pops), the
         // indeterminate case forks the state like an `if`.
         if matches!(op, BinOp::LAnd | BinOp::LOr) {
-            let l = self.eval(lhs, st);
             let skip = if op == BinOp::LAnd {
                 Tri::False
             } else {
                 Tri::True
             };
-            return match l.truth() {
-                t if t == skip => Iv::exact((op == BinOp::LOr) as i64),
+            match l.truth() {
+                t if t == skip => return Iv::from_bool(op == BinOp::LOr),
                 Tri::Maybe => {
                     let skipped = st.clone();
                     let r = self.eval(rhs, st);
                     Self::join_branch(st, skipped);
-                    match r.truth() {
-                        Tri::Maybe => Iv::boolean(),
-                        _ => Iv::boolean(),
-                    }
+                    return Iv::binary(op, l, r);
                 }
-                _ => {
-                    let r = self.eval(rhs, st);
-                    match r.truth() {
-                        Tri::True => Iv::exact(1),
-                        Tri::False => Iv::exact(0),
-                        Tri::Maybe => Iv::boolean(),
-                    }
-                }
-            };
+                _ => {}
+            }
         }
-        let a = self.eval(lhs, st);
-        let b = self.eval(rhs, st);
-        match op {
-            BinOp::Add => Iv::add(a, b),
-            BinOp::Sub => Iv::sub(a, b),
-            BinOp::Mul => Iv::mul(a, b),
-            BinOp::Div => Iv::div(a, b),
-            BinOp::Rem => Iv::rem(a, b),
-            BinOp::BitAnd => Iv::bit_op(a, b, |x, y| x & y),
-            BinOp::BitOr => Iv::bit_op(a, b, |x, y| x | y),
-            BinOp::BitXor => Iv::bit_op(a, b, |x, y| x ^ y),
-            BinOp::Shl => Iv::shl(a, b),
-            BinOp::Shr => Iv::shr(a, b),
-            BinOp::Lt => Iv::lt(a, b),
-            BinOp::Le => Iv::le(a, b),
-            BinOp::Gt => Iv::lt(b, a),
-            BinOp::Ge => Iv::le(b, a),
-            BinOp::Eq => Iv::eq(a, b),
-            BinOp::Ne => match Iv::eq(a, b).as_exact() {
-                Some(x) => Iv::exact(1 - x),
-                None => Iv::boolean(),
-            },
-            BinOp::LAnd | BinOp::LOr => unreachable!("handled above"),
-        }
+        let r = self.eval(rhs, st);
+        Iv::binary(op, l, r)
     }
 
     fn eval_pedf(&mut self, p: &PedfExpr, st: &mut State) -> Iv {

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use dfa::interval::{Iv, Tri};
-use kernelc::ast::{BinOp, Block, Expr, Func, LValue, PedfExpr, Stmt, UnOp, Unit};
+use kernelc::ast::{BinOp, Block, Expr, Func, LValue, PedfExpr, Stmt, Unit};
 
 /// One unit token operation, in program order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -389,50 +389,29 @@ impl<'a> Tracer<'a> {
                 .unwrap_or_else(Iv::top),
             Expr::Unary(op, a) => {
                 let v = self.eval(a, line);
-                match op {
-                    UnOp::Neg => Iv::sub(Iv::exact(0), v),
-                    UnOp::Not => match v.truth() {
-                        Tri::True => Iv::exact(0),
-                        Tri::False => Iv::exact(1),
-                        Tri::Maybe => Iv::boolean(),
-                    },
-                    UnOp::BitNot => Iv::top(),
-                }
+                Iv::unary(*op, v)
             }
             Expr::Binary(op, a, b) => {
                 let x = self.eval(a, line);
-                let y = self.eval(b, line);
-                match op {
-                    BinOp::Add => Iv::add(x, y),
-                    BinOp::Sub => Iv::sub(x, y),
-                    BinOp::Mul => Iv::mul(x, y),
-                    BinOp::Div => Iv::div(x, y),
-                    BinOp::Rem => Iv::rem(x, y),
-                    BinOp::BitAnd => Iv::bit_op(x, y, |a, b| a & b),
-                    BinOp::BitOr => Iv::bit_op(x, y, |a, b| a | b),
-                    BinOp::BitXor => Iv::bit_op(x, y, |a, b| a ^ b),
-                    BinOp::Shl => Iv::shl(x, y),
-                    BinOp::Shr => Iv::shr(x, y),
-                    BinOp::Lt => Iv::lt(x, y),
-                    BinOp::Le => Iv::le(x, y),
-                    BinOp::Gt => Iv::lt(y, x),
-                    BinOp::Ge => Iv::le(y, x),
-                    BinOp::Eq => Iv::eq(x, y),
-                    BinOp::Ne => match Iv::eq(x, y).truth() {
-                        Tri::True => Iv::exact(0),
-                        Tri::False => Iv::exact(1),
-                        Tri::Maybe => Iv::boolean(),
-                    },
-                    BinOp::LAnd => match (x.truth(), y.truth()) {
-                        (Tri::False, _) | (_, Tri::False) => Iv::exact(0),
-                        (Tri::True, Tri::True) => Iv::exact(1),
-                        _ => Iv::boolean(),
-                    },
-                    BinOp::LOr => match (x.truth(), y.truth()) {
-                        (Tri::True, _) | (_, Tri::True) => Iv::exact(1),
-                        (Tri::False, Tri::False) => Iv::exact(0),
-                        _ => Iv::boolean(),
-                    },
+                // `&&` and `||` short-circuit as in kernelc's code
+                // generator: the rhs (and its pops) runs only when the lhs
+                // does not decide. On an unknown lhs, IO in the rhs makes
+                // the order unknowable, as under an unknown `if`.
+                let skip = match op {
+                    BinOp::LAnd => Some(Tri::False),
+                    BinOp::LOr => Some(Tri::True),
+                    _ => None,
+                };
+                match (skip, x.truth()) {
+                    (Some(skip), t) if t == skip => Iv::from_bool(*op == BinOp::LOr),
+                    (Some(_), Tri::Maybe) if expr_has_io(b) => {
+                        self.exact = false;
+                        Iv::boolean()
+                    }
+                    _ => {
+                        let y = self.eval(b, line);
+                        Iv::binary(*op, x, y)
+                    }
                 }
             }
             Expr::Call { name, args } => {
@@ -596,6 +575,32 @@ void work() {
 }",
         ));
         assert!(!t.exact);
+    }
+
+    #[test]
+    fn a_deciding_lhs_skips_the_rhs_io() {
+        let t = trace_work(&parse(
+            "void work() {
+    U32 a = 0 && pedf.io.y[0];
+    U32 b = 1 || pedf.io.y[0];
+    pedf.io.out[0] = a + b;
+}",
+        ));
+        assert!(t.exact);
+        assert_eq!(ops(&t), ["push out"]);
+    }
+
+    #[test]
+    fn rhs_io_under_an_unknown_lhs_poisons_the_trace() {
+        let t = trace_work(&parse(
+            "void work() {
+    U32 f = pedf.io.x[0];
+    U32 a = f && pedf.io.y[0];
+    pedf.io.out[0] = a;
+}",
+        ));
+        assert!(!t.exact);
+        assert!(!ops(&t).contains(&"pop y".to_string()));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Per-kernel execution-time intervals over the linked bytecode.
 //!
-//! A bounded abstract execution of each filter's `work` function, in the
-//! style of `bcv::image` but tracking *cycles* instead of stack shape:
+//! A bounded abstract execution of each filter's `work` function, the
+//! path-exploring client of the `bcv::absint` machine (`bcv::image` is
+//! the fixpoint one), tracking *cycles* instead of memory ranges:
 //! values are `dfa::interval::Iv`, decidable branches are followed (so
 //! constant-bound loops unroll exactly), undecidable branches fork both
 //! arms under a global state budget, calls are inlined with a depth
@@ -16,8 +17,9 @@
 //! the best case keeps the minimum over completed paths, which is the
 //! only direction the throughput bound needs to stay sound.
 
-use dfa::interval::{Iv, Tri};
-use p2012::{cost, CodeAddr, Insn, MemoryMap, Program};
+use bcv::absint::{self, Control, Frame};
+use dfa::interval::Tri;
+use p2012::{cost, CodeAddr, MemoryMap, Program};
 
 /// Execution-time interval of one firing, in cycles. `wcet == None`
 /// means the worst case could not be bounded within budget.
@@ -33,65 +35,20 @@ const STATE_BUDGET: u32 = 50_000;
 /// Inlining depth for calls (mirrors the VM's frame headroom).
 const FRAME_BUDGET: usize = 12;
 
+/// One path: its position, inlined call frames (each with the address
+/// its caller resumes at) and the cycles spent so far.
 #[derive(Clone)]
-struct AbsFrame {
-    locals: Vec<Iv>,
-    stack: Vec<Iv>,
-    ret_pc: CodeAddr,
-}
-
-#[derive(Clone)]
-struct AbsState {
+struct Path {
     pc: CodeAddr,
-    frames: Vec<AbsFrame>,
+    frames: Vec<(Frame, CodeAddr)>,
     cost: (u64, u64),
-}
-
-impl AbsState {
-    fn frame(&mut self) -> &mut AbsFrame {
-        self.frames.last_mut().expect("at least the entry frame")
-    }
-
-    fn pop(&mut self) -> Iv {
-        self.frame().stack.pop().unwrap_or_else(Iv::top)
-    }
-
-    fn push(&mut self, v: Iv) {
-        self.frame().stack.push(v);
-    }
-
-    /// Address interval on the stack for a `LoadMem`/`StoreMem` about to
-    /// execute (the address sits under the value for stores).
-    fn mem_addr_bounds(&self, insn: &Insn) -> Option<(u32, u32)> {
-        let depth = match insn {
-            Insn::LoadMem => 1,
-            Insn::StoreMem => 2,
-            _ => return None,
-        };
-        let stack = &self.frames.last()?.stack;
-        let addr = stack.get(stack.len().checked_sub(depth)?)?;
-        let lo = u32::try_from(addr.lo.max(0)).ok()?;
-        let hi = u32::try_from(addr.hi).ok()?;
-        Some((lo, hi))
-    }
-}
-
-enum Step {
-    Continue(CodeAddr),
-    Fork(CodeAddr, CodeAddr),
-    Finished,
-    Stuck,
 }
 
 /// Analyze one firing starting at `entry` (a `work` function address).
 pub fn analyze_entry(program: &Program, map: &MemoryMap, entry: CodeAddr) -> CycleBounds {
-    let mut work: Vec<AbsState> = vec![AbsState {
+    let mut work: Vec<Path> = vec![Path {
         pc: entry,
-        frames: vec![AbsFrame {
-            locals: Vec::new(),
-            stack: Vec::new(),
-            ret_pc: 0,
-        }],
+        frames: vec![(Frame::default(), 0)],
         cost: (0, 0),
     }];
     let mut done: Vec<(u64, u64)> = Vec::new();
@@ -111,30 +68,62 @@ pub fn analyze_entry(program: &Program, map: &MemoryMap, entry: CodeAddr) -> Cyc
                 // drop the path.
                 break;
             };
-            let addr_bounds = st.mem_addr_bounds(&insn);
+            let (frame, _) = st.frames.last_mut().expect("at least the entry frame");
+            let effect = absint::exec(insn, frame);
+            let addr_bounds = effect.access.and_then(|(addr, _)| {
+                let lo = u32::try_from(addr.lo.max(0)).ok()?;
+                let hi = u32::try_from(addr.hi).ok()?;
+                Some((lo, hi))
+            });
             let (lo, hi) = cost::insn_cost(map, &insn, addr_bounds);
             st.cost.0 += u64::from(lo);
             st.cost.1 += u64::from(hi);
             let next = st.pc + 1;
-            match step(&mut st, &insn, next) {
-                Step::Continue(pc) => st.pc = pc,
-                Step::Fork(a, b) => {
-                    let mut other = st.clone();
-                    other.pc = b;
-                    work.push(other);
-                    st.pc = a;
+            st.pc = match effect.control {
+                Control::Next => next,
+                Control::Jump(t) => t,
+                Control::Branch { target, taken } => match taken {
+                    Tri::True => target,
+                    Tri::False => next,
+                    Tri::Maybe => {
+                        let mut other = st.clone();
+                        other.pc = target;
+                        work.push(other);
+                        next
+                    }
+                },
+                Control::Call { addr, args } => {
+                    if st.frames.len() >= FRAME_BUDGET {
+                        // Call too deep: the true cost from here is
+                        // unknowable.
+                        widened = true;
+                        break;
+                    }
+                    let callee = Frame {
+                        locals: args,
+                        stack: Vec::new(),
+                    };
+                    st.frames.push((callee, next));
+                    addr
                 }
-                Step::Finished => {
+                Control::Ret { results } => {
+                    let (_, ret_pc) = st.frames.pop().expect("a frame executed the Ret");
+                    match st.frames.last_mut() {
+                        Some((caller, _)) => {
+                            caller.stack.extend(results);
+                            ret_pc
+                        }
+                        None => {
+                            done.push(st.cost);
+                            break;
+                        }
+                    }
+                }
+                Control::Halt => {
                     done.push(st.cost);
                     break;
                 }
-                Step::Stuck => {
-                    // Call too deep or malformed frame: the true cost
-                    // from here is unknowable.
-                    widened = true;
-                    break;
-                }
-            }
+            };
         }
     }
 
@@ -147,229 +136,10 @@ pub fn analyze_entry(program: &Program, map: &MemoryMap, entry: CodeAddr) -> Cyc
     CycleBounds { bcet, wcet }
 }
 
-fn step(st: &mut AbsState, insn: &Insn, next: CodeAddr) -> Step {
-    match *insn {
-        Insn::Enter(n) => {
-            // Fresh locals are zero in the VM.
-            let f = st.frame();
-            if f.locals.len() <= n as usize {
-                f.locals.resize(n as usize, Iv::exact(0));
-            }
-            Step::Continue(next)
-        }
-        Insn::Const(w) => {
-            st.push(Iv::exact(i64::from(w)));
-            Step::Continue(next)
-        }
-        Insn::LoadLocal(n) => {
-            let v = st
-                .frame()
-                .locals
-                .get(n as usize)
-                .copied()
-                .unwrap_or_else(Iv::top);
-            st.push(v);
-            Step::Continue(next)
-        }
-        Insn::StoreLocal(n) => {
-            let v = st.pop();
-            let f = st.frame();
-            if (n as usize) < f.locals.len() {
-                f.locals[n as usize] = v;
-            }
-            Step::Continue(next)
-        }
-        Insn::LoadLocalIdx(base) => {
-            let off = st.pop();
-            let f = st.frame();
-            let v = match off.as_exact() {
-                Some(o) if o >= 0 => f
-                    .locals
-                    .get(base as usize + o as usize)
-                    .copied()
-                    .unwrap_or_else(Iv::top),
-                _ => Iv::top(),
-            };
-            st.push(v);
-            Step::Continue(next)
-        }
-        Insn::StoreLocalIdx(base) => {
-            let v = st.pop();
-            let off = st.pop();
-            let f = st.frame();
-            match off.as_exact() {
-                Some(o) if o >= 0 => {
-                    if let Some(slot) = f.locals.get_mut(base as usize + o as usize) {
-                        *slot = v;
-                    }
-                }
-                // Unknown slot: havoc everything it could alias.
-                _ => {
-                    for l in f.locals.iter_mut().skip(base as usize) {
-                        *l = Iv::top();
-                    }
-                }
-            }
-            Step::Continue(next)
-        }
-        Insn::Dup => {
-            let v = st.frame().stack.last().copied().unwrap_or_else(Iv::top);
-            st.push(v);
-            Step::Continue(next)
-        }
-        Insn::Drop => {
-            st.pop();
-            Step::Continue(next)
-        }
-        Insn::Swap => {
-            let a = st.pop();
-            let b = st.pop();
-            st.push(a);
-            st.push(b);
-            Step::Continue(next)
-        }
-        Insn::Add
-        | Insn::Sub
-        | Insn::Mul
-        | Insn::Div
-        | Insn::Rem
-        | Insn::BitAnd
-        | Insn::BitOr
-        | Insn::BitXor
-        | Insn::Shl
-        | Insn::Shr
-        | Insn::Sar
-        | Insn::Eq
-        | Insn::Ne
-        | Insn::LtS
-        | Insn::LeS
-        | Insn::GtS
-        | Insn::GeS
-        | Insn::LtU
-        | Insn::GeU => {
-            let b = st.pop();
-            let a = st.pop();
-            let r = binop(insn, a, b);
-            st.push(r);
-            Step::Continue(next)
-        }
-        Insn::Neg => {
-            let v = st.pop();
-            st.push(Iv::sub(Iv::exact(0), v));
-            Step::Continue(next)
-        }
-        Insn::Not => {
-            let v = st.pop();
-            st.push(match v.truth() {
-                Tri::True => Iv::exact(0),
-                Tri::False => Iv::exact(1),
-                Tri::Maybe => Iv::boolean(),
-            });
-            Step::Continue(next)
-        }
-        Insn::BitNot => {
-            st.pop();
-            st.push(Iv::top());
-            Step::Continue(next)
-        }
-        Insn::Jump(t) => Step::Continue(t),
-        Insn::JumpIfZero(t) => {
-            let v = st.pop();
-            match v.truth() {
-                Tri::False => Step::Continue(t),
-                Tri::True => Step::Continue(next),
-                Tri::Maybe => Step::Fork(next, t),
-            }
-        }
-        Insn::JumpIfNot(t) => {
-            let v = st.pop();
-            match v.truth() {
-                Tri::True => Step::Continue(t),
-                Tri::False => Step::Continue(next),
-                Tri::Maybe => Step::Fork(next, t),
-            }
-        }
-        Insn::Call { addr, argc } => {
-            if st.frames.len() >= FRAME_BUDGET {
-                return Step::Stuck;
-            }
-            let f = st.frame();
-            let n = f.stack.len();
-            let args = f.stack.split_off(n.saturating_sub(argc as usize));
-            st.frames.push(AbsFrame {
-                locals: args,
-                stack: Vec::new(),
-                ret_pc: next,
-            });
-            Step::Continue(addr)
-        }
-        Insn::Ret { retc } => {
-            let Some(popped) = st.frames.pop() else {
-                return Step::Stuck;
-            };
-            let n = popped.stack.len();
-            let results = popped.stack[n.saturating_sub(retc as usize)..].to_vec();
-            match st.frames.last_mut() {
-                Some(caller) => {
-                    caller.stack.extend(results);
-                    Step::Continue(popped.ret_pc)
-                }
-                None => Step::Finished,
-            }
-        }
-        Insn::LoadMem => {
-            st.pop();
-            st.push(Iv::top());
-            Step::Continue(next)
-        }
-        Insn::StoreMem => {
-            st.pop();
-            st.pop();
-            Step::Continue(next)
-        }
-        Insn::Trap { argc, retc, .. } => {
-            let f = st.frame();
-            let n = f.stack.len();
-            f.stack.truncate(n.saturating_sub(argc as usize));
-            for _ in 0..retc {
-                f.stack.push(Iv::top());
-            }
-            Step::Continue(next)
-        }
-        Insn::Halt => Step::Finished,
-        Insn::Nop => Step::Continue(next),
-    }
-}
-
-fn binop(insn: &Insn, a: Iv, b: Iv) -> Iv {
-    match insn {
-        Insn::Add => Iv::add(a, b),
-        Insn::Sub => Iv::sub(a, b),
-        Insn::Mul => Iv::mul(a, b),
-        Insn::Div => Iv::div(a, b),
-        Insn::Rem => Iv::rem(a, b),
-        Insn::BitAnd => Iv::bit_op(a, b, |x, y| x & y),
-        Insn::BitOr => Iv::bit_op(a, b, |x, y| x | y),
-        Insn::BitXor => Iv::bit_op(a, b, |x, y| x ^ y),
-        Insn::Shl => Iv::shl(a, b),
-        Insn::Shr | Insn::Sar => Iv::shr(a, b),
-        Insn::Eq => Iv::eq(a, b),
-        Insn::Ne => match Iv::eq(a, b).truth() {
-            Tri::True => Iv::exact(0),
-            Tri::False => Iv::exact(1),
-            Tri::Maybe => Iv::boolean(),
-        },
-        Insn::LtS | Insn::LtU => Iv::lt(a, b),
-        Insn::LeS => Iv::le(a, b),
-        Insn::GtS => Iv::lt(b, a),
-        Insn::GeS | Insn::GeU => Iv::le(b, a),
-        _ => Iv::top(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2012::Insn;
 
     fn program(insns: Vec<Insn>) -> Program {
         Program {
@@ -460,6 +230,22 @@ mod tests {
         let b = analyze_entry(&p, &MemoryMap::default(), 0);
         assert_eq!(b.wcet, None, "input-dependent loop must widen");
         assert!(b.bcet >= 11, "best case is the straight exit");
+    }
+
+    #[test]
+    fn bit_not_of_a_constant_decides_a_branch() {
+        let p = program(vec![
+            Insn::Const(0xffff_ffff), // 0
+            Insn::BitNot,             // 1: exactly 0
+            Insn::JumpIfZero(6),      // 2: always taken
+            Insn::Const(1),           // 3
+            Insn::Const(2),           // 4
+            Insn::Add,                // 5
+            Insn::Ret { retc: 0 },    // 6
+        ]);
+        let b = analyze_entry(&p, &MemoryMap::default(), 0);
+        assert_eq!(b.wcet, Some(b.bcet), "a decided branch must not fork");
+        assert_eq!(b.bcet, 4);
     }
 
     #[test]

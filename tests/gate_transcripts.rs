@@ -1,9 +1,9 @@
-//! The pinned differential-gate transcripts: every `analyze` command in
-//! `ci/replay_check.txt`, `ci/sched_check.txt` and `ci/witness_check.txt`
-//! must exit 0 and print exactly the pinned output, byte for byte. Each
-//! file is a sequence of `$ analyze <args>` lines, each followed by that
-//! command's stdout. Also pins how `analyze` rejects malformed argument
-//! lists.
+//! The pinned gate transcripts: every `analyze` command in
+//! `ci/findings.txt`, `ci/replay_check.txt`, `ci/sched_check.txt` and
+//! `ci/witness_check.txt` must exit 0 and print exactly the pinned output,
+//! byte for byte. Each file is a sequence of `$ analyze <args>` lines,
+//! each followed by that command's stdout. Also pins how `analyze`
+//! rejects malformed argument lists.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -43,6 +43,11 @@ fn check_transcript(file: &str) {
         );
         assert_eq!(stdout, expected, "`analyze {cmd}` drifted from ci/{file}");
     }
+}
+
+#[test]
+fn static_findings_match_the_pinned_ones() {
+    check_transcript("findings.txt");
 }
 
 #[test]
