@@ -17,8 +17,9 @@
 //! `--e6-smoke` runs only the E6 recording gate: a 256-macroblock decode
 //! under `catch recv pipe::mc_in` must stop at the same cycles and end in
 //! the same state with time travel on and off, every checkpoint must
-//! replay to that end with no `REPLAY501`, and the checkpoints must share
-//! the recorded history within the chunk bound.
+//! replay to that end with no `REPLAY501`, the checkpoints must share
+//! the recorded history within the chunk bound, and seeded `goto` /
+//! `reverse-continue` pairs must land on the forward run's stops.
 //!
 //! `--e8-smoke` runs only a scaled-down E8 gate (64-session attach storm:
 //! the compile cache must be hit exactly once, transcripts must stay
@@ -77,9 +78,9 @@ fn write_json(path: &str, body: &str) {
 }
 
 /// The CI gate behind `--e6-smoke`: time travel must not change what the
-/// user sees, every checkpoint must replay to the recorded end, and the
-/// checkpoints must share the recorded history (see
-/// `bench::recording_check`).
+/// user sees, every checkpoint must replay to the recorded end, the
+/// checkpoints must share the recorded history, and reverse-continue must
+/// land where the forward run stopped (see `bench::recording_check`).
 fn run_e6_smoke() -> i32 {
     const N_MBS: u64 = 256;
     println!(
@@ -90,7 +91,7 @@ fn run_e6_smoke() -> i32 {
     let r = recording_check(N_MBS, server::CHECKPOINT_INTERVAL);
     println!(
         "e6-smoke: {} stops, end at cycle {}, {} checkpoints, {} live chunks, \
-         {} distinct (bound {} + {} x {})",
+         {} distinct (bound {} + {} x {}), {} goto/reverse-continue pairs",
         r.stops,
         r.end_cycle,
         r.checkpoints,
@@ -99,6 +100,7 @@ fn run_e6_smoke() -> i32 {
         r.live_chunks,
         bench::CHUNKS_PER_CHECKPOINT,
         r.checkpoints,
+        bench::REVERSE_PAIRS,
     );
     for f in &r.failures {
         eprintln!("e6-smoke: FAIL: {f}");
@@ -857,8 +859,8 @@ fn main() {
          fork) is\na one-time per-session cost; the steady-state \
          recording overhead at the\ndefault 10k-cycle interval stays \
          within the 10% gate. Denser intervals\nbuy shorter replays \
-         (reverse latency is bounded by one restore plus at\nmost two \
-         interval-long replays) at a steeper recording cost."
+         at a steeper recording cost (reverse-continue from the\nend \
+         is one restore plus one replay of the window before its hit)."
     );
 
     println!();

@@ -7,12 +7,14 @@
 //! few percent (EXPERIMENTS.md sets the gate at 10%). The second half
 //! measures what the user actually waits for: the latency of a
 //! `reverse-continue` from the end of the run, which is one restore plus
-//! at most two interval-long replays.
+//! one replay of the window back to the previous checkpoint or replay
+//! anchor (repeated for each earlier window with no hit).
 //!
 //! [`recording_check`] is the CI gate behind `report --e6-smoke`:
 //! recording must not change what the user sees (§V: observing "does
 //! not alter the execution semantic"), every checkpoint must replay to
-//! the same end, and checkpoints must share the recorded history.
+//! the same end, checkpoints must share the recorded history, and
+//! reverse execution must land where the forward run stopped.
 
 use std::time::{Duration, Instant};
 
@@ -185,6 +187,10 @@ pub fn reverse_continue_latency(n_mbs: u64, interval: u64) -> ReverseLatency {
 /// measured.
 pub const CHUNKS_PER_CHECKPOINT: usize = 6;
 
+/// How many seeded `goto` / `reverse-continue` pairs [`recording_check`]
+/// runs, one target in each equal slice of the recorded span.
+pub const REVERSE_PAIRS: u64 = 16;
+
 /// What [`recording_check`] saw, and every violated property.
 #[derive(Debug, Clone)]
 pub struct RecordingCheck {
@@ -196,16 +202,27 @@ pub struct RecordingCheck {
     pub failures: Vec<String>,
 }
 
+/// What [`recording_check`] compares at a stop beside its cycle and
+/// text: the machine's state hash and the model's `info links`.
+fn seen(s: &Session) -> (u64, String) {
+    (s.state_hash(), s.info_links())
+}
+
 /// Decode `n_mbs` macroblocks under `catch recv pipe::mc_in`, once with
 /// time travel at `interval` and once without, and check that
 ///
-/// * (a) both stop at the same cycles with the same `describe` text and
-///   end in the same state hash and `info links` — recording is not
-///   intrusive;
+/// * (a) both stop at the same cycles with the same `describe` text,
+///   state hash and `info links`, and end in the same state hash and
+///   `info links` — recording is not intrusive;
 /// * (b) `restart` to every checkpoint, then replaying forward to the
-///   end, gives the end hash and `info links` again, with no `REPLAY501`;
+///   end, gives the end hash and `info links` again;
 /// * (c) the checkpoints share the recorded history within
-///   [`CHUNKS_PER_CHECKPOINT`].
+///   [`CHUNKS_PER_CHECKPOINT`];
+/// * (d) [`REVERSE_PAIRS`] seeded `goto T` / `reverse-continue` pairs
+///   each land on the last stop (a) made before `T`: same cycle,
+///   `describe` text, state hash and `info links`;
+///
+/// and that no replay of (b) or (d) reports `REPLAY501`.
 pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
     let mut failures = Vec::new();
     let run = |time_travel: bool, failures: &mut Vec<String>| {
@@ -218,7 +235,9 @@ pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
         loop {
             match s.run(50_000_000) {
                 Stop::Quiescent => break,
-                stop @ Stop::Dataflow(_) => stops.push((s.clock(), s.describe(&stop))),
+                stop @ Stop::Dataflow(_) => {
+                    stops.push((s.clock(), s.describe(&stop), seen(&s)));
+                }
                 other => {
                     failures.push(format!("time travel {time_travel}: stopped with {other:?}"));
                     break;
@@ -275,8 +294,31 @@ pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
             failures.push(format!("(b) restart {id}: `info links` differs at the end"));
         }
     }
+    // (d): one seeded target in each slice of the span after the first
+    // stop, so a stop precedes every target.
+    let first = plain_stops.first().map_or(0, |x| x.0);
+    let span = end.saturating_sub(first);
+    let mut rng = proptest::TestRng::seeded(u64::from(SEED));
+    for k in 0..REVERSE_PAIRS {
+        let (lo, hi) = (span * k / REVERSE_PAIRS, span * (k + 1) / REVERSE_PAIRS);
+        let target = first + 1 + lo + rng.below((hi - lo).max(1));
+        let Some(want) = plain_stops.iter().rev().find(|x| x.0 < target) else {
+            continue;
+        };
+        let landed = s.goto_cycle(target).and_then(|()| s.reverse_continue());
+        match landed.map(|stop| (s.clock(), s.describe(&stop), seen(&s))) {
+            Ok(got) if got == *want => {}
+            Ok((cycle, text, (hash, _))) => failures.push(format!(
+                "(d) reverse-continue from {target} landed at cycle {cycle} ({text}, \
+                 hash {hash:#018x}), want cycle {} ({}, hash {:#018x}), or \
+                 `info links` differs",
+                want.0, want.1, want.2 .0
+            )),
+            Err(e) => failures.push(format!("(d) goto {target} / reverse-continue: {e}")),
+        }
+    }
     for f in s.replay_findings() {
-        failures.push(format!("(b) {}: {}", f.rule, f.message));
+        failures.push(format!("(b, d) {}: {}", f.rule, f.message));
     }
     if distinct_chunks > live_chunks + CHUNKS_PER_CHECKPOINT * checkpoints {
         failures.push(format!(

@@ -42,4 +42,5 @@ pub use dataflow::{
     CaptureMode, CatchCond, DfEvent, DfModel, DfSched, DfStop, FlowBehavior, TokenId, TokenRec,
     TokenStore, RECORD_LIMIT,
 };
+pub use replay::CHECKPOINT_INTERVAL;
 pub use session::{race_watch_sites, Breakpoint, CmdResult, Session, Stop, Watchpoint};

@@ -128,6 +128,12 @@ struct RunState {
 /// recorded history; each owning module carries them across a restore.
 type Recorded = (DfModel, RunState);
 
+/// Replay anchors: a replay lays one every `interval / ANCHORS_PER_INTERVAL`
+/// cycles of the checkpoint interval, and the session keeps the last
+/// `ANCHOR_RING` of them.
+const ANCHORS_PER_INTERVAL: u64 = 10;
+const ANCHOR_RING: usize = 2;
+
 const TT_DISABLED: &str = "time travel is not enabled (use `checkpoint` first)";
 
 /// The debugger.
@@ -174,6 +180,12 @@ pub struct Session {
     /// present once `enable_time_travel` ran. Taken out of the session
     /// while the run-loop hook uses it (it needs `&mut self` alongside).
     tt: Option<CheckpointManager<Recorded>>,
+    /// Replay anchors, oldest first: the states (machine fork and
+    /// recorded half, as a checkpoint holds) that the latest replays laid
+    /// near where they ended, so the next reverse command replays from
+    /// close to its target. Not checkpoints: outside the hash chain and
+    /// `info checkpoints`, and a forked session starts without them.
+    anchors: VecDeque<(System, Recorded)>,
     /// The furthest cycle this session's timeline has reached, noted
     /// whenever `restart` leaves it. `goto` replays up to it even past a
     /// stop that ended the program, but never runs an ended program
@@ -230,6 +242,7 @@ impl Session {
             sched_input: None,
             last_sched: None,
             tt: None,
+            anchors: VecDeque::new(),
             horizon: 0,
             last_explore: None,
             runtime_events: Vec::new(),
@@ -242,10 +255,10 @@ impl Session {
     /// the immutable debug info and analysis inputs are `Arc`-shared, and
     /// the recorded half — model and run-loop state — takes the same
     /// copy-on-write clone a checkpoint does, as does every checkpoint of
-    /// the time-travel chain. The fork and the parent diverge freely;
-    /// neither can observe the other's writes. This is what makes
-    /// attaching the N-th session of a variant O(dirtied pages) instead
-    /// of O(recompile + boot).
+    /// the time-travel chain (replay anchors are not copied). The fork
+    /// and the parent diverge freely; neither can observe the other's
+    /// writes. This is what makes attaching the N-th session of a
+    /// variant O(dirtied pages) instead of O(recompile + boot).
     pub fn fork(&mut self) -> Session {
         Session {
             sys: self.sys.fork(),
@@ -268,6 +281,7 @@ impl Session {
             sched_input: self.sched_input.clone(),
             last_sched: self.last_sched.clone(),
             tt: self.tt.clone(),
+            anchors: VecDeque::new(),
             horizon: self.horizon,
             last_explore: self.last_explore.clone(),
             runtime_events: Vec::new(),
@@ -1470,6 +1484,7 @@ impl Session {
         let mut mgr = CheckpointManager::new(interval);
         let id = mgr.baseline(&mut self.sys, (self.model.clone(), self.run.clone()));
         self.tt = Some(mgr);
+        self.anchors.clear();
         id
     }
 
@@ -1489,9 +1504,8 @@ impl Session {
     /// (with the default interval) on first use, exactly like GDB's
     /// `checkpoint` starts bookkeeping lazily.
     pub fn checkpoint_now(&mut self) -> CmdResult<u32> {
-        const DEFAULT_INTERVAL: u64 = 10_000;
         let Some(mut mgr) = self.tt.take() else {
-            return Ok(self.enable_time_travel(DEFAULT_INTERVAL));
+            return Ok(self.enable_time_travel(replay::CHECKPOINT_INTERVAL));
         };
         let clock = self.sys.clock();
         let existing = mgr.checkpoints().find(|c| c.clock == clock).map(|c| c.id);
@@ -1528,46 +1542,113 @@ impl Session {
         Ok(out)
     }
 
-    /// `restart <id>` — rewind the whole platform (VMs, memories, FIFOs,
-    /// in-flight DMA, scheduler, env-I/O cursors) and the debugger model
-    /// to the checkpoint. Breakpoints, watchpoints, catchpoints, user
-    /// settings and `$N` history survive, as in GDB's `restart`.
-    pub fn restart(&mut self, id: u32) -> CmdResult<u64> {
+    /// Put a recorded state in place of the live one: the machine through
+    /// the replay engine's carry-over (watches, environment recordings),
+    /// the recorded half as it is.
+    fn install(&mut self, sys: System, (model, run): Recorded) {
         self.horizon = self.horizon.max(self.sys.clock());
-        let (mut model, mut run) = {
-            // Field access, not `tt_mgr()`: the manager must stay
-            // borrowed from `self.tt` alone so `self.sys` can be handed
-            // to `restore` mutably alongside it.
-            let mgr = self.tt.as_ref().ok_or(TT_DISABLED)?;
-            let cp = mgr
-                .restore(&mut self.sys, id)
-                .ok_or_else(|| format!("no checkpoint {id}"))?;
-            cp.payload.clone()
-        };
-        model.adopt_settings(&mut self.model);
-        run.capture.adopt_settings(&self.run.capture);
+        replay::restore_machine(&mut self.sys, sys);
         self.model = model;
         self.run = run;
-        Ok(self.sys.clock())
     }
 
-    /// Land on an exact cycle: restore the nearest checkpoint at or before
-    /// `target`, then replay forward deterministically. Replays re-verify
-    /// every recorded boundary they cross. Past the furthest cycle the
-    /// timeline has reached, a program that finishes, deadlocks or faults
-    /// before `target` has no history to land on: the replay stops there
-    /// with an error naming that cycle.
+    /// Restore a checkpoint's or an anchor's state. Breakpoints,
+    /// watchpoints, catchpoints, user settings and `$N` history survive,
+    /// as in GDB's `restart`. Returns the restored cycle.
+    fn restore(&mut self, sys: System, (mut model, mut run): Recorded) -> u64 {
+        model.adopt_settings(&mut self.model);
+        run.capture.adopt_settings(&self.run.capture);
+        self.install(sys, (model, run));
+        self.sys.clock()
+    }
+
+    /// `restart <id>` — rewind the whole platform (VMs, memories, FIFOs,
+    /// in-flight DMA, scheduler, env-I/O cursors) and the debugger model
+    /// to the checkpoint.
+    pub fn restart(&mut self, id: u32) -> CmdResult<u64> {
+        let cp = self
+            .tt_mgr()?
+            .get(id)
+            .ok_or_else(|| format!("no checkpoint {id}"))?;
+        let (sys, recorded) = (cp.sys.clone(), cp.payload.clone());
+        Ok(self.restore(sys, recorded))
+    }
+
+    /// The latest state a replay toward `target` can start from whose
+    /// machine passes `pred`: a checkpoint at or before `target`, or an
+    /// anchor strictly before it (restoring one at `target` would leave
+    /// that cycle's stops pending where a replay delivers them).
+    fn replay_start(
+        &self,
+        target: u64,
+        pred: impl Fn(&System) -> bool,
+    ) -> CmdResult<Option<(System, Recorded)>> {
+        let checkpoints = self.tt_mgr()?.iter().filter(|c| c.clock <= target);
+        let anchors = self.anchors.iter().filter(|(s, _)| s.clock() < target);
+        Ok(checkpoints
+            .map(|c| (&c.sys, &c.payload))
+            .chain(anchors.map(|(s, r)| (s, r)))
+            .filter(|(s, _)| pred(s))
+            .max_by_key(|(s, _)| s.clock())
+            .map(|(s, r)| (s.clone(), r.clone())))
+    }
+
+    /// One `run` of a replay that ends at `end`, toward `to <= end`. It
+    /// pauses at each anchor slot and lays an anchor there if the slot is
+    /// one of the last [`ANCHOR_RING`] before `end`: the ring would evict
+    /// the earlier ones before the replay ends.
+    fn replay_run(&mut self, to: u64, end: u64) -> Stop {
+        let clock = self.sys.clock();
+        let spacing = self
+            .tt
+            .as_ref()
+            .map_or(u64::MAX, |m| (m.interval / ANCHORS_PER_INTERVAL).max(1));
+        let slot = (clock / spacing).saturating_add(1).saturating_mul(spacing);
+        let stop = self.run(to.min(slot) - clock);
+        if self.sys.clock() == slot && slot < end && slot + ANCHOR_RING as u64 * spacing >= end {
+            self.lay_anchor(&stop);
+        }
+        stop
+    }
+
+    /// Lay an anchor at the current cycle, which the run returning `stop`
+    /// just stepped into. Like a periodic checkpoint, the anchor still
+    /// queues that stop, so a replay from it delivers every stop of its
+    /// first cycle. Unlike one, it leaves the dirty-page set undrained:
+    /// the fork carries the current interval's, so a replay from the
+    /// anchor still verifies the next boundary's chained hash.
+    fn lay_anchor(&mut self, stop: &Stop) {
+        let clock = self.sys.clock();
+        let laid = self.anchors.iter().any(|(s, _)| s.clock() == clock);
+        if laid || self.tt.as_ref().is_some_and(|m| m.has_checkpoint_at(clock)) {
+            return;
+        }
+        let mut run = self.run.clone();
+        if !matches!(stop, Stop::CycleLimit | Stop::Quiescent | Stop::Deadlock) {
+            run.stop_queue.push_front(stop.clone());
+        }
+        if self.anchors.len() == ANCHOR_RING {
+            self.anchors.pop_front();
+        }
+        let sys = self.sys.fork();
+        self.anchors.push_back((sys, (self.model.clone(), run)));
+    }
+
+    /// Land on an exact cycle: restore the latest checkpoint or anchor
+    /// before `target`, then replay forward deterministically. Replays
+    /// re-verify every recorded boundary they cross. Past the furthest
+    /// cycle the timeline has reached, a program that finishes, deadlocks
+    /// or faults before `target` has no history to land on: the replay
+    /// stops there with an error naming that cycle.
     pub fn goto_cycle(&mut self, target: u64) -> CmdResult<()> {
-        let id = {
-            let mgr = self.tt_mgr()?;
-            mgr.nearest_at_or_before(target)
-                .ok_or("target cycle predates the recorded history")?
-        };
-        self.restart(id)?;
+        let (sys, recorded) = self
+            .replay_start(target, |_| true)?
+            .ok_or("target cycle predates the recorded history")?;
+        self.restore(sys, recorded);
         while self.sys.clock() < target {
             // Stops pop without consuming cycles; re-issuing with the
             // remaining budget always makes progress toward `target`.
-            let ended = match self.run(target - self.sys.clock()) {
+            let ended = match self.replay_run(target, target) {
                 Stop::Quiescent => "finished",
                 Stop::Deadlock => "deadlocked",
                 Stop::Fault { .. } => "faulted",
@@ -1583,104 +1664,114 @@ impl Session {
         Ok(())
     }
 
-    /// Stops `reverse-continue` rewinds to (the ones a user would have
-    /// stopped at going forward).
-    fn reversible_stop(s: &Stop) -> bool {
-        matches!(
-            s,
-            Stop::Breakpoint { .. } | Stop::Watchpoint { .. } | Stop::Dataflow(_)
-        )
+    /// The reverse commands' seek, one replay pass per window, walking
+    /// back from now: restore the latest state strictly before the
+    /// window's top that passes `may_land`; `scan` replays up to the top
+    /// and returns the last landing it saw, or none, and then the next
+    /// window ends where this one began. Each window starts with the
+    /// command's catchpoints (replays reap temporary ones). With no
+    /// landing anywhere, the session goes back to where it was.
+    fn seek_back<T>(
+        &mut self,
+        may_land: impl Fn(&System) -> bool,
+        mut scan: impl FnMut(&mut Self, u64) -> Option<T>,
+    ) -> CmdResult<Option<T>> {
+        let origin = self.sys.clock();
+        let saved_catch = self.model.catchpoints.clone();
+        let saved_next = self.model.next_catch_id();
+        let mut hi = origin;
+        let mut found = None;
+        while let Some((sys, recorded)) =
+            self.replay_start(hi, |s| s.clock() < hi && may_land(s))?
+        {
+            self.model.set_catchpoints(saved_catch.clone(), saved_next);
+            let lo = self.restore(sys, recorded);
+            found = scan(self, hi);
+            if found.is_some() {
+                break;
+            }
+            hi = lo;
+        }
+        self.model.set_catchpoints(saved_catch, saved_next);
+        if found.is_none() {
+            self.goto_cycle(origin)?;
+        }
+        Ok(found)
     }
 
     /// `reverse-continue` — run backwards to the most recent breakpoint,
-    /// watchpoint or catchpoint hit before the current cycle. Implemented
-    /// the GDB record/replay way: restore the nearest checkpoint, replay
-    /// forward counting hits, then replay again up to the last one.
+    /// watchpoint or catchpoint hit (the stops a user would have made
+    /// going forward) before the current cycle. The window's one replay
+    /// pass keeps a snapshot (machine fork and recorded half) of the
+    /// latest hit and lands on it. The snapshot holds the catchpoints the
+    /// replay reaped up to the hit, so it is installed without adopting
+    /// the live ones, which the rest of the window reaped too.
     pub fn reverse_continue(&mut self) -> CmdResult<Stop> {
-        let origin = self.sys.clock();
-        // Replays reap temporary catchpoints as they fire; both counting
-        // passes must start from the same set or the hit counts drift.
-        let saved_catch = self.model.catchpoints.clone();
-        let saved_next = self.model.next_catch_id();
-        let mut window_hi = origin;
-        while let Some(cp) = self.tt_mgr()?.nearest_strictly_before(window_hi) {
-            self.model.set_catchpoints(saved_catch.clone(), saved_next);
-            let cp_clock = self.restart(cp)?;
-            // Pass 1: count reversible hits strictly inside the window.
-            let mut hits = 0u64;
-            while self.sys.clock() < window_hi {
-                let s = self.run(window_hi - self.sys.clock());
-                if Self::reversible_stop(&s) && self.sys.clock() < window_hi {
-                    hits += 1;
-                }
-            }
-            if hits > 0 {
-                // Pass 2: replay to the last hit.
-                self.model.set_catchpoints(saved_catch.clone(), saved_next);
-                self.restart(cp)?;
-                let mut n = 0u64;
-                while self.sys.clock() <= window_hi {
-                    let budget = (window_hi - self.sys.clock()).max(1);
-                    let s = self.run(budget);
-                    if Self::reversible_stop(&s) {
-                        n += 1;
-                        if n == hits {
-                            self.note_focus(&s);
-                            return Ok(s);
-                        }
+        let landing = self.seek_back(
+            |_| true,
+            |s, hi| {
+                let mut last = None;
+                while s.sys.clock() < hi {
+                    let stop = s.replay_run(hi, hi);
+                    let hit = matches!(
+                        stop,
+                        Stop::Breakpoint { .. } | Stop::Watchpoint { .. } | Stop::Dataflow(_)
+                    );
+                    if hit && s.sys.clock() < hi {
+                        let recorded = (s.model.clone(), s.run.clone());
+                        last = Some((stop, s.focus, s.sys.fork(), recorded));
                     }
                 }
-                return Err("replay diverged while rewinding (see `replay findings`)".into());
-            }
-            window_hi = cp_clock;
-        }
-        // No recorded hit anywhere before `origin`: put the user back.
-        self.model.set_catchpoints(saved_catch, saved_next);
-        self.goto_cycle(origin)?;
-        Err("no earlier breakpoint, watchpoint or catchpoint hit in recorded history".into())
+                last
+            },
+        )?;
+        let (stop, focus, sys, recorded) = landing
+            .ok_or("no earlier breakpoint, watchpoint or catchpoint hit in recorded history")?;
+        self.install(sys, recorded);
+        self.focus = focus;
+        Ok(stop)
     }
 
-    /// Drive the replay forward by exactly one cycle, swallowing stops.
-    fn replay_one_cycle(&mut self) {
-        let c = self.sys.clock();
-        while self.sys.clock() == c {
-            let _ = self.run(1);
-        }
+    /// Land on the latest earlier cycle at which `at` holds, sampling
+    /// every cycle of each window (a stop popped without a step samples
+    /// its cycle again); only windows whose start passes `may_land` are
+    /// replayed. `none` is the error when no cycle does.
+    fn reverse_to(
+        &mut self,
+        pe: PeId,
+        none: &str,
+        may_land: impl Fn(&System) -> bool,
+        at: impl Fn(&Self) -> bool,
+    ) -> CmdResult<Stop> {
+        let found = self.seek_back(may_land, |s, hi| {
+            let mut last = None;
+            while s.sys.clock() < hi {
+                let clock = s.sys.clock();
+                if at(s) {
+                    last = Some(clock);
+                }
+                s.replay_run(clock + 1, hi);
+            }
+            last
+        })?;
+        self.goto_cycle(found.ok_or(none)?)?;
+        self.focus = Some(pe);
+        Ok(Stop::StepDone { pe })
     }
 
     /// `reverse-stepi` — undo one machine instruction on the focused PE.
+    /// A PE retires at most one instruction per cycle, so that is the
+    /// last cycle at which it had retired fewer than it has now.
     pub fn reverse_stepi(&mut self) -> CmdResult<Stop> {
         let pe = self.focused()?;
-        let now = self.sys.clock();
-        let r_now = self.sys.platform.pes[pe.index()].retired;
-        let cp = {
-            let mgr = self.tt_mgr()?;
-            let mut cand = None;
-            for info in mgr.checkpoints() {
-                if info.clock > now {
-                    break;
-                }
-                let c = mgr.get(info.id).expect("listed checkpoint");
-                if c.sys.platform.pes[pe.index()].retired < r_now {
-                    cand = Some(info.id);
-                }
-            }
-            cand.ok_or("already at the beginning of recorded history")?
-        };
-        self.restart(cp)?;
-        // A PE retires at most one instruction per cycle: walk forward to
-        // the cycle whose step brought `retired` up to the current count,
-        // then land just before it.
-        while self.sys.platform.pes[pe.index()].retired < r_now {
-            if self.sys.clock() >= now {
-                return Err("replay diverged while rewinding (see `replay findings`)".into());
-            }
-            self.replay_one_cycle();
-        }
-        let t_hit = self.sys.clock() - 1;
-        self.goto_cycle(t_hit)?;
-        self.focus = Some(pe);
-        Ok(Stop::StepDone { pe })
+        let retired = |s: &System| s.platform.pes[pe.index()].retired;
+        let now = retired(&self.sys);
+        self.reverse_to(
+            pe,
+            "already at the beginning of recorded history",
+            |s| retired(s) < now,
+            |s| retired(&s.sys) < now,
+        )
     }
 
     /// `reverse-step` / `reverse-next` — run backwards to the previous
@@ -1688,32 +1779,18 @@ impl Session {
     /// descend into deeper frames, like `next`).
     fn reverse_line_step(&mut self, step_over: bool) -> CmdResult<Stop> {
         let pe = self.focused()?;
-        let origin = self.sys.clock();
         let now_line = self.current_line(pe);
-        let now_depth = self.sys.platform.pes[pe.index()].frame_depth();
-        let mut window_hi = origin;
-        while let Some(cp) = self.tt_mgr()?.nearest_strictly_before(window_hi) {
-            let cp_clock = self.restart(cp)?;
-            // Sample (line, depth) of the focused PE at every cycle of the
-            // window; the last differing line is where we land.
-            let mut best: Option<u64> = None;
-            while self.sys.clock() < window_hi {
-                let line = self.current_line(pe);
-                let depth = self.sys.platform.pes[pe.index()].frame_depth();
-                if line.is_some() && line != now_line && (!step_over || depth <= now_depth) {
-                    best = Some(self.sys.clock());
-                }
-                self.replay_one_cycle();
-            }
-            if let Some(c) = best {
-                self.goto_cycle(c)?;
-                self.focus = Some(pe);
-                return Ok(Stop::StepDone { pe });
-            }
-            window_hi = cp_clock;
-        }
-        self.goto_cycle(origin)?;
-        Err("no earlier source line in recorded history".into())
+        let depth = |s: &Self| s.sys.platform.pes[pe.index()].frame_depth();
+        let now_depth = depth(self);
+        self.reverse_to(
+            pe,
+            "no earlier source line in recorded history",
+            |_| true,
+            |s| {
+                let line = s.current_line(pe);
+                line.is_some() && line != now_line && (!step_over || depth(s) <= now_depth)
+            },
+        )
     }
 
     pub fn reverse_step(&mut self) -> CmdResult<Stop> {
@@ -1788,6 +1865,11 @@ impl Session {
             ),
             None => (0, 0),
         }
+    }
+
+    /// How many replay anchors the session holds (at most 2).
+    pub fn replay_anchors(&self) -> usize {
+        self.anchors.len()
     }
 
     /// `(live, distinct)` chunks of recorded token and timeline storage:
@@ -1920,10 +2002,10 @@ impl Session {
     }
 
     /// The execution-altering commands (§III: token inject/set/drop)
-    /// change the timeline: checkpoints recorded after this point describe
-    /// a history that no longer exists. Drop them and re-anchor at the
-    /// mutated state so restores and replays at or after the mutation stay
-    /// exact. Replays *crossing* the mutation from an earlier checkpoint
+    /// change the timeline: checkpoints and replay anchors recorded from
+    /// this cycle on describe a history that no longer exists. Drop them
+    /// and re-anchor at the mutated state so restores and replays at or
+    /// after the mutation stay exact. Replays *crossing* the mutation from an earlier checkpoint
     /// legitimately report REPLAY501 — the timeline really did change.
     fn note_history_mutation(&mut self) {
         let Some(mut mgr) = self.tt.take() else {
@@ -1931,6 +2013,7 @@ impl Session {
         };
         let clock = self.sys.clock();
         self.horizon = clock;
+        self.anchors.retain(|(s, _)| s.clock() < clock);
         mgr.invalidate_after(clock.saturating_sub(1));
         mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone()));
         self.tt = Some(mgr);

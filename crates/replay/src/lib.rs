@@ -42,6 +42,12 @@ use pedf::System;
 
 pub const RULE_DIVERGENCE: &str = "REPLAY501";
 
+/// The default checkpoint interval, in cycles: what every interactive
+/// front end records with and what `checkpoint` starts with. Cheap
+/// enough to leave on (EXPERIMENTS.md E6); the debugger's replay anchors
+/// bound how much of an interval a reverse command replays.
+pub const CHECKPOINT_INTERVAL: u64 = 10_000;
+
 // ---- hashing ---------------------------------------------------------------
 
 /// FNV-1a 64-bit, as a [`std::hash::Hasher`]. `DefaultHasher` is not
@@ -161,6 +167,17 @@ pub fn full_state_hash(sys: &System) -> u64 {
 
 // ---- checkpoints -----------------------------------------------------------
 
+/// Replace the live machine with `recorded`, a fork taken earlier on this
+/// timeline (a checkpoint's, or any other the client kept), carrying over
+/// the installed watches and the environment's recordings (see the module
+/// docs). The recorded machine keeps its dirty-page set, so a replay from
+/// it regenerates the dirty sets the chain's boundaries were hashed over.
+pub fn restore_machine(live: &mut System, mut recorded: System) {
+    recorded.platform.mem.adopt_watches(&mut live.platform.mem);
+    recorded.runtime.adopt_environment(&mut live.runtime);
+    *live = recorded;
+}
+
 /// One checkpoint: a fork of the machine + the chained hash at this
 /// boundary + a client payload (the debugger stores its recorded half
 /// there: its model and run-loop state, copy-on-write like the machine).
@@ -244,6 +261,11 @@ impl<X> CheckpointManager<X> {
 
     pub fn get(&self, id: u32) -> Option<&Checkpoint<X>> {
         self.checkpoints.iter().find(|c| c.id == id)
+    }
+
+    /// Every checkpoint of the chain, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &Checkpoint<X>> {
+        self.checkpoints.iter()
     }
 
     fn last_clock(&self) -> u64 {
@@ -347,10 +369,7 @@ impl<X> CheckpointManager<X> {
     /// them.
     pub fn restore(&self, sys: &mut System, id: u32) -> Option<&Checkpoint<X>> {
         let cp = self.get(id)?;
-        let mut restored = cp.sys.clone();
-        restored.platform.mem.adopt_watches(&mut sys.platform.mem);
-        restored.runtime.adopt_environment(&mut sys.runtime);
-        *sys = restored;
+        restore_machine(sys, cp.sys.clone());
         Some(cp)
     }
 
@@ -491,6 +510,29 @@ mod tests {
         mgr.restore(&mut sys, cp1).unwrap();
         sys.run(100);
         mgr.verify_boundary(&mut sys, 200);
+        assert!(mgr.findings().is_empty(), "{:?}", mgr.findings());
+    }
+
+    /// A fork taken mid-interval keeps the interval's dirty pages, so a
+    /// replay restored from it still verifies the next boundary (the
+    /// debugger's replay anchors rely on this).
+    #[test]
+    fn a_fork_taken_mid_interval_verifies_the_next_boundary() {
+        let mut sys = counter_system();
+        let mut mgr: CheckpointManager<()> = CheckpointManager::new(100);
+        mgr.baseline(&mut sys, ());
+        sys.run(20);
+        // A page only the first part of the interval writes.
+        sys.platform.mem.poke(L3_BASE, 7).unwrap();
+        sys.run(20);
+        let mid = sys.fork();
+        sys.run(60);
+        mgr.checkpoint_at(&mut sys, ());
+
+        restore_machine(&mut sys, mid);
+        assert_eq!(sys.clock(), 40);
+        sys.run(60);
+        mgr.verify_boundary(&mut sys, 100);
         assert!(mgr.findings().is_empty(), "{:?}", mgr.findings());
     }
 

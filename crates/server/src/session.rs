@@ -14,10 +14,9 @@ use h264_pipeline::{attach_env, build_decoder, decoder_sources, Bug, CompiledApp
 use p2012::PlatformConfig;
 use sched;
 
-/// Auto-checkpoint interval used by every interactive front end: cheap
-/// enough to be invisible (EXPERIMENTS.md E6), close enough that reverse
-/// execution replays at most this many cycles.
-pub const CHECKPOINT_INTERVAL: u64 = 10_000;
+/// Auto-checkpoint interval used by every interactive front end: the
+/// replay engine's default (`replay::CHECKPOINT_INTERVAL`).
+pub use dfdbg::CHECKPOINT_INTERVAL;
 
 /// Default macroblock count when a front end does not specify one.
 pub const DEFAULT_N_MBS: u64 = 32;

@@ -8,7 +8,7 @@
 //! token — finally asking `token origin` for the producing source line.
 
 use dfdbg::cli::Cli;
-use dfdbg::{DfStop, Session, Stop};
+use dfdbg::{CatchCond, DfStop, Session, Stop};
 use h264_pipeline::{build_decoder, Bug};
 use p2012::PlatformConfig;
 
@@ -482,4 +482,195 @@ fn checkpoints_share_recorded_history() {
         distinct <= live + C * checkpoints,
         "{distinct} distinct chunks > {live} live + {C} x {checkpoints} checkpoints"
     );
+}
+
+// ---- replay anchors ------------------------------------------------------------
+
+/// Checkpoint interval of the anchor tests: replays lay anchors every
+/// 500 cycles, and `pipe::mc_in` receives every 285.
+const ANCHOR_INTERVAL: u64 = 5_000;
+const ANCHOR_SPACING: u64 = ANCHOR_INTERVAL / 10;
+const ANCHOR_MBS: u64 = 64;
+
+/// The periodic checkpoints' cycles, read from `info checkpoints`.
+fn checkpoint_cycles(s: &Session) -> Vec<u64> {
+    let info = s.checkpoints_info().unwrap();
+    info.lines()
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().nth(1)?.parse().ok())
+        .collect()
+}
+
+fn catch_ids(s: &Session) -> Vec<u32> {
+    s.model.catchpoints.iter().map(|c| c.id).collect()
+}
+
+/// What a landing is compared on beside its cycle and stop text: the
+/// machine (state hash) and the debugger's model (`info links`).
+fn state_of(s: &Session) -> (u64, String) {
+    (s.state_hash(), s.info_links())
+}
+
+type Landing = (u64, String, (u64, String));
+
+/// A forward run without time travel under `catch recv pipe::mc_in`:
+/// `(cycle, describe, state)` at every stop, and the state at each of
+/// `targets` (ascending).
+fn forward_reference(targets: &[u64]) -> (Vec<Landing>, Vec<(u64, String)>) {
+    let mut s = session_with(Bug::None, ANCHOR_MBS, 0xbeef);
+    s.catch_iface_receive("pipe::mc_in").unwrap();
+    let (mut stops, mut states) = (Vec::new(), Vec::new());
+    let mut next = targets.iter().peekable();
+    loop {
+        let budget = next.peek().map_or(10_000_000, |t| **t - s.sys.clock());
+        match s.run(budget) {
+            Stop::Quiescent => break,
+            Stop::CycleLimit => {}
+            stop @ Stop::Dataflow(_) => {
+                stops.push((s.sys.clock(), s.describe(&stop), state_of(&s)))
+            }
+            other => panic!("forward run stopped with {other:?}"),
+        }
+        if next.peek() == Some(&&s.sys.clock()) {
+            states.push(state_of(&s));
+            next.next();
+        }
+    }
+    assert!(
+        next.peek().is_none(),
+        "the program ended before every target"
+    );
+    (stops, states)
+}
+
+/// Seeded `goto T` / `reverse-continue` pairs on a recorded decoder land
+/// exactly where a forward run without time travel was: same cycle, same
+/// stop text, same state hash and `info links`. The targets cover seeded
+/// cycles, two targets in one checkpoint window, targets right after a
+/// checkpoint (before any anchor of their window), a stop cycle whose
+/// previous stop lies in an earlier window, and temporary catchpoints
+/// that fire inside the replayed window, at and after the landing.
+/// Anchors never show in `info checkpoints`, never break the hash chain,
+/// and there are never more than two.
+#[test]
+fn anchored_replays_land_where_the_forward_run_stopped() {
+    let mut s = session_with(Bug::None, ANCHOR_MBS, 0xbeef);
+    s.enable_time_travel(ANCHOR_INTERVAL);
+    s.catch_iface_receive("pipe::mc_in").unwrap();
+    let mut recorded = Vec::new();
+    loop {
+        match s.run(10_000_000) {
+            stop @ Stop::Dataflow(_) => {
+                recorded.push((s.sys.clock(), s.describe(&stop), state_of(&s)));
+            }
+            Stop::Quiescent => break,
+            other => panic!("recording stopped with {other:?}"),
+        }
+    }
+    let end = s.sys.clock();
+    let checkpoints = checkpoint_cycles(&s);
+    let info_before = s.checkpoints_info().unwrap();
+    // Recording must not change what a forward run sees. The targets
+    // need the stop cycles, and the reference states need the targets.
+    let (fwd_stops, _) = forward_reference(&[]);
+    assert!(recorded == fwd_stops, "recording changed the stops");
+    assert!(
+        checkpoints.len() > 3 && fwd_stops.len() > 20,
+        "{checkpoints:?}"
+    );
+
+    let stop_cycles: Vec<u64> = fwd_stops.iter().map(|s| s.0).collect();
+    let mut rng = proptest::TestRng::seeded(0xbeef);
+    let first = stop_cycles[0];
+    let mut targets: Vec<u64> = (0..12)
+        .map(|_| first + 1 + rng.below(end - first))
+        .collect();
+    let same_window = checkpoints[3] + 500;
+    targets.extend([same_window, same_window + 37]);
+    targets.extend(checkpoints.iter().skip(1).map(|c| c + 1));
+    let crossing = stop_cycles
+        .windows(2)
+        .find(|w| checkpoints.iter().any(|c| w[0] < *c && *c < w[1]))
+        .expect("a checkpoint between two stops")[1];
+    targets.push(crossing);
+    // The temporary catchpoints' pair comes last (one stays installed).
+    // Its target is a stop whose previous stop lies after the last anchor
+    // slot before it, so `reverse-continue` lands in the first window.
+    let temp_target = stop_cycles
+        .windows(2)
+        .find(|w| w[0] >= (w[1] - 1) / ANCHOR_SPACING * ANCHOR_SPACING)
+        .expect("two stops between two anchor slots")[1];
+    targets.push(temp_target);
+    let mut sorted = targets.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let (_, fwd_states) = forward_reference(&sorted);
+    let state_at = |t: u64| &fwd_states[sorted.binary_search(&t).unwrap()];
+
+    let mc_in = s.conn_named("pipe::mc_in").unwrap();
+    let mut cli = Cli::new(s);
+    for t in targets {
+        assert_eq!(cli.exec(&format!("goto {t}")), format!("At cycle {t}"));
+        assert_eq!(&state_of(&cli.session), state_at(t), "goto {t}");
+        let mut temps = None;
+        if t == temp_target {
+            // Two temporary catchpoints: one fires at the landing, so it is
+            // gone there; one fires only at `t`, after the landing, where
+            // the replay of the window reaps it, so the landing holds it.
+            let count = cli.session.model.conns[mc_in.0 as usize].total;
+            let model = &mut cli.session.model;
+            let at_t = model.add_catch(CatchCond::TotalCount { conn: mc_in, count }, true);
+            let at_landing = model.add_catch(CatchCond::TokenReceivedOn { conn: mc_in }, true);
+            temps = Some((at_t, at_landing));
+        }
+        let out = cli.exec("reverse-continue");
+        let want = fwd_stops.iter().rev().find(|s| s.0 < t).unwrap();
+        let got = (cli.session.sys.clock(), out, state_of(&cli.session));
+        assert_eq!(&got, want, "reverse-continue from {t}");
+        if let Some((at_t, at_landing)) = temps {
+            let ids = catch_ids(&cli.session);
+            assert!(ids.contains(&at_t) && !ids.contains(&at_landing), "{ids:?}");
+        }
+        assert!(cli.session.replay_anchors() <= 2);
+    }
+    assert!(cli.session.replay_anchors() > 0, "no anchor was laid");
+    assert_eq!(cli.session.fork().replay_anchors(), 0, "a fork starts bare");
+    assert!(
+        cli.session.replay_findings().is_empty(),
+        "{:?}",
+        cli.session.replay_findings()
+    );
+    assert_eq!(cli.session.checkpoints_info().unwrap(), info_before);
+}
+
+/// `token inject` changes the timeline: an anchor laid after the
+/// injection's cycle describes a history that no longer exists, so a
+/// later `goto` must not restore it. Visiting `T1` before going back to
+/// `T0 < T1` and injecting must leave `goto T1` where the same steps
+/// without the first visit leave it.
+#[test]
+fn history_mutation_drops_the_anchors_after_it() {
+    let script = |visit_first: bool| {
+        let mut s = session_with(Bug::None, ANCHOR_MBS, 0xbeef);
+        s.enable_time_travel(ANCHOR_INTERVAL);
+        run_to_terminal(&mut s);
+        let c = checkpoint_cycles(&s);
+        // No anchor slot lies between c[1] and t0, so `goto t0` lays
+        // none and the ring still holds the anchors near t1.
+        let (t0, t1) = (c[1] + 1, c[2] + 1_234);
+        let mut cli = Cli::new(s);
+        let goto = |cli: &mut Cli, t: u64| {
+            assert_eq!(cli.exec(&format!("goto {t}")), format!("At cycle {t}"));
+        };
+        if visit_first {
+            goto(&mut cli, t1);
+            assert_eq!(cli.session.replay_anchors(), 2);
+        }
+        goto(&mut cli, t0);
+        let out = cli.exec("token inject red::red_ipred_out 42");
+        assert!(!out.starts_with("error"), "{out}");
+        goto(&mut cli, t1);
+        (cli.session.state_hash(), cli.exec("info links"))
+    };
+    assert_eq!(script(true), script(false));
 }
