@@ -553,6 +553,11 @@ impl TrapHandler for Polling<'_> {
 /// Cycles between two full-state comparisons in [`check_parking`].
 const PARKING_HASH_EVERY: u64 = 1_000;
 
+/// Cycles a run stands deadlocked before [`check_parking_untied`] injects
+/// its token, and how many times it unties the same wedge.
+const UNTIE_AFTER: u32 = 50;
+const UNTIE_TIMES: u32 = 3;
+
 /// D7: step two copies of `sys` in lockstep, one parking its blocked PEs
 /// and one polling them through [`Polling`]. Every cycle's `CycleReport`
 /// must agree, and so must the full state hash every
@@ -561,8 +566,23 @@ const PARKING_HASH_EVERY: u64 = 1_000;
 /// 1,000 cycles of deadlock, or after `max_cycles`. Returns the number of
 /// cycles compared.
 pub fn check_parking(sys: &pedf::System, max_cycles: u64) -> Result<u64, Divergence> {
+    check_parking_untied(sys, max_cycles, None)
+}
+
+/// [`check_parking`] with the debugger's hand on a FIFO: when `untie`
+/// names a link, every time the parked run has stood deadlocked for
+/// [`UNTIE_AFTER`] cycles (at most [`UNTIE_TIMES`] times) both copies get
+/// the same token injected onto it from outside the stepper, as `token
+/// inject` does, and the comparison goes on. A stepper that misses the
+/// wake such a mutation owes a parked PE diverges here.
+pub fn check_parking_untied(
+    sys: &pedf::System,
+    max_cycles: u64,
+    untie: Option<pedf::LinkId>,
+) -> Result<u64, Divergence> {
     let (mut parked, mut polled) = (sys.clone(), sys.clone());
     let mut stuck = 0u32;
+    let mut untied = 0u32;
     let mut cycles = 0;
     while cycles < max_cycles {
         let clock = parked.clock();
@@ -582,6 +602,13 @@ pub fn check_parking(sys: &pedf::System, max_cycles: u64) -> Result<u64, Diverge
         } else {
             0
         };
+        if let Some(link) = untie.filter(|_| stuck == UNTIE_AFTER && untied < UNTIE_TIMES) {
+            for s in [&mut parked, &mut polled] {
+                inject_filler(s, link)?;
+            }
+            untied += 1;
+            stuck = 0;
+        }
         if parked.platform.is_quiescent() || stuck > 1_000 {
             break;
         }
@@ -590,7 +617,27 @@ pub fn check_parking(sys: &pedf::System, max_cycles: u64) -> Result<u64, Diverge
         }
     }
     same_state(&parked, &polled)?;
+    if untie.is_some() && untied == 0 {
+        return Err(Divergence::new(
+            "D7",
+            "the run never wedged, so nothing was injected".to_string(),
+        ));
+    }
     Ok(cycles)
+}
+
+/// `token inject` of an all-42 token of the link's type.
+fn inject_filler(sys: &mut pedf::System, link: pedf::LinkId) -> Result<(), Divergence> {
+    let rt = &mut sys.runtime;
+    let ty = rt.graph.conn(rt.graph.link(link).from).ty;
+    let words = vec![42; rt.types.size_words(ty) as usize];
+    rt.inject_token(
+        &mut sys.platform.mem,
+        link,
+        &debuginfo::Value::record(ty, words),
+    )
+    .map(|_| ())
+    .map_err(|e| Divergence::new("D7", format!("token inject: {e}")))
 }
 
 fn same_state(parked: &pedf::System, polled: &pedf::System) -> Result<(), Divergence> {
