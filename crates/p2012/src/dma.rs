@@ -51,6 +51,8 @@ pub struct DmaEngine {
     next_id: u32,
     /// Total words copied, for the platform-throughput benchmark.
     pub words_copied: u64,
+    /// Transfers still in flight: derived from `transfers`, not hashed.
+    in_flight: usize,
 }
 
 impl DmaEngine {
@@ -61,6 +63,7 @@ impl DmaEngine {
             transfers: Vec::new(),
             next_id: 0,
             words_copied: 0,
+            in_flight: 0,
         }
     }
 
@@ -74,6 +77,7 @@ impl DmaEngine {
             copied: 0,
             state: DmaStatus::InFlight { remaining: req.len },
         });
+        self.in_flight += 1;
         id
     }
 
@@ -92,10 +96,7 @@ impl DmaEngine {
 
     /// Number of transfers still in flight.
     pub fn in_flight(&self) -> usize {
-        self.transfers
-            .iter()
-            .filter(|t| matches!(t.state, DmaStatus::InFlight { .. }))
-            .count()
+        self.in_flight
     }
 
     /// Feed the engine's state (including every queued transfer) to a
@@ -139,10 +140,12 @@ impl DmaEngine {
                 self.words_copied += 1;
             }
             if matches!(t.state, DmaStatus::Faulted(_)) {
+                self.in_flight -= 1;
                 continue;
             }
             t.copied += budget;
             t.state = if t.copied == t.req.len {
+                self.in_flight -= 1;
                 DmaStatus::Done
             } else {
                 DmaStatus::InFlight {

@@ -34,7 +34,9 @@ pub use isa::{Insn, Program, ProgramBuilder};
 pub use memory::{
     MemError, Memory, MemoryMap, PageId, PageView, Region, WatchHit, WatchKind, PAGE_WORDS,
 };
-pub use platform::{ClusterId, CycleReport, PeClass, PeId, Platform, PlatformConfig};
+pub use platform::{
+    ClusterId, CycleReport, MachineWork, PeClass, PeId, PeSet, Platform, PlatformConfig,
+};
 pub use trap::{NullHandler, TrapCtx, TrapHandler, TrapResult};
 pub use vm::{
     hash_debug, BlockReason, Frame, PeState, PeStatus, StepEvent, VmFault, MAX_CALL_DEPTH,

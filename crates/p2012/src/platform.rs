@@ -11,12 +11,24 @@
 //! program and inputs therefore always produce the same interleaving, which
 //! is what makes the paper's breakpoint-heavy debugging non-intrusive.
 //!
-//! Like a sleeping SystemC thread, a PE that cannot act costs next to
-//! nothing: [`Platform::step_cycle`] settles idle, halted, faulted,
-//! stalled and parked PEs in their slot, and steps running PEs in place.
-//! A PE leaves its slot only while the [`TrapHandler`] serves it (a trap,
-//! a finished task, or an unparked blocked PE), so the handler's view of
-//! the other PEs never aliases the one it serves.
+//! Like a sleeping SystemC thread, a PE that cannot act costs nothing: a
+//! cycle visits only the *active* PEs (running ones, and blocked ones the
+//! handler has not parked), in index order. Idle and halted PEs are not
+//! visited; faulted and parked ones are counted in bulk, so every
+//! [`CycleReport`] reads as if each PE had been visited. A parked PE
+//! rejoins the loop when the handler wakes it ([`TrapCtx::wake`],
+//! [`TrapCtx::wake_blocked_on`]) or when the platform does (a DMA retire,
+//! [`Platform::wake_all`]). A PE leaves its slot only while the
+//! [`TrapHandler`] serves it (a trap, a finished task, or a woken blocked
+//! PE), so the handler's view of the other PEs never aliases the one it
+//! serves.
+//!
+//! The visit and park sets, the status counts behind
+//! [`Platform::is_quiescent`] and friends, and the set of PEs the last
+//! cycle touched ([`Platform::touched`]) are derived state: they follow
+//! the PE statuses, stay out of [`Platform::hash_state`], and are cloned
+//! and forked with the machine. Code that writes `pes[i].status` directly
+//! calls [`Platform::resync`] afterwards.
 
 use debuginfo::{CodeAddr, Word};
 
@@ -24,7 +36,7 @@ use crate::dma::DmaEngine;
 use crate::isa::Program;
 use crate::memory::{Memory, MemoryMap};
 use crate::trap::{TrapCtx, TrapHandler, TrapResult};
-use crate::vm::{PeState, PeStatus, StepEvent, VmFault};
+use crate::vm::{BlockReason, PeState, PeStatus, StepEvent, VmFault};
 
 /// Index of a processing element (global, across clusters; the host is the
 /// last id).
@@ -121,6 +133,208 @@ impl CycleReport {
     }
 }
 
+/// A set of PEs: one bit per PE, iterated in index order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PeSet {
+    words: Vec<u64>,
+}
+
+impl PeSet {
+    /// An empty set with room for `n` PEs.
+    pub fn with_capacity(n: usize) -> Self {
+        PeSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Add `i`; true when it was not a member.
+    pub fn insert(&mut self, i: usize) -> bool {
+        let (w, b) = (i / 64, 1u64 << (i % 64));
+        let was = self.words[w] & b != 0;
+        self.words[w] |= b;
+        !was
+    }
+
+    /// Remove `i`; true when it was a member.
+    pub fn remove(&mut self, i: usize) -> bool {
+        let (w, b) = (i / 64, 1u64 << (i % 64));
+        let was = self.words[w] & b != 0;
+        self.words[w] &= !b;
+        was
+    }
+
+    pub fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+    }
+
+    pub fn clear(&mut self) {
+        self.words.iter_mut().for_each(|w| *w = 0);
+    }
+
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The smallest member at or after `from`.
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.words.get(w)? & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+    }
+
+    /// The members, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = PeId> + '_ {
+        let mut next = 0;
+        std::iter::from_fn(move || {
+            let i = self.next_from(next)?;
+            next = i + 1;
+            Some(PeId(i as u16))
+        })
+    }
+}
+
+/// Deterministic counts of the scheduling work the machine did, for the
+/// benchmarks: how often a parked PE was woken, how often the handler was
+/// asked whether a woken PE still waits, and how many traps reached it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MachineWork {
+    pub wakeups: u64,
+    pub probes: u64,
+    pub dispatches: u64,
+}
+
+/// Where a PE status counts: the classes the quiescence checks read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Running,
+    Blocked,
+    Faulted,
+    Rest,
+}
+
+fn class(status: PeStatus) -> Class {
+    match status {
+        PeStatus::Running => Class::Running,
+        PeStatus::Blocked(_) => Class::Blocked,
+        PeStatus::Faulted(_) => Class::Faulted,
+        PeStatus::Idle | PeStatus::Halted => Class::Rest,
+    }
+}
+
+/// The platform's derived scheduling state (see the module docs): which
+/// PEs a cycle visits, which sleep until a wake, which the last cycle
+/// touched, and the status counts. Rebuilt from the statuses by
+/// [`Platform::resync`]; never hashed.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Sched {
+    /// Running PEs and blocked PEs that are not parked.
+    active: PeSet,
+    /// Blocked PEs the handler promised to wake ([`TrapHandler::parks`]).
+    parked: PeSet,
+    /// Woken PEs whose wait the handler is asked about before a dispatch.
+    woken: PeSet,
+    /// PEs that executed, trapped, completed, faulted or were invoked in
+    /// the last cycle.
+    touched: PeSet,
+    running: u32,
+    blocked: u32,
+    faulted: u32,
+    /// The PE whose slot is being served; `usize::MAX` outside the loop.
+    cursor: usize,
+    /// PEs parked when the loop began and woken before their slot.
+    woken_ahead: u32,
+    work: MachineWork,
+}
+
+impl Sched {
+    fn new(n: usize) -> Self {
+        Sched {
+            active: PeSet::with_capacity(n),
+            parked: PeSet::with_capacity(n),
+            woken: PeSet::with_capacity(n),
+            touched: PeSet::with_capacity(n),
+            cursor: usize::MAX,
+            ..Sched::default()
+        }
+    }
+
+    fn count(&mut self, c: Class, delta: i32) {
+        let n = match c {
+            Class::Running => &mut self.running,
+            Class::Blocked => &mut self.blocked,
+            Class::Faulted => &mut self.faulted,
+            Class::Rest => return,
+        };
+        *n = n.wrapping_add_signed(delta);
+    }
+
+    /// `pe`'s status went from `from` to `to`.
+    fn moved(&mut self, pe: usize, from: PeStatus, to: PeStatus) {
+        let (a, b) = (class(from), class(to));
+        if a != b {
+            self.count(a, -1);
+            self.count(b, 1);
+        }
+        if matches!(b, Class::Running | Class::Blocked) {
+            self.active.insert(pe);
+        } else {
+            self.active.remove(pe);
+        }
+    }
+
+    /// An idle PE was handed a task.
+    pub(crate) fn invoked(&mut self, pe: usize, from: PeStatus) {
+        self.moved(pe, from, PeStatus::Running);
+        self.touched.insert(pe);
+    }
+
+    /// Put a parked PE back in the loop; its handler is asked once more
+    /// whether it still waits before its trap is dispatched.
+    pub(crate) fn wake(&mut self, pe: usize) {
+        if self.parked.remove(pe) {
+            self.active.insert(pe);
+            self.woken.insert(pe);
+            self.work.wakeups += 1;
+            if self.cursor != usize::MAX && pe > self.cursor {
+                self.woken_ahead += 1;
+            }
+        }
+    }
+
+    /// Wake every parked PE whose status satisfies `pred`.
+    pub(crate) fn wake_where(&mut self, pes: &[PeState], pred: impl Fn(BlockReason) -> bool) {
+        let mut next = 0;
+        while let Some(i) = self.parked.next_from(next) {
+            next = i + 1;
+            if let PeStatus::Blocked(r) = pes[i].status {
+                if pred(r) {
+                    self.wake(i);
+                }
+            }
+        }
+    }
+
+    pub(crate) fn wake_all(&mut self) {
+        let mut next = 0;
+        while let Some(i) = self.parked.next_from(next) {
+            next = i + 1;
+            self.wake(i);
+        }
+    }
+}
+
 /// The simulated machine.
 #[derive(Debug, Clone)]
 pub struct Platform {
@@ -131,6 +345,7 @@ pub struct Platform {
     pub dma: Vec<DmaEngine>,
     pub program: Program,
     pub clock: u64,
+    sched: Sched,
 }
 
 impl Platform {
@@ -168,6 +383,7 @@ impl Platform {
         Platform {
             mem: Memory::new(config.mem.clone()),
             pes,
+            sched: Sched::new(infos.len()),
             infos,
             dma,
             program: Program::default(),
@@ -213,12 +429,15 @@ impl Platform {
 
     /// Start a task on an idle PE from outside a trap (initial boot).
     pub fn invoke(&mut self, pe: PeId, addr: CodeAddr, args: &[Word]) {
+        let from = self.pes[pe.index()].status;
         self.pes[pe.index()].invoke(addr, args);
+        self.sched.invoked(pe.index(), from);
     }
 
     /// Advance the whole machine by one cycle.
     pub fn step_cycle(&mut self, handler: &mut dyn TrapHandler) -> CycleReport {
         let mut report = CycleReport::default();
+        self.sched.touched.clear();
 
         handler.on_cycle(&mut self.trap_ctx());
         // DMA-completion ordering is a scheduler choice point: when two or
@@ -226,7 +445,7 @@ impl Platform {
         // first (rotation over the active set). The default answer keeps
         // the historical index order, and engines with nothing in flight
         // never observe the rotation (their step is a no-op).
-        let n_active = self.dma.iter().filter(|d| d.in_flight() > 0).count();
+        let n_active = self.dma_active();
         if n_active > 0 {
             let r = if n_active >= 2 {
                 handler.choose_dma_order(n_active as u32, self.clock) as usize % n_active
@@ -237,6 +456,7 @@ impl Platform {
             // engines from the `r`-th on, then the first `r`. A step
             // changes only its own engine, so those `r` are still active
             // and still first on the second pass.
+            let before: usize = self.dma.iter().map(DmaEngine::in_flight).sum();
             let mem = &mut self.mem;
             for d in self.dma.iter_mut().filter(|d| d.in_flight() > 0).skip(r) {
                 d.step(mem);
@@ -244,84 +464,137 @@ impl Platform {
             for d in self.dma.iter_mut().filter(|d| d.in_flight() > 0).take(r) {
                 d.step(mem);
             }
+            if self.dma.iter().map(DmaEngine::in_flight).sum::<usize>() < before {
+                let pes = &self.pes;
+                self.sched
+                    .wake_where(pes, |r| matches!(r, BlockReason::DmaWait { .. }));
+            }
         }
 
-        for i in 0..self.pes.len() {
-            let id = PeId(i as u16);
-            // Settle in place what needs no handler: idle, halted,
-            // faulted, stalled and parked PEs, and running PEs whose
-            // instruction retires without a trap. Only a trap, a finished
-            // task or an unparked blocked PE moves out of its slot, since
-            // the handler then sees the other PEs through `TrapCtx::pes`.
-            let pe = &mut self.pes[i];
-            let (tid, argc, retc) = match pe.status {
-                PeStatus::Idle | PeStatus::Halted => continue,
-                PeStatus::Faulted(_) => {
-                    report.faults += 1;
-                    continue;
-                }
-                PeStatus::Running if pe.stall > 0 => {
-                    pe.stall -= 1;
-                    continue;
-                }
-                PeStatus::Running => match pe.step(&self.program, &mut self.mem) {
-                    StepEvent::TrapPending { id, argc, retc } => (id, argc, retc),
-                    StepEvent::TaskComplete => {
-                        report.completions += 1;
-                        let mut pe = std::mem::take(&mut self.pes[i]);
-                        handler.on_task_complete(&mut self.trap_ctx(), id, &mut pe);
-                        self.pes[i] = pe;
-                        continue;
-                    }
-                    StepEvent::Executed | StepEvent::Called { .. } | StepEvent::Returned { .. } => {
-                        report.executed += 1;
-                        continue;
-                    }
-                    StepEvent::Fault(_) => {
-                        report.faults += 1;
-                        continue;
-                    }
-                    StepEvent::Stalled | StepEvent::Idle | StepEvent::Halted => continue,
-                },
-                PeStatus::Blocked(reason) => {
-                    // Parked: the handler vouches that a retry would block
-                    // again untouched, so the dispatch is skipped. It
-                    // still counts, which keeps every report identical to
-                    // polling.
-                    if handler.still_blocked(id, reason) {
-                        report.traps += 1;
-                        continue;
-                    }
-                    match pe.pending_trap(&self.program) {
-                        Some(trap) => trap,
-                        None => {
-                            // Blocked without a pending trap cannot happen
-                            // for well-formed runtimes; fault loudly
-                            // instead of spinning forever.
-                            pe.status =
-                                PeStatus::Faulted(VmFault::Runtime("blocked without pending trap"));
-                            report.faults += 1;
-                            continue;
-                        }
-                    }
-                }
-            };
-            report.traps += 1;
-            let mut pe = std::mem::take(&mut self.pes[i]);
-            self.dispatch_trap(handler, id, &mut pe, tid, argc, retc);
-            self.pes[i] = pe;
+        // Faulted and parked PEs are not visited; each still counts, as if
+        // it had been: a fault every cycle, a trap for every parked PE its
+        // slot passes (one woken ahead of its slot is visited instead).
+        report.faults = self.sched.faulted;
+        let parked = self.sched.parked.len() as u32;
+        self.sched.woken_ahead = 0;
+        let mut next = 0;
+        while let Some(i) = self.sched.active.next_from(next) {
+            self.sched.cursor = i;
+            self.slot(handler, i, &mut report);
+            next = i + 1;
         }
+        self.sched.cursor = usize::MAX;
+        report.traps += parked - self.sched.woken_ahead;
         self.clock += 1;
         report
     }
 
-    fn trap_ctx(&mut self) -> TrapCtx<'_> {
-        TrapCtx {
-            mem: &mut self.mem,
-            dma: &mut self.dma,
-            pes: &mut self.pes,
-            clock: self.clock,
+    /// Serve PE `i`'s slot: settle a stall in place, step a running PE,
+    /// and hand a trap, a finished task or a woken blocked PE to the
+    /// handler. Only a trap, a finished task or a dispatched blocked PE
+    /// moves out of its slot, since the handler then sees the other PEs
+    /// through `TrapCtx::pes`.
+    fn slot(&mut self, handler: &mut dyn TrapHandler, i: usize, report: &mut CycleReport) {
+        let id = PeId(i as u16);
+        let pe = &mut self.pes[i];
+        let from = pe.status;
+        let (tid, argc, retc) = match from {
+            PeStatus::Running if pe.stall > 0 => {
+                pe.stall -= 1;
+                return;
+            }
+            PeStatus::Running => match pe.step(&self.program, &mut self.mem) {
+                StepEvent::TrapPending { id, argc, retc } => (id, argc, retc),
+                StepEvent::TaskComplete => {
+                    report.completions += 1;
+                    let mut pe = std::mem::take(&mut self.pes[i]);
+                    handler.on_task_complete(&mut self.trap_ctx(), id, &mut pe);
+                    self.pes[i] = pe;
+                    self.settle(handler, i, from);
+                    return;
+                }
+                StepEvent::Executed | StepEvent::Called { .. } | StepEvent::Returned { .. } => {
+                    report.executed += 1;
+                    self.sched.touched.insert(i);
+                    return;
+                }
+                StepEvent::Fault(_) => {
+                    report.faults += 1;
+                    self.settle(handler, i, from);
+                    return;
+                }
+                StepEvent::Stalled | StepEvent::Idle | StepEvent::Halted => {
+                    self.settle(handler, i, from);
+                    return;
+                }
+            },
+            PeStatus::Blocked(reason) => {
+                // A woken PE: the handler may vouch that a retry would
+                // block again untouched, and then the PE parks again
+                // without a dispatch. It still counts, as every parked PE
+                // does.
+                if self.sched.woken.remove(i) {
+                    self.sched.work.probes += 1;
+                    if handler.still_blocked(id, reason) {
+                        self.sched.active.remove(i);
+                        self.sched.parked.insert(i);
+                        report.traps += 1;
+                        return;
+                    }
+                }
+                let pe = &mut self.pes[i];
+                match pe.pending_trap(&self.program) {
+                    Some(trap) => trap,
+                    None => {
+                        // Blocked without a pending trap cannot happen
+                        // for well-formed runtimes; fault loudly
+                        // instead of spinning forever.
+                        pe.status =
+                            PeStatus::Faulted(VmFault::Runtime("blocked without pending trap"));
+                        report.faults += 1;
+                        self.settle(handler, i, from);
+                        return;
+                    }
+                }
+            }
+            PeStatus::Idle | PeStatus::Halted | PeStatus::Faulted(_) => {
+                debug_assert!(false, "{id} is in the visit set while {from:?}");
+                self.sched.active.remove(i);
+                return;
+            }
+        };
+        report.traps += 1;
+        self.sched.work.dispatches += 1;
+        let mut pe = std::mem::take(&mut self.pes[i]);
+        self.dispatch_trap(handler, id, &mut pe, tid, argc, retc);
+        self.pes[i] = pe;
+        self.settle(handler, i, from);
+    }
+
+    /// After PE `i`'s slot changed it: note it touched, move it between
+    /// the status counts, and park it if it blocked on a wait its handler
+    /// will wake.
+    fn settle(&mut self, handler: &dyn TrapHandler, i: usize, from: PeStatus) {
+        let to = self.pes[i].status;
+        self.sched.touched.insert(i);
+        self.sched.moved(i, from, to);
+        if let PeStatus::Blocked(reason) = to {
+            if handler.parks(PeId(i as u16), reason) {
+                self.sched.active.remove(i);
+                self.sched.parked.insert(i);
+            }
         }
+    }
+
+    /// The handler's view of the machine: everything but the program.
+    pub fn trap_ctx(&mut self) -> TrapCtx<'_> {
+        TrapCtx::new(
+            &mut self.mem,
+            &mut self.dma,
+            &mut self.pes,
+            &mut self.sched,
+            self.clock,
+        )
     }
 
     fn dispatch_trap(
@@ -363,16 +636,48 @@ impl Platform {
         total
     }
 
+    /// The PEs the last [`Platform::step_cycle`] touched: those that
+    /// executed an instruction, trapped, completed a task, faulted or
+    /// were handed a task. Every other PE left the cycle exactly as it
+    /// entered it, save a memory stall paid down.
+    pub fn touched(&self) -> &PeSet {
+        &self.sched.touched
+    }
+
+    /// Deterministic counts of the scheduling work done so far.
+    pub fn work(&self) -> MachineWork {
+        self.sched.work
+    }
+
+    /// Wake every parked PE: the conservative answer to a change made
+    /// from outside the stepper (a debugger altering a FIFO, a restore).
+    /// Each woken PE costs one question to its handler on its next slot.
+    pub fn wake_all(&mut self) {
+        self.sched.wake_all();
+    }
+
+    /// Rebuild the derived scheduling state from the PE statuses, after
+    /// code wrote `pes[i].status` directly. Nothing stays parked.
+    pub fn resync(&mut self) {
+        let work = self.sched.work;
+        self.sched = Sched::new(self.pes.len());
+        self.sched.work = work;
+        for i in 0..self.pes.len() {
+            self.sched.moved(i, PeStatus::Idle, self.pes[i].status);
+        }
+    }
+
+    /// Engines with a transfer in flight.
+    fn dma_active(&self) -> usize {
+        self.dma.iter().filter(|d| d.in_flight() > 0).count()
+    }
+
     /// True when nothing can make progress any more: every PE idle, halted
     /// or faulted, and no DMA in flight. Blocked PEs mean a deadlock or a
     /// starved source, *not* quiescence.
     pub fn is_quiescent(&self) -> bool {
-        self.pes.iter().all(|p| {
-            matches!(
-                p.status,
-                PeStatus::Idle | PeStatus::Halted | PeStatus::Faulted(_)
-            )
-        }) && self.dma.iter().all(|d| d.in_flight() == 0)
+        self.debug_check_counts();
+        self.sched.running == 0 && self.sched.blocked == 0 && self.dma_active() == 0
     }
 
     /// All PEs blocked (or idle/halted) with at least one blocked: the
@@ -380,22 +685,47 @@ impl Platform {
     /// application's point of view. The debugger's token-injection commands
     /// exist precisely to untie this state (§III).
     pub fn is_deadlocked(&self) -> bool {
-        let mut any_blocked = false;
-        for p in &self.pes {
-            match p.status {
-                PeStatus::Running => return false,
-                PeStatus::Blocked(_) => any_blocked = true,
-                _ => {}
-            }
+        self.debug_check_counts();
+        self.sched.running == 0 && self.sched.blocked > 0 && self.dma_active() == 0
+    }
+
+    /// The first faulted PE (lowest index) and its fault.
+    pub fn first_fault(&self) -> Option<(PeId, VmFault)> {
+        self.debug_check_counts();
+        if self.sched.faulted == 0 {
+            return None;
         }
-        any_blocked && self.dma.iter().all(|d| d.in_flight() == 0)
+        self.pes
+            .iter()
+            .enumerate()
+            .find_map(|(i, p)| match p.status {
+                PeStatus::Faulted(f) => Some((PeId(i as u16), f)),
+                _ => None,
+            })
+    }
+
+    /// Debug builds check the status counts against a scan of the PEs.
+    fn debug_check_counts(&self) {
+        if cfg!(debug_assertions) {
+            let n = |c: Class| self.pes.iter().filter(|p| class(p.status) == c).count() as u32;
+            let s = &self.sched;
+            assert_eq!(
+                (s.running, s.blocked, s.faulted),
+                (n(Class::Running), n(Class::Blocked), n(Class::Faulted)),
+                "derived status counts out of step (a direct status write needs `resync`)"
+            );
+        }
     }
 
     /// Copy-on-write fork of the whole machine: PE/DMA/clock state is
     /// cloned outright (it is small), memory forks page-wise via
     /// [`Memory::fork`] so the two machines share every untouched page.
+    /// The fork starts with every parked PE woken: whoever forks usually
+    /// goes on to change the copy from outside the stepper.
     pub fn fork(&mut self) -> Platform {
         let mem = self.mem.fork();
+        let mut sched = self.sched.clone();
+        sched.wake_all();
         Platform {
             config: self.config.clone(),
             infos: self.infos.clone(),
@@ -404,6 +734,7 @@ impl Platform {
             dma: self.dma.clone(),
             program: self.program.clone(),
             clock: self.clock,
+            sched,
         }
     }
 
@@ -569,11 +900,13 @@ mod tests {
         assert!(matches!(p.pes[0].status, PeStatus::Halted));
     }
 
-    /// Blocks trap 42 until `open`; answers the parking hook only when
-    /// `park` is set, so one run can be stepped parked or polled.
+    /// Blocks trap 42 until `open`; parks the waiting PE only when `park`
+    /// is set, so one run can be stepped parked or polled. `open` is set
+    /// from outside the stepper, so the next cycle wakes every parked PE.
     struct Gate {
         park: bool,
         open: bool,
+        woke: bool,
         calls: u32,
     }
 
@@ -595,8 +928,19 @@ mod tests {
             }
         }
 
+        fn parks(&self, _pe: PeId, _reason: BlockReason) -> bool {
+            self.park
+        }
+
         fn still_blocked(&self, _pe: PeId, _reason: BlockReason) -> bool {
-            self.park && !self.open
+            !self.open
+        }
+
+        fn on_cycle(&mut self, ctx: &mut TrapCtx<'_>) {
+            if self.open && !self.woke {
+                self.woke = true;
+                ctx.wake_all();
+            }
         }
     }
 
@@ -610,6 +954,7 @@ mod tests {
             let mut h = Gate {
                 park,
                 open: false,
+                woke: false,
                 calls: 0,
             };
             let reports: Vec<CycleReport> = (0..60)
@@ -619,12 +964,20 @@ mod tests {
                 })
                 .collect();
             assert_eq!(p.mem.peek(L2_BASE).unwrap(), 10);
-            (reports, h.calls)
+            (reports, h.calls, p.work())
         };
-        let (parked, parked_calls) = run(true);
-        let (polled, polled_calls) = run(false);
+        let (parked, parked_calls, work) = run(true);
+        let (polled, polled_calls, _) = run(false);
         assert_eq!(parked, polled, "parking must not change any cycle's report");
         assert_eq!(parked_calls, 2, "one dispatch blocks, the next completes");
+        assert_eq!(
+            work,
+            MachineWork {
+                wakeups: 1,
+                probes: 1,
+                dispatches: 2
+            }
+        );
         let traps: u32 = polled.iter().map(|r| r.traps).sum();
         assert_eq!(polled_calls, traps, "polling dispatches every counted trap");
         assert!(traps > 20, "the PE must have waited: {traps} traps");
@@ -649,6 +1002,7 @@ mod tests {
             match id {
                 7 => {
                     self.raised_at = Some(ctx.clock);
+                    ctx.wake_blocked_on(BlockReason::Other("signal"));
                     TrapResult::Done
                 }
                 8 if self.raised_at.is_some() => {
@@ -660,13 +1014,17 @@ mod tests {
             }
         }
 
+        fn parks(&self, _pe: PeId, _reason: BlockReason) -> bool {
+            true
+        }
+
         fn still_blocked(&self, _pe: PeId, _reason: BlockReason) -> bool {
             self.raised_at.is_none()
         }
     }
 
     #[test]
-    fn pe_unblocked_earlier_in_the_cycle_completes_in_that_cycle() {
+    fn pe_woken_earlier_in_the_cycle_completes_in_that_cycle() {
         let mut b = ProgramBuilder::new();
         let raise = b.begin_func(0);
         b.emit(Insn::Enter(0));
@@ -776,9 +1134,11 @@ mod tests {
         assert!(p.is_quiescent());
         assert!(!p.is_deadlocked());
         p.pes[0].status = PeStatus::Blocked(BlockReason::TokenWait { link: 1 });
+        p.resync();
         assert!(!p.is_quiescent());
         assert!(p.is_deadlocked());
         p.pes[1].status = PeStatus::Running;
+        p.resync();
         assert!(!p.is_deadlocked());
     }
 

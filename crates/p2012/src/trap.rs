@@ -16,7 +16,7 @@ use debuginfo::Word;
 
 use crate::dma::DmaEngine;
 use crate::memory::Memory;
-use crate::platform::PeId;
+use crate::platform::{PeId, Sched};
 use crate::vm::{BlockReason, PeState};
 
 /// Outcome of a trap, sized to avoid allocation on the token hot path.
@@ -26,10 +26,11 @@ pub enum TrapResult {
     Done,
     /// Commit with one result word (retc must be 1).
     Done1(Word),
-    /// The condition is not satisfiable this cycle; park the PE. The trap
-    /// stays pending. On each later cycle the platform first asks
-    /// [`TrapHandler::still_blocked`]: while that answers true the PE stays
-    /// parked without a dispatch, otherwise the same trap is re-presented.
+    /// The condition is not satisfiable this cycle; the PE blocks with its
+    /// trap pending. If [`TrapHandler::parks`] says so it sleeps until a
+    /// wake, and then the platform asks [`TrapHandler::still_blocked`]
+    /// before re-presenting the trap; otherwise the same trap is
+    /// re-presented every cycle.
     Block(BlockReason),
     /// The runtime detected a protocol violation (e.g. unknown trap id);
     /// the PE faults and the debugger reports it.
@@ -38,30 +39,70 @@ pub enum TrapResult {
 
 /// Mutable view of the machine handed to the runtime during a trap.
 ///
-/// `pes` contains **all** processing elements, but the slot of the PE
-/// currently trapping holds a placeholder (its state travels separately as
-/// the `current` argument of [`TrapHandler::trap`]); the runtime must not
-/// schedule work onto the trapping PE.
+/// The PEs are reachable read-only, save for handing an idle one a task
+/// ([`TrapCtx::invoke`]) and waking parked ones, so the platform's derived
+/// scheduling state follows every status change. During a trap the slot of
+/// the PE being served holds a placeholder (its state travels separately
+/// as the `current` argument of [`TrapHandler::trap`]); the runtime must
+/// not schedule work onto the trapping PE.
 pub struct TrapCtx<'a> {
     pub mem: &'a mut Memory,
     pub dma: &'a mut [DmaEngine],
-    pub pes: &'a mut [PeState],
+    pes: &'a mut [PeState],
+    sched: &'a mut Sched,
     pub clock: u64,
 }
 
-impl TrapCtx<'_> {
+impl<'a> TrapCtx<'a> {
+    pub(crate) fn new(
+        mem: &'a mut Memory,
+        dma: &'a mut [DmaEngine],
+        pes: &'a mut [PeState],
+        sched: &'a mut Sched,
+        clock: u64,
+    ) -> Self {
+        TrapCtx {
+            mem,
+            dma,
+            pes,
+            sched,
+            clock,
+        }
+    }
+
     /// Start task `addr` on an idle PE (the runtime scheduling a filter's
     /// WORK method after ACTOR_START).
     pub fn invoke(&mut self, pe: PeId, addr: debuginfo::CodeAddr, args: &[Word]) {
+        let from = self.pes[pe.index()].status;
         self.pes[pe.index()].invoke(addr, args);
+        self.sched.invoked(pe.index(), from);
     }
 
     pub fn pe(&self, pe: PeId) -> &PeState {
         &self.pes[pe.index()]
     }
 
-    pub fn pe_mut(&mut self, pe: PeId) -> &mut PeState {
-        &mut self.pes[pe.index()]
+    pub fn pe_count(&self) -> usize {
+        self.pes.len()
+    }
+
+    /// Put `pe` back in the per-cycle loop if it is parked: something it
+    /// may wait for changed. A PE later in this cycle's order gets its
+    /// slot in this cycle, as it would have polling.
+    pub fn wake(&mut self, pe: PeId) {
+        self.sched.wake(pe.index());
+    }
+
+    /// Wake every parked PE blocked on exactly `reason` (a FIFO push wakes
+    /// the consumers waiting for tokens on that link, a pop the producers
+    /// waiting for space).
+    pub fn wake_blocked_on(&mut self, reason: BlockReason) {
+        self.sched.wake_where(self.pes, |r| r == reason);
+    }
+
+    /// Wake every parked PE.
+    pub fn wake_all(&mut self) {
+        self.sched.wake_all();
     }
 }
 
@@ -77,13 +118,23 @@ pub trait TrapHandler {
         args: &[Word],
     ) -> TrapResult;
 
-    /// Whether `pe`, parked on `reason`, would block again with no side
-    /// effect if its pending trap were dispatched now. The platform asks
-    /// before each retry and skips the dispatch while the answer is true
-    /// (the cycle still counts the trap in
-    /// [`crate::platform::CycleReport::traps`]), so a true answer must be
-    /// exact or the PE sleeps through its wake-up. The default, false,
-    /// re-presents the trap every cycle.
+    /// Whether `pe`, which just blocked on `reason`, may sleep outside the
+    /// per-cycle loop. A true answer is a promise: the handler wakes the PE
+    /// ([`TrapCtx::wake`], [`TrapCtx::wake_blocked_on`]) on every event
+    /// that can end the wait, or the PE sleeps through it. A parked PE
+    /// still counts a trap in [`crate::platform::CycleReport::traps`] every
+    /// cycle, so the reports read as if it had been polled. The default,
+    /// false, keeps every blocked PE in the loop and re-presents its trap
+    /// every cycle, which is what a handler unaware of wakes needs.
+    fn parks(&self, pe: PeId, reason: BlockReason) -> bool {
+        let _ = (pe, reason);
+        false
+    }
+
+    /// Whether `pe`, woken while parked on `reason`, would block again
+    /// with no side effect if its pending trap were dispatched now. While
+    /// the answer is true the PE parks again without a dispatch, so a
+    /// true answer must be exact. The default, false, dispatches the trap.
     fn still_blocked(&self, pe: PeId, reason: BlockReason) -> bool {
         let _ = (pe, reason);
         false

@@ -150,6 +150,13 @@ pub struct Runtime {
     /// same decision indices.
     pub policy: SchedulePolicy,
     pop_buf: Vec<Word>,
+    /// Filters in [`FilterSched::Scheduled`]: the only ones `on_cycle`
+    /// may have to start. Derived from `actors_rt`, not hashed.
+    n_scheduled: u32,
+    /// Set by a change made from outside the stepper (a token altered, an
+    /// environment attached); the next cycle wakes every parked PE.
+    /// Derived state, not hashed.
+    wake_pending: bool,
 }
 
 impl Runtime {
@@ -172,6 +179,8 @@ impl Runtime {
             stats: RuntimeStats::default(),
             policy: SchedulePolicy::default(),
             pop_buf: Vec::new(),
+            n_scheduled: 0,
+            wake_pending: false,
         }
     }
 
@@ -182,6 +191,28 @@ impl Runtime {
 
     fn token_words(&self, conn: ConnId) -> u32 {
         self.types.size_words(self.graph.conn(conn).ty)
+    }
+
+    /// Set `actor`'s scheduling state, keeping the count of scheduled
+    /// filters.
+    fn set_sched(&mut self, actor: ActorId, sched: FilterSched) {
+        let rt = &mut self.actors_rt[actor.0 as usize];
+        let was = u32::from(rt.sched == FilterSched::Scheduled);
+        self.n_scheduled = self.n_scheduled - was + u32::from(sched == FilterSched::Scheduled);
+        rt.sched = sched;
+    }
+
+    /// A filter's scheduling flags changed: wake the controller of its
+    /// module, whose WAIT_FOR_ACTOR_* may be over.
+    fn wake_controller(&self, ctx: &mut TrapCtx<'_>, filter: ActorId) {
+        let Some(module) = self.graph.actor(filter).parent else {
+            return;
+        };
+        for (i, bound) in self.pe_actor.iter().enumerate() {
+            if bound.is_some_and(|b| b.module == Some(module)) {
+                ctx.wake(PeId(i as u16));
+            }
+        }
     }
 
     // ---- registration ----------------------------------------------------
@@ -217,8 +248,8 @@ impl Runtime {
                     self.modules_rt
                         .resize_with(aid.0 as usize + 1, ModuleRt::default);
                 }
-                if self.pe_actor.len() < ctx.pes.len() {
-                    self.pe_actor.resize(ctx.pes.len(), None);
+                if self.pe_actor.len() < ctx.pe_count() {
+                    self.pe_actor.resize(ctx.pe_count(), None);
                 }
                 // A PE the platform lacks can never trap, so it needs no
                 // slot.
@@ -311,7 +342,7 @@ impl Runtime {
                 );
             }
             ctx.invoke(pe, work, &[]);
-            self.actors_rt[actor.0 as usize].sched = FilterSched::Running;
+            self.set_sched(actor, FilterSched::Running);
             self.actors_rt[actor.0 as usize].begun = true;
         }
         self.events.push(|| RuntimeEvent::BootComplete);
@@ -357,6 +388,7 @@ impl Runtime {
         match fifo.push(ctx.mem, words) {
             Ok(Some((index, stall))) => {
                 current.stall += stall;
+                ctx.wake_blocked_on(BlockReason::TokenWait { link: link.0 });
                 self.conns_rt[conn.0 as usize].written += 1;
                 self.stats.tokens_pushed += 1;
                 self.events.push(|| RuntimeEvent::TokenPushed {
@@ -402,6 +434,7 @@ impl Runtime {
             match fifo.pop(ctx.mem, &mut self.pop_buf) {
                 Ok(Some((index, stall))) => {
                     current.stall += stall;
+                    ctx.wake_blocked_on(BlockReason::SpaceWait { link: link.0 });
                     let rt = &mut self.conns_rt[conn.0 as usize];
                     rt.window.extend_from_slice(&self.pop_buf);
                     rt.window_tokens += 1;
@@ -442,10 +475,10 @@ impl Runtime {
                 "unmapped filter",
             );
         };
-        let rt = &mut self.actors_rt[actor.0 as usize];
-        rt.started = true;
+        self.actors_rt[actor.0 as usize].started = true;
         self.events.push(|| RuntimeEvent::ActorStarted { actor });
-        if matches!(rt.sched, FilterSched::Running) {
+        self.wake_controller(ctx, actor);
+        if matches!(self.actors_rt[actor.0 as usize].sched, FilterSched::Running) {
             // Free-running from a previous step; nothing more to do.
             return TrapResult::Done;
         }
@@ -457,35 +490,35 @@ impl Runtime {
                 .policy
                 .decide(ChoiceKind::ActorStart, actor.0, ctx.clock);
             let delay = DELAYS[code as usize % DELAYS.len()];
-            let rt = &mut self.actors_rt[actor.0 as usize];
             if delay == 0 {
                 ctx.invoke(pe, work, &[]);
-                rt.begun = true;
-                rt.sched = FilterSched::Running;
+                self.actors_rt[actor.0 as usize].begun = true;
+                self.set_sched(actor, FilterSched::Running);
                 self.stats.work_invocations += 1;
                 self.events.push(|| RuntimeEvent::WorkBegun { actor });
             } else {
+                let rt = &mut self.actors_rt[actor.0 as usize];
                 rt.begun = false;
-                rt.sched = FilterSched::Scheduled;
                 rt.defer_until = ctx.clock + delay;
+                self.set_sched(actor, FilterSched::Scheduled);
             }
         } else {
-            let rt = &mut self.actors_rt[actor.0 as usize];
-            rt.begun = false;
-            rt.sched = FilterSched::Scheduled;
+            self.actors_rt[actor.0 as usize].begun = false;
+            self.set_sched(actor, FilterSched::Scheduled);
         }
         TrapResult::Done
     }
 
-    fn do_actor_sync(&mut self, actor: ActorId) -> TrapResult {
+    fn do_actor_sync(&mut self, ctx: &mut TrapCtx<'_>, actor: ActorId) -> TrapResult {
         let rt = &mut self.actors_rt[actor.0 as usize];
         rt.sync_requested = true;
         if !rt.started && rt.sched == FilterSched::NotScheduled {
             // Vacuous sync on a filter that never ran this step.
-            rt.sched = FilterSched::Synced;
+            self.set_sched(actor, FilterSched::Synced);
         }
         self.events
             .push(|| RuntimeEvent::ActorSyncRequested { actor });
+        self.wake_controller(ctx, actor);
         TrapResult::Done
     }
 
@@ -672,7 +705,7 @@ impl Runtime {
                     return TrapResult::Fault("actor_sync arity");
                 };
                 match self.filter_of(*actor) {
-                    Ok(a) => self.do_actor_sync(a),
+                    Ok(a) => self.do_actor_sync(ctx, a),
                     Err(r) => r,
                 }
             }
@@ -682,7 +715,7 @@ impl Runtime {
                 };
                 match self.filter_of(*actor) {
                     Ok(a) => match self.do_actor_start(ctx, a) {
-                        TrapResult::Done => self.do_actor_sync(a),
+                        TrapResult::Done => self.do_actor_sync(ctx, a),
                         r => r,
                     },
                     Err(r) => r,
@@ -708,13 +741,15 @@ impl Runtime {
                     return TrapResult::Block(BlockReason::SyncWait);
                 }
                 // Step boundary: reset every synced filter for the next step.
-                for f in &self.module_filters[module.0 as usize] {
+                for i in 0..self.module_filters[module.0 as usize].len() {
+                    let f = self.module_filters[module.0 as usize][i];
                     let rt = &mut self.actors_rt[f.0 as usize];
                     if rt.sync_requested {
                         rt.sync_requested = false;
                         rt.started = false;
                         rt.begun = false;
-                        rt.sched = FilterSched::NotScheduled;
+                        self.set_sched(f, FilterSched::NotScheduled);
+                        self.wake_controller(ctx, f);
                     }
                 }
                 TrapResult::Done
@@ -769,20 +804,22 @@ impl Runtime {
 
     // ---- environment I/O ---------------------------------------------------
 
+    /// Feed the sources and drain the sinks. A source whose link is full
+    /// and a sink whose link is empty are skipped before anything else is
+    /// asked of them: they could not move a token however due they are.
     fn run_env(&mut self, ctx: &mut TrapCtx<'_>) {
         let mut sources = std::mem::take(&mut self.sources);
         for s in &mut sources {
-            // One token per cycle at most, catching up after stalls.
-            if !s.due(ctx.clock) {
-                continue;
-            }
-            let Some(link) = self.graph.conn(s.conn).link else {
+            let c = self.graph.conn(s.conn);
+            let Some(link) = c.link else {
                 continue;
             };
-            let ty = self.graph.conn(s.conn).ty;
+            let ty = c.ty;
             let fifo = &mut self.fifos[link.0 as usize];
-            if fifo.is_full() {
-                continue; // retry next cycle; order preserved
+            // One token per cycle at most, catching up after stalls; a
+            // full link postpones it, order preserved.
+            if fifo.is_full() || !s.due(ctx.clock) {
+                continue;
             }
             // Record/replay point: on a first-run cycle this pulls a fresh
             // value and records it; on a replayed cycle it re-serves the
@@ -790,6 +827,7 @@ impl Runtime {
             // deterministic machine and cannot be re-executed.
             let v = s.pull();
             if let Ok(Some((index, _))) = fifo.push(ctx.mem, &[v]) {
+                ctx.wake_blocked_on(BlockReason::TokenWait { link: link.0 });
                 s.produced += 1;
                 self.stats.tokens_pushed += 1;
                 let conn = s.conn;
@@ -805,16 +843,18 @@ impl Runtime {
 
         let mut sinks = std::mem::take(&mut self.sinks);
         for k in &mut sinks {
-            if !k.due(ctx.clock) {
-                continue;
-            }
-            let Some(link) = self.graph.conn(k.conn).link else {
+            let c = self.graph.conn(k.conn);
+            let Some(link) = c.link else {
                 continue;
             };
-            let ty = self.graph.conn(k.conn).ty;
-            self.pop_buf.clear();
+            let ty = c.ty;
             let fifo = &mut self.fifos[link.0 as usize];
+            if fifo.is_empty() || !k.due(ctx.clock) {
+                continue;
+            }
+            self.pop_buf.clear();
             if let Ok(Some((index, _))) = fifo.pop(ctx.mem, &mut self.pop_buf) {
+                ctx.wake_blocked_on(BlockReason::SpaceWait { link: link.0 });
                 self.stats.tokens_popped += 1;
                 k.record(self.pop_buf.first().copied().unwrap_or(0));
                 let conn = k.conn;
@@ -849,6 +889,7 @@ impl Runtime {
             return Err("sources only feed scalar-typed links".into());
         }
         self.sources.push(source);
+        self.wake_pending = true;
         Ok(())
     }
 
@@ -866,6 +907,7 @@ impl Runtime {
             return Err(format!("module output `{}` is unbound", c.name));
         }
         self.sinks.push(sink);
+        self.wake_pending = true;
         Ok(())
     }
 
@@ -918,11 +960,12 @@ impl Runtime {
         begun: bool,
         sync_requested: bool,
     ) {
+        self.set_sched(actor, sched);
         let rt = &mut self.actors_rt[actor.0 as usize];
-        rt.sched = sched;
         rt.started = started;
         rt.begun = begun;
         rt.sync_requested = sync_requested;
+        self.wake_pending = true;
     }
 
     /// True while a policy-deferred WORK start is still pending: some
@@ -932,9 +975,11 @@ impl Runtime {
     /// alive — the pending invocation is runtime state the platform
     /// cannot see. Always false under the default policy.
     pub fn pending_deferred(&self, clock: u64) -> bool {
-        self.actors_rt
-            .iter()
-            .any(|rt| rt.sched == FilterSched::Scheduled && rt.defer_until > clock)
+        self.n_scheduled > 0
+            && self
+                .actors_rt
+                .iter()
+                .any(|rt| rt.sched == FilterSched::Scheduled && rt.defer_until > clock)
     }
 
     pub fn steps_done(&self, actor: ActorId) -> u64 {
@@ -981,6 +1026,7 @@ impl Runtime {
                 self.types.name(value.ty)
             ));
         }
+        self.wake_pending = true;
         self.fifos[link.0 as usize].inject(mem, &value.words)
     }
 
@@ -996,6 +1042,7 @@ impl Runtime {
         if value.ty != ty {
             return Err("type mismatch".to_string());
         }
+        self.wake_pending = true;
         self.fifos[link.0 as usize].overwrite(mem, idx, &value.words)
     }
 
@@ -1006,6 +1053,7 @@ impl Runtime {
         link: LinkId,
         idx: u32,
     ) -> Result<(), String> {
+        self.wake_pending = true;
         self.fifos[link.0 as usize].remove(mem, idx)
     }
 
@@ -1020,6 +1068,7 @@ impl Runtime {
         for (src, l) in self.sources.iter_mut().zip(&mut live.sources) {
             src.adopt_environment(l);
         }
+        self.wake_pending = true;
     }
 
     /// Feed the dynamic runtime state to a hasher (divergence check).
@@ -1086,11 +1135,23 @@ impl TrapHandler for Runtime {
         self.service(ctx, pe, current, id, args)
     }
 
+    /// FIFO and WAIT_FOR_ACTOR_* waits sleep: every FIFO push or pop
+    /// wakes the PEs waiting on that link, every change to a filter's
+    /// scheduling flags wakes its module's controller, and a change from
+    /// outside the stepper wakes every PE on the next cycle. DMA and
+    /// runtime-defined waits are re-presented every cycle.
+    fn parks(&self, pe: PeId, reason: BlockReason) -> bool {
+        match reason {
+            BlockReason::TokenWait { .. } | BlockReason::SpaceWait { .. } => true,
+            BlockReason::InitWait | BlockReason::SyncWait => self.waiting_module(pe).is_some(),
+            BlockReason::DmaWait { .. } | BlockReason::Other(_) => false,
+        }
+    }
+
     /// Exact by construction: a blocked pop has already drained its link
     /// into the read window and a blocked push has passed every protocol
     /// check, so a retry of either re-tests only the FIFO; a WAIT retry
-    /// re-tests only `wait_pending`. DMA and runtime-defined
-    /// waits are re-presented every cycle.
+    /// re-tests only `wait_pending`.
     fn still_blocked(&self, pe: PeId, reason: BlockReason) -> bool {
         match reason {
             BlockReason::TokenWait { link } => self
@@ -1119,7 +1180,7 @@ impl TrapHandler for Runtime {
         let kind = self.graph.actor(actor).kind;
         if kind == ActorKind::Controller {
             // Controller loop exited (pedf_continue returned 0).
-            self.actors_rt[actor.0 as usize].sched = FilterSched::Synced;
+            self.set_sched(actor, FilterSched::Synced);
             return;
         }
         // A filter finished one WORK step.
@@ -1132,9 +1193,10 @@ impl TrapHandler for Runtime {
         reset_windows(&mut self.conns_rt, self.graph.actor(actor));
         self.events
             .push(|| RuntimeEvent::WorkEnded { actor, steps_done });
-        let rt = &mut self.actors_rt[actor.0 as usize];
+        self.wake_controller(ctx, actor);
+        let rt = &self.actors_rt[actor.0 as usize];
         if rt.sync_requested {
-            rt.sched = FilterSched::Synced;
+            self.set_sched(actor, FilterSched::Synced);
             self.events.push(|| RuntimeEvent::ActorSynced { actor });
         } else if rt.started {
             // Free-running: the next step normally begins immediately, but
@@ -1146,55 +1208,61 @@ impl TrapHandler for Runtime {
             if delay == 0 {
                 let work = self.graph.actor(actor).work_addr.unwrap();
                 current.invoke(work, &[]);
-                let rt = &mut self.actors_rt[actor.0 as usize];
-                rt.begun = true;
-                rt.sched = FilterSched::Running;
+                self.actors_rt[actor.0 as usize].begun = true;
+                self.set_sched(actor, FilterSched::Running);
                 self.stats.work_invocations += 1;
                 self.events.push(|| RuntimeEvent::WorkBegun { actor });
             } else {
                 let rt = &mut self.actors_rt[actor.0 as usize];
                 rt.begun = false;
-                rt.sched = FilterSched::Scheduled;
                 rt.defer_until = ctx.clock + delay;
+                self.set_sched(actor, FilterSched::Scheduled);
             }
         } else {
-            rt.sched = FilterSched::NotScheduled;
+            self.set_sched(actor, FilterSched::NotScheduled);
         }
     }
 
     fn on_cycle(&mut self, ctx: &mut TrapCtx<'_>) {
-        if self.booted {
-            self.run_env(ctx);
+        if std::mem::take(&mut self.wake_pending) {
+            ctx.wake_all();
         }
+        if !self.booted {
+            return;
+        }
+        self.run_env(ctx);
         // Late-start scheduled filters whose PE freed up outside
-        // on_task_complete (e.g. after a fault recovery).
-        if self.booted {
-            for i in 0..self.actors_rt.len() {
-                // Almost always false: test the runtime's own contiguous
-                // state before touching the graph.
-                if self.actors_rt[i].sched != FilterSched::Scheduled {
-                    continue;
-                }
-                let actor = ActorId(i as u32);
-                let a = self.graph.actor(actor);
-                if a.kind != ActorKind::Filter {
-                    continue;
-                }
-                let (Some(pe), Some(work)) = (a.pe, a.work_addr) else {
-                    continue;
-                };
-                if self.actors_rt[actor.0 as usize].defer_until > ctx.clock {
-                    continue; // policy-deferred election not yet due
-                }
-                if matches!(ctx.pe(pe).status, PeStatus::Idle) {
-                    ctx.invoke(pe, work, &[]);
-                    let rt = &mut self.actors_rt[actor.0 as usize];
-                    rt.begun = true;
-                    rt.sched = FilterSched::Running;
-                    rt.defer_until = 0;
-                    self.stats.work_invocations += 1;
-                    self.events.push(|| RuntimeEvent::WorkBegun { actor });
-                }
+        // on_task_complete (e.g. after a fault recovery) or whose
+        // policy-deferred election fell due.
+        if self.n_scheduled == 0 {
+            return;
+        }
+        for i in 0..self.actors_rt.len() {
+            // Test the runtime's own contiguous state before touching the
+            // graph.
+            if self.actors_rt[i].sched != FilterSched::Scheduled {
+                continue;
+            }
+            let actor = ActorId(i as u32);
+            let a = self.graph.actor(actor);
+            if a.kind != ActorKind::Filter {
+                continue;
+            }
+            let (Some(pe), Some(work)) = (a.pe, a.work_addr) else {
+                continue;
+            };
+            if self.actors_rt[actor.0 as usize].defer_until > ctx.clock {
+                continue; // policy-deferred election not yet due
+            }
+            if matches!(ctx.pe(pe).status, PeStatus::Idle) {
+                ctx.invoke(pe, work, &[]);
+                let rt = &mut self.actors_rt[actor.0 as usize];
+                rt.begun = true;
+                rt.defer_until = 0;
+                self.set_sched(actor, FilterSched::Running);
+                self.stats.work_invocations += 1;
+                self.events.push(|| RuntimeEvent::WorkBegun { actor });
+                self.wake_controller(ctx, actor);
             }
         }
     }

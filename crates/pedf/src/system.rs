@@ -108,14 +108,7 @@ impl System {
 
     /// First faulted PE, if any, with its fault.
     pub fn first_fault(&self) -> Option<(PeId, p2012::VmFault)> {
-        self.platform
-            .pes
-            .iter()
-            .enumerate()
-            .find_map(|(i, p)| match p.status {
-                p2012::PeStatus::Faulted(f) => Some((PeId(i as u16), f)),
-                _ => None,
-            })
+        self.platform.first_fault()
     }
 }
 
@@ -132,7 +125,7 @@ mod tests {
     use crate::runtime::FilterSched;
     use debuginfo::{DebugInfoBuilder, TypeTable, Value};
     use p2012::{
-        BlockReason, Insn, PeState, Platform, PlatformConfig, ProgramBuilder, TrapCtx, TrapHandler,
+        BlockReason, Insn, PeState, Platform, PlatformConfig, ProgramBuilder, TrapHandler,
         TrapResult,
     };
     use proptest::prelude::*;
@@ -499,12 +492,7 @@ mod tests {
                 let System { mut platform, mut runtime } = p.sys.clone();
                 let parked = runtime.still_blocked(pe, reason);
                 let before = runtime_hash(&runtime);
-                let mut ctx = TrapCtx {
-                    mem: &mut platform.mem,
-                    dma: &mut platform.dma,
-                    pes: &mut platform.pes,
-                    clock: platform.clock,
-                };
+                let mut ctx = platform.trap_ctx();
                 let result = runtime.trap(&mut ctx, pe, &mut PeState::default(), id, &args);
                 let untouched = runtime_hash(&runtime) == before;
                 prop_assert_eq!(
