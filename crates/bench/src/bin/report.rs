@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin report [n_mbs] [--json]
+//! cargo run --release -p bench --bin report -- --e1-smoke
 //! cargo run --release -p bench --bin report -- --e6-smoke
 //! cargo run --release -p bench --bin report -- --e8-smoke
 //! cargo run --release -p bench --bin report -- --e9-smoke
@@ -13,6 +14,11 @@
 //! With `--json`, each experiment additionally writes a machine-readable
 //! `BENCH_E<n>.json` next to the working directory (hand-rolled writer —
 //! the build environment is offline, no serde).
+//!
+//! `--e1-smoke` runs only the E1 work gate at 64 macroblocks: each of
+//! the five configurations must decode the pinned number of cycles and
+//! track the pinned number of tokens, and the debugger must look at no
+//! more than 3 PEs per simulated cycle. Wall time is not judged.
 //!
 //! `--e6-smoke` runs only the E6 recording gate: a 256-macroblock decode
 //! under `catch recv pipe::mc_in` must stop at the same cycles and end in
@@ -486,11 +492,71 @@ fn run_e11_smoke() -> i32 {
     }
 }
 
+/// E1 at smoke size: every configuration's simulated cycles and tracked
+/// tokens, as the full report at its default size gives them.
+const E1_SMOKE_MBS: u64 = 64;
+const E1_PINNED: [(DebugConfig, u64, usize); 5] = [
+    (DebugConfig::Baseline, 19_459, 0),
+    (DebugConfig::AllBreakpoints, 19_460, 960),
+    (DebugConfig::DisabledUntilCritical, 19_460, 192),
+    (DebugConfig::ActorSpecific, 19_460, 576),
+    (DebugConfig::FrameworkCooperation, 19_460, 960),
+];
+/// The debugger looks at most this many PEs per simulated cycle.
+const E1_MAX_VISITS_PER_CYCLE: u64 = 3;
+
+/// The CI gate behind `--e1-smoke`: the five E1 configurations decode
+/// the pinned number of cycles and track the pinned number of tokens,
+/// and the debugger's PE visits stay within the per-cycle bound. No wall
+/// time is judged.
+fn run_e1_smoke() -> i32 {
+    println!("e1-smoke: debugger intrusiveness, {E1_SMOKE_MBS} macroblocks");
+    let mut failures = 0;
+    for (cfg, cycles, tokens) in E1_PINNED {
+        let r = run_overhead(cfg, E1_SMOKE_MBS);
+        println!(
+            "e1-smoke: {:<28} {} cycles, {} tokens, {} PE visits, {} probes, {} wakeups",
+            cfg.label(),
+            r.cycles,
+            r.tokens_tracked,
+            r.pe_visits,
+            r.work.probes,
+            r.work.wakeups
+        );
+        if (r.cycles, r.tokens_tracked) != (cycles, tokens) {
+            eprintln!(
+                "e1-smoke: FAIL: {}: {} cycles, {} tokens (pinned {cycles}, {tokens})",
+                cfg.label(),
+                r.cycles,
+                r.tokens_tracked
+            );
+            failures += 1;
+        }
+        if r.pe_visits > E1_MAX_VISITS_PER_CYCLE * r.cycles {
+            eprintln!(
+                "e1-smoke: FAIL: {}: {} PE visits in {} cycles (bound {E1_MAX_VISITS_PER_CYCLE} per cycle)",
+                cfg.label(),
+                r.pe_visits,
+                r.cycles
+            );
+            failures += 1;
+        }
+    }
+    if failures == 0 {
+        println!("e1-smoke: OK");
+        0
+    } else {
+        eprintln!("e1-smoke: {failures} failure(s)");
+        1
+    }
+}
+
 /// A CI smoke gate: its flag, and the gate, which returns the exit status.
 type Smoke = (&'static str, fn() -> i32);
 
 /// Each smoke flag runs only its gate and exits with its status.
 const SMOKES: &[Smoke] = &[
+    ("--e1-smoke", run_e1_smoke),
     ("--e6-smoke", run_e6_smoke),
     ("--e8-smoke", run_e8_smoke),
     ("--e9-smoke", run_e9_smoke),
@@ -522,8 +588,15 @@ fn main() {
     println!("E1  Debugger intrusiveness (§V): decode of {n_mbs} macroblocks");
     println!("=====================================================================");
     println!(
-        "{:<28} {:>12} {:>12} {:>9} {:>8}",
-        "configuration", "wall time", "sim cycles", "tokens", "slowdown"
+        "{:<28} {:>12} {:>12} {:>9} {:>8} {:>9} {:>7} {:>7}",
+        "configuration",
+        "wall time",
+        "sim cycles",
+        "tokens",
+        "slowdown",
+        "visits/cy",
+        "probes",
+        "wakeups"
     );
     let mut baseline_wall = None;
     let mut e1 = Vec::new();
@@ -534,21 +607,28 @@ fn main() {
         let base = *baseline_wall.get_or_insert(r.wall.as_secs_f64());
         let slowdown = r.wall.as_secs_f64() / base;
         println!(
-            "{:<28} {:>10.2}ms {:>12} {:>9} {:>7.2}x",
+            "{:<28} {:>10.2}ms {:>12} {:>9} {:>7.2}x {:>9.2} {:>7} {:>7}",
             cfg.label(),
             r.wall.as_secs_f64() * 1e3,
             r.cycles,
             r.tokens_tracked,
             slowdown,
+            r.pe_visits as f64 / r.cycles as f64,
+            r.work.probes,
+            r.work.wakeups,
         );
         e1.push(format!(
             "{{\"config\": {}, \"wall_ms\": {:.3}, \"cycles\": {}, \
-             \"tokens\": {}, \"slowdown\": {:.3}}}",
+             \"tokens\": {}, \"slowdown\": {:.3}, \"pe_visits\": {}, \
+             \"probes\": {}, \"wakeups\": {}}}",
             jstr(cfg.label()),
             r.wall.as_secs_f64() * 1e3,
             r.cycles,
             r.tokens_tracked,
             slowdown,
+            r.pe_visits,
+            r.work.probes,
+            r.work.wakeups,
         ));
     }
     if json {

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use dfdbg::{Session, Stop};
 use h264_pipeline::{build_decoder, golden, Bug};
-use p2012::PlatformConfig;
+use p2012::{MachineWork, PlatformConfig};
 use pedf::{EnvSink, EnvSource, ValueGen};
 
 /// The measured configurations.
@@ -67,6 +67,10 @@ pub struct OverheadResult {
     pub checksum: u64,
     /// Token objects materialised in the debugger model (0 for baseline).
     pub tokens_tracked: usize,
+    /// PE inspections the debugger's run loop made (0 for baseline).
+    pub pe_visits: u64,
+    /// The machine's wakeups, still-blocked probes and trap dispatches.
+    pub work: MachineWork,
 }
 
 const SEED: u32 = 0xbeef;
@@ -76,12 +80,19 @@ const SEED: u32 = 0xbeef;
 pub fn run_overhead(config: DebugConfig, n_mbs: u64) -> OverheadResult {
     let expect = golden::checksum(&golden::decode_stream(n_mbs as u32, SEED));
     let start = Instant::now();
-    let (cycles, checksum, tokens) = match config {
+    let (cycles, checksum, tokens, pe_visits, work) = match config {
         DebugConfig::Baseline => {
-            let r = h264_pipeline::run_decoder(Bug::None, n_mbs, SEED, 200_000_000)
-                .expect("baseline decode");
-            assert!(r.finished);
-            (r.cycles, r.checksum, 0)
+            let (sys, app) = h264_pipeline::run_decoder_with_caps(
+                Bug::None,
+                n_mbs,
+                SEED,
+                200_000_000,
+                &Default::default(),
+            )
+            .expect("baseline decode");
+            assert!(sys.platform.is_quiescent() && sys.first_fault().is_none());
+            let sink = sys.runtime.sink_for(app.boundary_out["frame_out"]).unwrap();
+            (sys.clock(), sink.checksum, 0, 0, sys.platform.work())
         }
         _ => {
             let (sys, app) =
@@ -143,6 +154,8 @@ pub fn run_overhead(config: DebugConfig, n_mbs: u64) -> OverheadResult {
                 s.clock(),
                 sink.checksum,
                 s.model.tokens.allocated() as usize,
+                s.pe_visits(),
+                s.sys.platform.work(),
             )
         }
     };
@@ -159,6 +172,8 @@ pub fn run_overhead(config: DebugConfig, n_mbs: u64) -> OverheadResult {
         cycles,
         checksum,
         tokens_tracked: tokens,
+        pe_visits,
+        work,
     }
 }
 

@@ -289,100 +289,103 @@ impl Capture {
         }
     }
 
-    /// Observe the machine after one cycle; push captured events to `out`.
+    /// Observe PE `i` after a cycle; push captured events to `out`.
     ///
-    /// `mem_read` gives read access to simulated memory for string
-    /// arguments of registration calls.
-    pub fn observe(&mut self, platform: &Platform, graph: &AppGraph) {
+    /// Only a PE the cycle touched ([`Platform::touched`]) needs a look.
+    /// A call into a stub, the trap in it and the return from it, a task
+    /// begun or finished and a fault each touch the PE; a PE that kept
+    /// its frames and status offers nothing new, since its pc stayed
+    /// inside the function it was in. The run loop visits the touched
+    /// PEs in index order, which captures the same events in the same
+    /// order as a look at every PE would.
+    pub fn observe_pe(&mut self, platform: &Platform, graph: &AppGraph, i: usize) {
         if self.mode != CaptureMode::FunctionBreakpoints {
             return;
         }
-        for i in 0..platform.pes.len() {
-            let pe = &platform.pes[i];
-            let pe_id = PeId(i as u16);
+        let pe = &platform.pes[i];
+        let pe_id = PeId(i as u16);
 
-            // Finish-breakpoint side: resolve a pending call.
-            if let Some(p) = &self.pending[i] {
-                let stub = self.stubs.stubs[p.stub];
-                let gone = pe.frames.is_empty()
-                    || matches!(pe.status, PeStatus::Faulted(_) | PeStatus::Halted);
-                if gone {
-                    self.pending[i] = None;
-                } else if pe.pc > stub.trap_pc || pe.pc < stub.entry {
-                    // The trap committed (pc moved past it, or the stub
-                    // already returned).
-                    let p = self.pending[i].take().unwrap();
-                    self.complete(platform, graph, pe_id, p);
-                }
+        // Finish-breakpoint side: resolve a pending call.
+        if let Some(p) = &self.pending[i] {
+            let stub = self.stubs.stubs[p.stub];
+            let gone = pe.frames.is_empty()
+                || matches!(pe.status, PeStatus::Faulted(_) | PeStatus::Halted);
+            if gone {
+                self.pending[i] = None;
+            } else if pe.pc > stub.trap_pc || pe.pc < stub.entry {
+                // The trap committed (pc moved past it, or the stub
+                // already returned).
+                let p = self.pending[i].take().unwrap();
+                self.complete(platform, graph, pe_id, p);
             }
+        }
 
-            // Entry-breakpoint side: a PE sitting inside a stub. One range
-            // comparison rules out PEs executing ordinary kernel code.
-            if self.pending[i].is_none()
-                && pe.pc >= self.stubs.lo
-                && pe.pc < self.stubs.hi
-                && matches!(pe.status, PeStatus::Running | PeStatus::Blocked(_))
-            {
-                if let Some((lo, hi)) = self.ignore_region[i] {
-                    if pe.pc >= lo && pe.pc < hi {
-                        continue;
-                    }
-                    self.ignore_region[i] = None;
+        // Entry-breakpoint side: a PE sitting inside a stub. One range
+        // comparison rules out PEs executing ordinary kernel code.
+        if self.pending[i].is_none()
+            && pe.pc >= self.stubs.lo
+            && pe.pc < self.stubs.hi
+            && matches!(pe.status, PeStatus::Running | PeStatus::Blocked(_))
+        {
+            if let Some((lo, hi)) = self.ignore_region[i] {
+                if pe.pc >= lo && pe.pc < hi {
+                    return;
                 }
-                if let Some(si) = self.stub_covering(pe.pc) {
-                    let stub = self.stubs.stubs[si];
-                    if pe.pc > stub.trap_pc {
-                        // Missed the call (capture was off); ignore it.
-                    } else if self.wants(stub.kind, pe_id) {
-                        let frame = pe.frames.last().expect("in stub");
-                        let mut args = [0; 8];
-                        let n = (stub.argc as usize).min(frame.locals.len());
-                        args[..n].copy_from_slice(&frame.locals[..n]);
-                        self.pending[i] = Some(Pending { stub: si, args });
-                    } else {
-                        // Filtered out: skip this whole call without
-                        // re-resolving on every cycle it blocks.
-                        self.ignore_region[i] = Some((stub.entry, stub.end));
-                    }
-                }
-            } else if self.ignore_region[i].is_some()
-                && (pe.pc < self.stubs.lo || pe.pc >= self.stubs.hi)
-            {
                 self.ignore_region[i] = None;
             }
+            if let Some(si) = self.stub_covering(pe.pc) {
+                let stub = self.stubs.stubs[si];
+                if pe.pc > stub.trap_pc {
+                    // Missed the call (capture was off); ignore it.
+                } else if self.wants(stub.kind, pe_id) {
+                    let frame = pe.frames.last().expect("in stub");
+                    let mut args = [0; 8];
+                    let n = (stub.argc as usize).min(frame.locals.len());
+                    args[..n].copy_from_slice(&frame.locals[..n]);
+                    self.pending[i] = Some(Pending { stub: si, args });
+                } else {
+                    // Filtered out: skip this whole call without
+                    // re-resolving on every cycle it blocks.
+                    self.ignore_region[i] = Some((stub.entry, stub.end));
+                }
+            }
+        } else if self.ignore_region[i].is_some()
+            && (pe.pc < self.stubs.lo || pe.pc >= self.stubs.hi)
+        {
+            self.ignore_region[i] = None;
+        }
 
-            // Work entry/exit via invocation counters: begins and ends
-            // strictly alternate on one PE, starting from whatever state
-            // we last observed.
-            let inv = pe.invocations;
-            let active = u64::from(pe.frame_depth() > 0);
-            let completions = inv - active;
-            let (seen_inv, seen_done) = self.seen[i];
-            if completions > seen_done || inv > seen_inv {
-                if let Some(&actor) = self.pe_actor.get(&pe_id) {
-                    if graph.actor(actor).kind == ActorKind::Filter {
-                        let mut was_active = seen_inv > seen_done;
-                        let mut ends = completions - seen_done;
-                        let mut begins = inv - seen_inv;
-                        while ends > 0 || begins > 0 {
-                            if was_active && ends > 0 {
-                                self.out.push(DfEvent::WorkEnded { actor });
-                                ends -= 1;
-                                was_active = false;
-                            } else if begins > 0 {
-                                self.out.push(DfEvent::WorkBegun { actor });
-                                begins -= 1;
-                                was_active = true;
-                            } else {
-                                self.out.push(DfEvent::WorkEnded { actor });
-                                ends -= 1;
-                                was_active = false;
-                            }
+        // Work entry/exit via invocation counters: begins and ends
+        // strictly alternate on one PE, starting from whatever state
+        // we last observed.
+        let inv = pe.invocations;
+        let active = u64::from(pe.frame_depth() > 0);
+        let completions = inv - active;
+        let (seen_inv, seen_done) = self.seen[i];
+        if completions > seen_done || inv > seen_inv {
+            if let Some(&actor) = self.pe_actor.get(&pe_id) {
+                if graph.actor(actor).kind == ActorKind::Filter {
+                    let mut was_active = seen_inv > seen_done;
+                    let mut ends = completions - seen_done;
+                    let mut begins = inv - seen_inv;
+                    while ends > 0 || begins > 0 {
+                        if was_active && ends > 0 {
+                            self.out.push(DfEvent::WorkEnded { actor });
+                            ends -= 1;
+                            was_active = false;
+                        } else if begins > 0 {
+                            self.out.push(DfEvent::WorkBegun { actor });
+                            begins -= 1;
+                            was_active = true;
+                        } else {
+                            self.out.push(DfEvent::WorkEnded { actor });
+                            ends -= 1;
+                            was_active = false;
                         }
                     }
                 }
-                self.seen[i] = (inv, completions);
             }
+            self.seen[i] = (inv, completions);
         }
     }
 
@@ -495,6 +498,11 @@ impl Capture {
         if let Some(ev) = ev {
             self.out.push(ev);
         }
+    }
+
+    /// Whether this cycle captured anything.
+    pub fn has_events(&self) -> bool {
+        !self.out.is_empty()
     }
 
     /// Move the events captured this cycle to the end of `out`. Both

@@ -117,6 +117,11 @@ struct RunState {
     stop_queue: VecDeque<Stop>,
     step_mode: StepMode,
     graph_learned: bool,
+    /// The machine's clock after the last cycle the run loop observed.
+    /// When a cycle starts anywhere else (the first after `attach`, or
+    /// after the machine was stepped behind the debugger's back) the
+    /// loop looks at every PE once instead of at the touched ones.
+    seen_clock: u64,
 }
 
 /// The debugger's half of a checkpoint, beside the machine's fork: the
@@ -146,11 +151,10 @@ pub struct Session {
     run: RunState,
     breakpoints: Vec<Breakpoint>,
     bp_addrs: HashMap<CodeAddr, Vec<u32>>,
-    /// Address range covered by *enabled* breakpoints: a one-compare gate
-    /// letting undisturbed cycles skip the `bp_addrs` probe entirely.
-    /// `bp_lo > bp_hi` means no enabled breakpoint exists.
-    bp_lo: CodeAddr,
-    bp_hi: CodeAddr,
+    /// One bit per code address holding an *enabled* breakpoint, the
+    /// flag GDB's code patching plants: a PE about to execute is checked
+    /// with one load. Empty while no breakpoint is enabled.
+    bp_flags: Vec<u64>,
     next_bp: u32,
     watchpoints: Vec<Watchpoint>,
     next_watch: u32,
@@ -199,6 +203,15 @@ pub struct Session {
     /// between cycles.
     runtime_events: Vec<RuntimeEvent>,
     captured: Vec<DfEvent>,
+    /// Entry-breakpoint stops found while visiting a cycle's PEs; they
+    /// queue after the cycle's dataflow stops. Empty between cycles.
+    entry_stops: Vec<Stop>,
+    /// The first cycle at which the time-travel hook has work (a boundary
+    /// to verify or a checkpoint due); 0 forces a look on the next cycle.
+    tt_next: u64,
+    /// Debugger work counter: PE inspections made by the run loop, one per
+    /// PE per look (breakpoint check, capture and entry check, fault scan).
+    pe_visits: u64,
 }
 
 impl Session {
@@ -225,11 +238,11 @@ impl Session {
                 stop_queue: VecDeque::new(),
                 step_mode: StepMode::None,
                 graph_learned: false,
+                seen_clock: u64::MAX,
             },
             breakpoints: Vec::new(),
             bp_addrs: HashMap::new(),
-            bp_lo: CodeAddr::MAX,
-            bp_hi: 0,
+            bp_flags: Vec::new(),
             next_bp: 1,
             watchpoints: Vec::new(),
             next_watch: 1,
@@ -247,6 +260,9 @@ impl Session {
             last_explore: None,
             runtime_events: Vec::new(),
             captured: Vec::new(),
+            entry_stops: Vec::new(),
+            tt_next: 0,
+            pe_visits: 0,
         }
     }
 
@@ -267,8 +283,7 @@ impl Session {
             run: self.run.clone(),
             breakpoints: self.breakpoints.clone(),
             bp_addrs: self.bp_addrs.clone(),
-            bp_lo: self.bp_lo,
-            bp_hi: self.bp_hi,
+            bp_flags: self.bp_flags.clone(),
             next_bp: self.next_bp,
             watchpoints: self.watchpoints.clone(),
             next_watch: self.next_watch,
@@ -286,6 +301,9 @@ impl Session {
             last_explore: self.last_explore.clone(),
             runtime_events: Vec::new(),
             captured: Vec::new(),
+            entry_stops: Vec::new(),
+            tt_next: 0,
+            pe_visits: 0,
         }
     }
 
@@ -415,6 +433,12 @@ impl Session {
     // ---- the run loop -----------------------------------------------------
 
     /// Run until something stops the machine, for at most `max_cycles`.
+    ///
+    /// Each cycle costs what happened in it: the debugger looks only at
+    /// the PEs the cycle touched ([`p2012::Platform::touched`]), checks
+    /// breakpoints only on PEs about to execute, scans for faults only
+    /// while a PE is faulted, and wakes the time-travel hook only at its
+    /// next boundary.
     pub fn run(&mut self, max_cycles: u64) -> Stop {
         if let Some(s) = self.run.stop_queue.pop_front() {
             self.note_focus(&s);
@@ -426,64 +450,73 @@ impl Session {
                 self.note_focus(&stop);
                 return stop;
             }
+            let look_at_all = self.sys.clock() != self.run.seen_clock;
             let report = self.sys.step();
-            self.run.skip.clear();
-
-            // Watchpoints.
-            for hit in self.sys.platform.mem.take_hits() {
-                self.run.stop_queue.push_back(Stop::Watchpoint {
-                    id: hit.id,
-                    addr: hit.addr,
-                    old: hit.old,
-                    new: hit.new,
-                });
+            self.run.seen_clock = self.sys.clock();
+            if !self.run.skip.is_empty() {
+                self.run.skip.clear();
             }
 
-            // Dataflow events: host-boundary stream + capture engine.
-            self.pump_dataflow();
+            // Watchpoints.
+            if self.sys.platform.mem.has_hits() {
+                for hit in self.sys.platform.mem.take_hits() {
+                    self.run.stop_queue.push_back(Stop::Watchpoint {
+                        id: hit.id,
+                        addr: hit.addr,
+                        old: hit.old,
+                        new: hit.new,
+                    });
+                }
+            }
 
-            // Entry breakpoints on runtime-scheduled tasks: when the
-            // runtime invokes a WORK method on a PE that the scheduler
-            // visits later in the same cycle, the entry instruction has
-            // already executed by the time we look — detect the invocation
-            // through the counter and stop "after the prologue", as GDB
-            // does for function breakpoints.
-            self.check_entry_breakpoints();
+            // Dataflow events (host-boundary stream + capture engine) and
+            // entry breakpoints on runtime-scheduled tasks.
+            self.pump_dataflow(look_at_all);
 
-            // Faults are always reported.
-            for (i, pe) in self.sys.platform.pes.iter().enumerate() {
-                if let PeStatus::Faulted(f) = pe.status {
-                    let stop = Stop::Fault {
-                        pe: PeId(i as u16),
-                        fault: f,
-                    };
-                    // Report each fault once.
-                    if !self.run.stop_queue.contains(&stop) {
-                        self.run.stop_queue.push_back(stop);
+            // Faults are always reported, while any PE is faulted.
+            if self.sys.platform.first_fault().is_some() {
+                self.pe_visits += self.sys.platform.pe_count() as u64;
+                for (i, pe) in self.sys.platform.pes.iter().enumerate() {
+                    if let PeStatus::Faulted(f) = pe.status {
+                        let stop = Stop::Fault {
+                            pe: PeId(i as u16),
+                            fault: f,
+                        };
+                        // Report each fault once.
+                        if !self.run.stop_queue.contains(&stop) {
+                            self.run.stop_queue.push_back(stop);
+                        }
                     }
                 }
             }
 
             // Stepping modes.
-            if let Some(stop) = self.check_step_mode() {
-                self.run.stop_queue.push_back(stop);
+            if !matches!(self.run.step_mode, StepMode::None) {
+                if let Some(stop) = self.check_step_mode() {
+                    self.run.stop_queue.push_back(stop);
+                }
             }
 
             // Time travel: at a recorded boundary, verify the replayed
             // hash chain (divergence -> REPLAY501); on new ground, create
             // the periodic checkpoint. Runs before the stop queue pops so
-            // pending stops are part of the checkpoint. The manager is
-            // *taken* for the duration of the hook (it is a few words;
-            // the checkpoint payloads live behind its Vec) so there is a
-            // single `if let` and no `is_some`/`unwrap` pair to desync.
-            if let Some(mut mgr) = self.tt.take() {
-                let clock = self.sys.clock();
-                if mgr.has_checkpoint_at(clock) {
-                    mgr.verify_boundary(&mut self.sys, clock);
-                } else if mgr.creation_due(clock) {
-                    mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone()));
+            // pending stops are part of the checkpoint. Between boundaries
+            // the hook costs one comparison. The manager is *taken* for
+            // the duration of the hook (it is a few words; the checkpoint
+            // payloads live behind its Vec) so there is a single `if let`
+            // and no `is_some`/`unwrap` pair to desync.
+            let clock = self.sys.clock();
+            if clock >= self.tt_next {
+                self.tt_next = u64::MAX;
+                if let Some(mut mgr) = self.tt.take() {
+                    if mgr.has_checkpoint_at(clock) {
+                        mgr.verify_boundary(&mut self.sys, clock);
+                    } else if mgr.creation_due(clock) {
+                        mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone()));
+                    }
+                    self.tt_next = mgr.next_boundary(clock + 1);
+                    self.tt = Some(mgr);
                 }
-                self.tt = Some(mgr);
             }
 
             if let Some(s) = self.run.stop_queue.pop_front() {
@@ -536,7 +569,7 @@ impl Session {
         }
     }
 
-    fn pump_dataflow(&mut self) {
+    fn pump_dataflow(&mut self, look_at_all: bool) {
         let cycle = self.sys.clock();
         // 1. Runtime event stream: env I/O always; everything in
         //    cooperation mode.
@@ -599,13 +632,34 @@ impl Session {
         // In cooperation mode WaitSync resets are invisible; mirror the
         // runtime's filter states lazily instead (displays read them).
 
-        // 2. Function-breakpoint capture.
-        self.run
-            .capture
-            .observe(&self.sys.platform, &self.model.graph);
-        self.run.capture.drain_into(&mut self.captured);
-        for ev in self.captured.drain(..) {
-            self.model.apply(ev, cycle, &mut stops);
+        // 2. Function-breakpoint capture and entry breakpoints, one look
+        //    at each PE the cycle touched.
+        let n_pes = self.sys.platform.pe_count();
+        let mut next = 0;
+        loop {
+            let i = if look_at_all {
+                if next == n_pes {
+                    break;
+                }
+                next
+            } else {
+                match self.sys.platform.touched().next_from(next) {
+                    Some(i) => i,
+                    None => break,
+                }
+            };
+            next = i + 1;
+            self.pe_visits += 1;
+            self.run
+                .capture
+                .observe_pe(&self.sys.platform, &self.model.graph, i);
+            self.check_entry_breakpoint(i);
+        }
+        if self.run.capture.has_events() {
+            self.run.capture.drain_into(&mut self.captured);
+            for ev in self.captured.drain(..) {
+                self.model.apply(ev, cycle, &mut stops);
+            }
         }
         if self.model.booted && !self.run.graph_learned {
             self.run.capture.learn_graph(&self.model.graph);
@@ -615,18 +669,23 @@ impl Session {
         for s in &stops {
             self.run.stop_queue.push_back(Stop::Dataflow(s.clone()));
         }
+        if !self.entry_stops.is_empty() {
+            self.run.stop_queue.extend(self.entry_stops.drain(..));
+        }
     }
 
     // ---- breakpoints -------------------------------------------------------
 
-    /// Recompute the enabled-breakpoint address range gate.
-    fn rebuild_bp_range(&mut self) {
-        self.bp_lo = CodeAddr::MAX;
-        self.bp_hi = 0;
+    /// Replant the enabled-breakpoint flags.
+    fn rebuild_bp_flags(&mut self) {
+        self.bp_flags.clear();
         for b in &self.breakpoints {
             if b.enabled {
-                self.bp_lo = self.bp_lo.min(b.addr);
-                self.bp_hi = self.bp_hi.max(b.addr);
+                let w = b.addr as usize / 64;
+                if self.bp_flags.len() <= w {
+                    self.bp_flags.resize(w + 1, 0);
+                }
+                self.bp_flags[w] |= 1 << (b.addr % 64);
             }
         }
     }
@@ -634,7 +693,11 @@ impl Session {
     /// The first enabled breakpoint installed at `addr`, if any. The one
     /// lookup both breakpoint checks share.
     fn enabled_bp_at(&self, addr: CodeAddr) -> Option<u32> {
-        if addr < self.bp_lo || addr > self.bp_hi {
+        let flagged = self
+            .bp_flags
+            .get(addr as usize / 64)
+            .is_some_and(|w| w & (1 << (addr % 64)) != 0);
+        if !flagged {
             return None;
         }
         let ids = self.bp_addrs.get(&addr)?;
@@ -647,27 +710,29 @@ impl Session {
             .copied()
     }
 
+    /// Before a cycle: the first PE about to execute an instruction that
+    /// carries an enabled breakpoint. Only PEs the machine will visit can
+    /// be about to execute, so only those are looked at.
     fn check_breakpoints(&mut self) -> Option<Stop> {
-        if self.bp_lo > self.bp_hi {
+        if self.bp_flags.is_empty() {
             return None; // no enabled breakpoint anywhere
         }
         let mut found: Option<(PeId, CodeAddr, u32)> = None;
-        for (i, pe) in self.sys.platform.pes.iter().enumerate() {
+        let mut next = 0;
+        while let Some(i) = self.sys.platform.active().next_from(next) {
+            next = i + 1;
+            self.pe_visits += 1;
+            let pe = &self.sys.platform.pes[i];
             if !matches!(pe.status, PeStatus::Running) || pe.stall > 0 {
                 continue;
             }
-            // Cheap range gate before the skip-set and map probes: on
-            // undisturbed cycles every PE falls out right here.
-            if pe.pc < self.bp_lo || pe.pc > self.bp_hi {
-                continue;
-            }
             let pe_id = PeId(i as u16);
-            if self.run.skip.contains(&(pe_id, pe.pc)) {
-                continue;
-            }
             let Some(bp_id) = self.enabled_bp_at(pe.pc) else {
                 continue;
             };
+            if self.run.skip.contains(&(pe_id, pe.pc)) {
+                continue;
+            }
             found = Some((pe_id, pe.pc, bp_id));
             break;
         }
@@ -695,31 +760,34 @@ impl Session {
         }
     }
 
-    /// Post-cycle detection of task entries that executed within the
-    /// invoking cycle (see the comment at the call site).
-    fn check_entry_breakpoints(&mut self) {
-        for i in 0..self.sys.platform.pes.len() {
-            let pe = &self.sys.platform.pes[i];
-            let inv = pe.invocations;
-            if inv == self.run.inv_seen[i] {
-                continue;
-            }
-            self.run.inv_seen[i] = inv;
-            if self.bp_lo > self.bp_hi {
-                continue;
-            }
-            let Some(entry) = pe.frames.first().map(|f| f.func) else {
-                continue; // already finished again: too short to stop in
-            };
-            if pe.pc == entry {
-                continue; // not yet executed: the pre-cycle check will stop
-            }
-            let Some(bp_id) = self.enabled_bp_at(entry) else {
-                continue;
-            };
-            let stop = self.fire_breakpoint(PeId(i as u16), entry, bp_id);
-            self.run.stop_queue.push_back(stop);
+    /// Entry breakpoints on runtime-scheduled tasks, for PE `i` after a
+    /// cycle: when the runtime invokes a WORK method on a PE that the
+    /// scheduler visits later in the same cycle, the entry instruction
+    /// has already executed by the time we look — detect the invocation
+    /// through the counter and stop "after the prologue", as GDB does for
+    /// function breakpoints. The stop queues after the cycle's dataflow
+    /// stops.
+    fn check_entry_breakpoint(&mut self, i: usize) {
+        let pe = &self.sys.platform.pes[i];
+        let inv = pe.invocations;
+        if inv == self.run.inv_seen[i] {
+            return;
         }
+        self.run.inv_seen[i] = inv;
+        if self.bp_flags.is_empty() {
+            return;
+        }
+        let Some(entry) = pe.frames.first().map(|f| f.func) else {
+            return; // already finished again: too short to stop in
+        };
+        if pe.pc == entry {
+            return; // not yet executed: the pre-cycle check will stop
+        }
+        let Some(bp_id) = self.enabled_bp_at(entry) else {
+            return;
+        };
+        let stop = self.fire_breakpoint(PeId(i as u16), entry, bp_id);
+        self.entry_stops.push(stop);
     }
 
     fn add_breakpoint(
@@ -741,8 +809,7 @@ impl Session {
             hits: 0,
         });
         self.bp_addrs.entry(addr).or_default().push(id);
-        self.bp_lo = self.bp_lo.min(addr);
-        self.bp_hi = self.bp_hi.max(addr);
+        self.rebuild_bp_flags();
         id
     }
 
@@ -783,7 +850,7 @@ impl Session {
                 self.bp_addrs.remove(&bp.addr);
             }
         }
-        self.rebuild_bp_range();
+        self.rebuild_bp_flags();
         true
     }
 
@@ -794,7 +861,7 @@ impl Session {
             return false;
         };
         bp.enabled = enabled;
-        self.rebuild_bp_range();
+        self.rebuild_bp_flags();
         true
     }
 
@@ -1484,6 +1551,7 @@ impl Session {
         let mut mgr = CheckpointManager::new(interval);
         let id = mgr.baseline(&mut self.sys, (self.model.clone(), self.run.clone()));
         self.tt = Some(mgr);
+        self.tt_next = 0;
         self.anchors.clear();
         id
     }
@@ -1520,6 +1588,7 @@ impl Session {
             Ok(mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone())))
         };
         self.tt = Some(mgr);
+        self.tt_next = 0;
         result
     }
 
@@ -1548,8 +1617,10 @@ impl Session {
     fn install(&mut self, sys: System, (model, run): Recorded) {
         self.horizon = self.horizon.max(self.sys.clock());
         replay::restore_machine(&mut self.sys, sys);
+        self.sys.platform.wake_all();
         self.model = model;
         self.run = run;
+        self.tt_next = 0;
     }
 
     /// Restore a checkpoint's or an anchor's state. Breakpoints,
@@ -1867,6 +1938,13 @@ impl Session {
         }
     }
 
+    /// Debugger work counter: how many PE inspections the run loop has
+    /// made, one per PE per look. A look at every PE on every cycle would
+    /// add three times the PE count per cycle.
+    pub fn pe_visits(&self) -> u64 {
+        self.pe_visits
+    }
+
     /// How many replay anchors the session holds (at most 2).
     pub fn replay_anchors(&self) -> usize {
         self.anchors.len()
@@ -2017,6 +2095,7 @@ impl Session {
         mgr.invalidate_after(clock.saturating_sub(1));
         mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone()));
         self.tt = Some(mgr);
+        self.tt_next = 0;
     }
 
     // ---- displays --------------------------------------------------------------

@@ -133,64 +133,86 @@ impl CycleReport {
     }
 }
 
-/// A set of PEs: one bit per PE, iterated in index order.
+/// A set of PEs: one bit per PE, iterated in index order. The first 64
+/// PEs (every configuration in this repository) live in one inline word.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeSet {
-    words: Vec<u64>,
+    low: u64,
+    high: Vec<u64>,
 }
 
 impl PeSet {
     /// An empty set with room for `n` PEs.
     pub fn with_capacity(n: usize) -> Self {
         PeSet {
-            words: vec![0; n.div_ceil(64)],
+            low: 0,
+            high: vec![0; n.saturating_sub(64).div_ceil(64)],
+        }
+    }
+
+    fn word(&mut self, i: usize) -> &mut u64 {
+        match i / 64 {
+            0 => &mut self.low,
+            w => &mut self.high[w - 1],
         }
     }
 
     /// Add `i`; true when it was not a member.
     pub fn insert(&mut self, i: usize) -> bool {
-        let (w, b) = (i / 64, 1u64 << (i % 64));
-        let was = self.words[w] & b != 0;
-        self.words[w] |= b;
+        let b = 1u64 << (i % 64);
+        let w = self.word(i);
+        let was = *w & b != 0;
+        *w |= b;
         !was
     }
 
     /// Remove `i`; true when it was a member.
     pub fn remove(&mut self, i: usize) -> bool {
-        let (w, b) = (i / 64, 1u64 << (i % 64));
-        let was = self.words[w] & b != 0;
-        self.words[w] &= !b;
+        let b = 1u64 << (i % 64);
+        let w = self.word(i);
+        let was = *w & b != 0;
+        *w &= !b;
         was
     }
 
     pub fn contains(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+        let w = match i / 64 {
+            0 => self.low,
+            w => self.high.get(w - 1).copied().unwrap_or(0),
+        };
+        w & (1u64 << (i % 64)) != 0
     }
 
     pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.low = 0;
+        self.high.iter_mut().for_each(|w| *w = 0);
     }
 
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        let high: u32 = self.high.iter().map(|w| w.count_ones()).sum();
+        (self.low.count_ones() + high) as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.low == 0 && self.high.iter().all(|&w| w == 0)
     }
 
     /// The smallest member at or after `from`.
     pub fn next_from(&self, from: usize) -> Option<usize> {
-        let mut w = from / 64;
-        let mut bits = self.words.get(w)? & (u64::MAX << (from % 64));
+        if from < 64 {
+            let bits = self.low & (u64::MAX << from);
+            if bits != 0 {
+                return Some(bits.trailing_zeros() as usize);
+            }
+        }
+        let mut w = from.max(64) / 64;
+        let mut bits = self.high.get(w - 1)? & (u64::MAX << (from.max(64) % 64));
         loop {
             if bits != 0 {
                 return Some(w * 64 + bits.trailing_zeros() as usize);
             }
             w += 1;
-            bits = *self.words.get(w)?;
+            bits = *self.high.get(w - 1)?;
         }
     }
 
@@ -245,12 +267,13 @@ pub(crate) struct Sched {
     parked: PeSet,
     /// Woken PEs whose wait the handler is asked about before a dispatch.
     woken: PeSet,
-    /// PEs that executed, trapped, completed, faulted or were invoked in
-    /// the last cycle.
+    /// PEs whose call stack, status or task the last cycle changed.
     touched: PeSet,
     running: u32,
     blocked: u32,
     faulted: u32,
+    /// Members of `parked`.
+    n_parked: u32,
     /// The PE whose slot is being served; `usize::MAX` outside the loop.
     cursor: usize,
     /// PEs parked when the loop began and woken before their slot.
@@ -304,12 +327,21 @@ impl Sched {
     /// whether it still waits before its trap is dispatched.
     pub(crate) fn wake(&mut self, pe: usize) {
         if self.parked.remove(pe) {
+            self.n_parked -= 1;
             self.active.insert(pe);
             self.woken.insert(pe);
             self.work.wakeups += 1;
             if self.cursor != usize::MAX && pe > self.cursor {
                 self.woken_ahead += 1;
             }
+        }
+    }
+
+    /// Take a blocked PE out of the loop until a wake.
+    fn park(&mut self, pe: usize) {
+        self.active.remove(pe);
+        if self.parked.insert(pe) {
+            self.n_parked += 1;
         }
     }
 
@@ -475,7 +507,7 @@ impl Platform {
         // it had been: a fault every cycle, a trap for every parked PE its
         // slot passes (one woken ahead of its slot is visited instead).
         report.faults = self.sched.faulted;
-        let parked = self.sched.parked.len() as u32;
+        let parked = self.sched.n_parked;
         self.sched.woken_ahead = 0;
         let mut next = 0;
         while let Some(i) = self.sched.active.next_from(next) {
@@ -513,7 +545,11 @@ impl Platform {
                     self.settle(handler, i, from);
                     return;
                 }
-                StepEvent::Executed | StepEvent::Called { .. } | StepEvent::Returned { .. } => {
+                StepEvent::Executed => {
+                    report.executed += 1;
+                    return;
+                }
+                StepEvent::Called { .. } | StepEvent::Returned { .. } => {
                     report.executed += 1;
                     self.sched.touched.insert(i);
                     return;
@@ -536,8 +572,7 @@ impl Platform {
                 if self.sched.woken.remove(i) {
                     self.sched.work.probes += 1;
                     if handler.still_blocked(id, reason) {
-                        self.sched.active.remove(i);
-                        self.sched.parked.insert(i);
+                        self.sched.park(i);
                         report.traps += 1;
                         return;
                     }
@@ -580,8 +615,7 @@ impl Platform {
         self.sched.moved(i, from, to);
         if let PeStatus::Blocked(reason) = to {
             if handler.parks(PeId(i as u16), reason) {
-                self.sched.active.remove(i);
-                self.sched.parked.insert(i);
+                self.sched.park(i);
             }
         }
     }
@@ -636,12 +670,20 @@ impl Platform {
         total
     }
 
-    /// The PEs the last [`Platform::step_cycle`] touched: those that
-    /// executed an instruction, trapped, completed a task, faulted or
-    /// were handed a task. Every other PE left the cycle exactly as it
-    /// entered it, save a memory stall paid down.
+    /// The PEs the last [`Platform::step_cycle`] touched: those whose
+    /// call stack, status or task it changed. They called or returned,
+    /// trapped, completed a task, faulted, halted or were handed a task.
+    /// Every other PE kept its frames and status: it retired an ordinary
+    /// instruction inside its current function, paid a memory stall, or
+    /// did nothing.
     pub fn touched(&self) -> &PeSet {
         &self.sched.touched
+    }
+
+    /// The PEs the next cycle visits: the running ones and the blocked
+    /// ones that are not parked. Every PE about to execute is here.
+    pub fn active(&self) -> &PeSet {
+        &self.sched.active
     }
 
     /// Deterministic counts of the scheduling work done so far.
@@ -669,7 +711,11 @@ impl Platform {
 
     /// Engines with a transfer in flight.
     fn dma_active(&self) -> usize {
-        self.dma.iter().filter(|d| d.in_flight() > 0).count()
+        let mut n = 0;
+        for d in &self.dma {
+            n += usize::from(d.in_flight() > 0);
+        }
+        n
     }
 
     /// True when nothing can make progress any more: every PE idle, halted
@@ -796,6 +842,23 @@ mod tests {
     use crate::memory::L2_BASE;
     use crate::trap::NullHandler;
     use crate::vm::BlockReason;
+
+    #[test]
+    fn pe_sets_iterate_in_index_order_past_one_word() {
+        let mut s = PeSet::with_capacity(200);
+        for i in [199, 3, 64, 0, 130, 63] {
+            assert!(s.insert(i));
+        }
+        assert!(!s.insert(64));
+        let got: Vec<u16> = s.iter().map(|p| p.0).collect();
+        assert_eq!(got, [0, 3, 63, 64, 130, 199]);
+        assert_eq!(s.next_from(65), Some(130));
+        assert_eq!(s.next_from(200), None);
+        assert!(s.remove(130) && !s.remove(130) && !s.contains(130));
+        assert_eq!(s.len(), 5);
+        s.clear();
+        assert!(s.is_empty());
+    }
 
     #[test]
     fn topology_matches_config() {

@@ -157,6 +157,10 @@ pub struct Runtime {
     /// environment attached); the next cycle wakes every parked PE.
     /// Derived state, not hashed.
     wake_pending: bool,
+    /// The first cycle at which a source or sink may move a token; FIFO
+    /// traffic and outside changes reset it to 0 (look next cycle).
+    /// Derived state, not hashed.
+    env_next: u64,
 }
 
 impl Runtime {
@@ -181,6 +185,7 @@ impl Runtime {
             pop_buf: Vec::new(),
             n_scheduled: 0,
             wake_pending: false,
+            env_next: 0,
         }
     }
 
@@ -191,6 +196,13 @@ impl Runtime {
 
     fn token_words(&self, conn: ConnId) -> u32 {
         self.types.size_words(self.graph.conn(conn).ty)
+    }
+
+    /// A change from outside the stepper: the next cycle wakes every
+    /// parked PE and looks at the environment.
+    fn note_outside_change(&mut self) {
+        self.wake_pending = true;
+        self.env_next = 0;
     }
 
     /// Set `actor`'s scheduling state, keeping the count of scheduled
@@ -389,6 +401,7 @@ impl Runtime {
             Ok(Some((index, stall))) => {
                 current.stall += stall;
                 ctx.wake_blocked_on(BlockReason::TokenWait { link: link.0 });
+                self.env_next = 0;
                 self.conns_rt[conn.0 as usize].written += 1;
                 self.stats.tokens_pushed += 1;
                 self.events.push(|| RuntimeEvent::TokenPushed {
@@ -435,6 +448,7 @@ impl Runtime {
                 Ok(Some((index, stall))) => {
                     current.stall += stall;
                     ctx.wake_blocked_on(BlockReason::SpaceWait { link: link.0 });
+                    self.env_next = 0;
                     let rt = &mut self.conns_rt[conn.0 as usize];
                     rt.window.extend_from_slice(&self.pop_buf);
                     rt.window_tokens += 1;
@@ -868,6 +882,40 @@ impl Runtime {
             }
         }
         self.sinks = sinks;
+        self.env_next = self.next_env_cycle(ctx.clock);
+    }
+
+    /// The first cycle after `clock` at which a source or sink could move
+    /// a token as things stand. A source whose link is full and a sink
+    /// whose link is empty wait for FIFO traffic on it, which resets
+    /// `env_next`; otherwise each is due at the cycle `due` first holds.
+    fn next_env_cycle(&self, clock: u64) -> u64 {
+        let link_of = |conn: ConnId| {
+            self.graph
+                .conn(conn)
+                .link
+                .map(|l| &self.fifos[l.0 as usize])
+        };
+        let mut next = u64::MAX;
+        for s in &self.sources {
+            let Some(fifo) = link_of(s.conn) else {
+                continue;
+            };
+            if fifo.is_full() || s.limit.is_some_and(|l| s.produced >= l) {
+                continue;
+            }
+            let due = s.produced.saturating_mul(u64::from(s.period));
+            next = next.min(s.start_at.saturating_add(due));
+        }
+        for k in &self.sinks {
+            let Some(fifo) = link_of(k.conn) else {
+                continue;
+            };
+            if !fifo.is_empty() {
+                next = next.min(k.consumed.saturating_mul(u64::from(k.period)));
+            }
+        }
+        next.max(clock + 1)
     }
 
     // ---- public configuration & inspection API ----------------------------
@@ -889,7 +937,7 @@ impl Runtime {
             return Err("sources only feed scalar-typed links".into());
         }
         self.sources.push(source);
-        self.wake_pending = true;
+        self.note_outside_change();
         Ok(())
     }
 
@@ -907,7 +955,7 @@ impl Runtime {
             return Err(format!("module output `{}` is unbound", c.name));
         }
         self.sinks.push(sink);
-        self.wake_pending = true;
+        self.note_outside_change();
         Ok(())
     }
 
@@ -965,7 +1013,7 @@ impl Runtime {
         rt.started = started;
         rt.begun = begun;
         rt.sync_requested = sync_requested;
-        self.wake_pending = true;
+        self.note_outside_change();
     }
 
     /// True while a policy-deferred WORK start is still pending: some
@@ -1026,7 +1074,7 @@ impl Runtime {
                 self.types.name(value.ty)
             ));
         }
-        self.wake_pending = true;
+        self.note_outside_change();
         self.fifos[link.0 as usize].inject(mem, &value.words)
     }
 
@@ -1042,7 +1090,7 @@ impl Runtime {
         if value.ty != ty {
             return Err("type mismatch".to_string());
         }
-        self.wake_pending = true;
+        self.note_outside_change();
         self.fifos[link.0 as usize].overwrite(mem, idx, &value.words)
     }
 
@@ -1053,7 +1101,7 @@ impl Runtime {
         link: LinkId,
         idx: u32,
     ) -> Result<(), String> {
-        self.wake_pending = true;
+        self.note_outside_change();
         self.fifos[link.0 as usize].remove(mem, idx)
     }
 
@@ -1068,7 +1116,7 @@ impl Runtime {
         for (src, l) in self.sources.iter_mut().zip(&mut live.sources) {
             src.adopt_environment(l);
         }
-        self.wake_pending = true;
+        self.note_outside_change();
     }
 
     /// Feed the dynamic runtime state to a hasher (divergence check).
@@ -1230,7 +1278,9 @@ impl TrapHandler for Runtime {
         if !self.booted {
             return;
         }
-        self.run_env(ctx);
+        if ctx.clock >= self.env_next {
+            self.run_env(ctx);
+        }
         // Late-start scheduled filters whose PE freed up outside
         // on_task_complete (e.g. after a fault recovery) or whose
         // policy-deferred election fell due.

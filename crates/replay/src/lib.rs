@@ -286,6 +286,21 @@ impl<X> CheckpointManager<X> {
         self.is_initialized() && clock >= self.last_clock() + self.interval
     }
 
+    /// The first clock at or after `from` where the run loop has work: a
+    /// recorded boundary to verify or an auto-checkpoint due. `u64::MAX`
+    /// before the baseline.
+    pub fn next_boundary(&self, from: u64) -> u64 {
+        if !self.is_initialized() {
+            return u64::MAX;
+        }
+        let recorded = self
+            .checkpoints
+            .get(self.checkpoints.partition_point(|c| c.clock < from))
+            .map_or(u64::MAX, |c| c.clock);
+        let due = self.last_clock().saturating_add(self.interval).max(from);
+        recorded.min(due)
+    }
+
     /// The latest checkpoint with `clock <= target`.
     pub fn nearest_at_or_before(&self, target: u64) -> Option<u32> {
         self.checkpoints
