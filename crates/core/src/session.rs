@@ -1646,15 +1646,15 @@ impl Session {
     }
 
     /// The latest state a replay toward `target` can start from whose
-    /// machine passes `pred`: a checkpoint at or before `target`, or an
-    /// anchor strictly before it (restoring one at `target` would leave
-    /// that cycle's stops pending where a replay delivers them).
+    /// machine passes `pred`: a checkpoint or an anchor strictly before
+    /// `target`. Restoring one recorded at `target` would leave that
+    /// cycle's stops pending, where a replay delivers them.
     fn replay_start(
         &self,
         target: u64,
         pred: impl Fn(&System) -> bool,
     ) -> CmdResult<Option<(System, Recorded)>> {
-        let checkpoints = self.tt_mgr()?.iter().filter(|c| c.clock <= target);
+        let checkpoints = self.tt_mgr()?.iter().filter(|c| c.clock < target);
         let anchors = self.anchors.iter().filter(|(s, _)| s.clock() < target);
         Ok(checkpoints
             .map(|c| (&c.sys, &c.payload))
@@ -1712,9 +1712,23 @@ impl Session {
     /// or faults before `target` has no history to land on: the replay
     /// stops there with an error naming that cycle.
     pub fn goto_cycle(&mut self, target: u64) -> CmdResult<()> {
-        let (sys, recorded) = self
-            .replay_start(target, |_| true)?
-            .ok_or("target cycle predates the recorded history")?;
+        let (sys, recorded) = match self.replay_start(target, |_| true)? {
+            Some(start) => start,
+            // The oldest checkpoint has nothing earlier to replay from:
+            // restore it as a replay would have left it, its cycle's stops
+            // delivered.
+            None => {
+                let oldest = self
+                    .tt_mgr()?
+                    .iter()
+                    .next()
+                    .filter(|c| c.clock == target)
+                    .ok_or("target cycle predates the recorded history")?;
+                let (model, mut run) = oldest.payload.clone();
+                run.stop_queue.clear();
+                (oldest.sys.clone(), (model, run))
+            }
+        };
         self.restore(sys, recorded);
         while self.sys.clock() < target {
             // Stops pop without consuming cycles; re-issuing with the

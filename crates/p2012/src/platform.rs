@@ -1046,6 +1046,71 @@ mod tests {
         assert!(traps > 20, "the PE must have waited: {traps} traps");
     }
 
+    /// Trap 9 copies 40 words with engine 0 and returns once the copy is
+    /// done; parks the waiting PE only when `park` is set.
+    struct DmaWaiter {
+        park: bool,
+        transfer: Option<u32>,
+    }
+
+    impl TrapHandler for DmaWaiter {
+        fn trap(
+            &mut self,
+            ctx: &mut TrapCtx<'_>,
+            _pe: PeId,
+            _current: &mut PeState,
+            id: u16,
+            _args: &[Word],
+        ) -> TrapResult {
+            assert_eq!(id, 9);
+            let req = crate::DmaRequest {
+                src: crate::memory::L3_BASE,
+                dst: L2_BASE,
+                len: 40,
+            };
+            let t = *self.transfer.get_or_insert_with(|| ctx.dma[0].submit(req));
+            if ctx.dma[0].status(t) == crate::DmaStatus::Done {
+                ctx.dma[0].retire(t);
+                TrapResult::Done
+            } else {
+                TrapResult::Block(BlockReason::DmaWait { channel: 0 })
+            }
+        }
+
+        fn parks(&self, _pe: PeId, reason: BlockReason) -> bool {
+            self.park && matches!(reason, BlockReason::DmaWait { .. })
+        }
+    }
+
+    #[test]
+    fn a_dma_retire_wakes_the_pe_parked_on_it() {
+        let run = |park: bool| {
+            let mut b = ProgramBuilder::new();
+            let entry = b.begin_func(0);
+            b.emit(Insn::Enter(0));
+            b.emit(Insn::Trap {
+                id: 9,
+                argc: 0,
+                retc: 0,
+            });
+            b.emit(Insn::Halt);
+            let mut p = Platform::new(PlatformConfig::default());
+            p.load(b.finish());
+            p.invoke(PeId(0), entry, &[]);
+            let mut h = DmaWaiter {
+                park,
+                transfer: None,
+            };
+            let reports: Vec<CycleReport> = (0..30).map(|_| p.step_cycle(&mut h)).collect();
+            assert!(matches!(p.pes[0].status, PeStatus::Halted), "park {park}");
+            (reports, p.work())
+        };
+        let (parked, work) = run(true);
+        let (polled, _) = run(false);
+        assert_eq!(parked, polled);
+        assert_eq!((work.wakeups, work.dispatches), (1, 2), "{work:?}");
+    }
+
     /// PE0 raises a signal (trap 7) that PE1 waits for in trap 8.
     #[derive(Default)]
     struct Signal {

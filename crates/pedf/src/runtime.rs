@@ -885,6 +885,29 @@ impl Runtime {
         self.env_next = self.next_env_cycle(ctx.clock);
     }
 
+    /// Debug builds check that a cycle before `env_next` really has no
+    /// source or sink that could move a token.
+    fn debug_check_env_idle(&self, clock: u64) {
+        let fifo = |conn: ConnId| {
+            self.graph
+                .conn(conn)
+                .link
+                .map(|l| &self.fifos[l.0 as usize])
+        };
+        for s in &self.sources {
+            let ready = fifo(s.conn).is_some_and(|f| !f.is_full()) && s.due(clock);
+            assert!(
+                !ready,
+                "source on conn {} skipped at cycle {clock}",
+                s.conn.0
+            );
+        }
+        for k in &self.sinks {
+            let ready = fifo(k.conn).is_some_and(|f| !f.is_empty()) && k.due(clock);
+            assert!(!ready, "sink on conn {} skipped at cycle {clock}", k.conn.0);
+        }
+    }
+
     /// The first cycle after `clock` at which a source or sink could move
     /// a token as things stand. A source whose link is full and a sink
     /// whose link is empty wait for FIFO traffic on it, which resets
@@ -1280,6 +1303,8 @@ impl TrapHandler for Runtime {
         }
         if ctx.clock >= self.env_next {
             self.run_env(ctx);
+        } else if cfg!(debug_assertions) {
+            self.debug_check_env_idle(ctx.clock);
         }
         // Late-start scheduled filters whose PE freed up outside
         // on_task_complete (e.g. after a fault recovery) or whose

@@ -3,13 +3,17 @@
 //! apps and byte-identical analysis output, the regression corpus replays
 //! clean, and the mutation hook proves the farm notices a disabled rule.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
-use appgen::{check_parking_untied, check_spec, generate, load_dir, shrink, AppSpec};
+use appgen::{
+    check_parking, check_parking_untied, check_spec, generate, load_dir, shrink, AppSpec,
+};
 use dfa::testhook;
-use h264_pipeline::{attach_env, build_decoder, Bug};
+use h264_pipeline::{attach_env, build_decoder, build_decoder_with_caps, Bug};
 use p2012::PlatformConfig;
+use pedf::{EnvSink, EnvSource, ValueGen};
 
 /// The DFA004 mutation hook is process-global and every test here runs
 /// the analyzers, so all of them serialize on one lock: no test may see
@@ -191,6 +195,39 @@ fn parking_matches_polling_on_every_decoder_variant() {
             .unwrap_or_else(|d| panic!("{bug:?}: {}", d.detail));
         assert!(cycles > 1_000, "{bug:?} compared only {cycles} cycles");
     }
+}
+
+/// D7 with the environment as the waker: the clean decoder's output
+/// link squeezed to one slot and drained by a sink every 1,000 cycles
+/// (a frame is ready about every 300), so `pipe` waits for space on it
+/// and only the sink's pops free it.
+#[test]
+fn parking_matches_polling_behind_a_slow_sink() {
+    const N_MBS: u64 = 16;
+    let caps = BTreeMap::from([("pipe::frame_out".to_string(), 1)]);
+    let (mut sys, app) =
+        build_decoder_with_caps(Bug::None, N_MBS, PlatformConfig::default(), &caps).unwrap();
+    sys.boot(app.boot_entry).unwrap();
+    let rt = &mut sys.runtime;
+    let bits = EnvSource::new(
+        app.boundary_in["bits_in"],
+        2,
+        ValueGen::Lcg { state: 0xbeef },
+    );
+    rt.add_source(bits.with_limit(N_MBS)).unwrap();
+    let cfg = EnvSource::new(
+        app.boundary_in["cfg_in"],
+        2,
+        ValueGen::Counter { next: 0, step: 1 },
+    );
+    rt.add_source(cfg.with_limit(N_MBS)).unwrap();
+    rt.add_sink(EnvSink::new(app.boundary_out["frame_out"], 1_000))
+        .unwrap();
+    let cycles = check_parking(&sys, 1_000_000).unwrap_or_else(|d| panic!("{}", d.detail));
+    assert!(
+        cycles > 10_000,
+        "the sink did not set the pace: {cycles} cycles"
+    );
 }
 
 /// The mutation self-check end to end, in-process: weaken DFA004 via the

@@ -106,6 +106,46 @@ fn goto_cycle_lands_exactly_and_is_deterministic() {
     assert!(s.replay_findings().is_empty(), "{:?}", s.replay_findings());
 }
 
+/// `goto T` onto the cycle of a periodic checkpoint delivers that cycle's
+/// stops as a `goto T` that replays does: on an 8-macroblock decode
+/// under `catch recv pipe::mc_in` (receptions at cycles 1424 and 1709),
+/// `goto 1424; continue` stops next at 1709 whether a checkpoint lies at
+/// 1412 (interval 200) or at 1424 itself (interval 212). The oldest
+/// checkpoint, with nothing earlier to replay from, is restored with its
+/// cycle's stops delivered too.
+#[test]
+fn goto_onto_a_checkpoint_cycle_delivers_its_stops_like_a_replay() {
+    for (interval, on_checkpoint) in [(200, false), (212, true)] {
+        let mut s = session_with(Bug::None, 8, 0xbeef);
+        s.enable_time_travel(interval);
+        let oldest = s.sys.clock();
+        s.catch_iface_receive("pipe::mc_in").unwrap();
+        let stops: Vec<u64> = (0..2)
+            .map(|_| {
+                assert!(matches!(s.run(10_000_000), Stop::Dataflow(_)));
+                s.sys.clock()
+            })
+            .collect();
+        assert_eq!(stops, [1424, 1709]);
+        assert_eq!(
+            checkpoint_cycles(&s).contains(&1424),
+            on_checkpoint,
+            "interval {interval}: {:?}",
+            checkpoint_cycles(&s)
+        );
+        s.goto_cycle(1424).unwrap();
+        assert!(matches!(s.run(10_000_000), Stop::Dataflow(_)));
+        assert_eq!(s.sys.clock(), 1709, "interval {interval}: after goto 1424");
+        s.goto_cycle(oldest).unwrap();
+        assert!(matches!(s.run(10_000_000), Stop::Dataflow(_)));
+        assert_eq!(
+            s.sys.clock(),
+            1424,
+            "interval {interval}: after goto {oldest}"
+        );
+    }
+}
+
 /// `goto` past the end of the program stops at the end with an error
 /// instead of ticking the finished machine forward, and records nothing
 /// beyond it; the end itself stays reachable.
