@@ -166,11 +166,14 @@ pub fn exec(insn: Insn, frame: &mut Frame) -> Effect {
                 _ => BinOp::Ge,
             };
             // The table's shift is logical; an arithmetic shift agrees
-            // with it only on a non-negative operand.
-            let v = if insn == Sar && a.lo < 0 {
-                Iv::full()
-            } else {
-                Iv::binary(op, a, b)
+            // with it only on a non-negative operand. The table's ordered
+            // comparisons may be signed; the unsigned ones compare words
+            // as they are.
+            let v = match insn {
+                Sar if a.lo < 0 => Iv::full(),
+                LtU => Iv::lt(a, b),
+                GeU => Iv::le(b, a),
+                _ => Iv::binary(op, a, b),
             };
             frame.stack.push(v);
         }

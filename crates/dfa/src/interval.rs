@@ -170,6 +170,24 @@ impl Iv {
         }
     }
 
+    /// Whether every value in `self` reads the same as a signed 32-bit
+    /// word: a word above `i32::MAX` is negative to a signed compare.
+    fn fits_i32(self) -> bool {
+        self.lo >= i64::from(i32::MIN) && self.hi <= i64::from(i32::MAX)
+    }
+
+    /// An ordered comparison that may be signed: kernelc compiles `<`,
+    /// `<=`, `>` and `>=` signed when an operand is `I32`. It is decided
+    /// only when both operands read the same as signed words; otherwise
+    /// (an unknown word may be negative) it is undecided.
+    fn ordered(cmp: fn(Iv, Iv) -> Iv, a: Iv, b: Iv) -> Iv {
+        if a.fits_i32() && b.fits_i32() {
+            cmp(a, b)
+        } else {
+            Iv::boolean()
+        }
+    }
+
     pub fn le(a: Iv, b: Iv) -> Iv {
         if a.hi <= b.lo {
             Iv::exact(1)
@@ -221,10 +239,10 @@ impl Iv {
             BinOp::BitXor => Iv::bit_op(a, b, |x, y| x ^ y),
             BinOp::Shl => Iv::shl(a, b),
             BinOp::Shr => Iv::shr(a, b),
-            BinOp::Lt => Iv::lt(a, b),
-            BinOp::Le => Iv::le(a, b),
-            BinOp::Gt => Iv::lt(b, a),
-            BinOp::Ge => Iv::le(b, a),
+            BinOp::Lt => Iv::ordered(Iv::lt, a, b),
+            BinOp::Le => Iv::ordered(Iv::le, a, b),
+            BinOp::Gt => Iv::ordered(Iv::lt, b, a),
+            BinOp::Ge => Iv::ordered(Iv::le, b, a),
             BinOp::Eq => Iv::eq(a, b),
             BinOp::Ne => Iv::unary(UnOp::Not, Iv::eq(a, b)),
             BinOp::LAnd => match (a.truth(), b.truth()) {
@@ -274,6 +292,30 @@ mod tests {
         assert_eq!(Iv::lt(Iv::new(0, 5), Iv::exact(3)), Iv::boolean());
         assert_eq!(Iv::eq(Iv::exact(4), Iv::exact(4)), Iv::exact(1));
         assert_eq!(Iv::eq(Iv::new(0, 2), Iv::new(5, 9)), Iv::exact(0));
+    }
+
+    /// An unknown word may be negative to a signed compare, so `v < 0`
+    /// on one is undecided; small known ranges still decide.
+    #[test]
+    fn ordered_comparisons_on_unknown_words_are_undecided() {
+        assert_eq!(
+            Iv::binary(BinOp::Lt, Iv::top(), Iv::exact(0)),
+            Iv::boolean()
+        );
+        assert_eq!(
+            Iv::binary(BinOp::Ge, Iv::top(), Iv::exact(0)),
+            Iv::boolean()
+        );
+        let big = Iv::exact(i64::from(i32::MAX) + 1);
+        assert_eq!(Iv::binary(BinOp::Gt, big, Iv::exact(0)), Iv::boolean());
+        assert_eq!(
+            Iv::binary(BinOp::Lt, Iv::new(0, 2), Iv::exact(5)),
+            Iv::exact(1)
+        );
+        assert_eq!(
+            Iv::binary(BinOp::Le, Iv::exact(-1), Iv::exact(0)),
+            Iv::exact(1)
+        );
     }
 
     #[test]

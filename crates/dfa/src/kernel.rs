@@ -934,6 +934,21 @@ mod tests {
         assert!(r.findings.is_empty());
     }
 
+    /// A token read into an `I32` may be negative, so the push under
+    /// `v < 0` may happen: `out` is used, at up to one token.
+    #[test]
+    fn signed_compare_on_an_unknown_token_may_push() {
+        let r = analyze(
+            "void work() {\n\
+             I32 v = pedf.io.x[0];\n\
+             if (v < 0) { pedf.io.out[0] = 1; }\n\
+             }",
+        );
+        let out = port(&r, "out");
+        assert_eq!((out.writes.min, out.writes.max), (0, Some(1)));
+        assert!(out.used);
+    }
+
     #[test]
     fn predicated_push_yields_interval() {
         let r = analyze(

@@ -548,6 +548,19 @@ mod tests {
         assert_eq!(ops(&t), ["push out", "push out", "push out"]);
     }
 
+    /// A token read into an `I32` may be negative: `v < 0` on it is not
+    /// decided, so the push under it makes the trace inexact.
+    #[test]
+    fn signed_compare_on_an_unknown_token_is_undecided() {
+        let t = trace_work(&parse(
+            "void work() {
+    I32 v = pedf.io.x[0];
+    if (v < 0) { pedf.io.out[0] = 1; }
+}",
+        ));
+        assert!(!t.exact, "traced {:?} as exact", ops(&t));
+    }
+
     #[test]
     fn unknown_branch_without_io_stays_exact() {
         let t = trace_work(&parse(
