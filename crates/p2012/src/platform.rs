@@ -135,7 +135,7 @@ impl CycleReport {
 
 /// A set of PEs: one bit per PE, iterated in index order. The first 64
 /// PEs (every configuration in this repository) live in one inline word.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct PeSet {
     low: u64,
     high: Vec<u64>,
@@ -175,26 +175,9 @@ impl PeSet {
         was
     }
 
-    pub fn contains(&self, i: usize) -> bool {
-        let w = match i / 64 {
-            0 => self.low,
-            w => self.high.get(w - 1).copied().unwrap_or(0),
-        };
-        w & (1u64 << (i % 64)) != 0
-    }
-
     pub fn clear(&mut self) {
         self.low = 0;
         self.high.iter_mut().for_each(|w| *w = 0);
-    }
-
-    pub fn len(&self) -> usize {
-        let high: u32 = self.high.iter().map(|w| w.count_ones()).sum();
-        (self.low.count_ones() + high) as usize
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.low == 0 && self.high.iter().all(|&w| w == 0)
     }
 
     /// The smallest member at or after `from`.
@@ -214,16 +197,6 @@ impl PeSet {
             w += 1;
             bits = *self.high.get(w - 1)?;
         }
-    }
-
-    /// The members, in index order.
-    pub fn iter(&self) -> impl Iterator<Item = PeId> + '_ {
-        let mut next = 0;
-        std::iter::from_fn(move || {
-            let i = self.next_from(next)?;
-            next = i + 1;
-            Some(PeId(i as u16))
-        })
     }
 }
 
@@ -850,14 +823,22 @@ mod tests {
             assert!(s.insert(i));
         }
         assert!(!s.insert(64));
-        let got: Vec<u16> = s.iter().map(|p| p.0).collect();
-        assert_eq!(got, [0, 3, 63, 64, 130, 199]);
+        let members = |s: &PeSet| {
+            let mut next = 0;
+            std::iter::from_fn(|| {
+                let i = s.next_from(next)?;
+                next = i + 1;
+                Some(i)
+            })
+            .collect::<Vec<_>>()
+        };
+        assert_eq!(members(&s), [0, 3, 63, 64, 130, 199]);
         assert_eq!(s.next_from(65), Some(130));
         assert_eq!(s.next_from(200), None);
-        assert!(s.remove(130) && !s.remove(130) && !s.contains(130));
-        assert_eq!(s.len(), 5);
+        assert!(s.remove(130) && !s.remove(130));
+        assert_eq!(members(&s), [0, 3, 63, 64, 199]);
         s.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.next_from(0), None);
     }
 
     #[test]
@@ -1152,7 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn pe_woken_earlier_in_the_cycle_completes_in_that_cycle() {
+    fn pe_unblocked_earlier_in_the_cycle_completes_in_that_cycle() {
         let mut b = ProgramBuilder::new();
         let raise = b.begin_func(0);
         b.emit(Insn::Enter(0));
