@@ -885,17 +885,17 @@ impl Runtime {
         self.env_next = self.next_env_cycle(ctx.clock);
     }
 
+    /// The FIFO a source or sink on `conn` feeds or drains.
+    fn env_fifo(&self, conn: ConnId) -> Option<&FifoState> {
+        let link = self.graph.conn(conn).link?;
+        Some(&self.fifos[link.0 as usize])
+    }
+
     /// Debug builds check that a cycle before `env_next` really has no
     /// source or sink that could move a token.
     fn debug_check_env_idle(&self, clock: u64) {
-        let fifo = |conn: ConnId| {
-            self.graph
-                .conn(conn)
-                .link
-                .map(|l| &self.fifos[l.0 as usize])
-        };
         for s in &self.sources {
-            let ready = fifo(s.conn).is_some_and(|f| !f.is_full()) && s.due(clock);
+            let ready = self.env_fifo(s.conn).is_some_and(|f| !f.is_full()) && s.due(clock);
             assert!(
                 !ready,
                 "source on conn {} skipped at cycle {clock}",
@@ -903,7 +903,7 @@ impl Runtime {
             );
         }
         for k in &self.sinks {
-            let ready = fifo(k.conn).is_some_and(|f| !f.is_empty()) && k.due(clock);
+            let ready = self.env_fifo(k.conn).is_some_and(|f| !f.is_empty()) && k.due(clock);
             assert!(!ready, "sink on conn {} skipped at cycle {clock}", k.conn.0);
         }
     }
@@ -913,15 +913,9 @@ impl Runtime {
     /// whose link is empty wait for FIFO traffic on it, which resets
     /// `env_next`; otherwise each is due at the cycle `due` first holds.
     fn next_env_cycle(&self, clock: u64) -> u64 {
-        let link_of = |conn: ConnId| {
-            self.graph
-                .conn(conn)
-                .link
-                .map(|l| &self.fifos[l.0 as usize])
-        };
         let mut next = u64::MAX;
         for s in &self.sources {
-            let Some(fifo) = link_of(s.conn) else {
+            let Some(fifo) = self.env_fifo(s.conn) else {
                 continue;
             };
             if fifo.is_full() || s.limit.is_some_and(|l| s.produced >= l) {
@@ -931,7 +925,7 @@ impl Runtime {
             next = next.min(s.start_at.saturating_add(due));
         }
         for k in &self.sinks {
-            let Some(fifo) = link_of(k.conn) else {
+            let Some(fifo) = self.env_fifo(k.conn) else {
                 continue;
             };
             if !fifo.is_empty() {
