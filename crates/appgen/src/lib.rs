@@ -13,8 +13,8 @@ pub mod spec;
 pub use corpus::{load_dir, Scenario, Status};
 pub use gen::generate;
 pub use oracle::{
-    capacity_arms, check_parking, check_parking_untied, check_spec, explore_probe, observe,
-    replay_round_trip, static_pass, CapacityArms, CheckReport, Divergence, Observed, RoundTrip,
+    capacity_arms, check_parking, check_spec, explore_probe, observe, replay_round_trip,
+    static_pass, CapacityArms, CheckReport, Divergence, Observed, RoundTrip,
 };
 pub use seed::{iter_seed, parse_seed};
 pub use shrink::shrink;

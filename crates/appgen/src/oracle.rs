@@ -553,7 +553,7 @@ impl TrapHandler for Polling<'_> {
 /// Cycles between two full-state comparisons in [`check_parking`].
 const PARKING_HASH_EVERY: u64 = 1_000;
 
-/// Cycles a run stands deadlocked before [`check_parking_untied`] injects
+/// Cycles a run stands deadlocked before [`check_parking`] injects
 /// its token, and how many times it unties the same wedge.
 const UNTIE_AFTER: u32 = 50;
 const UNTIE_TIMES: u32 = 3;
@@ -565,17 +565,14 @@ const UNTIE_TIMES: u32 = 3;
 /// faulted PE (the others keep running) and ends at quiescence, after
 /// 1,000 cycles of deadlock, or after `max_cycles`. Returns the number of
 /// cycles compared.
-pub fn check_parking(sys: &pedf::System, max_cycles: u64) -> Result<u64, Divergence> {
-    check_parking_untied(sys, max_cycles, None)
-}
-
-/// [`check_parking`] with the debugger's hand on a FIFO: when `untie`
-/// names a link, every time the parked run has stood deadlocked for
-/// [`UNTIE_AFTER`] cycles (at most [`UNTIE_TIMES`] times) both copies get
-/// the same token injected onto it from outside the stepper, as `token
-/// inject` does, and the comparison goes on. A stepper that misses the
-/// wake such a mutation owes a parked PE diverges here.
-pub fn check_parking_untied(
+///
+/// With `untie` naming a link, the debugger's hand is on a FIFO: every
+/// time the parked run has stood deadlocked for [`UNTIE_AFTER`] cycles
+/// (at most [`UNTIE_TIMES`] times) both copies get the same token
+/// injected onto it from outside the stepper, as `token inject` does, and
+/// the comparison goes on. A stepper that misses the wake such a
+/// mutation owes a parked PE diverges here.
+pub fn check_parking(
     sys: &pedf::System,
     max_cycles: u64,
     untie: Option<pedf::LinkId>,
@@ -662,7 +659,7 @@ fn check_parking_spec(spec: &AppSpec) -> Result<(), Divergence> {
     let (mut sys, app) = build(spec, &BTreeMap::new()).map_err(|e| Divergence::new("BUILD", e))?;
     let host = sys.platform.host_id();
     sys.platform.invoke(host, app.boot_entry, &[]);
-    check_parking(&sys, MAX_CYCLES).map(|_| ())
+    check_parking(&sys, MAX_CYCLES, None).map(|_| ())
 }
 
 /// D8: one bounded multiverse search over the spec's interleavings.

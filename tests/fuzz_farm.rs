@@ -7,9 +7,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
-use appgen::{
-    check_parking, check_parking_untied, check_spec, generate, load_dir, shrink, AppSpec,
-};
+use appgen::{check_parking, check_spec, generate, load_dir, shrink, AppSpec};
 use dfa::testhook;
 use h264_pipeline::{attach_env, build_decoder, build_decoder_with_caps, Bug};
 use p2012::PlatformConfig;
@@ -191,7 +189,7 @@ fn parking_matches_polling_on_every_decoder_variant() {
             let red = g.actor_by_name("red").unwrap().id;
             g.conn_by_name(red, "red_ipred_out").unwrap().link.unwrap()
         });
-        let cycles = check_parking_untied(&sys, 1_000_000, untie)
+        let cycles = check_parking(&sys, 1_000_000, untie)
             .unwrap_or_else(|d| panic!("{bug:?}: {}", d.detail));
         assert!(cycles > 1_000, "{bug:?} compared only {cycles} cycles");
     }
@@ -223,7 +221,7 @@ fn parking_matches_polling_behind_a_slow_sink() {
     rt.add_source(cfg.with_limit(N_MBS)).unwrap();
     rt.add_sink(EnvSink::new(app.boundary_out["frame_out"], 1_000))
         .unwrap();
-    let cycles = check_parking(&sys, 1_000_000).unwrap_or_else(|d| panic!("{}", d.detail));
+    let cycles = check_parking(&sys, 1_000_000, None).unwrap_or_else(|d| panic!("{}", d.detail));
     assert!(
         cycles > 10_000,
         "the sink did not set the pace: {cycles} cycles"
