@@ -500,11 +500,6 @@ impl Capture {
         }
     }
 
-    /// Whether this cycle captured anything.
-    pub fn has_events(&self) -> bool {
-        !self.out.is_empty()
-    }
-
     /// Move the events captured this cycle to the end of `out`. Both
     /// buffers keep their capacity.
     pub fn drain_into(&mut self, out: &mut Vec<DfEvent>) {

@@ -122,6 +122,10 @@ struct RunState {
     /// after the machine was stepped behind the debugger's back) the
     /// loop looks at every PE once instead of at the touched ones.
     seen_clock: u64,
+    /// Set only in a periodic checkpoint's copy. The run loop records one
+    /// before it pops the head of `stop_queue` and delivers it, so a
+    /// `goto` onto that cycle drops the head, as a replay onto it does.
+    head_delivered: bool,
 }
 
 /// The debugger's half of a checkpoint, beside the machine's fork: the
@@ -239,6 +243,7 @@ impl Session {
                 step_mode: StepMode::None,
                 graph_learned: false,
                 seen_clock: u64::MAX,
+                head_delivered: false,
             },
             breakpoints: Vec::new(),
             bp_addrs: HashMap::new(),
@@ -453,20 +458,16 @@ impl Session {
             let look_at_all = self.sys.clock() != self.run.seen_clock;
             let report = self.sys.step();
             self.run.seen_clock = self.sys.clock();
-            if !self.run.skip.is_empty() {
-                self.run.skip.clear();
-            }
+            self.run.skip.clear();
 
             // Watchpoints.
-            if self.sys.platform.mem.has_hits() {
-                for hit in self.sys.platform.mem.take_hits() {
-                    self.run.stop_queue.push_back(Stop::Watchpoint {
-                        id: hit.id,
-                        addr: hit.addr,
-                        old: hit.old,
-                        new: hit.new,
-                    });
-                }
+            for hit in self.sys.platform.mem.take_hits() {
+                self.run.stop_queue.push_back(Stop::Watchpoint {
+                    id: hit.id,
+                    addr: hit.addr,
+                    old: hit.old,
+                    new: hit.new,
+                });
             }
 
             // Dataflow events (host-boundary stream + capture engine) and
@@ -491,16 +492,15 @@ impl Session {
             }
 
             // Stepping modes.
-            if !matches!(self.run.step_mode, StepMode::None) {
-                if let Some(stop) = self.check_step_mode() {
-                    self.run.stop_queue.push_back(stop);
-                }
+            if let Some(stop) = self.check_step_mode() {
+                self.run.stop_queue.push_back(stop);
             }
 
             // Time travel: at a recorded boundary, verify the replayed
             // hash chain (divergence -> REPLAY501); on new ground, create
             // the periodic checkpoint. Runs before the stop queue pops so
-            // pending stops are part of the checkpoint. Between boundaries
+            // pending stops are part of the checkpoint, which marks its
+            // head as delivered (`goto_cycle`). Between boundaries
             // the hook costs one comparison. The manager is *taken* for
             // the duration of the hook (it is a few words; the checkpoint
             // payloads live behind its Vec) so there is a single `if let`
@@ -512,7 +512,11 @@ impl Session {
                     if mgr.has_checkpoint_at(clock) {
                         mgr.verify_boundary(&mut self.sys, clock);
                     } else if mgr.creation_due(clock) {
-                        mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone()));
+                        let run = RunState {
+                            head_delivered: true,
+                            ..self.run.clone()
+                        };
+                        mgr.checkpoint_at(&mut self.sys, (self.model.clone(), run));
                     }
                     self.tt_next = mgr.next_boundary(clock + 1);
                     self.tt = Some(mgr);
@@ -655,11 +659,9 @@ impl Session {
                 .observe_pe(&self.sys.platform, &self.model.graph, i);
             self.check_entry_breakpoint(i);
         }
-        if self.run.capture.has_events() {
-            self.run.capture.drain_into(&mut self.captured);
-            for ev in self.captured.drain(..) {
-                self.model.apply(ev, cycle, &mut stops);
-            }
+        self.run.capture.drain_into(&mut self.captured);
+        for ev in self.captured.drain(..) {
+            self.model.apply(ev, cycle, &mut stops);
         }
         if self.model.booted && !self.run.graph_learned {
             self.run.capture.learn_graph(&self.model.graph);
@@ -669,9 +671,7 @@ impl Session {
         for s in &stops {
             self.run.stop_queue.push_back(Stop::Dataflow(s.clone()));
         }
-        if !self.entry_stops.is_empty() {
-            self.run.stop_queue.extend(self.entry_stops.drain(..));
-        }
+        self.run.stop_queue.extend(self.entry_stops.drain(..));
     }
 
     // ---- breakpoints -------------------------------------------------------
@@ -1620,6 +1620,7 @@ impl Session {
         self.sys.platform.wake_all();
         self.model = model;
         self.run = run;
+        self.run.head_delivered = false;
         self.tt_next = 0;
     }
 
@@ -1646,15 +1647,15 @@ impl Session {
     }
 
     /// The latest state a replay toward `target` can start from whose
-    /// machine passes `pred`: a checkpoint or an anchor strictly before
-    /// `target`. Restoring one recorded at `target` would leave that
-    /// cycle's stops pending, where a replay delivers them.
+    /// machine passes `pred`: a checkpoint at or before `target`, or an
+    /// anchor strictly before it (restoring one at `target` would leave
+    /// that cycle's stops pending where a replay delivers them).
     fn replay_start(
         &self,
         target: u64,
         pred: impl Fn(&System) -> bool,
     ) -> CmdResult<Option<(System, Recorded)>> {
-        let checkpoints = self.tt_mgr()?.iter().filter(|c| c.clock < target);
+        let checkpoints = self.tt_mgr()?.iter().filter(|c| c.clock <= target);
         let anchors = self.anchors.iter().filter(|(s, _)| s.clock() < target);
         Ok(checkpoints
             .map(|c| (&c.sys, &c.payload))
@@ -1705,31 +1706,27 @@ impl Session {
         self.anchors.push_back((sys, (self.model.clone(), run)));
     }
 
-    /// Land on an exact cycle: restore the latest checkpoint or anchor
-    /// before `target`, then replay forward deterministically. Replays
+    /// Land on an exact cycle: restore the latest checkpoint at or anchor
+    /// before `target`, then replay forward deterministically. A periodic
+    /// checkpoint at `target` itself is restored with the stop its run
+    /// delivered there taken off the queue, as a replay would have
+    /// delivered it; a checkpoint taken between commands (the baseline,
+    /// `checkpoint`, a history mutation) keeps its whole queue. Replays
     /// re-verify every recorded boundary they cross. Past the furthest
     /// cycle the timeline has reached, a program that finishes, deadlocks
     /// or faults before `target` has no history to land on: the replay
     /// stops there with an error naming that cycle.
     pub fn goto_cycle(&mut self, target: u64) -> CmdResult<()> {
-        let (sys, recorded) = match self.replay_start(target, |_| true)? {
-            Some(start) => start,
-            // The oldest checkpoint has nothing earlier to replay from:
-            // restore it as a replay would have left it, its cycle's stops
-            // delivered.
-            None => {
-                let oldest = self
-                    .tt_mgr()?
-                    .iter()
-                    .next()
-                    .filter(|c| c.clock == target)
-                    .ok_or("target cycle predates the recorded history")?;
-                let (model, mut run) = oldest.payload.clone();
-                run.stop_queue.clear();
-                (oldest.sys.clone(), (model, run))
-            }
-        };
+        let (sys, recorded) = self
+            .replay_start(target, |_| true)?
+            .ok_or("target cycle predates the recorded history")?;
+        let head_delivered = sys.clock() == target && recorded.1.head_delivered;
         self.restore(sys, recorded);
+        if head_delivered {
+            if let Some(s) = self.run.stop_queue.pop_front() {
+                self.note_focus(&s);
+            }
+        }
         while self.sys.clock() < target {
             // Stops pop without consuming cycles; re-issuing with the
             // remaining budget always makes progress toward `target`.

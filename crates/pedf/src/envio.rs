@@ -140,17 +140,18 @@ impl EnvSource {
     /// Should this source emit at `clock`? (The runtime also checks link
     /// space; a full link postpones the token, preserving order.)
     pub fn due(&self, clock: u64) -> bool {
-        if clock < self.start_at {
-            return false;
+        self.next_due().is_some_and(|d| clock >= d)
+    }
+
+    /// The first cycle at which the next token is due: one whole period
+    /// per token already produced after `start_at`. `None` once the
+    /// limit is reached.
+    pub fn next_due(&self) -> Option<u64> {
+        if self.limit.is_some_and(|l| self.produced >= l) {
+            return None;
         }
-        if let Some(limit) = self.limit {
-            if self.produced >= limit {
-                return false;
-            }
-        }
-        // Emit when enough whole periods have elapsed for one more token.
-        let elapsed = clock - self.start_at;
-        self.produced < elapsed / u64::from(self.period) + 1
+        let periods = self.produced.saturating_mul(u64::from(self.period));
+        Some(self.start_at.saturating_add(periods))
     }
 }
 
@@ -184,7 +185,13 @@ impl EnvSink {
     }
 
     pub fn due(&self, clock: u64) -> bool {
-        self.consumed < clock / u64::from(self.period) + 1
+        clock >= self.next_due()
+    }
+
+    /// The first cycle at which the next pop is due: one whole period per
+    /// token already consumed.
+    pub fn next_due(&self) -> u64 {
+        self.consumed.saturating_mul(u64::from(self.period))
     }
 
     pub fn record(&mut self, head_word: Word) {

@@ -141,9 +141,7 @@ impl EventBuffer {
     /// (observer, once per cycle). Both buffers keep their capacity, so
     /// an observer that reuses `out` allocates nothing per cycle.
     pub fn drain_into(&mut self, out: &mut Vec<RuntimeEvent>) {
-        if !self.events.is_empty() {
-            out.extend(self.events.drain(..));
-        }
+        out.extend(self.events.drain(..));
     }
 
     pub fn len(&self) -> usize {

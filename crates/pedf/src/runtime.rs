@@ -911,25 +911,26 @@ impl Runtime {
     /// The first cycle after `clock` at which a source or sink could move
     /// a token as things stand. A source whose link is full and a sink
     /// whose link is empty wait for FIFO traffic on it, which resets
-    /// `env_next`; otherwise each is due at the cycle `due` first holds.
+    /// `env_next`; otherwise each is due at its `next_due`.
     fn next_env_cycle(&self, clock: u64) -> u64 {
         let mut next = u64::MAX;
         for s in &self.sources {
             let Some(fifo) = self.env_fifo(s.conn) else {
                 continue;
             };
-            if fifo.is_full() || s.limit.is_some_and(|l| s.produced >= l) {
+            if fifo.is_full() {
                 continue;
             }
-            let due = s.produced.saturating_mul(u64::from(s.period));
-            next = next.min(s.start_at.saturating_add(due));
+            if let Some(due) = s.next_due() {
+                next = next.min(due);
+            }
         }
         for k in &self.sinks {
             let Some(fifo) = self.env_fifo(k.conn) else {
                 continue;
             };
             if !fifo.is_empty() {
-                next = next.min(k.consumed.saturating_mul(u64::from(k.period)));
+                next = next.min(k.next_due());
             }
         }
         next.max(clock + 1)

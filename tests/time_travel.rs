@@ -110,9 +110,8 @@ fn goto_cycle_lands_exactly_and_is_deterministic() {
 /// stops as a `goto T` that replays does: on an 8-macroblock decode
 /// under `catch recv pipe::mc_in` (receptions at cycles 1424 and 1709),
 /// `goto 1424; continue` stops next at 1709 whether a checkpoint lies at
-/// 1412 (interval 200) or at 1424 itself (interval 212). The oldest
-/// checkpoint, with nothing earlier to replay from, is restored with its
-/// cycle's stops delivered too.
+/// 1412 (interval 200) or at 1424 itself (interval 212). `goto` onto the
+/// baseline, with nothing earlier to replay from, restores it as it is.
 #[test]
 fn goto_onto_a_checkpoint_cycle_delivers_its_stops_like_a_replay() {
     for (interval, on_checkpoint) in [(200, false), (212, true)] {
@@ -144,6 +143,89 @@ fn goto_onto_a_checkpoint_cycle_delivers_its_stops_like_a_replay() {
             "interval {interval}: after goto {oldest}"
         );
     }
+}
+
+/// A session on the 8-macroblock decoder that stops at each end of the
+/// `bh -> red` link. `red` pops a token in the cycle `bh` pushes it, so
+/// the two stops fall in one cycle.
+fn both_ends_session() -> Session {
+    let mut s = session_with(Bug::None, 8, 0xbeef);
+    s.catch_iface_send("bh::red_out").unwrap();
+    s.catch_iface_receive("red::bh_in").unwrap();
+    s
+}
+
+/// Run to the next catchpoint stop: its cycle and its `describe` text.
+fn next_stop(s: &mut Session) -> (u64, String) {
+    let stop = s.run(10_000_000);
+    assert!(matches!(stop, Stop::Dataflow(_)), "{stop:?}");
+    (s.sys.clock(), s.describe(&stop))
+}
+
+/// A checkpoint taken between commands keeps every stop its cycle has
+/// still to deliver, and a periodic one at the same cycle keeps all but
+/// the one its run delivered there. With the baseline or a periodic
+/// checkpoint at that cycle, `goto` onto it and `continue` deliver the
+/// second stop, as the forward run did.
+#[test]
+fn goto_onto_a_checkpoint_delivers_the_rest_of_its_cycle() {
+    let mut fwd = both_ends_session();
+    let stops: Vec<(u64, String)> = (0..8).map(|_| next_stop(&mut fwd)).collect();
+    let i = stops
+        .windows(2)
+        .position(|w| w[0].0 == w[1].0)
+        .expect("two stops in one cycle");
+    let c = stops[i].0;
+    for periodic in [false, true] {
+        let mut s = both_ends_session();
+        if periodic {
+            let interval = c - s.sys.clock();
+            s.enable_time_travel(interval);
+        }
+        for want in &stops[..=i] {
+            assert_eq!(&next_stop(&mut s), want);
+        }
+        if !periodic {
+            s.enable_time_travel(replay::CHECKPOINT_INTERVAL);
+        }
+        assert!(checkpoint_cycles(&s).contains(&c), "periodic: {periodic}");
+        let at_c = state_of(&s);
+        for want in &stops[i + 1..] {
+            assert_eq!(&next_stop(&mut s), want);
+        }
+        s.goto_cycle(c).unwrap();
+        assert_eq!(state_of(&s), at_c, "periodic: {periodic}");
+        assert_eq!(next_stop(&mut s), stops[i + 1], "periodic: {periodic}");
+        assert!(s.replay_findings().is_empty(), "{:?}", s.replay_findings());
+    }
+}
+
+/// `token inject` re-anchors the timeline at the mutated state: `goto`
+/// back onto the injection's cycle lands on that state, with no replay
+/// divergence, and so does a `reverse-continue` that finds no earlier
+/// hit and returns to where it started.
+#[test]
+fn goto_onto_a_history_mutation_lands_on_the_mutated_state() {
+    let mut s = session_with(Bug::None, 8, 0xbeef);
+    s.enable_time_travel(200);
+    assert_eq!(s.run(2_000 - s.sys.clock()), Stop::CycleLimit);
+    let mut cli = Cli::new(s);
+    let out = cli.exec("token inject red::red_ipred_out 42");
+    assert!(!out.starts_with("error"), "{out}");
+    let injected = state_of(&cli.session);
+    assert_eq!(cli.session.run(1_000), Stop::CycleLimit);
+    assert_ne!(state_of(&cli.session), injected);
+    assert_eq!(cli.exec("goto 2000"), "At cycle 2000");
+    assert_eq!(state_of(&cli.session), injected);
+    assert!(
+        cli.session.replay_findings().is_empty(),
+        "{:?}",
+        cli.session.replay_findings()
+    );
+    let out = cli.exec("reverse-continue");
+    assert!(out.contains("no earlier"), "{out}");
+    assert_eq!(cli.session.sys.clock(), 2_000);
+    assert_eq!(state_of(&cli.session), injected);
 }
 
 /// `goto` past the end of the program stops at the end with an error
