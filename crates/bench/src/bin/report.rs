@@ -108,6 +108,10 @@ fn run_e6_smoke() -> i32 {
         r.checkpoints,
         bench::REVERSE_PAIRS,
     );
+    println!(
+        "e6-smoke: memory table: {} live chunks, {} distinct (bound {} + {} copied)",
+        r.live_mem_chunks, r.distinct_mem_chunks, r.live_mem_chunks, r.mem_chunks_copied,
+    );
     for f in &r.failures {
         eprintln!("e6-smoke: FAIL: {f}");
     }

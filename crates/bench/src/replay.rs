@@ -199,6 +199,11 @@ pub struct RecordingCheck {
     pub checkpoints: usize,
     pub live_chunks: usize,
     pub distinct_chunks: usize,
+    /// The machine half of (c): memory-table chunks, as
+    /// `Session::memory_chunks` counts them, and the chunks stores copied.
+    pub live_mem_chunks: usize,
+    pub distinct_mem_chunks: usize,
+    pub mem_chunks_copied: u64,
     pub failures: Vec<String>,
 }
 
@@ -217,7 +222,9 @@ fn seen(s: &Session) -> (u64, String) {
 /// * (b) `restart` to every checkpoint, then replaying forward to the
 ///   end, gives the end hash and `info links` again;
 /// * (c) the checkpoints share the recorded history within
-///   [`CHUNKS_PER_CHECKPOINT`];
+///   [`CHUNKS_PER_CHECKPOINT`], and the machine's memory table: the
+///   chain holds no more distinct table chunks than the live memory plus
+///   the chunks stores copied;
 /// * (d) [`REVERSE_PAIRS`] seeded `goto T` / `reverse-continue` pairs
 ///   each land on the last stop (a) made before `T`: same cycle,
 ///   `describe` text, state hash and `info links`;
@@ -272,6 +279,8 @@ pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
     }
     let (checkpoints, _) = s.checkpoint_footprint();
     let (live_chunks, distinct_chunks) = s.recorded_chunks();
+    let (live_mem_chunks, distinct_mem_chunks) = s.memory_chunks();
+    let mem_chunks_copied = s.sys.platform.mem.work().chunks_copied;
     for id in 0..checkpoints as u32 {
         if let Err(e) = s.restart(id) {
             failures.push(format!("(b) restart {id}: {e}"));
@@ -326,12 +335,21 @@ pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
              {CHUNKS_PER_CHECKPOINT} x {checkpoints} checkpoints"
         ));
     }
+    if distinct_mem_chunks as u64 > live_mem_chunks as u64 + mem_chunks_copied {
+        failures.push(format!(
+            "(c) {distinct_mem_chunks} distinct memory-table chunks > \
+             {live_mem_chunks} live + {mem_chunks_copied} copied"
+        ));
+    }
     RecordingCheck {
         stops: stops.len(),
         end_cycle: end,
         checkpoints,
         live_chunks,
         distinct_chunks,
+        live_mem_chunks,
+        distinct_mem_chunks,
+        mem_chunks_copied,
         failures,
     }
 }

@@ -625,9 +625,9 @@ pub enum TimelineKind {
 }
 
 impl DfModel {
-    pub fn new(types: TypeTable) -> Self {
+    pub fn new(types: impl Into<Arc<TypeTable>>) -> Self {
         DfModel {
-            types: Arc::new(types),
+            types: types.into(),
             ..Default::default()
         }
     }

@@ -229,7 +229,7 @@ impl Session {
         // Host-side environment I/O is invisible to breakpoints (no fabric
         // code runs it); subscribe to just those events.
         sys.runtime.events.enable_env_only();
-        let model = DfModel::new(sys.runtime.types.clone());
+        let model = DfModel::new(Arc::clone(&sys.runtime.types));
         let n_pes = sys.platform.pe_count();
         Session {
             sys,
@@ -601,7 +601,7 @@ impl Session {
                 RuntimeEvent::BootComplete if coop => {
                     // Cooperation mode skips registration interception:
                     // adopt the runtime's graph wholesale.
-                    self.model.graph = Arc::new(self.sys.runtime.graph.clone());
+                    self.model.graph = Arc::clone(&self.sys.runtime.graph);
                     self.model
                         .actors
                         .resize_with(self.model.graph.actors.len(), Default::default);
@@ -1973,6 +1973,22 @@ impl Session {
             for info in mgr.checkpoints() {
                 let (model, _) = &mgr.get(info.id).expect("listed checkpoint").payload;
                 distinct.extend(model.chunk_ids());
+            }
+        }
+        (live, distinct.len())
+    }
+
+    /// `(live, distinct)` chunks of the machine's memory table: the
+    /// distinct chunks the live memory holds, and the distinct chunks held
+    /// by it and every checkpoint of the chain together. Copy-on-write
+    /// sharing keeps `distinct` within `live` plus the chunks stores have
+    /// copied (`MemoryWork::chunks_copied`).
+    pub fn memory_chunks(&self) -> (usize, usize) {
+        let mut distinct: HashSet<usize> = self.sys.platform.mem.chunk_ids().collect();
+        let live = distinct.len();
+        if let Some(mgr) = &self.tt {
+            for c in mgr.iter() {
+                distinct.extend(c.sys.platform.mem.chunk_ids());
             }
         }
         (live, distinct.len())

@@ -32,7 +32,8 @@ pub mod vm;
 pub use dma::{DmaEngine, DmaRequest, DmaStatus};
 pub use isa::{Insn, Program, ProgramBuilder};
 pub use memory::{
-    MemError, Memory, MemoryMap, PageId, PageView, Region, WatchHit, WatchKind, PAGE_WORDS,
+    MemError, Memory, MemoryMap, MemoryWork, PageId, PageView, Region, WatchHit, WatchKind,
+    CHUNK_PAGES, PAGE_WORDS,
 };
 pub use platform::{
     ClusterId, CycleReport, MachineWork, PeClass, PeId, PeSet, Platform, PlatformConfig,

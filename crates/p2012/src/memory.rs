@@ -14,14 +14,18 @@
 //! are set the check is a single branch on an empty `Vec`, keeping the
 //! undebuggged fast path honest for the overhead benchmarks (experiment E1).
 //!
-//! Banks are stored as copy-on-write pages ([`PAGE_WORDS`] words each): a
-//! page is either shared (`Arc`, refcounted with every fork that
-//! references it) or privately owned. Reads never promote; the first
-//! store to a shared page copies just that page. This is what makes
+//! Banks are stored as copy-on-write pages ([`PAGE_WORDS`] words each),
+//! reached through a two-level page table: the table is split into
+//! chunks of [`CHUNK_PAGES`] page pointers. At both levels an entry is
+//! either shared (`Arc`, refcounted with every fork that references it)
+//! or privately owned. Reads never promote; the first store into a shared
+//! chunk copies that chunk's page pointers, and the first store into a
+//! shared page copies just that page. This is what makes
 //! [`Memory::fork`] — and with it debugger-session forking and
-//! time-travel checkpoints — O(pages) in pointers rather than O(words) in
-//! copies: a thousand forked sessions of the same booted application
-//! share one set of page buffers until they actually diverge.
+//! time-travel checkpoints — cost the table's chunk pointers plus the
+//! chunks and pages written since the last fork: a thousand forked
+//! sessions of the same booted application share one set of chunks and
+//! page buffers until they actually diverge.
 
 use std::sync::{Arc, OnceLock};
 
@@ -140,6 +144,22 @@ pub struct PageId {
     pub page: u32,
 }
 
+/// Page pointers per chunk of a bank's page table: the granularity at
+/// which a fork shares the table itself. A fork costs one pointer per
+/// chunk; the first store into a shared chunk copies this many pointers.
+pub const CHUNK_PAGES: u32 = 32;
+
+const CHUNK_WORDS: u32 = CHUNK_PAGES * PAGE_WORDS;
+
+/// Deterministic counts of the copy-on-write work a memory did: the
+/// chunks and pages it copied because a store hit a shared one. Forks
+/// carry the counts over.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoryWork {
+    pub chunks_copied: u64,
+    pub pages_copied: u64,
+}
+
 /// One copy-on-write page of bank backing store. `Shared` pages are
 /// referenced by forked memories (checkpoints among them); the first
 /// store promotes the page to `Owned` by copying it.
@@ -160,8 +180,9 @@ impl Page {
 
     /// Private, writable view; copies the page if it is shared.
     #[inline]
-    fn make_owned(&mut self) -> &mut [Word] {
+    fn make_owned(&mut self, work: &mut MemoryWork) -> &mut [Word] {
         if let Page::Shared(p) = self {
+            work.pages_copied += 1;
             *self = Page::Owned(p.to_vec());
         }
         match self {
@@ -178,6 +199,54 @@ impl Page {
     }
 }
 
+/// One chunk of a bank's page table. Every page of a `Shared` chunk is
+/// itself shared, so copying the chunk copies pointers, never words.
+#[derive(Debug, Clone)]
+enum Chunk {
+    Shared(Arc<[Page]>),
+    Owned(Vec<Page>),
+}
+
+impl Chunk {
+    #[inline]
+    fn pages(&self) -> &[Page] {
+        match self {
+            Chunk::Shared(c) => c,
+            Chunk::Owned(c) => c,
+        }
+    }
+
+    /// Private, writable table; copies the page pointers if the chunk is
+    /// shared.
+    #[inline]
+    fn make_owned(&mut self, work: &mut MemoryWork) -> &mut [Page] {
+        if let Chunk::Shared(c) = self {
+            work.chunks_copied += 1;
+            *self = Chunk::Owned(c.to_vec());
+        }
+        match self {
+            Chunk::Owned(c) => c,
+            Chunk::Shared(_) => unreachable!("just promoted"),
+        }
+    }
+
+    /// Freeze into shared form (fork time): the pages first, then the
+    /// table. A chunk nobody wrote since the last fork is already shared.
+    fn share(&mut self) {
+        if let Chunk::Owned(pages) = self {
+            for p in pages.iter_mut() {
+                p.share();
+            }
+            *self = Chunk::Shared(Arc::from(std::mem::take(pages)));
+        }
+    }
+
+    /// The chunk's identity while it is alive (for sharing counts).
+    fn id(&self) -> usize {
+        self.pages().as_ptr() as usize
+    }
+}
+
 /// One page as [`Memory::pages`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageView<'a> {
@@ -188,10 +257,11 @@ pub enum PageView<'a> {
     Words(&'a [Word]),
 }
 
-/// One bank as a vector of COW pages (the last page may be partial).
+/// One bank as a table of COW chunks of COW pages (the last chunk may
+/// hold fewer pages, and the last page fewer words).
 #[derive(Debug, Clone)]
 struct Bank {
-    pages: Vec<Page>,
+    chunks: Vec<Chunk>,
 }
 
 /// The one all-zero page every untouched full page of every bank points
@@ -202,56 +272,76 @@ fn zero_page() -> &'static Arc<[Word]> {
     ZERO.get_or_init(|| Arc::from(vec![0; PAGE_WORDS as usize].into_boxed_slice()))
 }
 
+/// The one chunk of zero pages every untouched full chunk of every bank
+/// points at, process-wide.
+fn zero_chunk() -> &'static Arc<[Page]> {
+    static ZERO: OnceLock<Arc<[Page]>> = OnceLock::new();
+    ZERO.get_or_init(|| zero_pages(CHUNK_WORDS))
+}
+
+/// `words` zero words as shared pages: full pages point at the zero page.
+fn zero_pages(words: u32) -> Arc<[Page]> {
+    (0..words.div_ceil(PAGE_WORDS))
+        .map(|p| match words - p * PAGE_WORDS {
+            rest if rest >= PAGE_WORDS => Page::Shared(Arc::clone(zero_page())),
+            rest => Page::Shared(Arc::from(vec![0; rest as usize].into_boxed_slice())),
+        })
+        .collect()
+}
+
 impl Bank {
     fn new(words: u32) -> Bank {
-        // Untouched banks are all zeros: every full page starts as a
-        // reference to the shared zero page, so constructing (and
+        // Untouched banks are all zeros: every full chunk starts as a
+        // reference to the shared zero chunk, so constructing (and
         // forking) a memory costs pointers, not megabytes.
-        let mut pages = Vec::with_capacity(pages_for(words));
-        let mut remaining = words as usize;
-        while remaining >= PAGE_WORDS as usize {
-            pages.push(Page::Shared(Arc::clone(zero_page())));
-            remaining -= PAGE_WORDS as usize;
+        let full = words / CHUNK_WORDS;
+        let mut chunks: Vec<Chunk> = (0..full)
+            .map(|_| Chunk::Shared(Arc::clone(zero_chunk())))
+            .collect();
+        if words % CHUNK_WORDS > 0 {
+            chunks.push(Chunk::Shared(zero_pages(words % CHUNK_WORDS)));
         }
-        if remaining > 0 {
-            pages.push(Page::Shared(Arc::from(
-                vec![0; remaining].into_boxed_slice(),
-            )));
-        }
-        Bank { pages }
+        Bank { chunks }
     }
 
     #[inline]
     fn get(&self, off: u32) -> Word {
-        self.pages[(off / PAGE_WORDS) as usize].as_slice()[(off % PAGE_WORDS) as usize]
+        self.page(off / PAGE_WORDS)[(off % PAGE_WORDS) as usize]
     }
 
     #[inline]
-    fn get_mut(&mut self, off: u32) -> &mut Word {
-        &mut self.pages[(off / PAGE_WORDS) as usize].make_owned()[(off % PAGE_WORDS) as usize]
+    fn get_mut(&mut self, off: u32, work: &mut MemoryWork) -> &mut Word {
+        let pages = self.chunks[(off / CHUNK_WORDS) as usize].make_owned(work);
+        let page = &mut pages[(off / PAGE_WORDS % CHUNK_PAGES) as usize];
+        &mut page.make_owned(work)[(off % PAGE_WORDS) as usize]
     }
 
+    #[inline]
     fn page(&self, page: u32) -> &[Word] {
-        self.pages[page as usize].as_slice()
+        self.chunks[(page / CHUNK_PAGES) as usize].pages()[(page % CHUNK_PAGES) as usize].as_slice()
     }
 
-    /// Freeze every page into shared form (fork).
+    /// Freeze every chunk into shared form (fork).
     fn share(&mut self) {
-        for p in &mut self.pages {
-            p.share();
+        for c in &mut self.chunks {
+            c.share();
         }
     }
 
     fn views(&self) -> impl Iterator<Item = PageView<'_>> {
-        self.pages.iter().map(|p| match p {
-            Page::Shared(z) if Arc::ptr_eq(z, zero_page()) => PageView::Zero(z.len()),
-            p => PageView::Words(p.as_slice()),
-        })
+        self.chunks
+            .iter()
+            .flat_map(|c| c.pages())
+            .map(|p| match p {
+                Page::Shared(z) if Arc::ptr_eq(z, zero_page()) => PageView::Zero(z.len()),
+                p => PageView::Words(p.as_slice()),
+            })
     }
 
     fn owned_words(&self) -> usize {
-        self.pages
+        self.chunks
             .iter()
+            .flat_map(|c| c.pages())
             .filter(|p| matches!(p, Page::Owned(_)))
             .map(|p| p.as_slice().len())
             .sum()
@@ -302,6 +392,7 @@ pub struct Memory {
     dirty_l2: Vec<bool>,
     dirty_l3: Vec<bool>,
     dirty_list: Vec<PageId>,
+    work: MemoryWork,
     /// Total accesses, for the simulator-throughput benchmark (B4).
     pub reads: u64,
     pub writes: u64,
@@ -324,6 +415,7 @@ impl Memory {
             dirty_l2: vec![false; pages_for(map.l2_words)],
             dirty_l3: vec![false; pages_for(map.l3_words)],
             dirty_list: Vec::new(),
+            work: MemoryWork::default(),
             map,
             watches: Vec::new(),
             hits: Vec::new(),
@@ -358,13 +450,20 @@ impl Memory {
         }
     }
 
+    /// The word at `off` of `region`, made private first.
     #[inline]
-    fn bank_mut(&mut self, region: Region) -> &mut Bank {
-        match region {
+    fn cell_mut(&mut self, region: Region, off: u32) -> &mut Word {
+        let bank = match region {
             Region::L1 { cluster } => &mut self.l1[cluster as usize],
             Region::L2 => &mut self.l2,
             Region::L3 => &mut self.l3,
-        }
+        };
+        bank.get_mut(off, &mut self.work)
+    }
+
+    /// The copy-on-write work done so far.
+    pub fn work(&self) -> MemoryWork {
+        self.work
     }
 
     /// Load a word; returns `(value, stall_cycles)`. Reads never promote a
@@ -395,7 +494,7 @@ impl Memory {
         let (region, off) = self.map.decode(addr)?;
         self.mark_dirty(region, off);
         let lat = self.map.latency(region);
-        let cell = self.bank_mut(region).get_mut(off);
+        let cell = self.cell_mut(region, off);
         let old = *cell;
         *cell = value;
         if let Some(id) = watched {
@@ -425,7 +524,7 @@ impl Memory {
     pub fn poke(&mut self, addr: u32, value: Word) -> Result<(), MemError> {
         let (region, off) = self.map.decode(addr)?;
         self.mark_dirty(region, off);
-        *self.bank_mut(region).get_mut(off) = value;
+        *self.cell_mut(region, off) = value;
         Ok(())
     }
 
@@ -491,10 +590,13 @@ impl Memory {
         self.bank(p.region).page(p.page)
     }
 
-    /// Copy-on-write fork: every page of every bank becomes shared between
-    /// `self` and the returned memory; the first store on either side
-    /// copies just the page it touches. Watches, dirty tracking and access
-    /// counters carry over verbatim.
+    /// Copy-on-write fork: every chunk of every bank's page table, and
+    /// every page, becomes shared between `self` and the returned memory;
+    /// the first store on either side copies the chunk's pointers and the
+    /// page it touches. Only chunks written since the last fork need
+    /// freezing, so a fork costs the table's chunk pointers plus what was
+    /// written since. Watches, dirty tracking and access and work counters
+    /// carry over verbatim.
     pub fn fork(&mut self) -> Memory {
         for b in &mut self.l1 {
             b.share();
@@ -523,6 +625,17 @@ impl Memory {
             + self.l3.owned_words()
     }
 
+    /// Every chunk of every bank's page table in address order, by
+    /// identity: a chunk shared with a fork has the same id in both, so
+    /// counting distinct ids over a set of memories counts the chunks
+    /// they hold between them.
+    pub fn chunk_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.l1
+            .iter()
+            .chain([&self.l2, &self.l3])
+            .flat_map(|b| b.chunks.iter().map(Chunk::id))
+    }
+
     /// Every page of every bank in address order (L1 banks by cluster,
     /// then L2, then L3): the shared zero page as its length alone, any
     /// other page as its words. A full-memory walk (the baseline hash of
@@ -538,6 +651,7 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mem() -> Memory {
         Memory::new(MemoryMap::default())
@@ -693,5 +807,189 @@ mod tests {
         let dirty = m.take_dirty();
         assert_eq!(dirty.len(), 1);
         assert_eq!(m.page_data(dirty[0]).len(), 10);
+    }
+
+    /// A map whose banks end in every shape the table has: L1 is one
+    /// partial chunk ending in a partial page, L2 a full chunk then a
+    /// partial one ending in a partial page, L3 two full chunks (the
+    /// shared zero chunk).
+    fn ragged_map() -> MemoryMap {
+        MemoryMap {
+            clusters: 1,
+            l1_words: 3 * PAGE_WORDS + 5,
+            l2_words: CHUNK_WORDS + 2 * PAGE_WORDS + 10,
+            l3_words: 2 * CHUNK_WORDS,
+            ..MemoryMap::default()
+        }
+    }
+
+    /// A memory's reference: its words flat in [`Memory::pages`] order,
+    /// and which pages a store has reached in its lineage.
+    #[derive(Clone)]
+    struct Model {
+        words: Vec<Word>,
+        touched: Vec<bool>,
+    }
+
+    /// The banks of `map` in [`Memory::pages`] order: base address and
+    /// length in words.
+    fn banks(map: &MemoryMap) -> Vec<(u32, u32)> {
+        let mut out: Vec<(u32, u32)> = (0..map.clusters)
+            .map(|c| (map.l1_base(c), map.l1_words))
+            .collect();
+        out.push((L2_BASE, map.l2_words));
+        out.push((L3_BASE, map.l3_words));
+        out
+    }
+
+    /// Flat word index and flat page index of `addr`.
+    fn locate(map: &MemoryMap, addr: u32) -> (usize, usize) {
+        let (mut word, mut page) = (0usize, 0usize);
+        for (base, len) in banks(map) {
+            if (base..base + len).contains(&addr) {
+                let off = addr - base;
+                return (word + off as usize, page + (off / PAGE_WORDS) as usize);
+            }
+            word += len as usize;
+            page += pages_for(len);
+        }
+        unreachable!("address outside every bank")
+    }
+
+    /// `m` reads back exactly like `model`, and reports the zero page for
+    /// exactly the untouched full pages.
+    fn check(m: &Memory, model: &Model) {
+        let mut word = 0;
+        let mut n_pages = 0;
+        for (i, view) in m.pages().enumerate() {
+            let (len, zero) = match view {
+                PageView::Zero(n) => (n, true),
+                PageView::Words(w) => {
+                    assert_eq!(w, &model.words[word..word + w.len()], "page {i}");
+                    (w.len(), false)
+                }
+            };
+            let full = len == PAGE_WORDS as usize;
+            assert_eq!(zero, full && !model.touched[i], "page {i}: zero page");
+            if zero {
+                assert!(model.words[word..word + len].iter().all(|&w| w == 0));
+            }
+            word += len;
+            n_pages += 1;
+        }
+        assert_eq!((word, n_pages), (model.words.len(), model.touched.len()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Copy-on-write at both table levels is invisible: over random
+        /// stores, pokes, forks (of forks too), clones and drops across
+        /// several live memories, each reads back like a flat vector.
+        #[test]
+        fn cow_memories_read_back_like_flat_vectors(
+            ops in prop::collection::vec((0u32..8, any::<u32>(), any::<u32>()), 1..300),
+        ) {
+            let map = ragged_map();
+            let banks = banks(&map);
+            let words = banks.iter().map(|&(_, l)| l as usize).sum();
+            let pages = banks.iter().map(|&(_, l)| pages_for(l)).sum();
+            let mut live = vec![(
+                Memory::new(map.clone()),
+                Model { words: vec![0; words], touched: vec![false; pages] },
+            )];
+            for (kind, a, b) in ops {
+                let at = a as usize % live.len();
+                match kind {
+                    0..=4 => {
+                        // A store somewhere in a few words of a random
+                        // page, zeros included.
+                        let (base, len) = banks[(a >> 8) as usize % banks.len()];
+                        let page = (a >> 12) % len.div_ceil(PAGE_WORDS);
+                        let page_len = (len - page * PAGE_WORDS).min(PAGE_WORDS);
+                        let addr = base + page * PAGE_WORDS + (b >> 16) % page_len.min(4);
+                        let value = if b & 1 == 0 { 0 } else { b };
+                        let (m, model) = &mut live[at];
+                        if kind == 0 {
+                            m.poke(addr, value).unwrap();
+                        } else {
+                            m.write(addr, value).unwrap();
+                        }
+                        let (w, p) = locate(&map, addr);
+                        model.words[w] = value;
+                        model.touched[p] = true;
+                        for (m, model) in &live {
+                            prop_assert_eq!(m.peek(addr).unwrap(), model.words[w]);
+                        }
+                    }
+                    5 => {
+                        let (m, model) = &mut live[at];
+                        let child = (m.fork(), model.clone());
+                        live.push(child);
+                    }
+                    6 => {
+                        let child = live[at].clone();
+                        live.push(child);
+                    }
+                    _ if live.len() > 1 => {
+                        live.swap_remove(at);
+                    }
+                    _ => {}
+                }
+                if live.len() > 5 {
+                    live.remove(0);
+                }
+            }
+            for (m, model) in &live {
+                check(m, model);
+            }
+        }
+    }
+
+    #[test]
+    fn a_fork_copies_only_the_chunks_and_pages_written_after_it() {
+        // The same stores on the default map and on one with 16 times the
+        // L3: the table work a fork leaves behind does not grow with the
+        // memory, and neither does a fresh memory's set of chunks.
+        let work = |l3_words: u32| {
+            let mut m = Memory::new(MemoryMap {
+                l3_words,
+                ..MemoryMap::default()
+            });
+            let fresh: std::collections::HashSet<usize> = m.chunk_ids().collect();
+            for a in [L1_BASE, L2_BASE + 5, L3_BASE + 7, L3_BASE + CHUNK_WORDS] {
+                m.write(a, 1).unwrap();
+            }
+            let before = m.work();
+            let mut child = m.fork();
+            // Two pages of one chunk, then a page of a chunk never
+            // written before the fork.
+            child.write(L3_BASE + 7, 2).unwrap();
+            child.write(L3_BASE + PAGE_WORDS, 3).unwrap();
+            child.write(L3_BASE + 5 * CHUNK_WORDS, 4).unwrap();
+            m.write(L2_BASE + 5, 5).unwrap();
+            let w = |m: &Memory| {
+                let w = m.work();
+                (w.chunks_copied - before.chunks_copied, w.pages_copied - before.pages_copied)
+            };
+            (fresh.len(), before, w(&child), w(&m))
+        };
+        let small = work(MemoryMap::default().l3_words);
+        assert_eq!(small, work(16 * MemoryMap::default().l3_words));
+        // Two partial L1 chunks and the zero chunk; four stores into
+        // four chunks before the fork; then two chunks and three pages in
+        // the child and one of each in the parent.
+        assert_eq!(
+            small,
+            (
+                3,
+                MemoryWork {
+                    chunks_copied: 4,
+                    pages_copied: 4
+                },
+                (2, 3),
+                (1, 1)
+            )
+        );
     }
 }

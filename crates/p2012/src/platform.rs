@@ -30,6 +30,8 @@
 //! and forked with the machine. Code that writes `pes[i].status` directly
 //! calls [`Platform::resync`] afterwards.
 
+use std::sync::Arc;
+
 use debuginfo::{CodeAddr, Word};
 
 use crate::dma::DmaEngine;
@@ -341,14 +343,17 @@ impl Sched {
 }
 
 /// The simulated machine.
+///
+/// The PE descriptions and the program image are fixed once the program
+/// is loaded, so forks share them.
 #[derive(Debug, Clone)]
 pub struct Platform {
     pub config: PlatformConfig,
-    pub infos: Vec<PeInfo>,
+    pub infos: Arc<[PeInfo]>,
     pub pes: Vec<PeState>,
     pub mem: Memory,
     pub dma: Vec<DmaEngine>,
-    pub program: Program,
+    pub program: Arc<Program>,
     pub clock: u64,
     sched: Sched,
 }
@@ -389,9 +394,9 @@ impl Platform {
             mem: Memory::new(config.mem.clone()),
             pes,
             sched: Sched::new(infos.len()),
-            infos,
+            infos: infos.into(),
             dma,
-            program: Program::default(),
+            program: Arc::default(),
             clock: 0,
             config,
         }
@@ -399,7 +404,7 @@ impl Platform {
 
     /// Install the linked program image.
     pub fn load(&mut self, program: Program) {
-        self.program = program;
+        self.program = Arc::new(program);
     }
 
     pub fn pe_count(&self) -> usize {
@@ -737,8 +742,9 @@ impl Platform {
     }
 
     /// Copy-on-write fork of the whole machine: PE/DMA/clock state is
-    /// cloned outright (it is small), memory forks page-wise via
-    /// [`Memory::fork`] so the two machines share every untouched page.
+    /// cloned outright (it is small), the PE descriptions and the program
+    /// are shared, and memory forks chunk-wise via [`Memory::fork`] so the
+    /// two machines share every untouched chunk and page.
     /// The fork starts with every parked PE woken: whoever forks usually
     /// goes on to change the copy from outside the stepper.
     pub fn fork(&mut self) -> Platform {
@@ -747,11 +753,11 @@ impl Platform {
         sched.wake_all();
         Platform {
             config: self.config.clone(),
-            infos: self.infos.clone(),
+            infos: Arc::clone(&self.infos),
             pes: self.pes.clone(),
             mem,
             dma: self.dma.clone(),
-            program: self.program.clone(),
+            program: Arc::clone(&self.program),
             clock: self.clock,
             sched,
         }

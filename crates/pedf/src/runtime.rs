@@ -25,6 +25,8 @@
 //! already written this step) and push immediately — these eager pop/push
 //! points are precisely the events the paper's debugger intercepts.
 
+use std::sync::Arc;
+
 use debuginfo::{TypeTable, Value, Word};
 use p2012::{BlockReason, PeId, PeState, PeStatus, TrapCtx, TrapHandler, TrapResult};
 
@@ -112,14 +114,16 @@ pub struct RuntimeStats {
 ///
 /// `Clone` is deliberate: every field is plain data (env sources/sinks
 /// included), so session forking and every time-travel checkpoint
-/// duplicate the whole runtime in one deep copy instead of re-running
-/// boot + environment setup.
+/// duplicate the runtime in one copy instead of re-running boot +
+/// environment setup. What registration fixes (the type table, the graph
+/// and the lookup tables built beside it) sits behind `Arc`s that forks
+/// share; only registration writes them, through `Arc::make_mut`.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     /// Shared type table (same ids as the image's debug info).
-    pub types: TypeTable,
+    pub types: Arc<TypeTable>,
     /// The registered application graph.
-    pub graph: AppGraph,
+    pub graph: Arc<AppGraph>,
     actors_rt: Vec<ActorRt>,
     conns_rt: Vec<ConnRt>,
     /// FIFO state per link (parallel to `graph.links`).
@@ -127,11 +131,11 @@ pub struct Runtime {
     modules_rt: Vec<ModuleRt>,
     /// Indexed by [`PeId`]; sized to the platform at the first
     /// registration.
-    pe_actor: Vec<Option<PeActor>>,
+    pe_actor: Arc<Vec<Option<PeActor>>>,
     /// The filters of each module in registration order, indexed by actor
     /// id (empty for non-modules). Static once the graph is registered;
     /// the WAIT_FOR_ACTOR_* traps and the parking check both read it.
-    module_filters: Vec<Vec<ActorId>>,
+    module_filters: Arc<Vec<Vec<ActorId>>>,
     pub booted: bool,
     /// Output of `pedf_print` (the application's console).
     pub console: Vec<String>,
@@ -166,14 +170,14 @@ pub struct Runtime {
 impl Runtime {
     pub fn new(types: TypeTable) -> Self {
         Runtime {
-            types,
-            graph: AppGraph::new(),
+            types: Arc::new(types),
+            graph: Arc::default(),
             actors_rt: Vec::new(),
             conns_rt: Vec::new(),
             fifos: Vec::new(),
             modules_rt: Vec::new(),
-            pe_actor: Vec::new(),
-            module_filters: Vec::new(),
+            pe_actor: Arc::default(),
+            module_filters: Arc::default(),
             booted: false,
             console: Vec::new(),
             events: EventBuffer::default(),
@@ -245,27 +249,26 @@ impl Runtime {
         let parent = api::decode_opt(*parent1).map(ActorId);
         let pe = api::decode_opt(*pe1).map(|p| PeId(p as u16));
         let work = api::decode_opt(*work1);
-        match self
-            .graph
-            .register_actor(*id, &name, kind, parent, pe, work)
-        {
+        match Arc::make_mut(&mut self.graph).register_actor(*id, &name, kind, parent, pe, work) {
             Ok(aid) => {
                 self.actors_rt.push(ActorRt::default());
-                self.module_filters.push(Vec::new());
+                let module_filters = Arc::make_mut(&mut self.module_filters);
+                module_filters.push(Vec::new());
                 if let (ActorKind::Filter, Some(module)) = (kind, parent) {
-                    self.module_filters[module.0 as usize].push(aid);
+                    module_filters[module.0 as usize].push(aid);
                 }
                 // May already exist if limits were configured pre-boot.
                 if self.modules_rt.len() <= aid.0 as usize {
                     self.modules_rt
                         .resize_with(aid.0 as usize + 1, ModuleRt::default);
                 }
-                if self.pe_actor.len() < ctx.pe_count() {
-                    self.pe_actor.resize(ctx.pe_count(), None);
+                let pe_actor = Arc::make_mut(&mut self.pe_actor);
+                if pe_actor.len() < ctx.pe_count() {
+                    pe_actor.resize(ctx.pe_count(), None);
                 }
                 // A PE the platform lacks can never trap, so it needs no
                 // slot.
-                if let Some(slot) = pe.and_then(|pe| self.pe_actor.get_mut(pe.index())) {
+                if let Some(slot) = pe.and_then(|pe| pe_actor.get_mut(pe.index())) {
                     *slot = Some(PeActor {
                         actor: aid,
                         module: parent.filter(|_| kind == ActorKind::Controller),
@@ -295,9 +298,13 @@ impl Runtime {
         if *ty as usize >= self.types.len() {
             return self.fail(format!("register_conn: bad type {ty}"), "bad type id");
         }
-        match self
-            .graph
-            .register_conn(*id, ActorId(*actor), &name, dir, debuginfo::TypeId(*ty))
+        match Arc::make_mut(&mut self.graph).register_conn(
+            *id,
+            ActorId(*actor),
+            &name,
+            dir,
+            debuginfo::TypeId(*ty),
+        )
         {
             Ok(_) => {
                 self.conns_rt.push(ConnRt::default());
@@ -314,7 +321,7 @@ impl Runtime {
         let Some(class) = crate::graph::LinkClass::from_code(*class) else {
             return self.fail(format!("register_link: bad class {class}"), "bad class");
         };
-        match self.graph.register_link(
+        match Arc::make_mut(&mut self.graph).register_link(
             *id,
             ConnId(*from),
             ConnId(*to),

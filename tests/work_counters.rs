@@ -3,13 +3,14 @@
 //! travel recording). The counts are deterministic: how many times the
 //! debugger looked at a PE, how often a parked PE was woken, how often
 //! the runtime was asked whether a woken PE still waits, and how many
-//! traps reached it. A debugger that looked at every PE in each of its
+//! traps reached it, and how many memory-table chunks and pages a store
+//! found shared with a checkpoint and copied. A debugger that looked at every PE in each of its
 //! three per-cycle passes would make 33 visits per cycle; a machine that
 //! polled its blocked PEs would ask about 4.4 of them every cycle.
 
 use dfdbg::{Session, Stop, CHECKPOINT_INTERVAL};
 use h264_pipeline::{attach_env, build_decoder, Bug};
-use p2012::{MachineWork, PlatformConfig};
+use p2012::{MachineWork, MemoryWork, PlatformConfig};
 
 const N_MBS: u64 = 256;
 
@@ -22,6 +23,12 @@ const WORK: MachineWork = MachineWork {
     probes: 4_352,
     dispatches: 14_338,
 };
+/// Every checkpoint shares the memory; the stores after the run's
+/// checkpoints copy 32 pages, each in a chunk of its own.
+const MEM_WORK: MemoryWork = MemoryWork {
+    chunks_copied: 32,
+    pages_copied: 32,
+};
 
 #[test]
 fn the_decode_costs_what_happens_in_it() {
@@ -31,6 +38,7 @@ fn the_decode_costs_what_happens_in_it() {
     attach_env(&mut s.sys, &app, N_MBS, 0xbeef).unwrap();
     s.enable_time_travel(CHECKPOINT_INTERVAL);
     let (c0, v0, w0) = (s.clock(), s.pe_visits(), s.sys.platform.work());
+    let m0 = s.sys.platform.mem.work();
     assert_eq!(s.run(u64::MAX), Stop::Quiescent);
     let cycles = s.clock() - c0;
     let visits = s.pe_visits() - v0;
@@ -40,7 +48,12 @@ fn the_decode_costs_what_happens_in_it() {
         probes: w.probes - w0.probes,
         dispatches: w.dispatches - w0.dispatches,
     };
-    println!("cycles {cycles}, PE visits {visits}, {work:?}");
+    let m = s.sys.platform.mem.work();
+    let mem_work = MemoryWork {
+        chunks_copied: m.chunks_copied - m0.chunks_copied,
+        pages_copied: m.pages_copied - m0.pages_copied,
+    };
+    println!("cycles {cycles}, PE visits {visits}, {work:?}, {mem_work:?}");
 
     assert!(
         visits <= 3 * cycles,
@@ -51,8 +64,8 @@ fn the_decode_costs_what_happens_in_it() {
         "{work:?}: the machine asks about PEs nothing woke"
     );
     assert_eq!(
-        (cycles, visits, work),
-        (CYCLES, PE_VISITS, WORK),
+        (cycles, visits, work, mem_work),
+        (CYCLES, PE_VISITS, WORK, MEM_WORK),
         "the pinned work counts moved"
     );
 }
