@@ -132,7 +132,9 @@ pub struct ExploreStats {
     /// Candidate overrides skipped because the elected actor cannot touch
     /// a watched racy range (independent transition for this search).
     pub sleep_set_hits: u64,
-    /// Peak bytes physically owned by pooled ancestor snapshots.
+    /// Peak bytes of memory pages the pooled snapshots do not share with
+    /// the pool's root: what the pool holds beyond the machine the search
+    /// started from.
     pub peak_pool_bytes: u64,
     pub witnesses_found: u64,
     /// Decision points considered (after caps).
@@ -457,9 +459,10 @@ impl Pool {
     }
 
     fn bytes(&self) -> u64 {
+        let root = &self.entries[0].sys.platform.mem;
         self.entries
             .iter()
-            .map(|e| e.sys.platform.mem.owned_words() as u64 * 4)
+            .map(|e| e.sys.platform.mem.words_apart_from(root) as u64 * 4)
             .sum()
     }
 }
@@ -791,6 +794,9 @@ pub fn explore(mut root: System, cfg: &ExploreConfig) -> ExploreReport {
                     sig.hits.len(),
                     sig.steps,
                 ));
+                // The snapshot is measured with the universe that made it
+                // gone.
+                drop(sys);
                 if may_extend {
                     if let Some((snap_sys, counters)) = snap {
                         let bytes = pool.insert(ovs.clone(), snap_sys, counters);

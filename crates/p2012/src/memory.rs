@@ -338,13 +338,21 @@ impl Bank {
             })
     }
 
-    fn owned_words(&self) -> usize {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.pages())
-            .filter(|p| matches!(p, Page::Owned(_)))
-            .map(|p| p.as_slice().len())
-            .sum()
+    /// Words in pages that are not the very page `base` holds at the
+    /// same place (a chunk `base` shares holds none).
+    fn words_apart_from(&self, base: &Bank) -> usize {
+        let mut words = 0;
+        for (c, b) in self.chunks.iter().zip(&base.chunks) {
+            if c.id() == b.id() {
+                continue;
+            }
+            for (p, q) in c.pages().iter().zip(b.pages()) {
+                if !matches!((p, q), (Page::Shared(p), Page::Shared(q)) if Arc::ptr_eq(p, q)) {
+                    words += p.as_slice().len();
+                }
+            }
+        }
+        words
     }
 }
 
@@ -616,13 +624,17 @@ impl Memory {
         self.hits.clear();
     }
 
-    /// Words privately owned by this memory (copy-on-write pages actually
-    /// duplicated, not shared with a fork ancestor). The multiverse
-    /// universe pool uses this to account real bytes, not address space.
-    pub fn owned_words(&self) -> usize {
-        self.l1.iter().map(Bank::owned_words).sum::<usize>()
-            + self.l2.owned_words()
-            + self.l3.owned_words()
+    /// Words in pages this memory does not share with `base`, a memory
+    /// of the same map (a fork relative, say): what it holds beyond
+    /// `base`, in real words rather than address space. The multiverse
+    /// universe pool accounts its snapshots against its root this way.
+    pub fn words_apart_from(&self, base: &Memory) -> usize {
+        self.l1
+            .iter()
+            .zip(&base.l1)
+            .chain([(&self.l2, &base.l2), (&self.l3, &base.l3)])
+            .map(|(b, base)| b.words_apart_from(base))
+            .sum()
     }
 
     /// Every chunk of every bank's page table in address order, by
@@ -794,6 +806,27 @@ mod tests {
         child.write(L2_BASE + 1, 2).unwrap();
         assert_eq!(child.take_dirty().len(), 1);
         assert!(m.take_dirty().is_empty(), "parent saw the child's write");
+    }
+
+    #[test]
+    fn words_apart_count_the_pages_a_fork_does_not_share() {
+        let mut root = Memory::new(ragged_map());
+        root.write(L2_BASE, 1).unwrap();
+        let mut snap = root.fork();
+        assert_eq!(snap.words_apart_from(&root), 0);
+        // A full page and the partial last pages of L1 and L2.
+        snap.write(L3_BASE + CHUNK_WORDS, 2).unwrap();
+        snap.write(L1_BASE + 3 * PAGE_WORDS, 3).unwrap();
+        snap.write(L2_BASE + CHUNK_WORDS + 2 * PAGE_WORDS, 4).unwrap();
+        let apart = PAGE_WORDS as usize + 5 + 10;
+        assert_eq!(snap.words_apart_from(&root), apart);
+        // A fork of the snapshot shares its pages, not the root's.
+        let grandchild = snap.fork();
+        assert_eq!(grandchild.words_apart_from(&root), apart);
+        assert_eq!(grandchild.words_apart_from(&snap), 0);
+        // A store on the root's side moves the page apart too.
+        root.write(L2_BASE + 1, 5).unwrap();
+        assert_eq!(snap.words_apart_from(&root), apart + PAGE_WORDS as usize);
     }
 
     #[test]

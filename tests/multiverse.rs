@@ -102,6 +102,9 @@ fn data_dependent_false_positive_is_refuted() {
     assert!(rep.witness.is_none());
     assert_eq!(rep.stats.witnesses_found, 0);
     assert_eq!(rep.stats.universes_explored, 40);
+    // The pooled snapshots hold pages apart from the root: the pool's peak
+    // counts them.
+    assert!(rep.stats.peak_pool_bytes > 0, "{:?}", rep.stats);
 }
 
 /// A witness is anchored to the state hash of the machine it was found
