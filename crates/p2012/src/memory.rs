@@ -298,8 +298,9 @@ impl Bank {
         let mut chunks: Vec<Chunk> = (0..full)
             .map(|_| Chunk::Shared(Arc::clone(zero_chunk())))
             .collect();
-        if words % CHUNK_WORDS > 0 {
-            chunks.push(Chunk::Shared(zero_pages(words % CHUNK_WORDS)));
+        let rest = words % CHUNK_WORDS;
+        if rest > 0 {
+            chunks.push(Chunk::Shared(zero_pages(rest)));
         }
         Bank { chunks }
     }
@@ -329,13 +330,10 @@ impl Bank {
     }
 
     fn views(&self) -> impl Iterator<Item = PageView<'_>> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.pages())
-            .map(|p| match p {
-                Page::Shared(z) if Arc::ptr_eq(z, zero_page()) => PageView::Zero(z.len()),
-                p => PageView::Words(p.as_slice()),
-            })
+        self.chunks.iter().flat_map(|c| c.pages()).map(|p| match p {
+            Page::Shared(z) if Arc::ptr_eq(z, zero_page()) => PageView::Zero(z.len()),
+            p => PageView::Words(p.as_slice()),
+        })
     }
 
     /// Words in pages that are not the very page `base` holds at the
@@ -817,7 +815,8 @@ mod tests {
         // A full page and the partial last pages of L1 and L2.
         snap.write(L3_BASE + CHUNK_WORDS, 2).unwrap();
         snap.write(L1_BASE + 3 * PAGE_WORDS, 3).unwrap();
-        snap.write(L2_BASE + CHUNK_WORDS + 2 * PAGE_WORDS, 4).unwrap();
+        snap.write(L2_BASE + CHUNK_WORDS + 2 * PAGE_WORDS, 4)
+            .unwrap();
         let apart = PAGE_WORDS as usize + 5 + 10;
         assert_eq!(snap.words_apart_from(&root), apart);
         // A fork of the snapshot shares its pages, not the root's.
@@ -1003,7 +1002,10 @@ mod tests {
             m.write(L2_BASE + 5, 5).unwrap();
             let w = |m: &Memory| {
                 let w = m.work();
-                (w.chunks_copied - before.chunks_copied, w.pages_copied - before.pages_copied)
+                (
+                    w.chunks_copied - before.chunks_copied,
+                    w.pages_copied - before.pages_copied,
+                )
             };
             (fresh.len(), before, w(&child), w(&m))
         };

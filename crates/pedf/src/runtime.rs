@@ -304,8 +304,7 @@ impl Runtime {
             &name,
             dir,
             debuginfo::TypeId(*ty),
-        )
-        {
+        ) {
             Ok(_) => {
                 self.conns_rt.push(ConnRt::default());
                 TrapResult::Done
