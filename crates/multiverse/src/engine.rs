@@ -137,6 +137,12 @@ pub struct ExploreStats {
     /// started from.
     pub peak_pool_bytes: u64,
     pub witnesses_found: u64,
+    /// Cycles simulated across every universe, the reference included.
+    pub cycles_stepped: u64,
+    /// Universes stopped where their machine state rejoined the reference
+    /// run's, their signatures completed from the reference's (counted
+    /// in `universes_explored` too).
+    pub universes_joined: u64,
     /// Decision points considered (after caps).
     pub actor_points: u64,
     pub dma_points: u64,
@@ -297,6 +303,7 @@ fn run_universe(
     n_watches: u32,
     overrides: &[ChoiceRec],
     snapshot: bool,
+    cycles_stepped: &mut u64,
 ) -> (Signature, Option<(System, [u64; 2])>) {
     let mut hits: Vec<(u32, bool)> = Vec::new();
     let mut hit_cycles: Vec<u64> = Vec::new();
@@ -305,6 +312,7 @@ fn run_universe(
     let mut outcome = Outcome::Horizon;
     while sys.clock() < horizon_abs {
         let report = sys.step();
+        *cycles_stepped += 1;
         if n_watches > 0 && sys.platform.mem.has_hits() {
             for h in sys.platform.mem.take_hits() {
                 if h.id >= WATCH_ID_BASE && h.id < WATCH_ID_BASE + n_watches {
@@ -663,7 +671,14 @@ pub fn explore(mut root: System, cfg: &ExploreConfig) -> ExploreReport {
     let mut ref_sys = root.fork();
     stats.universes_forked += 1;
     ref_sys.runtime.policy.recording = Some(Vec::new());
-    let (reference, _) = run_universe(&mut ref_sys, horizon_abs, n_watches, &[], false);
+    let (reference, _) = run_universe(
+        &mut ref_sys,
+        horizon_abs,
+        n_watches,
+        &[],
+        false,
+        &mut stats.cycles_stepped,
+    );
     let recording = ref_sys.runtime.policy.recording.take().unwrap_or_default();
     stats.universes_explored += 1;
     transcript.push(format!(
@@ -765,7 +780,14 @@ pub fn explore(mut root: System, cfg: &ExploreConfig) -> ExploreReport {
                 sys.runtime.policy.recording = None;
                 sys.runtime.policy.set_overrides(&ovs);
                 let may_extend = ovs.len() < cfg.max_depth;
-                let (sig, snap) = run_universe(&mut sys, horizon_abs, n_watches, &ovs, may_extend);
+                let (sig, snap) = run_universe(
+                    &mut sys,
+                    horizon_abs,
+                    n_watches,
+                    &ovs,
+                    may_extend,
+                    &mut stats.cycles_stepped,
+                );
                 stats.universes_explored += 1;
                 witness = classify(&sys, &sig, &reference, cfg, &ovs);
                 if let Some(w) = &witness {

@@ -121,13 +121,18 @@ pub struct Metrics {
     pub resumes_total: AtomicU64,
     /// Multiverse explorations run (`explore` commands that searched).
     pub explores_total: AtomicU64,
-    /// Universes forked / fully run / pruned-as-equivalent across all
+    /// Universes forked / run / pruned-as-equivalent across all
     /// explorations, and DPOR sleep-set skips — the work/savings split
     /// of the search.
     pub explore_forked_total: AtomicU64,
     pub explore_explored_total: AtomicU64,
     pub explore_pruned_total: AtomicU64,
     pub explore_sleep_hits_total: AtomicU64,
+    /// Cycles the universes simulated, and universes stopped where they
+    /// rejoined the reference run: the search's work in cycles, and what
+    /// state matching saved of it.
+    pub explore_cycles_stepped_total: AtomicU64,
+    pub explore_joined_total: AtomicU64,
     /// Witnesses found across all explorations.
     pub explore_witnesses_total: AtomicU64,
     /// High-water mark of any exploration's snapshot-pool footprint
@@ -163,6 +168,10 @@ impl Metrics {
             .fetch_add(s.sleep_set_hits, Relaxed);
         self.explore_witnesses_total
             .fetch_add(s.witnesses_found, Relaxed);
+        self.explore_cycles_stepped_total
+            .fetch_add(s.cycles_stepped, Relaxed);
+        self.explore_joined_total
+            .fetch_add(s.universes_joined, Relaxed);
         self.explore_pool_peak_bytes
             .fetch_max(s.peak_pool_bytes, Relaxed);
     }
@@ -291,7 +300,7 @@ impl Metrics {
         counter(
             &mut out,
             "dfdbg_explore_universes_explored_total",
-            "universes fully run across all explorations",
+            "universes run, to their end or to where they rejoined the reference",
             self.explore_explored_total.load(Relaxed),
         );
         counter(
@@ -311,6 +320,18 @@ impl Metrics {
             "dfdbg_explore_witnesses_total",
             "dynamic witnesses found",
             self.explore_witnesses_total.load(Relaxed),
+        );
+        counter(
+            &mut out,
+            "dfdbg_explore_cycles_stepped_total",
+            "cycles simulated across all explorations' universes",
+            self.explore_cycles_stepped_total.load(Relaxed),
+        );
+        counter(
+            &mut out,
+            "dfdbg_explore_universes_joined_total",
+            "universes stopped where they rejoined the reference run",
+            self.explore_joined_total.load(Relaxed),
         );
         gauge(
             &mut out,

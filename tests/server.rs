@@ -172,6 +172,11 @@ fn remote_explore_updates_metrics_and_event_log() {
     assert!(value("dfdbg_explore_universes_explored_total") > 0);
     assert!(value("dfdbg_explore_universes_pruned_total") > 0);
     assert!(value("dfdbg_explore_sleep_set_hits_total") > 0);
+    assert!(value("dfdbg_explore_cycles_stepped_total") > 0);
+    assert!(
+        value("dfdbg_explore_universes_joined_total")
+            <= value("dfdbg_explore_universes_explored_total")
+    );
     assert_eq!(value("dfdbg_explore_witnesses_total"), 1);
 
     assert_eq!(shared.log.count(EventKind::Explore), 1);

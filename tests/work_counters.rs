@@ -69,3 +69,24 @@ fn the_decode_costs_what_happens_in_it() {
         "the pinned work counts moved"
     );
 }
+
+/// The race hunt on the 16-macroblock shared-scratch decoder, the one the
+/// `explore` benchmark repeats most: the cycles its universes simulate,
+/// the reference's included, and how many universes stopped where they
+/// rejoined the reference run.
+const HUNT_CYCLES: u64 = 89_378;
+const HUNT_JOINED: u64 = 0;
+
+#[test]
+fn the_race_hunt_costs_what_it_simulates() {
+    let mut cli = server::session::build_cli(Bug::SharedScratch, 16).unwrap();
+    let out = cli.exec("explore --until race");
+    assert!(out.contains("WITNESS MV702"), "{out}");
+    let st = cli.session.last_explore.as_ref().unwrap().stats;
+    println!("{st:?}");
+    assert_eq!(
+        (st.cycles_stepped, st.universes_joined),
+        (HUNT_CYCLES, HUNT_JOINED),
+        "the pinned hunt counts moved"
+    );
+}
