@@ -15,7 +15,7 @@
 //! semantics.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use debuginfo::{CodeAddr, DebugInfo, Value, Word};
 use p2012::{PeId, PeStatus, VmFault};
@@ -174,9 +174,14 @@ pub struct Session {
     /// Bytecode-verifier input (linked image + platform map), loaded via
     /// [`Session::load_bcv_input`]; `analyze` runs it alongside `dfa`.
     bcv_input: Option<Arc<bcv::AnalysisInput>>,
+    /// The verifier's report on `bcv_input`, a pure function of the
+    /// image: filled by the first `explore` that needs its race sites and
+    /// shared with every fork, so each app is verified once for them.
+    /// `analyze` does not use it and verifies afresh.
+    bcv_verified: Arc<OnceLock<Arc<bcv::Report>>>,
     /// Result of the most recent bytecode verification, consumed by
     /// `graph dot` to draw race pairs as dashed red edges.
-    pub last_bcv: Option<bcv::Report>,
+    pub last_bcv: Option<Arc<bcv::Report>>,
     /// Static performance-analysis input (graph + kernels + image),
     /// loaded via [`Session::load_sched_input`]; `analyze` runs the
     /// buffer-sizing/WCET/throughput passes alongside `dfa` and `bcv`.
@@ -256,6 +261,7 @@ impl Session {
             analysis: None,
             last_analysis: None,
             bcv_input: None,
+            bcv_verified: Arc::default(),
             last_bcv: None,
             sched_input: None,
             last_sched: None,
@@ -297,6 +303,7 @@ impl Session {
             analysis: self.analysis.clone(),
             last_analysis: self.last_analysis.clone(),
             bcv_input: self.bcv_input.clone(),
+            bcv_verified: Arc::clone(&self.bcv_verified),
             last_bcv: self.last_bcv.clone(),
             sched_input: self.sched_input.clone(),
             last_sched: self.last_sched.clone(),
@@ -325,6 +332,7 @@ impl Session {
     /// into the same table.
     pub fn load_bcv_input(&mut self, input: impl Into<Arc<bcv::AnalysisInput>>) {
         self.bcv_input = Some(input.into());
+        self.bcv_verified = Arc::default();
     }
 
     /// Supply the static performance analyzer's input (built with
@@ -378,7 +386,7 @@ impl Session {
         if let Some(bi) = &self.bcv_input {
             let br = bcv::verify(bi);
             findings.extend(br.findings.iter().cloned());
-            self.last_bcv = Some(br);
+            self.last_bcv = Some(Arc::new(br));
         }
         if let Some(si) = &self.sched_input {
             let mut sr = sched::analyze(si);
@@ -2003,12 +2011,13 @@ impl Session {
     // ---- multiverse exploration -------------------------------------------
 
     /// The statically racy shared ranges (bcv RACE401 sites) as dynamic
-    /// watch targets for the explorer. Runs the bytecode verifier on
-    /// demand if `analyze` hasn't yet.
+    /// watch targets for the explorer. Runs the bytecode verifier once
+    /// per loaded image if `analyze` hasn't yet.
     fn explore_race_sites(&mut self) -> Vec<multiverse::RaceSite> {
         if self.last_bcv.is_none() {
             if let Some(bi) = &self.bcv_input {
-                self.last_bcv = Some(bcv::verify(bi));
+                let report = self.bcv_verified.get_or_init(|| Arc::new(bcv::verify(bi)));
+                self.last_bcv = Some(Arc::clone(report));
             }
         }
         self.last_bcv

@@ -290,29 +290,217 @@ fn enumerate_candidates(recording: &[DecisionPoint], cfg: &ExploreConfig) -> Vec
     out
 }
 
+// ---- the reference ladder ----------------------------------------------
+
+/// Cycles between two rungs of the reference ladder. A closer spacing
+/// stops a joining universe sooner but costs the reference run one fork
+/// per rung, and the pages it copies after each; 512 measured best on the
+/// decoder hunts.
+const RUNG_CYCLES: u64 = 512;
+
+/// The reference machine at one rung clock, and how much of the
+/// reference's signature it had produced by then.
+struct Rung {
+    sys: System,
+    /// [`scalar_key`] of `sys`.
+    key: Vec<u64>,
+    hits: usize,
+    console: usize,
+}
+
+impl Rung {
+    /// Whether `sys`, at this rung's clock, is in exactly this rung's
+    /// machine state. The scalar key rejects almost every universe that
+    /// does not join; then the words `Platform::hash_state` and
+    /// `Runtime::hash_state` feed a hasher (the machine state replay's
+    /// divergence hashing also covers) must be equal, not a digest of
+    /// them, and then the memory's words.
+    ///
+    /// What these leave out cannot steer the future of a universe forked
+    /// from the same root whose overrides are consumed (and dropped). It
+    /// is derived state: the platform's visit and park sets and status
+    /// counts, a DMA engine's in-flight count, the runtime's scheduled
+    /// count, wake flag and next environment cycle, a source's generator
+    /// and recording (they follow from its `produced` count). Or it is
+    /// fixed at boot: the program, PE descriptions, graph and type tables,
+    /// FIFO, source, sink and module settings, and the installed watches.
+    /// Or it is observer-side state: the console's and protocol errors'
+    /// text (their lengths are hashed), the event buffer, a sink's tail
+    /// of recent values, the policy's recording, the drained watch hits,
+    /// the memory's dirty-page flags and access and copy-on-write counts.
+    fn matches(&self, sys: &System) -> bool {
+        scalar_key(sys) == self.key
+            && state_words(sys) == state_words(&self.sys)
+            && sys.platform.mem.same_words_as(&self.sys.platform.mem)
+    }
+}
+
+/// A few dozen scalars that differ between almost any two machines that
+/// differ: the memory access counts, each PE's pc, stall, retired and
+/// invocation counts and frame depth, and the runtime's token and work
+/// counts.
+fn scalar_key(sys: &System) -> Vec<u64> {
+    let (mem, st) = (&sys.platform.mem, &sys.runtime.stats);
+    let mut key = vec![
+        mem.reads,
+        mem.writes,
+        st.tokens_pushed,
+        st.tokens_popped,
+        st.work_invocations,
+    ];
+    for pe in &sys.platform.pes {
+        key.extend([
+            u64::from(pe.pc),
+            u64::from(pe.stall),
+            pe.retired,
+            pe.invocations,
+            pe.frames.len() as u64,
+        ]);
+    }
+    key
+}
+
+/// A hasher that keeps the words it is fed instead of mixing them, so
+/// two machines' state streams compare exactly.
+#[derive(Default)]
+struct StateWords(Vec<u64>);
+
+impl std::hash::Hasher for StateWords {
+    /// Not a digest: only the kept words are ever compared.
+    fn finish(&self) -> u64 {
+        self.0.len() as u64
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.push(bytes.len() as u64);
+        self.0.extend(bytes.chunks(8).map(|c| {
+            let mut w = [0; 8];
+            w[..c.len()].copy_from_slice(c);
+            u64::from_le_bytes(w)
+        }));
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.0.push(i.into());
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.0.push(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.0.push(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0.push(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.0.push(i as u64);
+    }
+}
+
+fn state_words(sys: &System) -> Vec<u64> {
+    let mut w = StateWords::default();
+    sys.platform.hash_state(&mut w);
+    sys.runtime.hash_state(&mut w);
+    w.0
+}
+
+/// Forks of the reference run every [`RUNG_CYCLES`] cycles after the
+/// root: rung `k` holds the reference at `start + (k + 1) * RUNG_CYCLES`.
+struct Ladder {
+    start: u64,
+    rungs: Vec<Rung>,
+}
+
+impl Ladder {
+    fn new(start: u64) -> Ladder {
+        Ladder {
+            start,
+            rungs: Vec::new(),
+        }
+    }
+
+    /// Keep a rung of the reference `sys` if its clock is the next rung
+    /// clock.
+    fn lay(&mut self, sys: &mut System, hits: usize) {
+        if sys.clock() == self.start + (self.rungs.len() as u64 + 1) * RUNG_CYCLES {
+            self.rungs.push(Rung {
+                key: scalar_key(sys),
+                hits,
+                console: sys.runtime.console.len(),
+                sys: sys.fork(),
+            });
+        }
+    }
+
+    /// The rung at `clock`, if one was laid there.
+    fn at(&self, clock: u64) -> Option<&Rung> {
+        let d = clock.checked_sub(self.start)?;
+        if d % RUNG_CYCLES != 0 {
+            return None;
+        }
+        let k = (d / RUNG_CYCLES).checked_sub(1)?;
+        self.rungs.get(usize::try_from(k).ok()?)
+    }
+}
+
+/// What a run does with the reference ladder.
+enum Rungs<'a> {
+    /// Nothing: the universe runs to its end.
+    Off,
+    /// The reference run lays the ladder.
+    Lay(&'a mut Ladder),
+    /// A perturbed universe stops where it joins a rung of the reference
+    /// run whose signature is given.
+    Join(&'a Ladder, &'a Signature),
+}
+
 // ---- universe execution ------------------------------------------------
 
+/// One universe's run.
+struct Run {
+    sig: Signature,
+    /// A COW fork taken right after the last installed override's
+    /// decision was consumed (the cheapest point descendants can branch
+    /// from), with the decision counters at that moment.
+    snap: Option<(System, [u64; 2])>,
+    /// Cycles simulated, up to the join for a joined universe.
+    cycles: u64,
+    joined: bool,
+}
+
 /// Run `sys` until a terminal condition or the absolute-clock horizon,
-/// draining engine watch hits each cycle. When `snapshot` is requested, a
-/// COW fork is taken right after the last installed override's decision
-/// is consumed (the cheapest point descendants can branch from) along
-/// with the decision counters at that moment.
+/// draining engine watch hits each cycle; take the snapshot when
+/// `snapshot` is requested.
+///
+/// Under [`Rungs::Join`], once the overrides are consumed, a universe
+/// whose state equals the reference's at a rung clock stops there: from
+/// equal states the deterministic machine runs the same future, so its
+/// signature is its own so far and the reference's after the rung. Debug
+/// builds run it on to its end anyway and assert that both agree.
 fn run_universe(
     sys: &mut System,
     horizon_abs: u64,
     n_watches: u32,
     overrides: &[ChoiceRec],
     snapshot: bool,
-    cycles_stepped: &mut u64,
-) -> (Signature, Option<(System, [u64; 2])>) {
+    mut rungs: Rungs,
+) -> Run {
     let mut hits: Vec<(u32, bool)> = Vec::new();
     let mut hit_cycles: Vec<u64> = Vec::new();
     let mut snap: Option<(System, [u64; 2])> = None;
-    let want_snap = snapshot && !overrides.is_empty();
+    let mut consumed = overrides.is_empty();
+    let mut cycles = 0;
+    let mut spliced: Option<Signature> = None;
     let mut outcome = Outcome::Horizon;
     while sys.clock() < horizon_abs {
         let report = sys.step();
-        *cycles_stepped += 1;
+        if spliced.is_none() {
+            cycles += 1;
+        }
         if n_watches > 0 && sys.platform.mem.has_hits() {
             for h in sys.platform.mem.take_hits() {
                 if h.id >= WATCH_ID_BASE && h.id < WATCH_ID_BASE + n_watches {
@@ -321,17 +509,22 @@ fn run_universe(
                 }
             }
         }
-        if want_snap && snap.is_none() {
-            let consumed = overrides
+        if !consumed
+            && overrides
                 .iter()
-                .all(|o| sys.runtime.policy.decisions(o.kind) > o.index);
-            if consumed {
+                .all(|o| sys.runtime.policy.decisions(o.kind) > o.index)
+        {
+            consumed = true;
+            if snapshot {
                 let counters = [
                     sys.runtime.policy.decisions(ChoiceKind::ActorStart),
                     sys.runtime.policy.decisions(ChoiceKind::DmaOrder),
                 ];
                 snap = Some((sys.fork(), counters));
             }
+            // Consumed overrides can no longer fire; without them the
+            // policy's state is comparable with the reference's.
+            sys.runtime.policy.clear_overrides();
         }
         if sys.first_fault().is_some() {
             outcome = Outcome::Fault;
@@ -352,6 +545,26 @@ fn run_universe(
         {
             outcome = Outcome::Deadlock;
             break;
+        }
+        // Only a machine that runs on is laid or matched: its next cycle
+        // depends on its state alone.
+        match &mut rungs {
+            Rungs::Lay(ladder) => ladder.lay(sys, hits.len()),
+            Rungs::Join(ladder, reference) if consumed && spliced.is_none() => {
+                if let Some(rung) = ladder.at(sys.clock()).filter(|r| r.matches(sys)) {
+                    let sig = splice(sys, &hits, &hit_cycles, rung, reference);
+                    if !cfg!(debug_assertions) {
+                        return Run {
+                            sig,
+                            snap,
+                            cycles,
+                            joined: true,
+                        };
+                    }
+                    spliced = Some(sig);
+                }
+            }
+            _ => {}
         }
     }
     let fault = sys.first_fault().map(|(pe, f)| format!("pe{} {f}", pe.0));
@@ -380,7 +593,42 @@ fn run_universe(
         hit_cycles,
         end_clock: sys.clock(),
     };
-    (sig, snap)
+    let joined = spliced.is_some();
+    if let Some(spliced) = spliced {
+        assert_eq!(
+            spliced, sig,
+            "a universe that joined the reference run ended unlike its splice"
+        );
+    }
+    Run {
+        sig,
+        snap,
+        cycles,
+        joined,
+    }
+}
+
+/// The signature of a universe that joined the reference at `rung`: its
+/// own hits and console lines so far, the reference's after the rung, and
+/// the reference's ending.
+fn splice(
+    sys: &System,
+    hits: &[(u32, bool)],
+    hit_cycles: &[u64],
+    rung: &Rung,
+    reference: &Signature,
+) -> Signature {
+    Signature {
+        outcome: reference.outcome,
+        fault: reference.fault.clone(),
+        console: [&sys.runtime.console[..], &reference.console[rung.console..]].concat(),
+        sinks: reference.sinks.clone(),
+        steps: reference.steps.clone(),
+        fifo: reference.fifo.clone(),
+        hits: [hits, &reference.hits[rung.hits..]].concat(),
+        hit_cycles: [hit_cycles, &reference.hit_cycles[rung.hits..]].concat(),
+        end_clock: reference.end_clock,
+    }
 }
 
 // ---- ancestor pool -----------------------------------------------------
@@ -667,18 +915,23 @@ pub fn explore(mut root: System, cfg: &ExploreConfig) -> ExploreReport {
     }
     let horizon_abs = root.clock() + cfg.horizon;
 
-    // Reference universe: default schedule, recording on.
+    // Reference universe: default schedule, recording on, laying the
+    // ladder perturbed universes join when pruning is on.
     let mut ref_sys = root.fork();
     stats.universes_forked += 1;
     ref_sys.runtime.policy.recording = Some(Vec::new());
-    let (reference, _) = run_universe(
-        &mut ref_sys,
-        horizon_abs,
-        n_watches,
-        &[],
-        false,
-        &mut stats.cycles_stepped,
-    );
+    let mut ladder = Ladder::new(root.clock());
+    let rungs = if cfg.prune_equivalent {
+        Rungs::Lay(&mut ladder)
+    } else {
+        Rungs::Off
+    };
+    let Run {
+        sig: reference,
+        cycles,
+        ..
+    } = run_universe(&mut ref_sys, horizon_abs, n_watches, &[], false, rungs);
+    stats.cycles_stepped += cycles;
     let recording = ref_sys.runtime.policy.recording.take().unwrap_or_default();
     stats.universes_explored += 1;
     transcript.push(format!(
@@ -780,14 +1033,19 @@ pub fn explore(mut root: System, cfg: &ExploreConfig) -> ExploreReport {
                 sys.runtime.policy.recording = None;
                 sys.runtime.policy.set_overrides(&ovs);
                 let may_extend = ovs.len() < cfg.max_depth;
-                let (sig, snap) = run_universe(
-                    &mut sys,
-                    horizon_abs,
-                    n_watches,
-                    &ovs,
-                    may_extend,
-                    &mut stats.cycles_stepped,
-                );
+                let rungs = if cfg.prune_equivalent {
+                    Rungs::Join(&ladder, &reference)
+                } else {
+                    Rungs::Off
+                };
+                let Run {
+                    sig,
+                    snap,
+                    cycles,
+                    joined,
+                } = run_universe(&mut sys, horizon_abs, n_watches, &ovs, may_extend, rungs);
+                stats.cycles_stepped += cycles;
+                stats.universes_joined += u64::from(joined);
                 stats.universes_explored += 1;
                 witness = classify(&sys, &sig, &reference, cfg, &ovs);
                 if let Some(w) = &witness {

@@ -352,6 +352,18 @@ impl Bank {
         }
         words
     }
+
+    /// Whether every word equals `other`'s at the same place, looking
+    /// only at chunks and pages the two do not share.
+    fn same_words_as(&self, other: &Bank) -> bool {
+        self.chunks.iter().zip(&other.chunks).all(|(c, d)| {
+            c.id() == d.id()
+                || c.pages().iter().zip(d.pages()).all(|(p, q)| match (p, q) {
+                    (Page::Shared(p), Page::Shared(q)) if Arc::ptr_eq(p, q) => true,
+                    (p, q) => p.as_slice() == q.as_slice(),
+                })
+        })
+    }
 }
 
 /// Watchpoint trigger kind.
@@ -635,6 +647,20 @@ impl Memory {
             .sum()
     }
 
+    /// Whether every word of this memory equals `other`'s, a memory of
+    /// the same map (a fork relative, say). Chunks and pages the two
+    /// share are equal without a look, so the test costs the pages
+    /// either side wrote since they parted. Watches, pending hits and
+    /// every counter are left out. The multiverse engine matches a
+    /// universe's state against the reference run's this way.
+    pub fn same_words_as(&self, other: &Memory) -> bool {
+        self.l1
+            .iter()
+            .zip(&other.l1)
+            .chain([(&self.l2, &other.l2), (&self.l3, &other.l3)])
+            .all(|(b, o)| b.same_words_as(o))
+    }
+
     /// Every chunk of every bank's page table in address order, by
     /// identity: a chunk shared with a fork has the same id in both, so
     /// counting distinct ids over a set of memories counts the chunks
@@ -829,6 +855,32 @@ mod tests {
     }
 
     #[test]
+    fn same_words_compare_contents_not_sharing() {
+        let mut root = Memory::new(ragged_map());
+        root.write(L2_BASE, 1).unwrap();
+        let mut a = root.fork();
+        let mut b = root.fork();
+        assert!(a.same_words_as(&b));
+        // The same store on both sides: two private pages, equal words.
+        a.write(L3_BASE + CHUNK_WORDS + 9, 7).unwrap();
+        assert!(!a.same_words_as(&b) && !b.same_words_as(&a));
+        b.write(L3_BASE + CHUNK_WORDS + 9, 7).unwrap();
+        assert!(a.same_words_as(&b));
+        // A partial last page differs, then is written back.
+        a.write(L2_BASE + CHUNK_WORDS + 2 * PAGE_WORDS + 9, 3)
+            .unwrap();
+        assert!(!a.same_words_as(&b));
+        a.write(L2_BASE + CHUNK_WORDS + 2 * PAGE_WORDS + 9, 0)
+            .unwrap();
+        assert!(a.same_words_as(&b));
+        // Accesses, watches and hits are not words.
+        a.add_watch(1, L1_BASE, L1_BASE, WatchKind::Access);
+        a.read(L1_BASE).unwrap();
+        assert!(a.has_hits() && a.reads != b.reads);
+        assert!(a.same_words_as(&b) && !a.same_words_as(&root));
+    }
+
+    #[test]
     fn last_partial_page_has_short_slice() {
         let map = MemoryMap {
             l2_words: PAGE_WORDS + 10,
@@ -974,6 +1026,9 @@ mod tests {
             }
             for (m, model) in &live {
                 check(m, model);
+                for (n, other) in &live {
+                    prop_assert_eq!(m.same_words_as(n), model.words == other.words);
+                }
             }
         }
     }
