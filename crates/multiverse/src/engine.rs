@@ -1135,6 +1135,101 @@ mod tests {
         }
     }
 
+    /// A booted 16-macroblock decoder `cycles` into its run.
+    fn decoder_at(cycles: u64) -> System {
+        let (mut sys, app) = h264_pipeline::build_decoder(
+            h264_pipeline::Bug::None,
+            16,
+            p2012::PlatformConfig::default(),
+        )
+        .unwrap();
+        sys.boot(app.boot_entry).unwrap();
+        h264_pipeline::attach_env(&mut sys, &app, 16, 7).unwrap();
+        sys.run(cycles);
+        assert!(!sys.platform.is_quiescent());
+        sys
+    }
+
+    fn rung_of(sys: &mut System) -> Rung {
+        Rung {
+            key: scalar_key(sys),
+            hits: 0,
+            console: 0,
+            sys: sys.fork(),
+        }
+    }
+
+    #[test]
+    fn a_rung_matches_its_own_state_and_nothing_else() {
+        let mut sys = decoder_at(1_500);
+        let rung = rung_of(&mut sys);
+        assert!(rung.matches(&sys));
+        // One word of memory apart: a FIFO slot.
+        let mut a = sys.fork();
+        let addr = a.runtime.fifos[0].base;
+        let w = a.platform.mem.peek(addr).unwrap();
+        a.platform.mem.poke(addr, w ^ 1).unwrap();
+        assert_eq!(scalar_key(&a), rung.key);
+        assert_eq!(state_words(&a), state_words(&rung.sys));
+        assert!(!rung.matches(&a));
+        // One local of a running task apart.
+        let mut b = sys.fork();
+        let frame = b
+            .platform
+            .pes
+            .iter_mut()
+            .flat_map(|pe| &mut pe.frames)
+            .find(|f| !f.locals.is_empty())
+            .expect("a frame with locals");
+        frame.locals[0] ^= 1;
+        assert_eq!(scalar_key(&b), rung.key);
+        assert!(!rung.matches(&b));
+        // An override that can no longer fire, until it is dropped.
+        let mut c = sys.fork();
+        c.runtime.policy.set_override(ChoiceRec {
+            kind: ChoiceKind::ActorStart,
+            index: 0,
+            code: 1,
+        });
+        assert!(!rung.matches(&c));
+        c.runtime.policy.clear_overrides();
+        assert!(rung.matches(&c));
+    }
+
+    /// Two machines apart only in the token a filter just popped into its
+    /// read window: its FIFO slot and its PE state are made equal again.
+    #[test]
+    fn a_rung_tells_read_windows_apart() {
+        let mut sys = decoder_at(1_000);
+        // Step up to a cycle in which a filter pops a token.
+        let popping = |sys: &mut System| {
+            let mut next = sys.fork();
+            next.step();
+            let graph = &sys.runtime.graph;
+            let link = graph.links.iter().find(|l| {
+                next.runtime.counters(l.id).1 > sys.runtime.counters(l.id).1
+                    && graph.actor(graph.conn(l.to).actor).kind == ActorKind::Filter
+            });
+            link.map(|l| l.id)
+        };
+        let link = (0..1_000)
+            .find_map(|_| popping(&mut sys).or_else(|| (sys.step(), None).1))
+            .expect("a filter pops within 1,000 cycles");
+        let (mut a, mut b) = (sys.fork(), sys.fork());
+        let fifo = &b.runtime.fifos[link.0 as usize];
+        let head = fifo.base + (fifo.popped % u64::from(fifo.capacity)) as u32 * fifo.token_words;
+        let w = b.platform.mem.peek(head).unwrap();
+        b.platform.mem.poke(head, w ^ 1).unwrap();
+        a.step();
+        b.step();
+        b.platform.mem.poke(head, w).unwrap();
+        b.platform.pes = a.platform.pes.clone();
+        let rung = rung_of(&mut a);
+        assert_eq!(scalar_key(&b), rung.key);
+        assert!(b.platform.mem.same_words_as(&a.platform.mem));
+        assert!(!rung.matches(&b));
+    }
+
     #[test]
     fn candidates_are_capped_deduped_and_ordered() {
         let rec = vec![

@@ -18,6 +18,11 @@
 //! when hunting a race), and universes whose observable signature is
 //! identical to the reference (the perturbation commuted with every
 //! conflicting access, so deeper extensions explore the same trace).
+//! State matching stops a universe early: once its overrides are consumed,
+//! a universe whose whole machine state equals the reference run's at one
+//! of the reference's periodic forks runs the reference's future from
+//! there, so its signature is completed from the reference's instead of
+//! simulated.
 //!
 //! Outcomes witnessed dynamically:
 //! * **deadlock** (MV701) — every actor blocked, no DMA in flight, no
