@@ -311,10 +311,10 @@ struct Rung {
 impl Rung {
     /// Whether `sys`, at this rung's clock, is in exactly this rung's
     /// machine state. The scalar key rejects almost every universe that
-    /// does not join; then the words `Platform::hash_state` and
-    /// `Runtime::hash_state` feed a hasher (the machine state replay's
-    /// divergence hashing also covers) must be equal, not a digest of
-    /// them, and then the memory's words.
+    /// does not join. Then the words `Platform::hash_state` and
+    /// `Runtime::hash_state` feed a hasher must be equal one by one, not
+    /// as a digest: the state replay's divergence hashing covers. Then
+    /// the memory's words must be equal.
     ///
     /// What these leave out cannot steer the future of a universe forked
     /// from the same root whose overrides are consumed (and dropped). It
@@ -1212,9 +1212,15 @@ mod tests {
             });
             link.map(|l| l.id)
         };
-        let link = (0..1_000)
-            .find_map(|_| popping(&mut sys).or_else(|| (sys.step(), None).1))
-            .expect("a filter pops within 1,000 cycles");
+        let mut link = None;
+        for _ in 0..1_000 {
+            link = popping(&mut sys);
+            if link.is_some() {
+                break;
+            }
+            sys.step();
+        }
+        let link = link.expect("a filter pops within 1,000 cycles");
         let (mut a, mut b) = (sys.fork(), sys.fork());
         let fifo = &b.runtime.fifos[link.0 as usize];
         let head = fifo.base + (fifo.popped % u64::from(fifo.capacity)) as u32 * fifo.token_words;
