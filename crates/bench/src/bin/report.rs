@@ -95,18 +95,23 @@ fn run_e6_smoke() -> i32 {
         server::CHECKPOINT_INTERVAL
     );
     let r = recording_check(N_MBS, server::CHECKPOINT_INTERVAL);
+    let st = &r.storage;
     println!(
         "e6-smoke: {} stops, end at cycle {}, {} checkpoints, {} live chunks, \
-         {} distinct (bound {} + {} x {}), {} goto/reverse-continue pairs",
+         {} distinct, {} goto/reverse-continue pairs",
         r.stops,
         r.end_cycle,
         r.checkpoints,
-        r.live_chunks,
-        r.distinct_chunks,
-        r.live_chunks,
-        bench::CHUNKS_PER_CHECKPOINT,
-        r.checkpoints,
+        st.live_chunks,
+        st.distinct_chunks,
         bench::REVERSE_PAIRS,
+    );
+    println!(
+        "e6-smoke: held only by checkpoints: {} chunks, {} elements (bound {} x {})",
+        st.checkpoint_only_chunks,
+        st.checkpoint_only_elements,
+        bench::ELEMENTS_PER_CHECKPOINT,
+        r.checkpoints,
     );
     println!(
         "e6-smoke: memory table: {} live chunks, {} distinct (bound {} + {} copied)",

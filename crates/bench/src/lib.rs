@@ -52,7 +52,7 @@ pub use localization::{localize, LocalizationResult, Strategy};
 pub use overhead::{run_overhead, DebugConfig, OverheadResult};
 pub use replay::{
     checkpoint_overhead, recording_check, reverse_continue_latency, RecordingCheck, ReplayPoint,
-    ReverseLatency, CHUNKS_PER_CHECKPOINT, REVERSE_PAIRS,
+    ReverseLatency, ELEMENTS_PER_CHECKPOINT, REVERSE_PAIRS,
 };
 pub use scaling::{bounded_storm, catchpoint_scaling, ScalingPoint, StormResult};
 pub use sched_bound::{row_label, throughput_bound, throughput_study, BoundRow};

@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use dfdbg::{Session, Stop};
+use dfdbg::{RecordedStorage, Session, Stop};
 use h264_pipeline::{build_decoder, Bug};
 use p2012::PlatformConfig;
 use pedf::{EnvSink, EnvSource, ValueGen};
@@ -42,7 +42,7 @@ pub struct ReplayPoint {
     pub pages_stored: usize,
     /// Distinct chunks of recorded token and timeline history held by
     /// the session and its checkpoints together (see
-    /// `Session::recorded_chunks`).
+    /// `Session::recorded_storage`).
     pub chunks: usize,
     /// Wall-clock ratio of the recorded run against the `interval == 0`
     /// control — the steady-state recording overhead.
@@ -130,7 +130,7 @@ pub fn checkpoint_overhead(n_mbs: u64, intervals: &[u64]) -> Vec<ReplayPoint> {
             run_to_end(&mut s);
             let wall = start.elapsed();
             let (checkpoints, pages_stored) = s.checkpoint_footprint();
-            let (_, chunks) = s.recorded_chunks();
+            let chunks = s.recorded_storage().distinct_chunks;
             assert!(
                 s.replay_findings().is_empty(),
                 "recording flagged divergence on a clean run"
@@ -180,12 +180,13 @@ pub fn reverse_continue_latency(n_mbs: u64, interval: u64) -> ReverseLatency {
     }
 }
 
-/// The sharing bound [`recording_check`] holds a recording to: distinct
-/// recorded chunks <= live chunks + `CHUNKS_PER_CHECKPOINT` x
-/// checkpoints. `tests/time_travel.rs` pins the same bound on a
-/// 512-macroblock decode, where 4.5 new chunks per checkpoint were
-/// measured.
-pub const CHUNKS_PER_CHECKPOINT: usize = 6;
+/// The sharing bound [`recording_check`] holds a recording to: the
+/// elements stored in chunks of recorded history that only checkpoints
+/// hold <= `ELEMENTS_PER_CHECKPOINT` x checkpoints. Counted in elements,
+/// the bound does not depend on the chunk size; it is the earlier bound
+/// of 6 chunks of 256 elements per checkpoint. `tests/time_travel.rs`
+/// pins the same bound on a 512-macroblock decode.
+pub const ELEMENTS_PER_CHECKPOINT: usize = 1_536;
 
 /// How many seeded `goto` / `reverse-continue` pairs [`recording_check`]
 /// runs, one target in each equal slice of the recorded span.
@@ -197,8 +198,9 @@ pub struct RecordingCheck {
     pub stops: usize,
     pub end_cycle: u64,
     pub checkpoints: usize,
-    pub live_chunks: usize,
-    pub distinct_chunks: usize,
+    /// The recorded history's half of (c), as `Session::recorded_storage`
+    /// counts it.
+    pub storage: RecordedStorage,
     /// The machine half of (c): memory-table chunks, as
     /// `Session::memory_chunks` counts them, and the chunks stores copied.
     pub live_mem_chunks: usize,
@@ -222,7 +224,7 @@ fn seen(s: &Session) -> (u64, String) {
 /// * (b) `restart` to every checkpoint, then replaying forward to the
 ///   end, gives the end hash and `info links` again;
 /// * (c) the checkpoints share the recorded history within
-///   [`CHUNKS_PER_CHECKPOINT`], and the machine's memory table: the
+///   [`ELEMENTS_PER_CHECKPOINT`], and the machine's memory table: the
 ///   chain holds no more distinct table chunks than the live memory plus
 ///   the chunks stores copied;
 /// * (d) [`REVERSE_PAIRS`] seeded `goto T` / `reverse-continue` pairs
@@ -278,7 +280,7 @@ pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
         failures.push("(a) `info links` at the end differs".to_string());
     }
     let (checkpoints, _) = s.checkpoint_footprint();
-    let (live_chunks, distinct_chunks) = s.recorded_chunks();
+    let storage = s.recorded_storage();
     let (live_mem_chunks, distinct_mem_chunks) = s.memory_chunks();
     let mem_chunks_copied = s.sys.platform.mem.work().chunks_copied;
     for id in 0..checkpoints as u32 {
@@ -329,10 +331,11 @@ pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
     for f in s.replay_findings() {
         failures.push(format!("(b, d) {}: {}", f.rule, f.message));
     }
-    if distinct_chunks > live_chunks + CHUNKS_PER_CHECKPOINT * checkpoints {
+    if storage.checkpoint_only_elements > ELEMENTS_PER_CHECKPOINT * checkpoints {
         failures.push(format!(
-            "(c) {distinct_chunks} distinct chunks > {live_chunks} live + \
-             {CHUNKS_PER_CHECKPOINT} x {checkpoints} checkpoints"
+            "(c) checkpoints alone hold {} elements > {ELEMENTS_PER_CHECKPOINT} x \
+             {checkpoints} checkpoints",
+            storage.checkpoint_only_elements
         ));
     }
     if distinct_mem_chunks as u64 > live_mem_chunks as u64 + mem_chunks_copied {
@@ -345,8 +348,7 @@ pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
         stops: stops.len(),
         end_cycle: end,
         checkpoints,
-        live_chunks,
-        distinct_chunks,
+        storage,
         live_mem_chunks,
         distinct_mem_chunks,
         mem_chunks_copied,

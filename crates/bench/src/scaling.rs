@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use debuginfo::TypeTable;
-use dfdbg::{CatchCond, DfEvent, DfModel, FlowBehavior};
+use dfdbg::{CatchCond, DfEvent, DfModel, FlowBehavior, InlineSlice};
 use p2012::PeId;
 use pedf::{ActorId, ActorKind, ConnId, Dir, LinkClass};
 
@@ -79,7 +79,7 @@ fn drive(m: &mut DfModel, rounds: u32) {
         m.apply(
             DfEvent::TokenPushed {
                 conn: ConnId(0),
-                words: vec![i],
+                words: InlineSlice::One(i),
             },
             u64::from(i),
             &mut stops,
@@ -88,7 +88,7 @@ fn drive(m: &mut DfModel, rounds: u32) {
             DfEvent::TokenPopped {
                 conn: ConnId(1),
                 index: 0,
-                words: vec![i],
+                words: InlineSlice::One(i),
             },
             u64::from(i),
             &mut stops,
@@ -161,7 +161,7 @@ pub fn bounded_storm(n: u64, limit: usize) -> StormResult {
         m.apply(
             DfEvent::TokenPushed {
                 conn: ConnId(0),
-                words: vec![i as u32],
+                words: InlineSlice::One(i as u32),
             },
             i,
             &mut stops,
@@ -170,7 +170,7 @@ pub fn bounded_storm(n: u64, limit: usize) -> StormResult {
             DfEvent::TokenPopped {
                 conn: ConnId(1),
                 index: 0,
-                words: vec![i as u32],
+                words: InlineSlice::One(i as u32),
             },
             i,
             &mut stops,

@@ -337,7 +337,7 @@ impl Cli {
                             b.id, b.addr, b.label, b.hits
                         ));
                     }
-                    for c in &self.session.model.catchpoints {
+                    for c in self.session.model.catchpoints() {
                         out.push_str(&format!("catch {}  {:?}\n", c.id, c.cond));
                     }
                     Ok(out)

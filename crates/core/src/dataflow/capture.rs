@@ -31,11 +31,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use debuginfo::{CodeAddr, DebugInfo, Word};
+use debuginfo::{CodeAddr, DebugInfo, TypeTable, Word};
 use p2012::{Insn, PeId, PeStatus, Platform, Program};
 use pedf::{api, ActorId, ActorKind, AppGraph, ConnId, Dir, LinkClass};
 
-use super::model::DfEvent;
+use super::model::{DfEvent, InlineSlice};
 
 /// Which framework function a stub implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,10 +107,22 @@ struct StubInfo {
 
 /// A call currently being monitored on one PE (entry breakpoint hit,
 /// finish breakpoint pending).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     stub: usize,
     args: [Word; 8],
+}
+
+/// The capture's view of one PE.
+#[derive(Debug, Clone, Copy, Default)]
+struct PeWatch {
+    pending: Option<Pending>,
+    /// Region the capture decided to ignore (data-exchange stub while
+    /// those breakpoints are disabled): avoids re-resolving the same pc
+    /// every cycle while a call blocks.
+    ignore_region: Option<(CodeAddr, CodeAddr)>,
+    /// (invocations, completions) last seen.
+    seen: (u64, u64),
 }
 
 /// How dataflow events are acquired.
@@ -143,8 +155,8 @@ struct StubTable {
 /// The capture engine. `Clone` is the time-travel engine's checkpoint of
 /// capture state: the per-PE view of in-flight calls and counters, so
 /// replays resume observation mid-call without double-reporting. The
-/// stub table and the PE -> actor map are fixed after boot and shared
-/// behind `Arc`, so a clone copies a few words per PE.
+/// stub table, the PE -> actor map and the actor filter are shared
+/// behind `Arc`, so a clone copies one plain table of a few words per PE.
 ///
 /// `data_exchange` and `actor_filter` are user settings, not recorded
 /// history: a restore keeps the live ones ([`Capture::adopt_settings`]).
@@ -155,15 +167,9 @@ pub struct Capture {
     pub data_exchange: bool,
     /// §V mitigation 2 (framework cooperation variant B): restrict
     /// data-exchange interception to the connections of selected actors.
-    pub actor_filter: Option<Vec<ActorId>>,
+    pub actor_filter: Option<Arc<[ActorId]>>,
     stubs: Arc<StubTable>,
-    pending: Vec<Option<Pending>>,
-    /// Per-PE region the capture decided to ignore (data-exchange stub
-    /// while those breakpoints are disabled): avoids re-resolving the same
-    /// pc every cycle while a call blocks.
-    ignore_region: Vec<Option<(CodeAddr, CodeAddr)>>,
-    /// Per-PE (invocations, completions) counters last seen.
-    seen: Vec<(u64, u64)>,
+    pes: Vec<PeWatch>,
     /// PE -> actor map, filled once the model's graph is booted.
     pe_actor: Arc<HashMap<PeId, ActorId>>,
     /// Events captured this cycle.
@@ -226,9 +232,7 @@ impl Capture {
                 lo: stub_lo,
                 hi: stub_hi,
             }),
-            pending: vec![None; pes],
-            ignore_region: vec![None; pes],
-            seen: vec![(0, 0); pes],
+            pes: vec![PeWatch::default(); pes],
             pe_actor: Arc::default(),
             out: Vec::new(),
         }
@@ -298,7 +302,13 @@ impl Capture {
     /// inside the function it was in. The run loop visits the touched
     /// PEs in index order, which captures the same events in the same
     /// order as a look at every PE would.
-    pub fn observe_pe(&mut self, platform: &Platform, graph: &AppGraph, i: usize) {
+    pub fn observe_pe(
+        &mut self,
+        platform: &Platform,
+        graph: &AppGraph,
+        types: &TypeTable,
+        i: usize,
+    ) {
         if self.mode != CaptureMode::FunctionBreakpoints {
             return;
         }
@@ -306,32 +316,32 @@ impl Capture {
         let pe_id = PeId(i as u16);
 
         // Finish-breakpoint side: resolve a pending call.
-        if let Some(p) = &self.pending[i] {
+        if let Some(p) = self.pes[i].pending {
             let stub = self.stubs.stubs[p.stub];
             let gone = pe.frames.is_empty()
                 || matches!(pe.status, PeStatus::Faulted(_) | PeStatus::Halted);
             if gone {
-                self.pending[i] = None;
+                self.pes[i].pending = None;
             } else if pe.pc > stub.trap_pc || pe.pc < stub.entry {
                 // The trap committed (pc moved past it, or the stub
                 // already returned).
-                let p = self.pending[i].take().unwrap();
-                self.complete(platform, graph, pe_id, p);
+                self.pes[i].pending = None;
+                self.complete(platform, graph, types, pe_id, p);
             }
         }
 
         // Entry-breakpoint side: a PE sitting inside a stub. One range
         // comparison rules out PEs executing ordinary kernel code.
-        if self.pending[i].is_none()
+        if self.pes[i].pending.is_none()
             && pe.pc >= self.stubs.lo
             && pe.pc < self.stubs.hi
             && matches!(pe.status, PeStatus::Running | PeStatus::Blocked(_))
         {
-            if let Some((lo, hi)) = self.ignore_region[i] {
+            if let Some((lo, hi)) = self.pes[i].ignore_region {
                 if pe.pc >= lo && pe.pc < hi {
                     return;
                 }
-                self.ignore_region[i] = None;
+                self.pes[i].ignore_region = None;
             }
             if let Some(si) = self.stub_covering(pe.pc) {
                 let stub = self.stubs.stubs[si];
@@ -342,17 +352,17 @@ impl Capture {
                     let mut args = [0; 8];
                     let n = (stub.argc as usize).min(frame.locals.len());
                     args[..n].copy_from_slice(&frame.locals[..n]);
-                    self.pending[i] = Some(Pending { stub: si, args });
+                    self.pes[i].pending = Some(Pending { stub: si, args });
                 } else {
                     // Filtered out: skip this whole call without
                     // re-resolving on every cycle it blocks.
-                    self.ignore_region[i] = Some((stub.entry, stub.end));
+                    self.pes[i].ignore_region = Some((stub.entry, stub.end));
                 }
             }
-        } else if self.ignore_region[i].is_some()
+        } else if self.pes[i].ignore_region.is_some()
             && (pe.pc < self.stubs.lo || pe.pc >= self.stubs.hi)
         {
-            self.ignore_region[i] = None;
+            self.pes[i].ignore_region = None;
         }
 
         // Work entry/exit via invocation counters: begins and ends
@@ -361,7 +371,7 @@ impl Capture {
         let inv = pe.invocations;
         let active = u64::from(pe.frame_depth() > 0);
         let completions = inv - active;
-        let (seen_inv, seen_done) = self.seen[i];
+        let (seen_inv, seen_done) = self.pes[i].seen;
         if completions > seen_done || inv > seen_inv {
             if let Some(&actor) = self.pe_actor.get(&pe_id) {
                 if graph.actor(actor).kind == ActorKind::Filter {
@@ -385,12 +395,19 @@ impl Capture {
                     }
                 }
             }
-            self.seen[i] = (inv, completions);
+            self.pes[i].seen = (inv, completions);
         }
     }
 
     /// A monitored call completed: decode it into a [`DfEvent`].
-    fn complete(&mut self, platform: &Platform, graph: &AppGraph, pe: PeId, p: Pending) {
+    fn complete(
+        &mut self,
+        platform: &Platform,
+        graph: &AppGraph,
+        types: &TypeTable,
+        pe: PeId,
+        p: Pending,
+    ) {
         // Controller-context calls report against the enclosing module.
         let module_of = |pe: PeId| -> Option<ActorId> {
             let ctrl = self.pe_actor.get(&pe)?;
@@ -429,7 +446,7 @@ impl Capture {
             StubKind::BootComplete => Some(DfEvent::BootComplete),
             StubKind::Push => Some(DfEvent::TokenPushed {
                 conn: ConnId(a[0]),
-                words: vec![a[2]],
+                words: InlineSlice::One(a[2]),
             }),
             StubKind::Pop => {
                 // Result word sits on the stub frame's operand stack.
@@ -440,25 +457,26 @@ impl Capture {
                 Some(DfEvent::TokenPopped {
                     conn: ConnId(a[0]),
                     index: a[1],
-                    words: vec![value],
+                    words: InlineSlice::One(value),
                 })
             }
             StubKind::PushStruct | StubKind::PopStruct => {
-                // Payload lives in the caller's frame at local_base.
+                // Payload lives in the caller's frame at local_base, one
+                // token width of it (the model zero-pads a short one).
+                let width = graph
+                    .conns
+                    .get(a[0] as usize)
+                    .map_or(0, |c| types.size_words(c.ty) as usize);
                 let frames = &pes[pe.index()].frames;
-                let words = if frames.len() >= 2 {
-                    let caller = &frames[frames.len() - 2];
-                    let base = a[2] as usize;
-                    caller
-                        .locals
-                        .get(base..)
-                        .map(|s| s.to_vec())
-                        .unwrap_or_default()
-                } else {
-                    Vec::new()
+                let words = match frames.len().checked_sub(2) {
+                    Some(caller) => {
+                        let locals = &frames[caller].locals;
+                        let base = (a[2] as usize).min(locals.len());
+                        let end = base.saturating_add(width).min(locals.len());
+                        InlineSlice::from_slice(&locals[base..end])
+                    }
+                    None => InlineSlice::Empty,
                 };
-                // Trim to the connection's token width later (the model
-                // knows the type); pass everything from base onward.
                 if stub.kind == StubKind::PushStruct {
                     Some(DfEvent::TokenPushed {
                         conn: ConnId(a[0]),

@@ -2,29 +2,39 @@
 //! recorded history (the token arena, its eviction ring and free list,
 //! the timeline ring and the per-interface histories).
 //!
-//! Elements live in fixed-size chunks behind `Arc`, the way
-//! `p2012::Memory` keeps its pages. A clone copies one pointer per chunk
-//! and shares everything; a write copies at most the one chunk it lands
-//! in, and only while a clone (a checkpoint, a forked session) still
-//! holds it. A checkpoint of the recorded history therefore costs what
-//! changed since the previous one, not what exists.
+//! Full chunks of `CHUNK` elements live behind `Arc`, the way
+//! `p2012::Memory` keeps its pages, and the last, partly filled chunk is
+//! an owned buffer (the tail). A clone copies one pointer per full chunk
+//! and the tail's few elements; a write to a full chunk copies that one
+//! chunk, and only while a clone (a checkpoint, a forked session) still
+//! holds it. A push writes the tail and touches no reference count. A
+//! checkpoint of the recorded history therefore costs what changed since
+//! the previous one, not what exists.
 //!
 //! One type serves as a growable array (`push_back`, `get_mut`), a stack
-//! (`pop_back`) and a ring (`pop_front`, `push_front`). Every chunk but
-//! the last holds exactly `CHUNK` elements; the first may start with a
-//! dead prefix left behind by `pop_front`, which is dropped with the
-//! chunk once the whole chunk has been popped.
+//! (`pop_back`) and a ring (`pop_front`, `push_front`). Every full chunk
+//! holds exactly `CHUNK` elements; the first stored chunk (the tail, when
+//! there is no full one) may start with a dead prefix left behind by
+//! `pop_front`, which is dropped with the chunk once the whole chunk has
+//! been popped.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Elements per chunk.
-const CHUNK: usize = 256;
+/// Elements per chunk, chosen by measurement on the `timetravel`
+/// benchmark (DESIGN.md): a write after a snapshot copies its chunk, so a
+/// smaller chunk copies less, while a clone copies one pointer per full
+/// chunk, so a larger one clones faster. 64 read fastest of 16 to 256.
+pub const CHUNK: usize = 64;
 
 #[derive(Debug, Clone)]
 pub struct Chunked<T> {
+    /// Full chunks, shared copy-on-write.
     chunks: VecDeque<Arc<Vec<T>>>,
-    /// Position of element 0 inside the first chunk.
+    /// The last chunk, owned; at most `CHUNK` elements.
+    tail: Vec<T>,
+    /// Position of element 0 inside the first full chunk, or inside the
+    /// tail when there is none.
     head: usize,
     len: usize,
 }
@@ -33,22 +43,11 @@ impl<T> Default for Chunked<T> {
     fn default() -> Self {
         Chunked {
             chunks: VecDeque::new(),
+            tail: Vec::new(),
             head: 0,
             len: 0,
         }
     }
-}
-
-/// A private, writable view of a chunk; copies it if a clone shares it.
-/// No `Weak` to a chunk is ever made, so a strong count of one means
-/// unshared.
-fn own<T: Clone>(chunk: &mut Arc<Vec<T>>) -> &mut Vec<T> {
-    if Arc::strong_count(chunk) != 1 {
-        let mut copy = Vec::with_capacity(CHUNK);
-        copy.extend_from_slice(chunk);
-        *chunk = Arc::new(copy);
-    }
-    Arc::get_mut(chunk).expect("chunk is unshared")
 }
 
 impl<T: Clone> Chunked<T> {
@@ -60,19 +59,23 @@ impl<T: Clone> Chunked<T> {
         self.len == 0
     }
 
-    /// (chunk, offset) of element `i`.
+    /// Position of element `i` among the stored elements, and how many
+    /// of those the full chunks hold.
     #[inline]
     fn locate(&self, i: usize) -> (usize, usize) {
-        let p = self.head + i;
-        (p / CHUNK, p % CHUNK)
+        (self.head + i, self.chunks.len() * CHUNK)
     }
 
     pub fn get(&self, i: usize) -> Option<&T> {
         if i >= self.len {
             return None;
         }
-        let (c, o) = self.locate(i);
-        Some(&self.chunks[c][o])
+        let (p, full) = self.locate(i);
+        Some(if p < full {
+            &self.chunks[p / CHUNK][p % CHUNK]
+        } else {
+            &self.tail[p - full]
+        })
     }
 
     /// Writable access to element `i`, copying its chunk if shared.
@@ -80,8 +83,12 @@ impl<T: Clone> Chunked<T> {
         if i >= self.len {
             return None;
         }
-        let (c, o) = self.locate(i);
-        Some(&mut own(&mut self.chunks[c])[o])
+        let (p, full) = self.locate(i);
+        Some(if p < full {
+            &mut Arc::make_mut(&mut self.chunks[p / CHUNK])[p % CHUNK]
+        } else {
+            &mut self.tail[p - full]
+        })
     }
 
     pub fn front(&self) -> Option<&T> {
@@ -93,14 +100,14 @@ impl<T: Clone> Chunked<T> {
     }
 
     pub fn push_back(&mut self, x: T) {
-        match self.chunks.back_mut() {
-            Some(last) if last.len() < CHUNK => own(last).push(x),
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK);
-                chunk.push(x);
-                self.chunks.push_back(Arc::new(chunk));
-            }
+        if self.tail.len() == CHUNK {
+            let full = std::mem::take(&mut self.tail);
+            self.chunks.push_back(Arc::new(full));
         }
+        // A clone's tail is allocated to its length: grow it to a whole
+        // chunk at once.
+        self.tail.reserve_exact(CHUNK - self.tail.len());
+        self.tail.push(x);
         self.len += 1;
     }
 
@@ -108,19 +115,20 @@ impl<T: Clone> Chunked<T> {
         if self.len == 0 {
             return None;
         }
-        let last = own(self.chunks.back_mut().expect("non-empty"));
-        let x = last.pop().expect("live element");
-        let emptied = last.is_empty();
+        if self.tail.is_empty() {
+            // The last full chunk becomes the tail, copied if shared.
+            let last = self.chunks.pop_back().expect("non-empty");
+            self.tail = Arc::try_unwrap(last).unwrap_or_else(|shared| shared.to_vec());
+        }
+        let x = self.tail.pop().expect("live element");
         self.len -= 1;
         if self.len == 0 {
             self.clear();
-        } else if emptied {
-            self.chunks.pop_back();
         }
         Some(x)
     }
 
-    /// Remove the first element. Reads only: the chunk is dropped, not
+    /// Remove the first element. Reads only: a full chunk is dropped, not
     /// copied, once all of it has been popped.
     pub fn pop_front(&mut self) -> Option<T> {
         let x = self.front()?.clone();
@@ -128,7 +136,7 @@ impl<T: Clone> Chunked<T> {
         self.len -= 1;
         if self.len == 0 {
             self.clear();
-        } else if self.head == CHUNK {
+        } else if self.head == CHUNK && !self.chunks.is_empty() {
             self.chunks.pop_front();
             self.head = 0;
         }
@@ -136,7 +144,7 @@ impl<T: Clone> Chunked<T> {
     }
 
     pub fn push_front(&mut self, x: T) {
-        if self.chunks.is_empty() {
+        if self.len == 0 {
             return self.push_back(x);
         }
         if self.head == 0 {
@@ -146,26 +154,39 @@ impl<T: Clone> Chunked<T> {
             self.head = CHUNK - 1;
         } else {
             self.head -= 1;
-            own(&mut self.chunks[0])[self.head] = x;
+            match self.chunks.front_mut() {
+                Some(first) => Arc::make_mut(first)[self.head] = x,
+                None => self.tail[self.head] = x,
+            }
         }
         self.len += 1;
     }
 
     pub fn clear(&mut self) {
         self.chunks.clear();
+        self.tail.clear();
         self.head = 0;
         self.len = 0;
     }
 
     /// Elements, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        self.chunks.iter().flat_map(|c| c.iter()).skip(self.head)
+        self.chunks
+            .iter()
+            .flat_map(|c| c.iter())
+            .chain(&self.tail)
+            .skip(self.head)
     }
 
-    /// The identity of every chunk held, for counting the storage that
-    /// clones share.
-    pub fn chunk_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.chunks.iter().map(|c| Arc::as_ptr(c) as usize)
+    /// `(identity, elements stored)` of every chunk held, the tail
+    /// included, for counting the storage that clones share.
+    pub fn chunks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let tail = (!self.tail.is_empty()).then_some(&self.tail);
+        self.chunks
+            .iter()
+            .map(|c| &**c)
+            .chain(tail)
+            .map(|c| (c.as_ptr() as usize, c.len()))
     }
 }
 
@@ -213,17 +234,20 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_chunks_and_writes_copy_one() {
+    fn clones_share_full_chunks_and_writes_copy_one() {
         let mut a = Chunked::default();
-        for i in 0..(4 * CHUNK as u32) {
+        for i in 0..(4 * CHUNK as u32 + 1) {
             a.push_back(i);
         }
         let b = a.clone();
-        let ids = |c: &Chunked<u32>| c.chunk_ids().collect::<Vec<_>>();
-        assert_eq!(ids(&a), ids(&b));
-        *a.get_mut(CHUNK + 3).unwrap() = 999;
+        let ids = |c: &Chunked<u32>| c.chunks().map(|(id, _)| id).collect::<Vec<_>>();
         let (ia, ib) = (ids(&a), ids(&b));
-        let differing = ia.iter().zip(&ib).filter(|(x, y)| x != y).count();
+        assert_eq!(ia.len(), 5);
+        assert_eq!(ia[..4], ib[..4], "a clone shares every full chunk");
+        assert_ne!(ia[4], ib[4], "and owns its tail");
+        *a.get_mut(CHUNK + 3).unwrap() = 999;
+        let ia = ids(&a);
+        let differing = ia[..4].iter().zip(&ib).filter(|(x, y)| x != y).count();
         assert_eq!(differing, 1, "a write copies exactly its own chunk");
         assert_eq!(b.get(CHUNK + 3), Some(&(CHUNK as u32 + 3)));
         assert_eq!(a.get(CHUNK + 3), Some(&999));
@@ -232,6 +256,6 @@ mod tests {
         for _ in 0..CHUNK + 1 {
             c.pop_front();
         }
-        assert!(ids(&c).iter().all(|id| ib.contains(id)));
+        assert!(ids(&c)[..3].iter().all(|id| ib.contains(id)));
     }
 }

@@ -224,7 +224,7 @@ pub fn links_table(model: &DfModel) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::model::DfEvent;
+    use crate::dataflow::model::{DfEvent, InlineSlice};
     use debuginfo::TypeTable;
     use p2012::PeId;
     use pedf::{ActorId, ConnId, Dir};
@@ -302,7 +302,7 @@ mod tests {
             m.apply(
                 DfEvent::TokenPushed {
                     conn: ConnId(0),
-                    words: vec![1],
+                    words: InlineSlice::One(1),
                 },
                 1,
                 &mut stops,
@@ -362,7 +362,7 @@ mod tests {
             m.apply(
                 DfEvent::TokenPushed {
                     conn: ConnId(0),
-                    words: vec![v],
+                    words: InlineSlice::One(v),
                 },
                 1,
                 &mut stops,
@@ -372,7 +372,7 @@ mod tests {
             DfEvent::TokenPopped {
                 conn: ConnId(1),
                 index: 0,
-                words: vec![1],
+                words: InlineSlice::One(1),
             },
             2,
             &mut stops,

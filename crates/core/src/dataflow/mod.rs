@@ -16,6 +16,6 @@ pub mod model;
 
 pub use capture::{Capture, CaptureMode, StubKind};
 pub use model::{
-    CatchCond, Catchpoint, DfActor, DfEvent, DfModel, DfSched, DfStop, FlowBehavior, TokenId,
-    TokenRec, TokenStore, RECORD_LIMIT,
+    CatchCond, CatchSet, Catchpoint, DfActor, DfEvent, DfModel, DfSched, DfStop, FlowBehavior,
+    InlineSlice, TokenId, TokenRec, TokenStore, TokenValue, RECORD_LIMIT,
 };

@@ -17,9 +17,10 @@
 //! framework calls.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Deref;
 use std::sync::Arc;
 
-use debuginfo::{TypeTable, Value, Word};
+use debuginfo::{TypeId, TypeTable, Value, Word};
 use p2012::PeId;
 use pedf::{ActorId, ActorKind, AppGraph, ConnId, Dir, LinkClass, LinkId};
 
@@ -39,6 +40,94 @@ fn token_slot(id: TokenId) -> u32 {
 #[inline]
 fn token_generation(id: TokenId) -> u32 {
     (id >> 32) as u32
+}
+
+/// A short run of plain values as plain data: none, one inline, or a
+/// shared slice. Copying one never allocates (a shared slice copies a
+/// pointer), so token records, and the chunks of the token store that
+/// hold them, copy and drop without touching the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InlineSlice<T> {
+    Empty,
+    One(T),
+    Shared(Arc<[T]>),
+}
+
+impl<T: Copy> InlineSlice<T> {
+    pub fn from_slice(s: &[T]) -> Self {
+        match s {
+            [] => InlineSlice::Empty,
+            [x] => InlineSlice::One(*x),
+            _ => InlineSlice::Shared(s.into()),
+        }
+    }
+}
+
+impl<T> Deref for InlineSlice<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            InlineSlice::Empty => &[],
+            InlineSlice::One(x) => std::slice::from_ref(x),
+            InlineSlice::Shared(s) => s,
+        }
+    }
+}
+
+impl<T: Copy> From<Vec<T>> for InlineSlice<T> {
+    fn from(v: Vec<T>) -> Self {
+        InlineSlice::from_slice(&v)
+    }
+}
+
+/// A token payload cut or zero-padded to `n` words; copied only when its
+/// length changes.
+fn fit_words(words: InlineSlice<Word>, n: usize) -> InlineSlice<Word> {
+    if words.len() == n {
+        return words;
+    }
+    let mut v = words.to_vec();
+    v.resize(n, 0);
+    v.into()
+}
+
+/// A token's typed payload as plain data. The [`Value`] that renders it
+/// is built only when something does.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TokenValue {
+    pub ty: TypeId,
+    pub words: InlineSlice<Word>,
+}
+
+impl TokenValue {
+    /// First payload word (see [`Value::head_word`]).
+    pub fn head_word(&self) -> Word {
+        self.words.first().copied().unwrap_or(0)
+    }
+
+    /// The record field named `field`, if any (see [`Value::field`]).
+    pub fn field(&self, types: &TypeTable, field: &str) -> Option<Word> {
+        let f = types.field(self.ty, field)?;
+        self.words.get(f.word_offset as usize).copied()
+    }
+
+    pub fn to_value(&self) -> Value {
+        Value::record(self.ty, self.words.to_vec())
+    }
+
+    pub fn render_short(&self, types: &TypeTable) -> String {
+        self.to_value().render_short(types)
+    }
+}
+
+impl From<&Value> for TokenValue {
+    fn from(v: &Value) -> Self {
+        TokenValue {
+            ty: v.ty,
+            words: InlineSlice::from_slice(&v.words),
+        }
+    }
 }
 
 /// Dataflow-level event, as observed by the capture layer.
@@ -71,7 +160,7 @@ pub enum DfEvent {
     /// A token entered the link bound to output connection `conn`.
     TokenPushed {
         conn: ConnId,
-        words: Vec<Word>,
+        words: InlineSlice<Word>,
     },
     /// `pedf.io.in[index]` completed on input connection `conn`: the read
     /// window now holds `index + 1` tokens (tokens may have been consumed
@@ -79,7 +168,7 @@ pub enum DfEvent {
     TokenPopped {
         conn: ConnId,
         index: u32,
-        words: Vec<Word>,
+        words: InlineSlice<Word>,
     },
     ActorStarted {
         actor: ActorId,
@@ -157,16 +246,19 @@ impl FlowBehavior {
     }
 }
 
-/// One token's life record.
+/// One token's life record. Plain data: it owns no heap allocation, so
+/// copying a chunk of records (a checkpoint's first write to it) only
+/// copies bytes and bumps the count of a shared multi-word payload.
 #[derive(Debug, Clone)]
 pub struct TokenRec {
     pub id: TokenId,
     pub link: LinkId,
     /// Global FIFO index on its link.
     pub index: u64,
-    pub value: Value,
-    /// Tokens this one was derived from (per the producer's behaviour).
-    pub provenance: Vec<TokenId>,
+    pub value: TokenValue,
+    /// Tokens this one was derived from (per the producer's behaviour):
+    /// the single predecessor inline, a merger's inputs shared.
+    pub provenance: InlineSlice<TokenId>,
     pub produced_at: u64,
     pub consumed_at: Option<u64>,
     /// True for tokens first seen at consumption (host-injected or pushed
@@ -185,8 +277,28 @@ pub struct DfActor {
     pub behavior: FlowBehavior,
     pub last_received: Option<TokenId>,
     pub last_sent: Option<TokenId>,
-    /// Inputs consumed since the last output (merger provenance), bounded.
-    pub pending_inputs: Vec<TokenId>,
+    /// Inputs consumed since the last output (merger provenance): the
+    /// first `pending_len` entries, inline so that copying an actor does
+    /// not allocate.
+    pending_inputs: [TokenId; PENDING_CAP],
+    pending_len: usize,
+}
+
+impl DfActor {
+    fn note_input(&mut self, id: TokenId) {
+        if self.pending_len < PENDING_CAP {
+            self.pending_inputs[self.pending_len] = id;
+            self.pending_len += 1;
+        }
+    }
+
+    /// The inputs consumed since the last output, which a merger's output
+    /// derives from; the next output starts afresh.
+    fn take_inputs(&mut self) -> InlineSlice<TokenId> {
+        let inputs = InlineSlice::from_slice(&self.pending_inputs[..self.pending_len]);
+        self.pending_len = 0;
+        inputs
+    }
 }
 
 /// Debugger-side connection state.
@@ -280,6 +392,20 @@ pub enum DfStop {
         module: ActorId,
         step: u64,
     },
+}
+
+impl DfStop {
+    /// The catchpoint that fired.
+    pub fn catch(&self) -> u32 {
+        match self {
+            DfStop::TokenReceived { catch, .. }
+            | DfStop::TokenSent { catch, .. }
+            | DfStop::ReceiveCountsReached { catch, .. }
+            | DfStop::Scheduled { catch, .. }
+            | DfStop::StepBegin { catch, .. }
+            | DfStop::StepEnd { catch, .. } => *catch,
+        }
+    }
 }
 
 /// Bound on per-connection recorded history.
@@ -436,12 +562,12 @@ impl TokenStore {
         }
     }
 
-    /// The identity of every chunk the store holds.
-    fn chunk_ids(&self) -> impl Iterator<Item = usize> + '_ {
+    /// `(identity, elements)` of every chunk the store holds.
+    fn chunks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.slots
-            .chunk_ids()
-            .chain(self.free.chunk_ids())
-            .chain(self.order.chunk_ids())
+            .chunks()
+            .chain(self.free.chunks())
+            .chain(self.order.chunks())
     }
 }
 
@@ -481,6 +607,18 @@ fn bucket_remove(map: &mut HashMap<u32, Vec<u32>>, key: u32, id: u32) {
             map.remove(&key);
         }
     }
+}
+
+/// What the user installed as catchpoints: the list, sorted by id (ids
+/// are allocated monotonically and deletion preserves order), the lookup
+/// index mirroring their `cond` fields, and the next id. The model holds
+/// it behind `Arc`, so a snapshot shares it; only installing, deleting,
+/// toggling or reaping a catchpoint copies it.
+#[derive(Debug, Clone, Default)]
+pub struct CatchSet {
+    list: Vec<Catchpoint>,
+    index: CatchIndex,
+    next: u32,
 }
 
 impl CatchIndex {
@@ -559,7 +697,8 @@ impl CatchIndex {
 /// What the user installed on the model is not recorded history:
 /// catchpoints, declared flow behaviours, `iface … record` flags, the
 /// timeline switch and the record limit. A restore keeps the live ones
-/// ([`DfModel::adopt_settings`]), like GDB keeps breakpoints.
+/// ([`DfModel::adopt_settings`]), like GDB keeps breakpoints. The
+/// catchpoints sit behind `Arc` ([`CatchSet`]), so a clone shares them.
 #[derive(Debug, Clone)]
 pub struct DfModel {
     pub graph: Arc<AppGraph>,
@@ -569,13 +708,7 @@ pub struct DfModel {
     pub conns: Vec<DfConn>,
     pub links: Vec<DfLink>,
     pub tokens: TokenStore,
-    /// Installed catchpoints, sorted by id (ids are allocated
-    /// monotonically and deletion preserves order). Mutate only through
-    /// `add_catch` / `delete_catch` / the `enabled` flag — the catch
-    /// index mirrors `cond` fields.
-    pub catchpoints: Vec<Catchpoint>,
-    catch_index: CatchIndex,
-    next_catch: u32,
+    catches: Arc<CatchSet>,
     /// Registration problems observed (should be empty on healthy apps).
     pub anomalies: Vec<String>,
     /// Execution timeline (work/step begin-end events with cycles), for
@@ -596,9 +729,7 @@ impl Default for DfModel {
             conns: Vec::new(),
             links: Vec::new(),
             tokens: TokenStore::default(),
-            catchpoints: Vec::new(),
-            catch_index: CatchIndex::default(),
-            next_catch: 0,
+            catches: Arc::default(),
             anomalies: Vec::new(),
             timeline_enabled: false,
             timeline: Chunked::default(),
@@ -639,10 +770,8 @@ impl DfModel {
     /// point before they were set. Turning recording off cleared the
     /// history, so a restored history on an interface no longer recording
     /// is dropped too.
-    pub fn adopt_settings(&mut self, live: &mut DfModel) {
-        self.catchpoints = std::mem::take(&mut live.catchpoints);
-        self.catch_index = std::mem::take(&mut live.catch_index);
-        self.next_catch = live.next_catch;
+    pub fn adopt_settings(&mut self, live: &DfModel) {
+        self.catches = Arc::clone(&live.catches);
         for (a, l) in self.actors.iter_mut().zip(&live.actors) {
             a.behavior = l.behavior;
         }
@@ -656,14 +785,15 @@ impl DfModel {
         self.set_record_limit(live.record_limit());
     }
 
-    /// The identity of every chunk of recorded history the model holds
-    /// (token store, timeline, interface histories): counting distinct
-    /// ids across checkpoints measures how much storage they share.
-    pub fn chunk_ids(&self) -> impl Iterator<Item = usize> + '_ {
+    /// `(identity, elements)` of every chunk of recorded history the
+    /// model holds (token store, timeline, interface histories): counting
+    /// distinct identities across checkpoints measures how much storage
+    /// they share.
+    pub fn chunks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.tokens
-            .chunk_ids()
-            .chain(self.timeline.chunk_ids())
-            .chain(self.conns.iter().flat_map(|c| c.history.chunk_ids()))
+            .chunks()
+            .chain(self.timeline.chunks())
+            .chain(self.conns.iter().flat_map(|c| c.history.chunks()))
     }
 
     /// Look up a live token; panics if evicted or unknown. Use only for
@@ -703,53 +833,64 @@ impl DfModel {
         self.tokens.limit()
     }
 
+    /// Installed catchpoints, sorted by id.
+    pub fn catchpoints(&self) -> &[Catchpoint] {
+        &self.catches.list
+    }
+
     /// Install a catchpoint, returning its id.
     pub fn add_catch(&mut self, cond: CatchCond, temporary: bool) -> u32 {
-        let id = self.next_catch;
-        self.next_catch += 1;
+        let set = Arc::make_mut(&mut self.catches);
+        let id = set.next;
+        set.next += 1;
         let c = Catchpoint {
             id,
             enabled: true,
             temporary,
             cond,
         };
-        self.catch_index.add(&c);
-        self.catchpoints.push(c);
+        set.index.add(&c);
+        set.list.push(c);
         id
     }
 
-    /// Replace the installed catchpoints wholesale, rebuilding the lookup
-    /// index. `reverse-continue` uses this to start every replay pass
-    /// from the same set, since replays reap temporary catchpoints.
-    pub fn set_catchpoints(&mut self, catchpoints: Vec<Catchpoint>, next_catch: u32) {
-        self.catch_index = CatchIndex::default();
-        for c in &catchpoints {
-            self.catch_index.add(c);
-        }
-        self.catchpoints = catchpoints;
-        self.next_catch = next_catch;
+    /// The installed catchpoints as a whole, shared.
+    /// `reverse-continue` saves them and puts them back
+    /// ([`DfModel::set_catch_set`]) before every replay pass, since
+    /// replays reap temporary catchpoints.
+    pub fn catch_set(&self) -> Arc<CatchSet> {
+        Arc::clone(&self.catches)
     }
 
-    pub fn next_catch_id(&self) -> u32 {
-        self.next_catch
+    pub fn set_catch_set(&mut self, set: Arc<CatchSet>) {
+        self.catches = set;
     }
 
     pub fn delete_catch(&mut self, id: u32) -> bool {
-        match self.catchpoints.binary_search_by_key(&id, |c| c.id) {
-            Ok(pos) => {
-                let c = self.catchpoints.remove(pos);
-                self.catch_index.remove(&c);
-                true
-            }
-            Err(_) => false,
-        }
+        let Some(pos) = self.catch_pos(id) else {
+            return false;
+        };
+        let set = Arc::make_mut(&mut self.catches);
+        let c = set.list.remove(pos);
+        set.index.remove(&c);
+        true
+    }
+
+    /// Enable or disable a catchpoint; false if there is none with `id`.
+    pub fn set_catch_enabled(&mut self, id: u32, enabled: bool) -> bool {
+        let Some(pos) = self.catch_pos(id) else {
+            return false;
+        };
+        Arc::make_mut(&mut self.catches).list[pos].enabled = enabled;
+        true
+    }
+
+    fn catch_pos(&self, id: u32) -> Option<usize> {
+        self.catches.list.binary_search_by_key(&id, |c| c.id).ok()
     }
 
     fn catch_by_id(&self, id: u32) -> Option<&Catchpoint> {
-        self.catchpoints
-            .binary_search_by_key(&id, |c| c.id)
-            .ok()
-            .map(|pos| &self.catchpoints[pos])
+        self.catch_pos(id).map(|pos| &self.catches.list[pos])
     }
 
     fn timeline_push(&mut self, actor: ActorId, kind: TimelineKind, cycle: u64) {
@@ -766,8 +907,8 @@ impl DfModel {
     fn new_token(
         &mut self,
         link: LinkId,
-        value: Value,
-        provenance: Vec<TokenId>,
+        value: TokenValue,
+        provenance: InlineSlice<TokenId>,
         cycle: u64,
         synthesized: bool,
     ) -> TokenId {
@@ -872,7 +1013,7 @@ impl DfModel {
                     a.sched = DfSched::Scheduled;
                     a.begun = false;
                 }
-                if let Some(ids) = self.catch_index.sched_by_actor.get(&actor.0) {
+                if let Some(ids) = self.catches.index.sched_by_actor.get(&actor.0) {
                     for id in ids {
                         let Some(c) = self.catch_by_id(*id) else {
                             continue;
@@ -897,8 +1038,7 @@ impl DfModel {
                 a.begun = true;
                 a.sched = DfSched::Running;
                 // Step boundary for this filter: reset I/O windows.
-                let conns: Vec<ConnId> = self.graph.actor(actor).conns().collect();
-                for c in conns {
+                for c in self.graph.actor(actor).conns() {
                     let rc = &mut self.conns[c.0 as usize];
                     rc.window_count = 0;
                     rc.sent_this_step = 0;
@@ -916,14 +1056,12 @@ impl DfModel {
                 // Free-running filters stay Running (re-entry follows).
             }
             DfEvent::WaitSyncCompleted { module } => {
-                let filters: Vec<ActorId> = self
+                let filters = self
                     .graph
                     .children(module)
-                    .filter(|a| a.kind == ActorKind::Filter)
-                    .map(|a| a.id)
-                    .collect();
+                    .filter(|a| a.kind == ActorKind::Filter);
                 for f in filters {
-                    let a = &mut self.actors[f.0 as usize];
+                    let a = &mut self.actors[f.id.0 as usize];
                     if a.sync_requested {
                         a.sync_requested = false;
                         a.started = false;
@@ -936,8 +1074,7 @@ impl DfModel {
                 self.timeline_push(module, TimelineKind::StepBegin, cycle);
                 // Controller step boundary: reset the controller's windows.
                 if let Some(ctrl) = self.graph.controller_of(module) {
-                    let conns: Vec<ConnId> = ctrl.conns().collect();
-                    for c in conns {
+                    for c in ctrl.conns() {
                         let rc = &mut self.conns[c.0 as usize];
                         rc.window_count = 0;
                         rc.sent_this_step = 0;
@@ -946,8 +1083,8 @@ impl DfModel {
                 let step = self.actors[module.0 as usize].steps_done + 1;
                 self.actors[module.0 as usize].steps_done = step;
                 for id in self.step_candidates(
-                    &self.catch_index.step_begin_by_module,
-                    &self.catch_index.step_begin_any,
+                    &self.catches.index.step_begin_by_module,
+                    &self.catches.index.step_begin_any,
                     module,
                 ) {
                     let Some(c) = self.catch_by_id(id) else {
@@ -967,8 +1104,8 @@ impl DfModel {
                 self.timeline_push(module, TimelineKind::StepEnd, cycle);
                 let step = self.actors[module.0 as usize].steps_done;
                 for id in self.step_candidates(
-                    &self.catch_index.step_end_by_module,
-                    &self.catch_index.step_end_any,
+                    &self.catches.index.step_end_by_module,
+                    &self.catches.index.step_end_any,
                     module,
                 ) {
                     let Some(c) = self.catch_by_id(id) else {
@@ -1004,7 +1141,13 @@ impl DfModel {
         ids
     }
 
-    fn on_push(&mut self, conn: ConnId, words: Vec<Word>, cycle: u64, stops: &mut Vec<DfStop>) {
+    fn on_push(
+        &mut self,
+        conn: ConnId,
+        words: InlineSlice<Word>,
+        cycle: u64,
+        stops: &mut Vec<DfStop>,
+    ) {
         let Some(c) = self.graph.conns.get(conn.0 as usize) else {
             self.anomalies
                 .push(format!("push on unknown conn {}", conn.0));
@@ -1017,20 +1160,16 @@ impl DfModel {
         };
         let actor = c.actor;
         let ty = c.ty;
-        let mut words = words;
-        words.resize(self.types.size_words(ty) as usize, 0);
-        let value = Value::record(ty, words);
+        let words = fit_words(words, self.types.size_words(ty) as usize);
+        let value = TokenValue { ty, words };
         // Provenance per the producer's declared behaviour.
-        let behavior = self.actors[actor.0 as usize].behavior;
-        let provenance = match behavior {
-            FlowBehavior::Unknown => Vec::new(),
-            FlowBehavior::Pipeline | FlowBehavior::Splitter => self.actors[actor.0 as usize]
-                .last_received
-                .into_iter()
-                .collect(),
-            FlowBehavior::Merger => {
-                std::mem::take(&mut self.actors[actor.0 as usize].pending_inputs)
+        let a = &mut self.actors[actor.0 as usize];
+        let provenance = match a.behavior {
+            FlowBehavior::Unknown => InlineSlice::Empty,
+            FlowBehavior::Pipeline | FlowBehavior::Splitter => {
+                a.last_received.map_or(InlineSlice::Empty, InlineSlice::One)
             }
+            FlowBehavior::Merger => a.take_inputs(),
         };
         let token = self.new_token(link, value, provenance, cycle, false);
         self.actors[actor.0 as usize].last_sent = Some(token);
@@ -1044,7 +1183,7 @@ impl DfModel {
             }
             rc.history.push_back(token);
         }
-        if let Some(ids) = self.catch_index.sent_by_conn.get(&conn.0) {
+        if let Some(ids) = self.catches.index.sent_by_conn.get(&conn.0) {
             for &id in ids {
                 let Some(c) = self.catch_by_id(id) else {
                     continue;
@@ -1080,7 +1219,7 @@ impl DfModel {
         &mut self,
         conn: ConnId,
         index: u32,
-        words: Vec<Word>,
+        words: InlineSlice<Word>,
         cycle: u64,
         stops: &mut Vec<DfStop>,
     ) {
@@ -1096,8 +1235,8 @@ impl DfModel {
         };
         let actor = c.actor;
         let ty = c.ty;
-        let mut words = words;
-        words.resize(self.types.size_words(ty) as usize, 0);
+        let size = self.types.size_words(ty) as usize;
+        let words = fit_words(words, size);
         // The read window must now hold `index + 1` tokens; consume the
         // difference from the link queue.
         let have = self.conns[conn.0 as usize].window_count;
@@ -1110,12 +1249,13 @@ impl DfModel {
                     // Token not observed at production (host-side push or
                     // capture disabled): synthesize from the observed value.
                     // Only the final token's value is known exactly.
-                    let v = if k + 1 == need {
-                        Value::record(ty, words.clone())
+                    let words = if k + 1 == need {
+                        words.clone()
                     } else {
-                        Value::record(ty, vec![0; self.types.size_words(ty) as usize])
+                        fit_words(InlineSlice::Empty, size)
                     };
-                    let id = self.new_token(link, v, Vec::new(), cycle, true);
+                    let v = TokenValue { ty, words };
+                    let id = self.new_token(link, v, InlineSlice::Empty, cycle, true);
                     self.links[link.0 as usize].queue.pop_front();
                     id
                 }
@@ -1127,9 +1267,7 @@ impl DfModel {
             last_token = Some(id);
             let a = &mut self.actors[actor.0 as usize];
             a.last_received = Some(id);
-            if a.pending_inputs.len() < PENDING_CAP {
-                a.pending_inputs.push(id);
-            }
+            a.note_input(id);
             let rc = &mut self.conns[conn.0 as usize];
             rc.window_count += 1;
             rc.total += 1;
@@ -1150,13 +1288,14 @@ impl DfModel {
         // and receive-count watchers on the consuming actor. Fire in id
         // order, like the linear scan did.
         let mut cand: Vec<u32> = Vec::new();
-        if let Some(v) = self.catch_index.recv_by_conn.get(&conn.0) {
+        let index = &self.catches.index;
+        if let Some(v) = index.recv_by_conn.get(&conn.0) {
             cand.extend_from_slice(v);
         }
-        if let Some(v) = self.catch_index.value_eq.get(&(conn.0, head)) {
+        if let Some(v) = index.value_eq.get(&(conn.0, head)) {
             cand.extend_from_slice(v);
         }
-        if let Some(v) = self.catch_index.counts_by_actor.get(&actor.0) {
+        if let Some(v) = index.counts_by_actor.get(&actor.0) {
             cand.extend_from_slice(v);
         }
         cand.sort_unstable();
@@ -1211,25 +1350,16 @@ impl DfModel {
 
     /// Remove triggered temporary catchpoints.
     fn reap_temporaries(&mut self, stops: &[DfStop]) {
-        if stops.is_empty() {
+        let fired = |c: &Catchpoint| c.temporary && stops.iter().any(|s| s.catch() == c.id);
+        if !self.catches.list.iter().any(fired) {
             return;
         }
-        let ids: Vec<u32> = stops
-            .iter()
-            .map(|s| match s {
-                DfStop::TokenReceived { catch, .. }
-                | DfStop::TokenSent { catch, .. }
-                | DfStop::ReceiveCountsReached { catch, .. }
-                | DfStop::Scheduled { catch, .. }
-                | DfStop::StepBegin { catch, .. }
-                | DfStop::StepEnd { catch, .. } => *catch,
-            })
-            .collect();
+        let set = Arc::make_mut(&mut self.catches);
         let mut i = 0;
-        while i < self.catchpoints.len() {
-            if self.catchpoints[i].temporary && ids.contains(&self.catchpoints[i].id) {
-                let c = self.catchpoints.remove(i);
-                self.catch_index.remove(&c);
+        while i < set.list.len() {
+            if fired(&set.list[i]) {
+                let c = set.list.remove(i);
+                set.index.remove(&c);
             } else {
                 i += 1;
             }
@@ -1348,7 +1478,7 @@ mod tests {
         m.apply(
             DfEvent::TokenPushed {
                 conn: ConnId(conn),
-                words: vec![v],
+                words: InlineSlice::One(v),
             },
             cyc,
             &mut stops,
@@ -1362,7 +1492,7 @@ mod tests {
             DfEvent::TokenPopped {
                 conn: ConnId(conn),
                 index: idx,
-                words: vec![v],
+                words: InlineSlice::One(v),
             },
             cyc,
             &mut stops,
@@ -1415,7 +1545,7 @@ mod tests {
             }]
         );
         // Persistent catchpoint survives.
-        assert_eq!(m.catchpoints.len(), 1);
+        assert_eq!(m.catchpoints().len(), 1);
     }
 
     #[test]
@@ -1424,7 +1554,7 @@ mod tests {
         m.add_catch(CatchCond::TokenSentOn { conn: ConnId(0) }, true);
         let stops = push(&mut m, 0, 9, 1);
         assert_eq!(stops.len(), 1);
-        assert!(m.catchpoints.is_empty());
+        assert!(m.catchpoints().is_empty());
         // No further stops.
         assert!(push(&mut m, 0, 9, 2).is_empty());
     }
@@ -1612,17 +1742,9 @@ mod tests {
     fn disabled_catchpoints_are_skipped_at_fire_time() {
         let mut m = model();
         let id = m.add_catch(CatchCond::TokenSentOn { conn: ConnId(0) }, false);
-        m.catchpoints
-            .iter_mut()
-            .find(|c| c.id == id)
-            .unwrap()
-            .enabled = false;
+        assert!(m.set_catch_enabled(id, false));
         assert!(push(&mut m, 0, 1, 1).is_empty());
-        m.catchpoints
-            .iter_mut()
-            .find(|c| c.id == id)
-            .unwrap()
-            .enabled = true;
+        assert!(m.set_catch_enabled(id, true));
         assert_eq!(push(&mut m, 0, 2, 2).len(), 1);
     }
 

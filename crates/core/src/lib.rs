@@ -39,8 +39,10 @@ pub mod session;
 
 pub use appcache::{AppCache, CachedApp};
 pub use dataflow::{
-    CaptureMode, CatchCond, DfEvent, DfModel, DfSched, DfStop, FlowBehavior, TokenId, TokenRec,
-    TokenStore, RECORD_LIMIT,
+    CaptureMode, CatchCond, DfEvent, DfModel, DfSched, DfStop, FlowBehavior, InlineSlice, TokenId,
+    TokenRec, TokenStore, TokenValue, RECORD_LIMIT,
 };
 pub use replay::CHECKPOINT_INTERVAL;
-pub use session::{race_watch_sites, Breakpoint, CmdResult, Session, Stop, Watchpoint};
+pub use session::{
+    race_watch_sites, Breakpoint, CmdResult, RecordedStorage, Session, Stop, Watchpoint,
+};

@@ -24,7 +24,9 @@ use pedf::{ActorId, ActorKind, ConnId, LinkId, RuntimeEvent, System};
 use replay::CheckpointManager;
 
 use crate::dataflow::capture::{Capture, CaptureMode};
-use crate::dataflow::model::{CatchCond, DfEvent, DfModel, DfStop, FlowBehavior, TokenId};
+use crate::dataflow::model::{
+    CatchCond, DfEvent, DfModel, DfStop, FlowBehavior, TokenId, TokenValue,
+};
 use crate::dataflow::{graphviz, model};
 
 /// A code breakpoint (user-level; the dataflow capture has its own
@@ -136,6 +138,21 @@ struct RunState {
 /// watchpoints, catchpoints, user settings and the value history are not
 /// recorded history; each owning module carries them across a restore.
 type Recorded = (DfModel, RunState);
+
+/// The storage of the recorded history across the checkpoint chain, as
+/// [`Session::recorded_storage`] counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordedStorage {
+    /// Chunks the current model holds.
+    pub live_chunks: usize,
+    /// Distinct chunks the current model and the checkpoints hold.
+    pub distinct_chunks: usize,
+    /// Chunks held by checkpoints only, and the elements stored in them:
+    /// what the chain costs beyond the live history. Elements, unlike
+    /// chunks, do not depend on the chunk size.
+    pub checkpoint_only_chunks: usize,
+    pub checkpoint_only_elements: usize,
+}
 
 /// Replay anchors: a replay lays one every `interval / ANCHORS_PER_INTERVAL`
 /// cycles of the checkpoint interval, and the session keeps the last
@@ -414,7 +431,7 @@ impl Session {
     /// §V mitigation 2: restrict data-exchange breakpoints to the named
     /// actors ("actor-specific location for data exchange breakpoints").
     pub fn set_actor_breakpoint_filter(&mut self, filters: Option<Vec<ActorId>>) {
-        self.run.capture.actor_filter = filters;
+        self.run.capture.actor_filter = filters.map(Arc::from);
     }
 
     /// Boot the application under debugger control; the graph is
@@ -592,7 +609,7 @@ impl Session {
             let mapped = match ev {
                 RuntimeEvent::TokenPushed { conn, value, .. } => Some(DfEvent::TokenPushed {
                     conn,
-                    words: value.words,
+                    words: value.words.into(),
                 }),
                 RuntimeEvent::TokenPopped { conn, value, .. } => {
                     let idx = self
@@ -603,7 +620,7 @@ impl Session {
                     Some(DfEvent::TokenPopped {
                         conn,
                         index: idx,
-                        words: value.words,
+                        words: value.words.into(),
                     })
                 }
                 RuntimeEvent::BootComplete if coop => {
@@ -662,9 +679,12 @@ impl Session {
             };
             next = i + 1;
             self.pe_visits += 1;
-            self.run
-                .capture
-                .observe_pe(&self.sys.platform, &self.model.graph, i);
+            self.run.capture.observe_pe(
+                &self.sys.platform,
+                &self.model.graph,
+                &self.model.types,
+                i,
+            );
             self.check_entry_breakpoint(i);
         }
         self.run.capture.drain_into(&mut self.captured);
@@ -1312,13 +1332,7 @@ impl Session {
     /// `enable`/`disable <catch id>`. The catch index keeps disabled
     /// entries; they are skipped at fire time.
     pub fn set_catch_enabled(&mut self, id: u32, enabled: bool) -> bool {
-        match self.model.catchpoints.iter_mut().find(|c| c.id == id) {
-            Some(c) => {
-                c.enabled = enabled;
-                true
-            }
-            None => false,
-        }
+        self.model.set_catch_enabled(id, enabled)
     }
 
     /// `iface X::Y record` (§VI-D) — enable token-content recording.
@@ -1403,7 +1417,7 @@ impl Session {
             .try_token(id)
             .ok_or_else(|| format!("`{filter}`'s last token was evicted from the record"))?
             .value
-            .clone();
+            .to_value();
         let n = self.record_value(v.clone());
         Ok(format!("${n} = {}", v.render_short(&self.model.types)))
     }
@@ -1498,7 +1512,7 @@ impl Session {
         self.model.apply(
             DfEvent::TokenPushed {
                 conn: self.model.graph.link(link).from,
-                words: value.words,
+                words: value.words.into(),
             },
             self.clock(),
             &mut stops,
@@ -1527,7 +1541,7 @@ impl Session {
             .copied();
         if let Some(id) = qid {
             if let Some(t) = self.model.tokens.get_mut(id) {
-                t.value = value;
+                t.value = TokenValue::from(&value);
             }
         }
         self.note_history_mutation();
@@ -1636,7 +1650,7 @@ impl Session {
     /// watchpoints, catchpoints, user settings and `$N` history survive,
     /// as in GDB's `restart`. Returns the restored cycle.
     fn restore(&mut self, sys: System, (mut model, mut run): Recorded) -> u64 {
-        model.adopt_settings(&mut self.model);
+        model.adopt_settings(&self.model);
         run.capture.adopt_settings(&self.run.capture);
         self.install(sys, (model, run));
         self.sys.clock()
@@ -1767,14 +1781,13 @@ impl Session {
         mut scan: impl FnMut(&mut Self, u64) -> Option<T>,
     ) -> CmdResult<Option<T>> {
         let origin = self.sys.clock();
-        let saved_catch = self.model.catchpoints.clone();
-        let saved_next = self.model.next_catch_id();
+        let saved_catch = self.model.catch_set();
         let mut hi = origin;
         let mut found = None;
         while let Some((sys, recorded)) =
             self.replay_start(hi, |s| s.clock() < hi && may_land(s))?
         {
-            self.model.set_catchpoints(saved_catch.clone(), saved_next);
+            self.model.set_catch_set(Arc::clone(&saved_catch));
             let lo = self.restore(sys, recorded);
             found = scan(self, hi);
             if found.is_some() {
@@ -1782,7 +1795,7 @@ impl Session {
             }
             hi = lo;
         }
-        self.model.set_catchpoints(saved_catch, saved_next);
+        self.model.set_catch_set(saved_catch);
         if found.is_none() {
             self.goto_cycle(origin)?;
         }
@@ -1969,21 +1982,26 @@ impl Session {
         self.anchors.len()
     }
 
-    /// `(live, distinct)` chunks of recorded token and timeline storage:
-    /// the chunks the current model holds, and the distinct chunks held
-    /// by it and every checkpoint of the chain together. Copy-on-write
-    /// sharing keeps `distinct` near `live` plus what each checkpoint
-    /// interval wrote, instead of `live` times the number of checkpoints.
-    pub fn recorded_chunks(&self) -> (usize, usize) {
-        let live = self.model.chunk_ids().count();
-        let mut distinct: HashSet<usize> = self.model.chunk_ids().collect();
+    /// How the chunks of recorded token, timeline and interface history
+    /// are shared between the current model and every checkpoint of the
+    /// chain. Copy-on-write sharing keeps what only checkpoints hold near
+    /// what each checkpoint interval wrote, instead of the live history
+    /// times the number of checkpoints.
+    pub fn recorded_storage(&self) -> RecordedStorage {
+        let live: HashSet<usize> = self.model.chunks().map(|(id, _)| id).collect();
+        let mut checkpoint_only: HashMap<usize, usize> = HashMap::new();
         if let Some(mgr) = &self.tt {
             for info in mgr.checkpoints() {
                 let (model, _) = &mgr.get(info.id).expect("listed checkpoint").payload;
-                distinct.extend(model.chunk_ids());
+                checkpoint_only.extend(model.chunks().filter(|(id, _)| !live.contains(id)));
             }
         }
-        (live, distinct.len())
+        RecordedStorage {
+            live_chunks: live.len(),
+            distinct_chunks: live.len() + checkpoint_only.len(),
+            checkpoint_only_chunks: checkpoint_only.len(),
+            checkpoint_only_elements: checkpoint_only.values().sum(),
+        }
     }
 
     /// `(live, distinct)` chunks of the machine's memory table: the
@@ -2305,7 +2323,11 @@ impl Session {
     /// Queued token values on an interface's link (oldest first).
     pub fn link_tokens(&self, spec: &str) -> CmdResult<Vec<Value>> {
         let link = self.link_of(spec)?;
-        Ok(self.model.queued(link).map(|t| t.value.clone()).collect())
+        Ok(self
+            .model
+            .queued(link)
+            .map(|t| t.value.to_value())
+            .collect())
     }
 
     /// Access the last token id received by an actor (tests).

@@ -61,8 +61,8 @@ const N_MBS: u64 = 256;
 const ENV_SEED: u32 = 0xbeef;
 
 /// Pinned readings.
-const RUN_ALLOCATIONS: u64 = 13_020;
-const REVERSE_PAIR_ALLOCATIONS: u64 = 6_923;
+const RUN_ALLOCATIONS: u64 = 8_818;
+const REVERSE_PAIR_ALLOCATIONS: u64 = 3_717;
 
 fn decode_session() -> Session {
     let (sys, app) = build_decoder(Bug::None, N_MBS, PlatformConfig::default()).unwrap();

@@ -8,7 +8,7 @@
 //! working for everything still in the store.
 
 use debuginfo::TypeTable;
-use dfdbg::{CatchCond, DfEvent, DfModel, FlowBehavior, Session, Stop};
+use dfdbg::{CatchCond, DfEvent, DfModel, FlowBehavior, InlineSlice, Session, Stop};
 use h264_pipeline::{build_decoder, Bug};
 use p2012::{PeId, PlatformConfig};
 use pedf::{ActorId, ActorKind, ConnId, Dir, LinkClass};
@@ -73,7 +73,7 @@ fn round(m: &mut DfModel, v: u32, cycle: u64) {
     m.apply(
         DfEvent::TokenPushed {
             conn: ConnId(0),
-            words: vec![v],
+            words: InlineSlice::One(v),
         },
         cycle,
         &mut stops,
@@ -82,7 +82,7 @@ fn round(m: &mut DfModel, v: u32, cycle: u64) {
         DfEvent::TokenPopped {
             conn: ConnId(1),
             index: 0,
-            words: vec![v],
+            words: InlineSlice::One(v),
         },
         cycle,
         &mut stops,
@@ -150,7 +150,7 @@ fn catchpoints_still_fire_under_eviction_pressure() {
         m.apply(
             DfEvent::TokenPushed {
                 conn: ConnId(0),
-                words: vec![v],
+                words: InlineSlice::One(v),
             },
             u64::from(i),
             &mut stops,
@@ -159,7 +159,7 @@ fn catchpoints_still_fire_under_eviction_pressure() {
             DfEvent::TokenPopped {
                 conn: ConnId(1),
                 index: 0,
-                words: vec![v],
+                words: InlineSlice::One(v),
             },
             u64::from(i),
             &mut stops,

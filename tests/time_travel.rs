@@ -585,25 +585,70 @@ fn record_limit_timeline_and_data_exchange_survive_restart() {
 
 /// Checkpoints share the model's recorded history: each holds only the
 /// chunks its interval wrote, not a copy of everything recorded so far.
-/// Measured on this run: 15 checkpoints, 60 live chunks, 127 distinct —
-/// 4.5 new chunks per checkpoint; a deep copy per checkpoint would hold
-/// about 60 x 15 / 2 = 450. `report --e6-smoke` checks the same bound.
+/// The bound counts the elements stored in chunks that only checkpoints
+/// hold, so it does not depend on the chunk size: at most 1,536 per
+/// checkpoint (6 chunks of 256 elements, the earlier bound). A deep copy
+/// per checkpoint would hold the whole live history per checkpoint.
+/// `report --e6-smoke` checks the same bound.
 #[test]
 fn checkpoints_share_recorded_history() {
-    const C: usize = 6;
+    const ELEMENTS: usize = 1_536;
     let mut s = session_with(Bug::None, 512, 0xbeef);
     s.enable_time_travel(server::CHECKPOINT_INTERVAL);
     assert_eq!(run_to_terminal(&mut s), Stop::Quiescent);
     let (checkpoints, _) = s.checkpoint_footprint();
-    let (live, distinct) = s.recorded_chunks();
+    let st = s.recorded_storage();
+    println!("{checkpoints} checkpoints, {st:?}");
     assert!(
-        checkpoints > 10 && live > 10,
-        "{checkpoints} checkpoints, {live} chunks"
+        checkpoints > 10 && st.live_chunks > 10,
+        "{checkpoints} checkpoints, {st:?}"
     );
     assert!(
-        distinct <= live + C * checkpoints,
-        "{distinct} distinct chunks > {live} live + {C} x {checkpoints} checkpoints"
+        st.checkpoint_only_elements <= ELEMENTS * checkpoints,
+        "checkpoints alone hold {} elements > {ELEMENTS} x {checkpoints} checkpoints ({st:?})",
+        st.checkpoint_only_elements
     );
+}
+
+/// Every checkpoint keeps the token records it was taken with. The live
+/// session goes on consuming tokens and, under a small record limit,
+/// evicting them; each of those writes lands in a record that
+/// checkpoints may share, and must copy it first. After the whole run,
+/// `restart` to each checkpoint must show the recorded history, the
+/// provenance path and the links exactly as a forward run without time
+/// travel showed them at that cycle.
+#[test]
+fn checkpoints_keep_their_token_records() {
+    fn configured() -> Session {
+        let mut s = session_with(Bug::None, 64, 0xbeef);
+        s.model.set_record_limit(200);
+        s.iface_record("pipe::mc_in", true).unwrap();
+        s.configure_filter("pipe", dfdbg::FlowBehavior::Pipeline)
+            .unwrap();
+        s
+    }
+    fn seen(s: &Session) -> String {
+        format!(
+            "{}{}{}",
+            s.iface_print("pipe::mc_in").unwrap(),
+            s.info_last_token("pipe").unwrap(),
+            s.info_links()
+        )
+    }
+    let mut s = configured();
+    s.enable_time_travel(5_000);
+    assert_eq!(run_to_terminal(&mut s), Stop::Quiescent);
+    assert!(s.model.tokens.evicted() > 0, "the limit of 200 applies");
+    let cycles = checkpoint_cycles(&s);
+    assert!(cycles.len() > 3, "{cycles:?}");
+
+    let mut forward = configured();
+    for (id, &cycle) in cycles.iter().enumerate() {
+        forward.run(cycle - forward.clock());
+        assert_eq!(forward.clock(), cycle);
+        s.restart(id as u32).unwrap();
+        assert_eq!(seen(&s), seen(&forward), "restart {id} at cycle {cycle}");
+    }
 }
 
 // ---- replay anchors ------------------------------------------------------------
@@ -624,7 +669,7 @@ fn checkpoint_cycles(s: &Session) -> Vec<u64> {
 }
 
 fn catch_ids(s: &Session) -> Vec<u32> {
-    s.model.catchpoints.iter().map(|c| c.id).collect()
+    s.model.catchpoints().iter().map(|c| c.id).collect()
 }
 
 /// What a landing is compared on beside its cycle and stop text: the
