@@ -146,15 +146,14 @@ fn dataflow_aware(bug: Bug) -> (u32, String, bool) {
             // 4. print the recording, compare Izz with the expected stream
             n += 1;
             let conn = s.conn_named("pipe::Red2PipeCbMB_in").unwrap();
-            let hist = &s.model.conns[conn.0 as usize].history;
             let mut bad_index = None;
             let mut lcg = golden::Lcg::new(SEED);
-            for (i, id) in hist.iter().enumerate() {
+            for (i, id) in s.model.history(conn).enumerate() {
                 let v = lcg.next() ^ 0x5a5a;
                 let expect_izz = v.wrapping_mul(13).wrapping_add(7) & 0xffff;
                 let got = s
                     .model
-                    .try_token(*id)
+                    .try_token(id)
                     .and_then(|t| t.value.field(&s.model.types, "Izz"))
                     .unwrap_or(0);
                 if got != expect_izz {

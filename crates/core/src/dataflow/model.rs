@@ -16,7 +16,7 @@
 //! `pedf::Runtime` internals: everything here is derivable from observed
 //! framework calls.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -266,8 +266,9 @@ pub struct TokenRec {
     pub synthesized: bool,
 }
 
-/// Debugger-side actor state.
-#[derive(Debug, Clone, Default)]
+/// Debugger-side actor state. Plain data, so the actor table copies
+/// with one `memcpy`.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DfActor {
     pub sched: DfSched,
     pub started: bool,
@@ -301,8 +302,10 @@ impl DfActor {
     }
 }
 
-/// Debugger-side connection state.
-#[derive(Debug, Clone, Default)]
+/// Debugger-side connection state. Plain data: the interface's recorded
+/// history lives in the model ([`DfModel::history`]), so the connection
+/// table copies with one `memcpy`.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DfConn {
     /// Tokens received this step (the catch `Pipe_in=1,Hwcfg_in=1` counts).
     pub window_count: u32,
@@ -312,8 +315,6 @@ pub struct DfConn {
     pub total: u64,
     /// Recording enabled (`iface ... record`).
     pub record: bool,
-    /// Recorded token history: a ring keeping the newest `HISTORY_CAP`.
-    pub history: Chunked<TokenId>,
 }
 
 /// Debugger-side link state: the queue of Token objects.
@@ -717,6 +718,9 @@ pub struct DfModel {
     pub timeline_enabled: bool,
     pub timeline: Chunked<TimelineEvent>,
     timeline_limit: usize,
+    /// Recorded token histories (`iface … record`), each a ring keeping
+    /// the newest `HISTORY_CAP`; only recording interfaces have one.
+    histories: BTreeMap<ConnId, Chunked<TokenId>>,
 }
 
 impl Default for DfModel {
@@ -734,6 +738,7 @@ impl Default for DfModel {
             timeline_enabled: false,
             timeline: Chunked::default(),
             timeline_limit: RECORD_LIMIT,
+            histories: BTreeMap::new(),
         }
     }
 }
@@ -777,10 +782,9 @@ impl DfModel {
         }
         for (c, l) in self.conns.iter_mut().zip(&live.conns) {
             c.record = l.record;
-            if !c.record && !c.history.is_empty() {
-                c.history.clear();
-            }
         }
+        let conns = &self.conns;
+        self.histories.retain(|c, _| conns[c.0 as usize].record);
         self.timeline_enabled = live.timeline_enabled;
         self.set_record_limit(live.record_limit());
     }
@@ -793,7 +797,31 @@ impl DfModel {
         self.tokens
             .chunks()
             .chain(self.timeline.chunks())
-            .chain(self.conns.iter().flat_map(|c| c.history.chunks()))
+            .chain(self.histories.values().flat_map(|h| h.chunks()))
+    }
+
+    /// The tokens recorded on `conn`, oldest first (`iface … print`).
+    pub fn history(&self, conn: ConnId) -> impl Iterator<Item = TokenId> + '_ {
+        self.histories
+            .get(&conn)
+            .into_iter()
+            .flat_map(|h| h.iter().copied())
+    }
+
+    /// `iface … record` on or off; turning it off drops the history.
+    pub fn set_recording(&mut self, conn: ConnId, on: bool) {
+        self.conns[conn.0 as usize].record = on;
+        if !on {
+            self.histories.remove(&conn);
+        }
+    }
+
+    fn record_history(&mut self, conn: ConnId, id: TokenId) {
+        let h = self.histories.entry(conn).or_default();
+        if h.len() == HISTORY_CAP {
+            h.pop_front();
+        }
+        h.push_back(id);
     }
 
     /// Look up a live token; panics if evicted or unknown. Use only for
@@ -1178,10 +1206,7 @@ impl DfModel {
         rc.total += 1;
         let total = rc.total;
         if rc.record {
-            if rc.history.len() == HISTORY_CAP {
-                rc.history.pop_front();
-            }
-            rc.history.push_back(token);
+            self.record_history(conn, token);
         }
         if let Some(ids) = self.catches.index.sent_by_conn.get(&conn.0) {
             for &id in ids {
@@ -1272,10 +1297,7 @@ impl DfModel {
             rc.window_count += 1;
             rc.total += 1;
             if rc.record {
-                if rc.history.len() == HISTORY_CAP {
-                    rc.history.pop_front();
-                }
-                rc.history.push_back(id);
+                self.record_history(conn, id);
             }
         }
         let Some(token) = last_token else {
@@ -1627,15 +1649,14 @@ mod tests {
     fn recording_is_opt_in_and_bounded() {
         let mut m = model();
         push(&mut m, 0, 1, 1);
-        assert!(m.conns[0].history.is_empty());
-        m.conns[0].record = true;
+        assert_eq!(m.history(ConnId(0)).count(), 0);
+        m.set_recording(ConnId(0), true);
         for v in [5, 10, 15] {
             push(&mut m, 0, v, 2);
         }
-        let vals: Vec<Word> = m.conns[0]
-            .history
-            .iter()
-            .map(|id| m.token(*id).value.head_word())
+        let vals: Vec<Word> = m
+            .history(ConnId(0))
+            .map(|id| m.token(id).value.head_word())
             .collect();
         assert_eq!(vals, vec![5, 10, 15]);
     }

@@ -1338,10 +1338,7 @@ impl Session {
     /// `iface X::Y record` (§VI-D) — enable token-content recording.
     pub fn iface_record(&mut self, spec: &str, on: bool) -> CmdResult<()> {
         let conn = self.conn_named(spec)?;
-        self.model.conns[conn.0 as usize].record = on;
-        if !on {
-            self.model.conns[conn.0 as usize].history.clear();
-        }
+        self.model.set_recording(conn, on);
         Ok(())
     }
 
@@ -1349,16 +1346,15 @@ impl Session {
     /// the paper: `#1 (U16) 5`.
     pub fn iface_print(&self, spec: &str) -> CmdResult<String> {
         let conn = self.conn_named(spec)?;
-        let c = &self.model.conns[conn.0 as usize];
-        if !c.record {
+        if !self.model.conns[conn.0 as usize].record {
             return Err(format!(
                 "recording is not enabled on `{spec}` \
                  (use `iface {spec} record`)"
             ));
         }
         let mut out = String::new();
-        for (i, id) in c.history.iter().enumerate() {
-            match self.model.try_token(*id) {
+        for (i, id) in self.model.history(conn).enumerate() {
+            match self.model.try_token(id) {
                 Some(t) => out.push_str(&format!(
                     "#{} {}\n",
                     i + 1,
