@@ -692,8 +692,8 @@ impl CatchIndex {
 /// is cheap: what is fixed after boot (the graph, the type table) sits
 /// behind `Arc`, and the recorded history that grows with the run (the
 /// token store, the timeline, the interface histories) is [`Chunked`].
-/// A clone copies pointers plus the small per-actor/connection/link
-/// tables; later writes copy only the chunks they touch.
+/// A clone copies pointers, the plain actor and connection tables and
+/// the link queues; later writes copy only the chunks they touch.
 ///
 /// What the user installed on the model is not recorded history:
 /// catchpoints, declared flow behaviours, `iface … record` flags, the
