@@ -9,6 +9,8 @@
 //!   `catch recv pipe::mc_in` after recording it to the end, as the
 //!   `timetravel` benchmark does: restores, replays, replay anchors and
 //!   the snapshot the reverse pass keeps of each hit.
+//! * The same decoder's second bare `System::run(20000)`, with no
+//!   debugger attached: what the machine and the runtime allocate.
 //!
 //! The counts are deterministic. A change that moves them should say why
 //! and give the new readings.
@@ -63,6 +65,7 @@ const ENV_SEED: u32 = 0xbeef;
 /// Pinned readings.
 const RUN_ALLOCATIONS: u64 = 8_818;
 const REVERSE_PAIR_ALLOCATIONS: u64 = 3_717;
+const BARE_RUN_ALLOCATIONS: u64 = 8_276;
 
 fn decode_session() -> Session {
     let (sys, app) = build_decoder(Bug::None, N_MBS, PlatformConfig::default()).unwrap();
@@ -105,10 +108,24 @@ fn the_hot_paths_allocate_what_is_pinned() {
     let want = stops.iter().rev().find(|c| **c < target).copied();
     assert_eq!(Some(cli.session.clock()), want, "{landing}");
 
-    println!("run 20000: {run} allocations; goto + reverse-continue: {pair}");
+    // The machine alone, past boot and a first 20,000 cycles.
+    let (mut sys, app) = build_decoder(Bug::None, N_MBS, PlatformConfig::default()).unwrap();
+    sys.boot(app.boot_entry).unwrap();
+    attach_env(&mut sys, &app, N_MBS, ENV_SEED).unwrap();
+    sys.run(20_000);
+    let (_, bare) = allocations(|| sys.run(20_000));
+    assert!(sys.first_fault().is_none());
+
+    println!(
+        "run 20000: {run} allocations; goto + reverse-continue: {pair}; bare run 20000: {bare}"
+    );
     assert_eq!(
-        (run, pair),
-        (RUN_ALLOCATIONS, REVERSE_PAIR_ALLOCATIONS),
+        (run, pair, bare),
+        (
+            RUN_ALLOCATIONS,
+            REVERSE_PAIR_ALLOCATIONS,
+            BARE_RUN_ALLOCATIONS
+        ),
         "the pinned allocation counts moved"
     );
 }
