@@ -294,11 +294,9 @@ impl DfActor {
     }
 
     /// The inputs consumed since the last output, which a merger's output
-    /// derives from; the next output starts afresh.
-    fn take_inputs(&mut self) -> InlineSlice<TokenId> {
-        let inputs = InlineSlice::from_slice(&self.pending_inputs[..self.pending_len]);
-        self.pending_len = 0;
-        inputs
+    /// derives from.
+    fn inputs(&self) -> &[TokenId] {
+        &self.pending_inputs[..self.pending_len]
     }
 }
 
@@ -1190,15 +1188,19 @@ impl DfModel {
         let ty = c.ty;
         let words = fit_words(words, self.types.size_words(ty) as usize);
         let value = TokenValue { ty, words };
-        // Provenance per the producer's declared behaviour.
+        // Provenance per the producer's declared behaviour. Every output
+        // starts the pending inputs afresh, whatever the behaviour, so a
+        // filter configured as a merger mid-run derives from the inputs
+        // since its last output.
         let a = &mut self.actors[actor.0 as usize];
         let provenance = match a.behavior {
             FlowBehavior::Unknown => InlineSlice::Empty,
             FlowBehavior::Pipeline | FlowBehavior::Splitter => {
                 a.last_received.map_or(InlineSlice::Empty, InlineSlice::One)
             }
-            FlowBehavior::Merger => a.take_inputs(),
+            FlowBehavior::Merger => InlineSlice::from_slice(a.inputs()),
         };
+        a.pending_len = 0;
         let token = self.new_token(link, value, provenance, cycle, false);
         self.actors[actor.0 as usize].last_sent = Some(token);
         let rc = &mut self.conns[conn.0 as usize];
@@ -1643,6 +1645,34 @@ mod tests {
         push(&mut m, 2, 4, 5);
         let sent = m.actors[2].last_sent.unwrap();
         assert!(m.token(sent).provenance.is_empty());
+    }
+
+    #[test]
+    fn a_filter_turned_merger_derives_from_inputs_since_its_last_output() {
+        let mut m = model();
+        m.actors[2].behavior = FlowBehavior::Pipeline;
+        let mut stops = Vec::new();
+        let mut cyc = 0;
+        for v in 0..40 {
+            m.apply(DfEvent::WorkBegun { actor: ActorId(2) }, cyc, &mut stops);
+            push(&mut m, 0, v, cyc + 1);
+            pop(&mut m, 1, 0, v, cyc + 2);
+            push(&mut m, 2, v + 1000, cyc + 3);
+            cyc += 4;
+        }
+        m.actors[2].behavior = FlowBehavior::Merger;
+        m.apply(DfEvent::WorkBegun { actor: ActorId(2) }, cyc, &mut stops);
+        push(&mut m, 0, 100, cyc + 1);
+        pop(&mut m, 1, 0, 100, cyc + 2);
+        push(&mut m, 2, 1100, cyc + 3);
+        let sent = m.actors[2].last_sent.unwrap();
+        let prov: Vec<Word> = m
+            .token(sent)
+            .provenance
+            .iter()
+            .map(|&id| m.token(id).value.head_word())
+            .collect();
+        assert_eq!(prov, vec![100]);
     }
 
     #[test]
