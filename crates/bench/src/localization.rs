@@ -213,9 +213,9 @@ fn dataflow_aware(bug: Bug) -> (u32, String, bool) {
 /// Read the first argument (the connection id) of a framework call the
 /// session just stopped in — what a GDB user gets from `info args`.
 fn stopped_conn_arg(s: &Session, pe: p2012::PeId) -> Option<Word> {
-    s.sys.platform.pes[pe.index()]
-        .top_frame()
-        .and_then(|f| f.locals.first().copied())
+    let p = &s.sys.platform.pes[pe.index()];
+    let top = p.frame_depth().checked_sub(1)?;
+    p.frame_locals(top).first().copied()
 }
 
 fn source_level(bug: Bug) -> (u32, String, bool) {
@@ -283,24 +283,20 @@ fn source_level(bug: Bug) -> (u32, String, bool) {
                     break;
                 };
                 let p = &s.sys.platform.pes[pe.index()];
-                let Some(frame) = p.top_frame() else { continue };
-                if frame.locals.first().copied() != Some(red_out_conn) {
+                let Some(top) = p.frame_depth().checked_sub(1) else {
+                    continue;
+                };
+                let locals = p.frame_locals(top);
+                if locals.first().copied() != Some(red_out_conn) {
                     continue; // a push on some other connection
                 }
                 n += 1; // info frame; x/3 &caller_locals[base]
-                let base = frame.locals.get(2).copied().unwrap_or(0) as usize;
-                let depth = p.frames.len();
-                let caller = &p.frames[depth - 2];
-                let got_izz = caller.locals.get(base + 2).copied().unwrap_or(0);
+                let base = locals.get(2).copied().unwrap_or(0) as usize;
+                let caller = p.frame_locals(top - 1);
+                let got_izz = caller.get(base + 2).copied().unwrap_or(0);
                 let v = lcg.next() ^ 0x5a5a;
                 let expect = v.wrapping_mul(13).wrapping_add(7) & 0xffff;
-                let mb = (caller
-                    .locals
-                    .get(base)
-                    .copied()
-                    .unwrap_or(0)
-                    .wrapping_sub(0x1000))
-                    / 16;
+                let mb = (caller.get(base).copied().unwrap_or(0).wrapping_sub(0x1000)) / 16;
                 if got_izz != expect {
                     verdict = Some(mb);
                     break;

@@ -318,7 +318,7 @@ impl Capture {
         // Finish-breakpoint side: resolve a pending call.
         if let Some(p) = self.pes[i].pending {
             let stub = self.stubs.stubs[p.stub];
-            let gone = pe.frames.is_empty()
+            let gone = pe.frame_depth() == 0
                 || matches!(pe.status, PeStatus::Faulted(_) | PeStatus::Halted);
             if gone {
                 self.pes[i].pending = None;
@@ -348,10 +348,10 @@ impl Capture {
                 if pe.pc > stub.trap_pc {
                     // Missed the call (capture was off); ignore it.
                 } else if self.wants(stub.kind, pe_id) {
-                    let frame = pe.frames.last().expect("in stub");
+                    let locals = pe.frame_locals(pe.frame_depth() - 1);
                     let mut args = [0; 8];
-                    let n = (stub.argc as usize).min(frame.locals.len());
-                    args[..n].copy_from_slice(&frame.locals[..n]);
+                    let n = (stub.argc as usize).min(locals.len());
+                    args[..n].copy_from_slice(&locals[..n]);
                     self.pes[i].pending = Some(Pending { stub: si, args });
                 } else {
                     // Filtered out: skip this whole call without
@@ -450,9 +450,11 @@ impl Capture {
             }),
             StubKind::Pop => {
                 // Result word sits on the stub frame's operand stack.
-                let value = pes[pe.index()]
-                    .top_frame()
-                    .and_then(|f| f.stack.last().copied())
+                let p = &pes[pe.index()];
+                let value = p
+                    .frame_depth()
+                    .checked_sub(1)
+                    .and_then(|top| p.operands(top).last().copied())
                     .unwrap_or(0);
                 Some(DfEvent::TokenPopped {
                     conn: ConnId(a[0]),
@@ -467,10 +469,10 @@ impl Capture {
                     .conns
                     .get(a[0] as usize)
                     .map_or(0, |c| types.size_words(c.ty) as usize);
-                let frames = &pes[pe.index()].frames;
-                let words = match frames.len().checked_sub(2) {
+                let p = &pes[pe.index()];
+                let words = match p.frame_depth().checked_sub(2) {
                     Some(caller) => {
-                        let locals = &frames[caller].locals;
+                        let locals = p.frame_locals(caller);
                         let base = (a[2] as usize).min(locals.len());
                         let end = base.saturating_add(width).min(locals.len());
                         InlineSlice::from_slice(&locals[base..end])

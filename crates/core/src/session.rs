@@ -805,7 +805,7 @@ impl Session {
         if self.bp_flags.is_empty() {
             return;
         }
-        let Some(entry) = pe.frames.first().map(|f| f.func) else {
+        let Some(entry) = pe.frames().first().map(|f| f.func) else {
             return; // already finished again: too short to stop in
         };
         if pe.pc == entry {
@@ -1066,15 +1066,16 @@ impl Session {
     /// `backtrace` for a PE.
     pub fn backtrace(&self, pe: PeId) -> String {
         let p = &self.sys.platform.pes[pe.index()];
-        if p.frames.is_empty() {
+        let frames = p.frames();
+        if frames.is_empty() {
             return format!("{pe}: no stack (idle)\n");
         }
         let mut out = String::new();
-        for (i, f) in p.frames.iter().enumerate().rev() {
-            let pc = if i + 1 == p.frames.len() {
+        for (i, f) in frames.iter().enumerate().rev() {
+            let pc = if i + 1 == frames.len() {
                 p.pc
             } else {
-                p.frames[i + 1].ret_addr
+                frames[i + 1].ret_addr
             };
             let func = self
                 .info
@@ -1083,7 +1084,7 @@ impl Session {
                 .unwrap_or_else(|| format!("0x{:04x}", f.func));
             out.push_str(&format!(
                 "#{depth}  {func} () at {loc}\n",
-                depth = p.frames.len() - 1 - i,
+                depth = frames.len() - 1 - i,
                 loc = self.info.describe_addr(pc),
             ));
         }
@@ -1100,7 +1101,7 @@ impl Session {
             PeStatus::Blocked(r) => {
                 let func = self
                     .info
-                    .function_at(p.frames.last().map(|f| f.func).unwrap_or(p.pc))
+                    .function_at(p.top_frame().map_or(p.pc, |f| f.func))
                     .map(|s| s.pretty.clone())
                     .unwrap_or_default();
                 format!(
@@ -1111,7 +1112,7 @@ impl Session {
             PeStatus::Running => {
                 let func = self
                     .info
-                    .function_at(p.frames.last().map(|f| f.func).unwrap_or(p.pc))
+                    .function_at(p.top_frame().map_or(p.pc, |f| f.func))
                     .map(|s| s.pretty.clone())
                     .unwrap_or_default();
                 format!("{pe}: running {func} at {}", self.info.describe_addr(p.pc))
@@ -1933,8 +1934,7 @@ impl Session {
                 // Inside the push stub the call site is ret_addr - 1;
                 // fall back to the raw pc if the frame is already gone.
                 let addr = p
-                    .frames
-                    .last()
+                    .top_frame()
                     .map(|f| f.ret_addr.saturating_sub(1))
                     .unwrap_or(p.pc);
                 self.focus = Some(pe);

@@ -354,7 +354,7 @@ fn scalar_key(sys: &System) -> Vec<u64> {
             u64::from(pe.stall),
             pe.retired,
             pe.invocations,
-            pe.frames.len() as u64,
+            pe.frame_depth() as u64,
         ]);
     }
     key
@@ -1174,14 +1174,12 @@ mod tests {
         assert!(!rung.matches(&a));
         // One local of a running task apart.
         let mut b = sys.fork();
-        let frame = b
-            .platform
-            .pes
-            .iter_mut()
-            .flat_map(|pe| &mut pe.frames)
-            .find(|f| !f.locals.is_empty())
+        let pes = &mut b.platform.pes;
+        let (pe, i) = (0..pes.len())
+            .flat_map(|pe| (0..pes[pe].frame_depth()).map(move |i| (pe, i)))
+            .find(|&(pe, i)| !pes[pe].frame_locals(i).is_empty())
             .expect("a frame with locals");
-        frame.locals[0] ^= 1;
+        pes[pe].frame_locals_mut(i)[0] ^= 1;
         assert_eq!(scalar_key(&b), rung.key);
         assert!(!rung.matches(&b));
         // An override that can no longer fire, until it is dropped.

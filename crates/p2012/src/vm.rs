@@ -1,10 +1,19 @@
 //! The per-PE execution engine.
 //!
 //! Each processing element interprets the shared [`Program`] image with its
-//! own program counter, call-frame stack and status. The interpreter is
-//! deliberately transparent: every piece of state a source-level debugger
-//! wants (pc, frames, locals, operand stack, block reason) is a plain public
-//! field, because in this reproduction the debugger *is* the host process.
+//! own program counter, call frames, value stack and status. The
+//! interpreter is deliberately transparent: every piece of state a
+//! source-level debugger wants (pc, frames, locals, operand stack, block
+//! reason) is a public field or a slice accessor, because in this
+//! reproduction the debugger *is* the host process.
+//!
+//! A PE keeps every frame's locals and operands in one value stack, as
+//! bytecode interpreters usually do. A [`Frame`] is plain data: its
+//! locals are `stack[locals_base..stack_base]` and its operands run from
+//! `stack_base` up to the next frame's locals. A `Call` leaves its
+//! arguments in place as the callee's locals, `Enter` extends them, and
+//! `Ret` copies the results down to the callee's `locals_base`, so
+//! stepping allocates nothing once the stack has grown to its depth.
 //!
 //! Traps are two-phase: [`PeState::step`] reports a pending trap without
 //! consuming its operands, the platform consults the runtime handler, and
@@ -31,8 +40,8 @@ use crate::memory::{MemError, Memory};
 pub const MAX_CALL_DEPTH: usize = 64;
 
 /// Nominal per-frame operand-stack budget. The interpreter itself grows
-/// stacks on demand; the static verifier flags functions whose worst-case
-/// operand depth exceeds this bound (BCV202).
+/// the value stack on demand; the static verifier flags functions whose
+/// worst-case operand depth exceeds this bound (BCV202).
 pub const MAX_OPERAND_STACK: usize = 256;
 
 /// Why a PE is blocked inside the runtime. Worded from the dataflow
@@ -133,15 +142,26 @@ pub fn hash_debug(h: &mut dyn std::hash::Hasher, v: &dyn std::fmt::Debug) {
     let _ = std::fmt::write(&mut Sink(h), format_args!("{v:?}"));
 }
 
-/// One call frame.
-#[derive(Debug, Clone, Default)]
+/// One call frame: where its words sit in the PE's value stack. Read
+/// them through [`PeState::frame_locals`] and [`PeState::operands`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
     /// Entry address of the function this frame executes (for backtraces).
     pub func: CodeAddr,
     /// Where `Ret` resumes in the caller.
     pub ret_addr: CodeAddr,
-    pub locals: Vec<Word>,
-    pub stack: Vec<Word>,
+    /// Value-stack index of local 0.
+    pub locals_base: usize,
+    /// Value-stack index of the first operand: the end of the locals.
+    pub stack_base: usize,
+}
+
+impl Frame {
+    /// The value-stack index of local `slot`, if the frame has it.
+    fn local(&self, slot: u32) -> Option<usize> {
+        let at = self.locals_base + slot as usize;
+        (at < self.stack_base).then_some(at)
+    }
 }
 
 /// Scheduling status of a PE.
@@ -191,7 +211,9 @@ pub enum StepEvent {
 #[derive(Debug, Clone, Default)]
 pub struct PeState {
     pub pc: CodeAddr,
-    pub frames: Vec<Frame>,
+    frames: Vec<Frame>,
+    /// Every frame's locals and operands, the outermost frame's first.
+    stack: Vec<Word>,
     pub status: PeStatus,
     /// Remaining memory-stall cycles.
     pub stall: u32,
@@ -216,13 +238,15 @@ impl PeState {
             "invoke on non-idle PE (status {:?})",
             self.status
         );
+        let base = self.stack.len();
+        self.stack.extend_from_slice(args);
         self.frames.push(Frame {
             func: addr,
             // Top-level frames have nowhere to return; `Ret` from depth 1
             // yields TaskComplete instead of using this.
             ret_addr: 0,
-            locals: args.to_vec(),
-            stack: Vec::new(),
+            locals_base: base,
+            stack_base: self.stack.len(),
         });
         self.pc = addr;
         self.status = PeStatus::Running;
@@ -231,6 +255,43 @@ impl PeState {
 
     pub fn frame_depth(&self) -> usize {
         self.frames.len()
+    }
+
+    /// The call frames, outermost first.
+    pub fn frames(&self) -> &[Frame] {
+        &self.frames
+    }
+
+    /// The locals of frame `i` (0 is the outermost).
+    ///
+    /// # Panics
+    /// Panics if there is no frame `i`.
+    pub fn frame_locals(&self, i: usize) -> &[Word] {
+        let f = self.frames[i];
+        &self.stack[f.locals_base..f.stack_base]
+    }
+
+    /// The locals of frame `i`, writable.
+    ///
+    /// # Panics
+    /// Panics if there is no frame `i`.
+    pub fn frame_locals_mut(&mut self, i: usize) -> &mut [Word] {
+        let f = self.frames[i];
+        &mut self.stack[f.locals_base..f.stack_base]
+    }
+
+    /// The operand stack of frame `i`, bottom first: up to the next
+    /// frame's locals, or to the top of the value stack for the
+    /// innermost frame.
+    ///
+    /// # Panics
+    /// Panics if there is no frame `i`.
+    pub fn operands(&self, i: usize) -> &[Word] {
+        let end = self
+            .frames
+            .get(i + 1)
+            .map_or(self.stack.len(), |next| next.locals_base);
+        &self.stack[self.frames[i].stack_base..end]
     }
 
     /// Feed every observable piece of PE state to a hasher. Used by the
@@ -245,15 +306,17 @@ impl PeState {
         h.write_u64(self.retired);
         h.write_u64(self.invocations);
         h.write_usize(self.frames.len());
-        for f in &self.frames {
+        for (i, f) in self.frames.iter().enumerate() {
             h.write_u32(f.func);
             h.write_u32(f.ret_addr);
-            h.write_usize(f.locals.len());
-            for w in &f.locals {
+            let locals = self.frame_locals(i);
+            h.write_usize(locals.len());
+            for w in locals {
                 h.write_u32(*w);
             }
-            h.write_usize(f.stack.len());
-            for w in &f.stack {
+            let operands = self.operands(i);
+            h.write_usize(operands.len());
+            for w in operands {
                 h.write_u32(*w);
             }
         }
@@ -265,16 +328,13 @@ impl PeState {
 
     /// Arguments visible to a pending trap: the top `argc` operands.
     pub fn trap_args(&self, argc: u8) -> &[Word] {
-        let stack = &self.frames.last().expect("trap without frame").stack;
-        &stack[stack.len() - argc as usize..]
+        &self.stack[self.stack.len() - argc as usize..]
     }
 
     /// Commit a pending trap: pop its operands, push `results`, advance.
     pub fn complete_trap(&mut self, argc: u8, results: &[Word]) {
-        let frame = self.frames.last_mut().expect("trap without frame");
-        let keep = frame.stack.len() - argc as usize;
-        frame.stack.truncate(keep);
-        frame.stack.extend_from_slice(results);
+        self.stack.truncate(self.stack.len() - argc as usize);
+        self.stack.extend_from_slice(results);
         self.pc += 1;
         self.status = PeStatus::Running;
     }
@@ -297,8 +357,13 @@ impl PeState {
         StepEvent::Fault(f)
     }
 
-    fn pop(frame: &mut Frame) -> Result<Word, VmFault> {
-        frame.stack.pop().ok_or(VmFault::StackUnderflow)
+    /// Pop an operand of the frame whose operands start at `base`.
+    fn pop(stack: &mut Vec<Word>, base: usize) -> Option<Word> {
+        if stack.len() > base {
+            stack.pop()
+        } else {
+            None
+        }
     }
 
     /// Execute at most one instruction.
@@ -324,7 +389,9 @@ impl PeState {
             None => return self.fault(VmFault::BadPc { pc: self.pc }),
         };
 
-        macro_rules! frame {
+        // The innermost frame's bounds; no frame faults like an empty
+        // operand stack.
+        macro_rules! top {
             () => {
                 match self.frames.last_mut() {
                     Some(f) => f,
@@ -332,149 +399,120 @@ impl PeState {
                 }
             };
         }
+        macro_rules! pop {
+            ($base:expr) => {
+                match Self::pop(&mut self.stack, $base) {
+                    Some(v) => v,
+                    None => return self.fault(VmFault::StackUnderflow),
+                }
+            };
+        }
         macro_rules! binop {
             (|$a:ident, $b:ident| $e:expr) => {{
-                let f = frame!();
-                let $b = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
-                let $a = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
+                let base = top!().stack_base;
+                let $b = pop!(base);
+                let $a = pop!(base);
                 let r: Word = $e;
-                f.stack.push(r);
+                self.stack.push(r);
             }};
         }
         macro_rules! unop {
             (|$a:ident| $e:expr) => {{
-                let f = frame!();
-                let $a = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
+                let base = top!().stack_base;
+                let $a = pop!(base);
                 let r: Word = $e;
-                f.stack.push(r);
+                self.stack.push(r);
             }};
         }
 
         self.retired += 1;
         match insn {
             Insn::Enter(n) => {
-                let f = frame!();
-                if f.locals.len() > n as usize {
+                let f = top!();
+                let (have, n) = (f.stack_base - f.locals_base, n as usize);
+                if have > n {
                     return self.fault(VmFault::MalformedFunction { pc: self.pc });
                 }
-                f.locals.resize(n as usize, 0);
-            }
-            Insn::Const(w) => frame!().stack.push(w),
-            Insn::LoadLocal(n) => {
-                let f = frame!();
-                match f.locals.get(n as usize) {
-                    Some(v) => {
-                        let v = *v;
-                        f.stack.push(v)
-                    }
-                    None => return self.fault(VmFault::LocalOutOfRange { slot: n.into() }),
+                // New locals are zeros slid in under any operands.
+                let grow = n - have;
+                if grow > 0 {
+                    self.stack.resize(self.stack.len() + grow, 0);
+                    self.stack[f.stack_base..].rotate_right(grow);
+                    f.stack_base += grow;
                 }
             }
+            Insn::Const(w) => {
+                top!();
+                self.stack.push(w);
+            }
+            Insn::LoadLocal(n) => match top!().local(n.into()) {
+                Some(at) => self.stack.push(self.stack[at]),
+                None => return self.fault(VmFault::LocalOutOfRange { slot: n.into() }),
+            },
             Insn::StoreLocal(n) => {
-                let f = frame!();
-                let v = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
-                match f.locals.get_mut(n as usize) {
-                    Some(slot) => *slot = v,
+                let f = *top!();
+                let v = pop!(f.stack_base);
+                match f.local(n.into()) {
+                    Some(at) => self.stack[at] = v,
                     None => return self.fault(VmFault::LocalOutOfRange { slot: n.into() }),
                 }
             }
             Insn::LoadLocalIdx(base) => {
-                let f = frame!();
-                let off = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
+                let f = *top!();
+                let off = pop!(f.stack_base);
                 let slot = base as u32 + off;
-                match f.locals.get(slot as usize) {
-                    Some(v) => {
-                        let v = *v;
-                        f.stack.push(v)
-                    }
+                match f.local(slot) {
+                    Some(at) => self.stack.push(self.stack[at]),
                     None => return self.fault(VmFault::LocalOutOfRange { slot }),
                 }
             }
             Insn::StoreLocalIdx(base) => {
-                let f = frame!();
-                let v = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
-                let off = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
+                let f = *top!();
+                let v = pop!(f.stack_base);
+                let off = pop!(f.stack_base);
                 let slot = base as u32 + off;
-                match f.locals.get_mut(slot as usize) {
-                    Some(s) => *s = v,
+                match f.local(slot) {
+                    Some(at) => self.stack[at] = v,
                     None => return self.fault(VmFault::LocalOutOfRange { slot }),
                 }
             }
             Insn::Dup => {
-                let f = frame!();
-                match f.stack.last().copied() {
-                    Some(v) => f.stack.push(v),
-                    None => return self.fault(VmFault::StackUnderflow),
+                let base = top!().stack_base;
+                match self.stack.last().copied() {
+                    Some(v) if self.stack.len() > base => self.stack.push(v),
+                    _ => return self.fault(VmFault::StackUnderflow),
                 }
             }
             Insn::Drop => {
-                let f = frame!();
-                if Self::pop(f).is_err() {
-                    return self.fault(VmFault::StackUnderflow);
-                }
+                let base = top!().stack_base;
+                pop!(base);
             }
             Insn::Swap => {
-                let f = frame!();
-                let n = f.stack.len();
-                if n < 2 {
+                let base = top!().stack_base;
+                let n = self.stack.len();
+                if n - base < 2 {
                     return self.fault(VmFault::StackUnderflow);
                 }
-                f.stack.swap(n - 1, n - 2);
+                self.stack.swap(n - 1, n - 2);
             }
 
             Insn::Add => binop!(|a, b| a.wrapping_add(b)),
             Insn::Sub => binop!(|a, b| a.wrapping_sub(b)),
             Insn::Mul => binop!(|a, b| a.wrapping_mul(b)),
-            Insn::Div => {
-                let f = frame!();
-                let b = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
-                let a = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
+            Insn::Div | Insn::Rem => {
+                let base = top!().stack_base;
+                let b = pop!(base);
+                let a = pop!(base);
                 if b == 0 {
                     return self.fault(VmFault::DivideByZero);
                 }
-                f.stack.push((a as i32).wrapping_div(b as i32) as Word);
-            }
-            Insn::Rem => {
-                let f = frame!();
-                let b = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
+                let (a, b) = (a as i32, b as i32);
+                let r = if insn == Insn::Div {
+                    a.wrapping_div(b)
+                } else {
+                    a.wrapping_rem(b)
                 };
-                let a = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
-                if b == 0 {
-                    return self.fault(VmFault::DivideByZero);
-                }
-                f.stack.push((a as i32).wrapping_rem(b as i32) as Word);
+                self.stack.push(r as Word);
             }
             Insn::BitAnd => binop!(|a, b| a & b),
             Insn::BitOr => binop!(|a, b| a | b),
@@ -499,24 +537,10 @@ impl PeState {
                 self.pc = t;
                 return StepEvent::Executed;
             }
-            Insn::JumpIfZero(t) => {
-                let f = frame!();
-                let v = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
-                if v == 0 {
-                    self.pc = t;
-                    return StepEvent::Executed;
-                }
-            }
-            Insn::JumpIfNot(t) => {
-                let f = frame!();
-                let v = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
-                if v != 0 {
+            Insn::JumpIfZero(t) | Insn::JumpIfNot(t) => {
+                let base = top!().stack_base;
+                let v = pop!(base);
+                if (v == 0) == matches!(insn, Insn::JumpIfZero(_)) {
                     self.pc = t;
                     return StepEvent::Executed;
                 }
@@ -526,68 +550,60 @@ impl PeState {
                     return self.fault(VmFault::CallDepthExceeded);
                 }
                 let from = self.pc;
-                let f = frame!();
-                let n = f.stack.len();
-                if n < argc as usize {
+                let base = top!().stack_base;
+                let n = self.stack.len();
+                if n - base < argc as usize {
                     return self.fault(VmFault::StackUnderflow);
                 }
-                let args = f.stack.split_off(n - argc as usize);
+                // The arguments stay where they are, as the callee's
+                // locals.
                 self.frames.push(Frame {
                     func: addr,
                     ret_addr: from + 1,
-                    locals: args,
-                    stack: Vec::new(),
+                    locals_base: n - argc as usize,
+                    stack_base: n,
                 });
                 self.pc = addr;
                 return StepEvent::Called { from, to: addr };
             }
             Insn::Ret { retc } => {
-                let mut popped = match self.frames.pop() {
-                    Some(f) => f,
-                    None => return self.fault(VmFault::StackUnderflow),
+                let Some(popped) = self.frames.pop() else {
+                    return self.fault(VmFault::StackUnderflow);
                 };
-                let n = popped.stack.len();
-                if n < retc as usize {
+                let (n, retc) = (self.stack.len(), retc as usize);
+                if n - popped.stack_base < retc {
+                    // The frame is gone, its words with it.
+                    self.stack.truncate(popped.locals_base);
                     return self.fault(VmFault::StackUnderflow);
                 }
-                let results = popped.stack.split_off(n - retc as usize);
-                match self.frames.last_mut() {
-                    Some(caller) => {
-                        caller.stack.extend_from_slice(&results);
-                        self.pc = popped.ret_addr;
-                        return StepEvent::Returned { to: self.pc };
-                    }
-                    None => {
-                        self.status = PeStatus::Idle;
-                        return StepEvent::TaskComplete;
-                    }
+                if self.frames.is_empty() {
+                    self.stack.truncate(popped.locals_base);
+                    self.status = PeStatus::Idle;
+                    return StepEvent::TaskComplete;
                 }
+                // The results land where the callee's locals began, on
+                // top of the caller's operands.
+                self.stack.copy_within(n - retc.., popped.locals_base);
+                self.stack.truncate(popped.locals_base + retc);
+                self.pc = popped.ret_addr;
+                return StepEvent::Returned { to: self.pc };
             }
 
             Insn::LoadMem => {
-                let f = frame!();
-                let addr = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
+                let base = top!().stack_base;
+                let addr = pop!(base);
                 match mem.read(addr) {
                     Ok((v, lat)) => {
-                        f.stack.push(v);
+                        self.stack.push(v);
                         self.stall += lat.saturating_sub(1);
                     }
                     Err(e) => return self.fault(VmFault::Mem(e)),
                 }
             }
             Insn::StoreMem => {
-                let f = frame!();
-                let v = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
-                let addr = match Self::pop(f) {
-                    Ok(v) => v,
-                    Err(e) => return self.fault(e),
-                };
+                let base = top!().stack_base;
+                let v = pop!(base);
+                let addr = pop!(base);
                 match mem.write(addr, v) {
                     Ok(lat) => self.stall += lat.saturating_sub(1),
                     Err(e) => return self.fault(VmFault::Mem(e)),
@@ -597,8 +613,8 @@ impl PeState {
             Insn::Trap { id, argc, retc } => {
                 // Undo the retire count: the instruction has not committed.
                 self.retired -= 1;
-                let f = frame!();
-                if f.stack.len() < argc as usize {
+                let base = top!().stack_base;
+                if self.stack.len() - base < argc as usize {
                     return self.fault(VmFault::StackUnderflow);
                 }
                 return StepEvent::TrapPending { id, argc, retc };
@@ -786,7 +802,7 @@ mod tests {
         let prog = b.finish();
         let (pe, _) = run_to_completion(&prog, entry, &[]);
         assert_eq!(pe.status, PeStatus::Faulted(VmFault::CallDepthExceeded));
-        assert_eq!(pe.frames.len(), MAX_CALL_DEPTH);
+        assert_eq!(pe.frame_depth(), MAX_CALL_DEPTH);
     }
 
     #[test]
@@ -865,7 +881,7 @@ mod tests {
 
         // Complete: operands replaced by results, pc advances.
         pe.complete_trap(1, &[99]);
-        assert_eq!(pe.top_frame().unwrap().stack, vec![99]);
+        assert_eq!(pe.operands(0), &[99]);
         assert_eq!(pe.status, PeStatus::Running);
         assert_eq!(pe.step(&prog, &mut mem), StepEvent::Halted);
     }

@@ -370,11 +370,12 @@ impl Runtime {
     // ---- token transport ---------------------------------------------------
 
     /// Push `words` through output connection `conn`; shared by the scalar
-    /// and struct push traps. `idx` enforces sequential writes.
+    /// and struct push traps. `idx` enforces sequential writes; `stall`
+    /// gains the cycles the FIFO write costs.
     fn push_words(
         &mut self,
         ctx: &mut TrapCtx<'_>,
-        current: &mut PeState,
+        stall: &mut u32,
         conn: ConnId,
         idx: Word,
         words: &[Word],
@@ -404,8 +405,8 @@ impl Runtime {
         }
         let fifo = &mut self.fifos[link.0 as usize];
         match fifo.push(ctx.mem, words) {
-            Ok(Some((index, stall))) => {
-                current.stall += stall;
+            Ok(Some((index, cycles))) => {
+                *stall += cycles;
                 ctx.wake_blocked_on(BlockReason::TokenWait { link: link.0 });
                 self.env_next = 0;
                 self.conns_rt[conn.0 as usize].written += 1;
@@ -459,12 +460,12 @@ impl Runtime {
                     rt.window.extend_from_slice(&self.pop_buf);
                     rt.window_tokens += 1;
                     self.stats.tokens_popped += 1;
-                    let words = self.pop_buf.clone();
+                    let words = &self.pop_buf;
                     self.events.push(|| RuntimeEvent::TokenPopped {
                         conn,
                         link,
                         index,
-                        value: Value::record(ty, words),
+                        value: Value::record(ty, words.clone()),
                     });
                 }
                 Ok(None) => return Err(TrapResult::Block(BlockReason::TokenWait { link: link.0 })),
@@ -620,7 +621,7 @@ impl Runtime {
                         "wrong token width",
                     );
                 }
-                self.push_words(ctx, current, conn, *idx, &[*value])
+                self.push_words(ctx, &mut current.stall, conn, *idx, &[*value])
             }
             traps::POP_TOKEN => {
                 let [conn, idx] = args else {
@@ -648,17 +649,19 @@ impl Runtime {
                 }
                 let tw = self.token_words(conn) as usize;
                 // The stub's caller holds the struct in its locals.
-                let depth = current.frames.len();
+                let depth = current.frame_depth();
                 if depth < 2 {
                     return TrapResult::Fault("struct push without caller");
                 }
-                let caller = &current.frames[depth - 2];
+                let caller = current.frame_locals(depth - 2);
                 let base = *local_base as usize;
-                if base + tw > caller.locals.len() {
+                if base + tw > caller.len() {
                     return self.fail("struct push out of caller frame".into(), "bad struct slot");
                 }
-                let words: Vec<Word> = caller.locals[base..base + tw].to_vec();
-                self.push_words(ctx, current, conn, *idx, &words)
+                let mut stall = 0;
+                let r = self.push_words(ctx, &mut stall, conn, *idx, &caller[base..base + tw]);
+                current.stall += stall;
+                r
             }
             traps::POP_STRUCT => {
                 let [conn, idx, local_base] = args else {
@@ -671,19 +674,18 @@ impl Runtime {
                 let tw = self.token_words(conn) as usize;
                 match self.fill_window(ctx, current, conn, *idx) {
                     Ok(off) => {
-                        let words: Vec<Word> =
-                            self.conns_rt[conn.0 as usize].window[off..off + tw].to_vec();
-                        let depth = current.frames.len();
+                        let depth = current.frame_depth();
                         if depth < 2 {
                             return TrapResult::Fault("struct pop without caller");
                         }
-                        let caller = &mut current.frames[depth - 2];
+                        let caller = current.frame_locals_mut(depth - 2);
                         let base = *local_base as usize;
-                        if base + tw > caller.locals.len() {
+                        if base + tw > caller.len() {
                             return self
                                 .fail("struct pop out of caller frame".into(), "bad struct slot");
                         }
-                        caller.locals[base..base + tw].copy_from_slice(&words);
+                        caller[base..base + tw]
+                            .copy_from_slice(&self.conns_rt[conn.0 as usize].window[off..off + tw]);
                         TrapResult::Done
                     }
                     Err(r) => r,
@@ -878,12 +880,12 @@ impl Runtime {
                 self.stats.tokens_popped += 1;
                 k.record(self.pop_buf.first().copied().unwrap_or(0));
                 let conn = k.conn;
-                let words = self.pop_buf.clone();
+                let words = &self.pop_buf;
                 self.events.push_env(|| RuntimeEvent::TokenPopped {
                     conn,
                     link,
                     index,
-                    value: Value::record(ty, words),
+                    value: Value::record(ty, words.clone()),
                 });
             }
         }

@@ -63,9 +63,9 @@ const N_MBS: u64 = 256;
 const ENV_SEED: u32 = 0xbeef;
 
 /// Pinned readings.
-const RUN_ALLOCATIONS: u64 = 8_818;
-const REVERSE_PAIR_ALLOCATIONS: u64 = 3_717;
-const BARE_RUN_ALLOCATIONS: u64 = 8_276;
+const RUN_ALLOCATIONS: u64 = 594;
+const REVERSE_PAIR_ALLOCATIONS: u64 = 637;
+const BARE_RUN_ALLOCATIONS: u64 = 0;
 
 fn decode_session() -> Session {
     let (sys, app) = build_decoder(Bug::None, N_MBS, PlatformConfig::default()).unwrap();
