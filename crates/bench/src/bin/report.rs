@@ -16,9 +16,11 @@
 //! the build environment is offline, no serde).
 //!
 //! `--e1-smoke` runs only the E1 work gate at 64 macroblocks: each of
-//! the five configurations must decode the pinned number of cycles and
-//! track the pinned number of tokens, and the debugger must look at no
-//! more than 3 PEs per simulated cycle. Wall time is not judged.
+//! the five configurations must decode the pinned number of cycles,
+//! track the pinned number of tokens, retire the pinned number of
+//! instructions and dispatch the pinned number of traps, and the
+//! debugger must look at no more than 3 PEs per simulated cycle. Wall
+//! time is not judged.
 //!
 //! `--e6-smoke` runs only the E6 recording gate: a 256-macroblock decode
 //! under `catch recv pipe::mc_in` must stop at the same cycles and end in
@@ -501,43 +503,70 @@ fn run_e11_smoke() -> i32 {
     }
 }
 
-/// E1 at smoke size: every configuration's simulated cycles and tracked
-/// tokens, as the full report at its default size gives them.
+/// E1 at smoke size: every configuration's simulated cycles, tracked
+/// tokens, retired instructions and trap dispatches
+/// (`MachineWork::dispatches`), as the full report at its default size
+/// gives them.
 const E1_SMOKE_MBS: u64 = 64;
-const E1_PINNED: [(DebugConfig, u64, usize); 5] = [
-    (DebugConfig::Baseline, 19_459, 0),
-    (DebugConfig::AllBreakpoints, 19_460, 960),
-    (DebugConfig::DisabledUntilCritical, 19_460, 192),
-    (DebugConfig::ActorSpecific, 19_460, 576),
-    (DebugConfig::FrameworkCooperation, 19_460, 960),
+const E1_PINNED: [(DebugConfig, u64, usize, u64, u64); 5] = [
+    (DebugConfig::Baseline, 19_459, 0, 27_391, 3_661),
+    (DebugConfig::AllBreakpoints, 19_460, 960, 27_391, 3_661),
+    (
+        DebugConfig::DisabledUntilCritical,
+        19_460,
+        192,
+        27_391,
+        3_661,
+    ),
+    (DebugConfig::ActorSpecific, 19_460, 576, 27_391, 3_661),
+    (
+        DebugConfig::FrameworkCooperation,
+        19_460,
+        960,
+        27_391,
+        3_661,
+    ),
 ];
 /// The debugger looks at most this many PEs per simulated cycle.
 const E1_MAX_VISITS_PER_CYCLE: u64 = 3;
 
 /// The CI gate behind `--e1-smoke`: the five E1 configurations decode
-/// the pinned number of cycles and track the pinned number of tokens,
-/// and the debugger's PE visits stay within the per-cycle bound. No wall
-/// time is judged.
+/// the pinned number of cycles, track the pinned number of tokens,
+/// retire the pinned number of instructions and dispatch the pinned
+/// number of traps, and the debugger's PE visits stay within the
+/// per-cycle bound. No wall time is judged.
 fn run_e1_smoke() -> i32 {
     println!("e1-smoke: debugger intrusiveness, {E1_SMOKE_MBS} macroblocks");
     let mut failures = 0;
-    for (cfg, cycles, tokens) in E1_PINNED {
+    for (cfg, cycles, tokens, instructions, dispatches) in E1_PINNED {
         let r = run_overhead(cfg, E1_SMOKE_MBS);
         println!(
-            "e1-smoke: {:<28} {} cycles, {} tokens, {} PE visits, {} probes, {} wakeups",
+            "e1-smoke: {:<28} {} cycles, {} tokens, {} instructions, {} dispatches, \
+             {} PE visits, {} probes, {} wakeups",
             cfg.label(),
             r.cycles,
             r.tokens_tracked,
+            r.instructions,
+            r.work.dispatches,
             r.pe_visits,
             r.work.probes,
             r.work.wakeups
         );
-        if (r.cycles, r.tokens_tracked) != (cycles, tokens) {
+        let got = (
+            r.cycles,
+            r.tokens_tracked,
+            r.instructions,
+            r.work.dispatches,
+        );
+        if got != (cycles, tokens, instructions, dispatches) {
             eprintln!(
-                "e1-smoke: FAIL: {}: {} cycles, {} tokens (pinned {cycles}, {tokens})",
+                "e1-smoke: FAIL: {}: {} cycles, {} tokens, {} instructions, {} dispatches \
+                 (pinned {cycles}, {tokens}, {instructions}, {dispatches})",
                 cfg.label(),
                 r.cycles,
-                r.tokens_tracked
+                r.tokens_tracked,
+                r.instructions,
+                r.work.dispatches
             );
             failures += 1;
         }

@@ -69,6 +69,8 @@ pub struct OverheadResult {
     pub tokens_tracked: usize,
     /// PE inspections the debugger's run loop made (0 for baseline).
     pub pe_visits: u64,
+    /// Instructions the PEs retired.
+    pub instructions: u64,
     /// The machine's wakeups, still-blocked probes and trap dispatches.
     pub work: MachineWork,
 }
@@ -80,7 +82,8 @@ const SEED: u32 = 0xbeef;
 pub fn run_overhead(config: DebugConfig, n_mbs: u64) -> OverheadResult {
     let expect = golden::checksum(&golden::decode_stream(n_mbs as u32, SEED));
     let start = Instant::now();
-    let (cycles, checksum, tokens, pe_visits, work) = match config {
+    let retired = |sys: &pedf::System| sys.platform.pes.iter().map(|p| p.retired).sum();
+    let (cycles, checksum, tokens, pe_visits, instructions, work) = match config {
         DebugConfig::Baseline => {
             let (sys, app) = h264_pipeline::run_decoder_with_caps(
                 Bug::None,
@@ -92,7 +95,14 @@ pub fn run_overhead(config: DebugConfig, n_mbs: u64) -> OverheadResult {
             .expect("baseline decode");
             assert!(sys.platform.is_quiescent() && sys.first_fault().is_none());
             let sink = sys.runtime.sink_for(app.boundary_out["frame_out"]).unwrap();
-            (sys.clock(), sink.checksum, 0, 0, sys.platform.work())
+            (
+                sys.clock(),
+                sink.checksum,
+                0,
+                0,
+                retired(&sys),
+                sys.platform.work(),
+            )
         }
         _ => {
             let (sys, app) =
@@ -155,6 +165,7 @@ pub fn run_overhead(config: DebugConfig, n_mbs: u64) -> OverheadResult {
                 sink.checksum,
                 s.model.tokens.allocated() as usize,
                 s.pe_visits(),
+                retired(&s.sys),
                 s.sys.platform.work(),
             )
         }
@@ -173,6 +184,7 @@ pub fn run_overhead(config: DebugConfig, n_mbs: u64) -> OverheadResult {
         checksum,
         tokens_tracked: tokens,
         pe_visits,
+        instructions,
         work,
     }
 }
