@@ -626,10 +626,11 @@ fn main() {
     println!("E1  Debugger intrusiveness (§V): decode of {n_mbs} macroblocks");
     println!("=====================================================================");
     println!(
-        "{:<28} {:>12} {:>12} {:>9} {:>8} {:>9} {:>7} {:>7}",
+        "{:<28} {:>12} {:>12} {:>9} {:>9} {:>8} {:>9} {:>7} {:>7}",
         "configuration",
         "wall time",
         "sim cycles",
+        "ns/cycle",
         "tokens",
         "slowdown",
         "visits/cy",
@@ -645,10 +646,11 @@ fn main() {
         let base = *baseline_wall.get_or_insert(r.wall.as_secs_f64());
         let slowdown = r.wall.as_secs_f64() / base;
         println!(
-            "{:<28} {:>10.2}ms {:>12} {:>9} {:>7.2}x {:>9.2} {:>7} {:>7}",
+            "{:<28} {:>10.2}ms {:>12} {:>9.1} {:>9} {:>7.2}x {:>9.2} {:>7} {:>7}",
             cfg.label(),
             r.wall.as_secs_f64() * 1e3,
             r.cycles,
+            r.wall.as_secs_f64() * 1e9 / r.cycles as f64,
             r.tokens_tracked,
             slowdown,
             r.pe_visits as f64 / r.cycles as f64,
@@ -657,11 +659,15 @@ fn main() {
         );
         e1.push(format!(
             "{{\"config\": {}, \"wall_ms\": {:.3}, \"cycles\": {}, \
+             \"ns_per_cycle\": {:.1}, \"instructions\": {}, \"dispatches\": {}, \
              \"tokens\": {}, \"slowdown\": {:.3}, \"pe_visits\": {}, \
              \"probes\": {}, \"wakeups\": {}}}",
             jstr(cfg.label()),
             r.wall.as_secs_f64() * 1e3,
             r.cycles,
+            r.wall.as_secs_f64() * 1e9 / r.cycles as f64,
+            r.instructions,
+            r.work.dispatches,
             r.tokens_tracked,
             slowdown,
             r.pe_visits,

@@ -151,9 +151,9 @@ pub struct Frame {
     /// Where `Ret` resumes in the caller.
     pub ret_addr: CodeAddr,
     /// Value-stack index of local 0.
-    pub locals_base: usize,
+    locals_base: usize,
     /// Value-stack index of the first operand: the end of the locals.
-    pub stack_base: usize,
+    stack_base: usize,
 }
 
 impl Frame {
