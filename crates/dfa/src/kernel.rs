@@ -15,10 +15,14 @@
 //! on a port is `max(i) + 1` over the indices it touches, not the number
 //! of accesses.
 //!
+//! Helper calls are inlined, recursive ones too, up to [`CALL_DEPTH`]
+//! nested helpers. A call past that limit is not entered: it returns an
+//! unknown value, and every port the callee can reach (through its own
+//! calls too) gets an unbounded upper rate.
+//!
 //! Documented imprecision (all sound over-approximations): 32-bit
 //! wrap-around is modeled as saturation; a write to any field marks the
-//! whole struct local initialized; recursive helper calls return unknown
-//! without being entered.
+//! whole struct local initialized.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -34,7 +38,8 @@ use crate::rules;
 /// kernel loops (the only precise-rate-relevant kind) are far shorter.
 const LOOP_FUEL: u32 = 128;
 
-/// Maximum helper-call inlining depth.
+/// Maximum helper-call inlining depth, counted from `work` (recursion is
+/// inlined down to it).
 const CALL_DEPTH: usize = 12;
 
 /// Tokens per firing on one port: `[min, max]`, `max == None` meaning
@@ -206,7 +211,8 @@ struct Interp<'a> {
     meta: BTreeMap<String, PortMeta>,
     seq: u32,
     cur_line: u32,
-    call_stack: Vec<String>,
+    /// Helper calls being inlined (including `work`).
+    depth: usize,
     /// Per-inlined-function frames of states captured at `return`.
     fn_exits: Vec<Vec<State>>,
     ret_vals: Vec<Vec<Iv>>,
@@ -433,12 +439,21 @@ impl<'a> Interp<'a> {
         let Some(f) = self.unit.funcs.iter().find(|f| f.name == name) else {
             return Iv::top();
         };
-        if self.call_stack.len() >= CALL_DEPTH || self.call_stack.iter().any(|n| n == name) {
-            // Recursion / pathological depth: give up on the return value
-            // (and, documented, on io effects of the recursive part).
+        if self.depth >= CALL_DEPTH {
+            // Too deep to inline (deep recursion ends here): the value is
+            // unknown, and so is how often the callee's ports are used.
+            for (conn, write) in reachable_ports(self.unit, name) {
+                self.meta.entry(conn.to_string()).or_default();
+                let c = st.io.entry(conn.to_string()).or_default();
+                if write {
+                    c.write.hi = INF;
+                } else {
+                    c.read.hi = INF;
+                }
+            }
             return Iv::top();
         }
-        self.call_stack.push(name.to_string());
+        self.depth += 1;
         let saved_vars = std::mem::take(&mut st.vars);
         for ((pname, _), v) in f.params.iter().zip(argv) {
             st.vars.insert(
@@ -472,7 +487,7 @@ impl<'a> Interp<'a> {
         st.flow = Flow::Normal;
         self.loop_breaks = saved_breaks;
         self.loop_continues = saved_conts;
-        self.call_stack.pop();
+        self.depth -= 1;
         self.cur_line = saved_line;
         ret.unwrap_or_else(|| Iv::exact(0))
     }
@@ -766,6 +781,103 @@ impl<'a> Interp<'a> {
     }
 }
 
+/// The ports helper `name` can reach, directly or through the helpers it
+/// calls, each with whether it writes (`true`) or reads (`false`) there.
+fn reachable_ports<'u>(unit: &'u Unit, name: &str) -> Vec<(&'u str, bool)> {
+    let mut ports = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
+    let mut todo = vec![name];
+    while let Some(n) = todo.pop() {
+        let Some(f) = unit.funcs.iter().find(|f| f.name == n) else {
+            continue;
+        };
+        if seen.contains(&f.name.as_str()) {
+            continue;
+        }
+        seen.push(&f.name);
+        any_site_block(&f.body, &mut |site| {
+            match site {
+                Site::Read(c) => ports.push((c, false)),
+                Site::Write(c) => ports.push((c, true)),
+                Site::Call(callee) => todo.push(callee),
+            }
+            false
+        });
+    }
+    ports
+}
+
+/// One place where a kernel can move tokens: a port read or write, or a
+/// helper call (which may do either).
+enum Site<'s> {
+    Read(&'s str),
+    Write(&'s str),
+    Call(&'s str),
+}
+
+/// Offer every [`Site`] in `b` to `f` until it returns `true`; return
+/// whether it did.
+fn any_site_block<'s>(b: &'s Block, f: &mut impl FnMut(Site<'s>) -> bool) -> bool {
+    b.stmts.iter().any(|s| any_site_stmt(s, f))
+}
+
+fn any_site_stmt<'s>(s: &'s Stmt, f: &mut impl FnMut(Site<'s>) -> bool) -> bool {
+    match s {
+        Stmt::Decl { init, .. } => init.as_ref().is_some_and(|e| any_site_expr(e, f)),
+        Stmt::Assign { target, value, .. } => {
+            any_site_expr(value, f)
+                || match target {
+                    LValue::Io { conn, index } => f(Site::Write(conn)) || any_site_expr(index, f),
+                    LValue::Mem(e) => any_site_expr(e, f),
+                    LValue::Var(_) | LValue::Field(..) | LValue::Data(_) | LValue::Attr(_) => false,
+                }
+        }
+        Stmt::If {
+            cond,
+            then_blk,
+            else_blk,
+            ..
+        } => {
+            any_site_expr(cond, f)
+                || any_site_block(then_blk, f)
+                || else_blk.as_ref().is_some_and(|b| any_site_block(b, f))
+        }
+        Stmt::While { cond, body, .. } => any_site_expr(cond, f) || any_site_block(body, f),
+        Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+            ..
+        } => {
+            init.as_deref().is_some_and(|s| any_site_stmt(s, f))
+                || cond.as_ref().is_some_and(|e| any_site_expr(e, f))
+                || step.as_deref().is_some_and(|s| any_site_stmt(s, f))
+                || any_site_block(body, f)
+        }
+        Stmt::Return { value, .. } => value.as_ref().is_some_and(|e| any_site_expr(e, f)),
+        Stmt::ExprStmt { expr, .. } => any_site_expr(expr, f),
+        Stmt::Break { .. } | Stmt::Continue { .. } => false,
+        Stmt::Nested(b) => any_site_block(b, f),
+    }
+}
+
+fn any_site_expr<'s>(e: &'s Expr, f: &mut impl FnMut(Site<'s>) -> bool) -> bool {
+    match e {
+        Expr::Num(_) | Expr::Var(_) | Expr::Field(..) => false,
+        Expr::Unary(_, a) => any_site_expr(a, f),
+        Expr::Binary(_, a, b) => any_site_expr(a, f) || any_site_expr(b, f),
+        Expr::Call { name, args } => {
+            f(Site::Call(name)) || args.iter().any(|a| any_site_expr(a, f))
+        }
+        Expr::Pedf(PedfExpr::IoRead { conn, index }) => {
+            f(Site::Read(conn)) || any_site_expr(index, f)
+        }
+        Expr::Pedf(PedfExpr::Mem(a) | PedfExpr::Print(a)) => any_site_expr(a, f),
+        Expr::Pedf(_) => false,
+    }
+}
+
 fn havoc(st: &mut State, names: &HashSet<&str>) {
     for (name, v) in st.vars.iter_mut() {
         if names.contains(name.as_str()) {
@@ -842,7 +954,7 @@ pub fn analyze_kernel(unit: &Unit, file: &str, qname: &str, ports: &[String]) ->
         meta: BTreeMap::new(),
         seq: 0,
         cur_line: work.line,
-        call_stack: vec!["work".to_string()],
+        depth: 1,
         fn_exits: vec![Vec::new()],
         ret_vals: vec![Vec::new()],
         loop_breaks: Vec::new(),
@@ -1009,6 +1121,29 @@ mod tests {
         );
         assert_eq!(port(&r, "in_a").reads.as_exact(), Some(1));
         assert_eq!(port(&r, "out").writes.as_exact(), Some(2));
+    }
+
+    /// A recursive helper's IO is inlined like any other call's.
+    #[test]
+    fn recursive_helpers_are_inlined_for_rates() {
+        let r = analyze(
+            "void emit(U32 n, U32 i) { if (n == 0) { return; } pedf.io.out[i] = n; emit(n - 1, i + 1); }\n\
+             void work() { emit(3, 0); }",
+        );
+        assert_eq!(port(&r, "out").writes.as_exact(), Some(3));
+    }
+
+    /// Past the inlining depth the callee's ports are unbounded.
+    #[test]
+    fn recursion_past_the_depth_limit_widens_the_ports_it_reaches() {
+        let r = analyze(
+            "U32 get(U32 i) { return pedf.io.in_a[i]; }\n\
+             void emit(U32 n, U32 i) { if (n == 0) { return; } pedf.io.out[i] = get(i); emit(n - 1, i + 1); }\n\
+             void work() { emit(20, 0); }",
+        );
+        let (w, rd) = (port(&r, "out").writes, port(&r, "in_a").reads);
+        assert_eq!((w.min, w.max), (CALL_DEPTH as u32 - 1, None));
+        assert_eq!(rd.max, None);
     }
 
     #[test]
