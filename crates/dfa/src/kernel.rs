@@ -1,19 +1,39 @@
 //! Pass 1 — kernel analysis.
 //!
-//! An abstract interpreter over the kernelc AST executing `work` (inlining
-//! helper calls) on the interval domain of [`crate::interval`]. It derives,
-//! per port, the number of tokens produced/consumed **per firing** — exact
-//! where control flow is rate-independent, `[min,max]` intervals where
-//! pushes/pops sit behind data-dependent predicates or unbounded loops —
-//! and raises the local safety lints (`DFA101` use-before-init, `DFA103`
-//! unreachable code). Constant io indices and first-access ordering are
-//! recorded for pass 2 (`DFA102` capacity checks, deadlock "breaker"
-//! analysis).
+//! The one abstract interpreter over the kernelc AST: it executes `work`
+//! (inlining helper calls) on the interval domain of [`crate::interval`]
+//! and has two outputs.
 //!
-//! The io-rate semantics follow the runtime: `pedf.io.conn[i]` addresses
-//! the i-th queued token of the current firing, so a firing's consumption
-//! on a port is `max(i) + 1` over the indices it touches, not the number
-//! of accesses.
+//! * **Rates.** Per port, the number of tokens produced/consumed **per
+//!   firing** — exact where control flow is rate-independent, `[min,max]`
+//!   intervals where pushes/pops sit behind data-dependent predicates or
+//!   unbounded loops — plus the local safety lints (`DFA101`
+//!   use-before-init, `DFA103` unreachable code). Constant io indices and
+//!   first-access ordering are recorded for pass 2 (`DFA102` capacity
+//!   checks, deadlock "breaker" analysis).
+//! * **Order.** [`KernelReport::io_order`], the firing's unit pops and
+//!   pushes in program order, which `sched` needs for buffer sizing:
+//!   whether `red` pushes its second token before or after `pipe` can pop
+//!   the first decides whether capacity 1 deadlocks. The walk follows one
+//!   path wherever branches are decided and refuses to guess where they
+//!   are not: the order is *not fixed* (`None`) after an undecided `if`,
+//!   `&&` or `||` with IO in an arm, an undecided loop with IO in its body
+//!   or step, a loop that runs out of [`LOOP_FUEL`], a read whose index is
+//!   not a constant below [`MAX_WINDOW`], a controller primitive, or a
+//!   call past [`CALL_DEPTH`] to a callee with IO. "IO" is syntactic here,
+//!   and a helper call counts as IO.
+//!
+//! The io semantics follow the runtime: `pedf.io.conn[i]` addresses the
+//! i-th queued token of the current firing, so a firing's consumption on a
+//! port is `max(i) + 1` over the indices it touches, not the number of
+//! accesses, and the first read of index `i` pops every token up to it.
+//! Writes go out in index order, one token per executed assignment; the
+//! value is evaluated first, then the index, then the token is pushed.
+//!
+//! Values written during the firing to `pedf.data.*`, `pedf.attribute.*`
+//! and struct fields are tracked. An undecided loop forgets the locals and
+//! fields it assigns, and every `pedf.data`/`pedf.attribute` value (a
+//! helper it calls may write them).
 //!
 //! Helper calls are inlined, recursive ones too, up to [`CALL_DEPTH`]
 //! nested helpers. A call past that limit is not entered: it returns an
@@ -36,11 +56,32 @@ use crate::rules;
 /// How many loop iterations are interpreted precisely before the analyzer
 /// falls back to a havoc-and-widen over-approximation. Constant-bound
 /// kernel loops (the only precise-rate-relevant kind) are far shorter.
-const LOOP_FUEL: u32 = 128;
+const LOOP_FUEL: u32 = 256;
 
-/// Maximum helper-call inlining depth, counted from `work` (recursion is
-/// inlined down to it).
+/// Reads at a constant index from this one on leave the order unfixed
+/// rather than record that many pops.
+const MAX_WINDOW: i64 = 1 << 16;
+
+/// Maximum number of nested helper calls inlined below `work` (recursion
+/// is inlined down to it).
 const CALL_DEPTH: usize = 12;
+
+/// One unit token operation of a firing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IoOp {
+    /// One token popped from the FIFO behind input connection `conn`.
+    Pop { conn: String },
+    /// One token pushed into the FIFO behind output connection `conn`.
+    Push { conn: String },
+}
+
+impl IoOp {
+    pub fn conn(&self) -> &str {
+        match self {
+            IoOp::Pop { conn } | IoOp::Push { conn } => conn,
+        }
+    }
+}
 
 /// Tokens per firing on one port: `[min, max]`, `max == None` meaning
 /// statically unbounded (a push/pop inside an indeterminate loop).
@@ -125,6 +166,9 @@ pub struct KernelReport {
     pub file: String,
     pub ports: BTreeMap<String, PortUse>,
     pub findings: Vec<Finding>,
+    /// The firing's unit IO in program order, each op with its source
+    /// line; `None` when the order is not fixed (see the module doc).
+    pub io_order: Option<Vec<(IoOp, u32)>>,
 }
 
 // ---- abstract machine state ---------------------------------------------
@@ -178,6 +222,11 @@ enum Flow {
 #[derive(Debug, Clone)]
 struct State {
     vars: HashMap<String, VarState>,
+    /// Known values of this frame's struct fields, keyed `var.field`.
+    fields: HashMap<String, Iv>,
+    /// Known values of `pedf.data.*` / `pedf.attribute.*`, keyed
+    /// `data.name` / `attr.name`.
+    cells: HashMap<String, Iv>,
     io: BTreeMap<String, IoCount>,
     flow: Flow,
 }
@@ -186,10 +235,46 @@ impl State {
     fn new() -> State {
         State {
             vars: HashMap::new(),
+            fields: HashMap::new(),
+            cells: HashMap::new(),
             io: BTreeMap::new(),
             flow: Flow::Normal,
         }
     }
+
+    /// Forget the fields of `var`, which was just declared or assigned
+    /// whole.
+    fn forget_fields(&mut self, var: &str) {
+        if !self.fields.is_empty() {
+            self.fields
+                .retain(|k, _| !k.strip_prefix(var).is_some_and(|f| f.starts_with('.')));
+        }
+    }
+
+    /// Forget every value an undecided loop may have changed.
+    fn havoc(&mut self, names: &HashSet<&str>) {
+        for (name, v) in self.vars.iter_mut() {
+            if names.contains(name.as_str()) {
+                v.val = Iv::top();
+            }
+        }
+        self.fields.retain(|k, _| {
+            !k.split_once('.')
+                .is_some_and(|(var, _)| names.contains(var))
+        });
+        self.cells.clear();
+    }
+}
+
+/// Join known values: a value known on one side only is unknown.
+fn join_known(into: &mut HashMap<String, Iv>, from: &HashMap<String, Iv>) {
+    into.retain(|k, v| match from.get(k) {
+        Some(w) => {
+            *v = Iv::join(*v, *w);
+            true
+        }
+        None => false,
+    });
 }
 
 #[derive(Debug, Default)]
@@ -200,6 +285,8 @@ struct PortMeta {
     write_line: u32,
     max_const_read: Option<(u32, u32)>,
     max_const_write: Option<(u32, u32)>,
+    /// Tokens this firing popped so far (the read window).
+    popped: u32,
 }
 
 struct Interp<'a> {
@@ -211,7 +298,9 @@ struct Interp<'a> {
     meta: BTreeMap<String, PortMeta>,
     seq: u32,
     cur_line: u32,
-    /// Helper calls being inlined (including `work`).
+    /// The firing's IO so far; `None` once its order is not fixed.
+    order: Option<Vec<(IoOp, u32)>>,
+    /// Helper calls being inlined below `work`.
     depth: usize,
     /// Per-inlined-function frames of states captured at `return`.
     fn_exits: Vec<Vec<State>>,
@@ -256,6 +345,8 @@ impl<'a> Interp<'a> {
     }
 
     fn join_maps(a: &mut State, b: State) {
+        join_known(&mut a.fields, &b.fields);
+        join_known(&mut a.cells, &b.cells);
         for (k, bv) in b.vars {
             match a.vars.entry(k) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -326,6 +417,30 @@ impl<'a> Interp<'a> {
         let slot = if write { &mut c.write } else { &mut c.read };
         slot.lo = slot.lo.max(lo_need);
         slot.hi = slot.hi.max(hi_need);
+        let Some(order) = &mut self.order else {
+            return;
+        };
+        if write {
+            order.push((IoOp::Push { conn: conn.into() }, line));
+            return;
+        }
+        match idx.as_exact() {
+            Some(k) if (0..MAX_WINDOW).contains(&k) => {
+                while i64::from(m.popped) <= k {
+                    m.popped += 1;
+                    order.push((IoOp::Pop { conn: conn.into() }, line));
+                }
+            }
+            _ => self.order = None,
+        }
+    }
+
+    /// Leave the order unfixed if `io` says IO is at stake on a path the
+    /// walk cannot choose.
+    fn unfix_if(&mut self, io: impl FnOnce() -> bool) {
+        if self.order.is_some() && io() {
+            self.order = None;
+        }
     }
 
     // ---- expression evaluation -------------------------------------------
@@ -361,12 +476,12 @@ impl<'a> Interp<'a> {
         match e {
             Expr::Num(n) => Iv::exact(*n as i64),
             Expr::Var(name) => self.read_var(name, st),
-            Expr::Field(base, _field) => {
-                // Per-field tracking is not attempted: reading any field of
-                // an initialized struct is fine, of an uninitialized one is
-                // the same defect as reading the variable.
+            Expr::Field(base, field) => {
+                // Reading any field of an initialized struct is fine, of an
+                // uninitialized one is the same defect as reading the
+                // variable.
                 self.read_var(base, st);
-                Iv::top()
+                known(&st.fields, || format!("{base}.{field}"))
             }
             Expr::Unary(op, inner) => {
                 let v = self.eval(inner, st);
@@ -392,6 +507,7 @@ impl<'a> Interp<'a> {
             match l.truth() {
                 t if t == skip => return Iv::from_bool(op == BinOp::LOr),
                 Tri::Maybe => {
+                    self.unfix_if(|| any_site_expr(rhs, &mut |_| true));
                     let skipped = st.clone();
                     let r = self.eval(rhs, st);
                     Self::join_branch(st, skipped);
@@ -411,7 +527,8 @@ impl<'a> Interp<'a> {
                 self.io_access(conn, idx, false, st);
                 Iv::top()
             }
-            PedfExpr::Data(_) | PedfExpr::Attr(_) => Iv::top(),
+            PedfExpr::Data(name) => known(&st.cells, || format!("data.{name}")),
+            PedfExpr::Attr(name) => known(&st.cells, || format!("attr.{name}")),
             PedfExpr::Mem(addr) => {
                 // Raw memory contents are opaque here; the bytecode-level
                 // verifier (`bcv`) classifies the address itself.
@@ -419,10 +536,15 @@ impl<'a> Interp<'a> {
                 Iv::top()
             }
             PedfExpr::Available(_) | PedfExpr::Space(_) => Iv::top(),
-            PedfExpr::Run => Iv::boolean(),
             PedfExpr::Print(e) => {
                 self.eval(e, st);
                 Iv::exact(0)
+            }
+            // Controller scheduling primitives: a walk that meets one is
+            // not a filter firing, so it has no fixed order.
+            PedfExpr::Run => {
+                self.order = None;
+                Iv::boolean()
             }
             PedfExpr::Start(_)
             | PedfExpr::Sync(_)
@@ -430,7 +552,10 @@ impl<'a> Interp<'a> {
             | PedfExpr::WaitInit
             | PedfExpr::WaitSync
             | PedfExpr::StepBegin
-            | PedfExpr::StepEnd => Iv::exact(0),
+            | PedfExpr::StepEnd => {
+                self.order = None;
+                Iv::exact(0)
+            }
         }
     }
 
@@ -439,9 +564,10 @@ impl<'a> Interp<'a> {
         let Some(f) = self.unit.funcs.iter().find(|f| f.name == name) else {
             return Iv::top();
         };
-        if self.depth >= CALL_DEPTH {
+        if self.depth >= CALL_DEPTH || f.params.len() != argv.len() {
             // Too deep to inline (deep recursion ends here): the value is
             // unknown, and so is how often the callee's ports are used.
+            self.unfix_if(|| any_site_block(&f.body, &mut |_| true));
             for (conn, write) in reachable_ports(self.unit, name) {
                 self.meta.entry(conn.to_string()).or_default();
                 let c = st.io.entry(conn.to_string()).or_default();
@@ -455,6 +581,7 @@ impl<'a> Interp<'a> {
         }
         self.depth += 1;
         let saved_vars = std::mem::take(&mut st.vars);
+        let saved_fields = std::mem::take(&mut st.fields);
         for ((pname, _), v) in f.params.iter().zip(argv) {
             st.vars.insert(
                 pname.clone(),
@@ -474,6 +601,7 @@ impl<'a> Interp<'a> {
         let rets = self.ret_vals.pop().unwrap();
         let fell_through = st.flow != Flow::Returned;
         for e in exits {
+            join_known(&mut st.cells, &e.cells);
             Self::join_io(&mut st.io, e.io);
         }
         let mut ret = fell_through.then(|| Iv::exact(0));
@@ -484,6 +612,7 @@ impl<'a> Interp<'a> {
             });
         }
         st.vars = saved_vars;
+        st.fields = saved_fields;
         st.flow = Flow::Normal;
         self.loop_breaks = saved_breaks;
         self.loop_continues = saved_conts;
@@ -524,6 +653,7 @@ impl<'a> Interp<'a> {
     }
 
     fn declare(&mut self, name: &str, v: VarState, st: &mut State, shadow: &mut Shadow) {
+        st.forget_fields(name);
         shadow.push((name.to_string(), st.vars.insert(name.to_string(), v)));
     }
 
@@ -549,6 +679,7 @@ impl<'a> Interp<'a> {
                 match target {
                     LValue::Var(name) => {
                         let v = self.eval(value, st);
+                        st.forget_fields(name);
                         st.vars.insert(
                             name.clone(),
                             VarState {
@@ -557,8 +688,8 @@ impl<'a> Interp<'a> {
                             },
                         );
                     }
-                    LValue::Field(base, _field) => {
-                        self.eval(value, st);
+                    LValue::Field(base, field) => {
+                        let v = self.eval(value, st);
                         // A field write makes the whole struct "initialized"
                         // for the purpose of DFA101 (documented imprecision).
                         st.vars.insert(
@@ -568,14 +699,20 @@ impl<'a> Interp<'a> {
                                 init: Init::Yes,
                             },
                         );
+                        st.fields.insert(format!("{base}.{field}"), v);
                     }
                     LValue::Io { conn, index } => {
-                        let idx = self.eval(index, st);
                         self.eval(value, st);
+                        let idx = self.eval(index, st);
                         self.io_access(conn, idx, true, st);
                     }
-                    LValue::Data(_) | LValue::Attr(_) => {
-                        self.eval(value, st);
+                    LValue::Data(name) => {
+                        let v = self.eval(value, st);
+                        st.cells.insert(format!("data.{name}"), v);
+                    }
+                    LValue::Attr(name) => {
+                        let v = self.eval(value, st);
+                        st.cells.insert(format!("attr.{name}"), v);
                     }
                     LValue::Mem(addr) => {
                         self.eval(addr, st);
@@ -598,6 +735,12 @@ impl<'a> Interp<'a> {
                         }
                     }
                     Tri::Maybe => {
+                        self.unfix_if(|| {
+                            any_site_block(then_blk, &mut |_| true)
+                                || else_blk
+                                    .as_ref()
+                                    .is_some_and(|b| any_site_block(b, &mut |_| true))
+                        });
                         let mut other = st.clone();
                         self.exec_block(then_blk, st);
                         if let Some(e) = else_blk {
@@ -607,21 +750,21 @@ impl<'a> Interp<'a> {
                     }
                 }
             }
-            Stmt::While { cond, body, .. } => {
-                self.exec_loop(Some(cond), None, body, st);
+            Stmt::While { cond, body, line } => {
+                self.exec_loop(*line, Some(cond), None, body, st);
             }
             Stmt::For {
                 init,
                 cond,
                 step,
                 body,
-                ..
+                line,
             } => {
                 let mut for_shadow: Shadow = Vec::new();
                 if let Some(i) = init {
                     self.exec_stmt(i, st, &mut for_shadow);
                 }
-                self.exec_loop(cond.as_ref(), step.as_deref(), body, st);
+                self.exec_loop(*line, cond.as_ref(), step.as_deref(), body, st);
                 for (name, old) in for_shadow.into_iter().rev() {
                     match old {
                         Some(v) => {
@@ -667,9 +810,11 @@ impl<'a> Interp<'a> {
     /// Shared loop executor (`while` has no step). Constant-bound loops are
     /// unrolled precisely up to [`LOOP_FUEL`] iterations; an indeterminate
     /// condition or exhausted fuel falls back to havoc → one body pass →
-    /// havoc, widening touched io counters to unbounded.
+    /// havoc, widening touched io counters to unbounded. The condition's
+    /// IO is ordered at the loop's `line`.
     fn exec_loop(
         &mut self,
+        line: u32,
         cond: Option<&Expr>,
         step: Option<&Stmt>,
         body: &Block,
@@ -680,6 +825,7 @@ impl<'a> Interp<'a> {
         let mut exits: Vec<State> = Vec::new();
         let mut fuel = LOOP_FUEL;
         loop {
+            self.cur_line = line;
             let t = match cond {
                 Some(c) => self.eval(c, st).truth(),
                 None => Tri::True,
@@ -693,12 +839,20 @@ impl<'a> Interp<'a> {
                 exits.push(st.clone());
             }
             if t == Tri::Maybe || fuel == 0 {
+                if t == Tri::Maybe {
+                    self.unfix_if(|| {
+                        any_site_block(body, &mut |_| true)
+                            || step.is_some_and(|s| any_site_stmt(s, &mut |_| true))
+                    });
+                } else {
+                    self.order = None;
+                }
                 let mut assigned = HashSet::new();
                 collect_assigned_block(body, &mut assigned);
                 if let Some(s) = step {
                     collect_assigned_stmt(s, &mut assigned);
                 }
-                havoc(st, &assigned);
+                st.havoc(&assigned);
                 let io_before = st.io.clone();
                 self.exec_block(body, st);
                 self.drain_continues(st);
@@ -708,7 +862,7 @@ impl<'a> Interp<'a> {
                         self.exec_stmt(s, st, &mut sh);
                     }
                 }
-                havoc(st, &assigned);
+                st.havoc(&assigned);
                 for (k, c) in st.io.iter_mut() {
                     let before = io_before.get(k).copied().unwrap_or_default();
                     if c.read.hi > before.read.hi {
@@ -878,12 +1032,12 @@ fn any_site_expr<'s>(e: &'s Expr, f: &mut impl FnMut(Site<'s>) -> bool) -> bool 
     }
 }
 
-fn havoc(st: &mut State, names: &HashSet<&str>) {
-    for (name, v) in st.vars.iter_mut() {
-        if names.contains(name.as_str()) {
-            v.val = Iv::top();
-        }
+/// The known value under the key `key()` builds, or unknown.
+fn known(m: &HashMap<String, Iv>, key: impl FnOnce() -> String) -> Iv {
+    if m.is_empty() {
+        return Iv::top();
     }
+    m.get(&key()).copied().unwrap_or_else(Iv::top)
 }
 
 fn collect_assigned_block<'s>(b: &'s Block, out: &mut HashSet<&'s str>) {
@@ -941,6 +1095,7 @@ pub fn analyze_kernel(unit: &Unit, file: &str, qname: &str, ports: &[String]) ->
             .map(|p| (p.clone(), PortUse::default()))
             .collect(),
         findings: Vec::new(),
+        io_order: Some(Vec::new()),
     };
     let Some(work) = unit.funcs.iter().find(|f| f.name == "work") else {
         return report;
@@ -954,7 +1109,8 @@ pub fn analyze_kernel(unit: &Unit, file: &str, qname: &str, ports: &[String]) ->
         meta: BTreeMap::new(),
         seq: 0,
         cur_line: work.line,
-        depth: 1,
+        order: Some(Vec::new()),
+        depth: 0,
         fn_exits: vec![Vec::new()],
         ret_vals: vec![Vec::new()],
         loop_breaks: Vec::new(),
@@ -987,6 +1143,7 @@ pub fn analyze_kernel(unit: &Unit, file: &str, qname: &str, ports: &[String]) ->
         pu.max_const_write = m.max_const_write;
     }
     report.findings = interp.findings;
+    report.io_order = interp.order;
     report
 }
 
@@ -1142,7 +1299,7 @@ mod tests {
              void work() { emit(20, 0); }",
         );
         let (w, rd) = (port(&r, "out").writes, port(&r, "in_a").reads);
-        assert_eq!((w.min, w.max), (CALL_DEPTH as u32 - 1, None));
+        assert_eq!((w.min, w.max), (CALL_DEPTH as u32, None));
         assert_eq!(rd.max, None);
     }
 
@@ -1254,6 +1411,263 @@ mod tests {
         assert!(port(&r, "a").used);
         assert!(!port(&r, "b").used);
         assert_eq!(port(&r, "b").reads.as_exact(), Some(0));
+    }
+
+    /// The fixed order as `pop x` / `push out` strings; `None` when the
+    /// order is not fixed.
+    fn order(r: &KernelReport) -> Option<Vec<String>> {
+        let ops = r.io_order.as_ref()?;
+        Some(
+            ops.iter()
+                .map(|(op, _)| match op {
+                    IoOp::Pop { conn } => format!("pop {conn}"),
+                    IoOp::Push { conn } => format!("push {conn}"),
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn straight_line_io_is_ordered_as_written() {
+        let r = analyze(
+            "void work() {
+    U32 a = pedf.io.x[0];
+    pedf.io.out[0] = a + 1;
+    U32 b = pedf.io.x[1];
+    pedf.io.out2[0] = b;
+}",
+        );
+        assert_eq!(
+            order(&r).unwrap(),
+            ["pop x", "push out", "pop x", "push out2"]
+        );
+        let lines: Vec<u32> = r.io_order.unwrap().iter().map(|(_, l)| *l).collect();
+        assert_eq!(lines, [2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn window_reads_pop_up_to_the_index_once() {
+        // Reading [1] after [0] pops once more; re-reading [0] pops none.
+        let r = analyze(
+            "void work() {
+    U32 a = pedf.io.x[1];
+    U32 b = pedf.io.x[0];
+    pedf.io.out[0] = a + b;
+}",
+        );
+        assert_eq!(order(&r).unwrap(), ["pop x", "pop x", "push out"]);
+        assert_eq!(port(&r, "x").reads.as_exact(), Some(2));
+        assert_eq!(port(&r, "out").writes.as_exact(), Some(1));
+    }
+
+    #[test]
+    fn constant_loops_are_ordered_iteration_by_iteration() {
+        let r = analyze(
+            "void work() {
+    U32 i;
+    for (i = 0; i < 3; i = i + 1) {
+        pedf.io.out[i] = pedf.io.x[i];
+    }
+}",
+        );
+        assert_eq!(
+            order(&r).unwrap(),
+            ["pop x", "push out", "pop x", "push out", "pop x", "push out"]
+        );
+    }
+
+    /// The value is evaluated before the index, and both before the push.
+    #[test]
+    fn a_write_pops_for_its_value_then_its_index_then_pushes() {
+        let r = analyze("void work() { pedf.io.out[pedf.io.y[0] * 0] = pedf.io.x[0]; }");
+        assert_eq!(order(&r).unwrap(), ["pop x", "pop y", "push out"]);
+    }
+
+    /// A token read into an `I32` may be negative: `v < 0` on it is not
+    /// decided, so the push under it leaves the order unfixed.
+    #[test]
+    fn signed_compare_on_an_unknown_token_unfixes_the_order() {
+        let r = analyze(
+            "void work() {
+    I32 v = pedf.io.x[0];
+    if (v < 0) { pedf.io.out[0] = 1; }
+}",
+        );
+        assert_eq!(order(&r), None);
+    }
+
+    #[test]
+    fn unknown_branch_without_io_keeps_the_order() {
+        let r = analyze(
+            "U32 clip(U32 v) {
+    if (v > 255) { return 255; }
+    return v;
+}
+void work() {
+    U32 a = pedf.io.x[0];
+    pedf.io.out[0] = clip(a * 2);
+}",
+        );
+        assert_eq!(order(&r).unwrap(), ["pop x", "push out"]);
+    }
+
+    #[test]
+    fn io_under_an_unknown_branch_unfixes_the_order() {
+        let r = analyze(
+            "void work() {
+    U32 a = pedf.io.x[0];
+    if (a > 10) {
+        pedf.io.out[0] = a;
+    }
+}",
+        );
+        assert_eq!(order(&r), None);
+        // A helper call counts as IO, whatever the helper does.
+        let r = analyze(
+            "U32 twice(U32 v) { return v * 2; }
+void work() {
+    U32 a = pedf.io.x[0];
+    if (a > 10) { a = twice(a); }
+    pedf.io.out[0] = a;
+}",
+        );
+        assert_eq!(order(&r), None);
+    }
+
+    #[test]
+    fn a_deciding_lhs_skips_the_rhs_io() {
+        let r = analyze(
+            "void work() {
+    U32 a = 0 && pedf.io.y[0];
+    U32 b = 1 || pedf.io.y[0];
+    pedf.io.out[0] = a + b;
+}",
+        );
+        assert_eq!(order(&r).unwrap(), ["push out"]);
+        assert!(!r.ports.contains_key("y"));
+    }
+
+    #[test]
+    fn rhs_io_under_an_unknown_lhs_unfixes_the_order() {
+        let r = analyze(
+            "void work() {
+    U32 f = pedf.io.x[0];
+    U32 a = f && pedf.io.y[0];
+    pedf.io.out[0] = a;
+}",
+        );
+        assert_eq!(order(&r), None);
+        let y = port(&r, "y").reads;
+        assert_eq!((y.min, y.max), (0, Some(1)), "the rhs may or may not pop");
+    }
+
+    #[test]
+    fn data_dependent_loop_with_io_unfixes_the_order() {
+        let r = analyze(
+            "void work() {
+    U32 n = pedf.io.x[0];
+    U32 i;
+    for (i = 0; i < n; i = i + 1) {
+        pedf.io.out[0] = i;
+    }
+}",
+        );
+        assert_eq!(order(&r), None);
+    }
+
+    #[test]
+    fn unknown_read_index_unfixes_the_order() {
+        let r = analyze("void work() { U32 n = pedf.io.x[0]; pedf.io.out[0] = pedf.io.y[n]; }");
+        assert_eq!(order(&r), None);
+        // So does a window too large to record.
+        let r = analyze("void work() { pedf.io.out[0] = pedf.io.y[70000]; }");
+        assert_eq!(order(&r), None);
+    }
+
+    #[test]
+    fn a_loop_out_of_fuel_unfixes_the_order() {
+        let r = analyze(
+            "void work() {
+    U32 i;
+    for (i = 0; i < 300; i = i + 1) { pedf.print(i); }
+    pedf.io.out[0] = 1;
+}",
+        );
+        assert_eq!(order(&r), None);
+        let r = analyze(
+            "void work() {
+    U32 i;
+    for (i = 0; i < 256; i = i + 1) { pedf.print(i); }
+    pedf.io.out[0] = 1;
+}",
+        );
+        assert_eq!(order(&r).unwrap(), ["push out"]);
+    }
+
+    #[test]
+    fn controller_primitives_unfix_the_order() {
+        let r = analyze("void work() { pedf.io.out[0] = 1; pedf.wait_sync(); }");
+        assert_eq!(order(&r), None);
+    }
+
+    #[test]
+    fn recursion_is_ordered_down_to_the_depth_limit() {
+        let r = analyze(
+            "void emit(U32 n, U32 i) { if (n == 0) { return; } pedf.io.out[i] = n; emit(n - 1, i + 1); }
+void work() { emit(3, 0); }",
+        );
+        assert_eq!(order(&r).unwrap(), ["push out"; 3]);
+        let r = analyze(
+            "void emit(U32 n, U32 i) { if (n == 0) { return; } pedf.io.out[i] = n; emit(n - 1, i + 1); }
+void work() { emit(20, 0); }",
+        );
+        assert_eq!(order(&r), None);
+    }
+
+    /// Filter state, attributes and struct fields written in the firing
+    /// keep their values, so branches on them are decided.
+    #[test]
+    fn written_state_and_fields_decide_branches() {
+        let r = analyze(
+            "void work() {
+    CbCrMB_t mb;
+    mb.Addr = 3;
+    pedf.data.k = 2;
+    pedf.attribute.a = 1;
+    if (pedf.data.k + mb.Addr + pedf.attribute.a == 6) { pedf.io.out[0] = 1; }
+}",
+        );
+        assert_eq!(order(&r).unwrap(), ["push out"]);
+        // A whole-struct assignment forgets the fields.
+        let r = analyze(
+            "void work() {
+    CbCrMB_t mb;
+    mb.Addr = 3;
+    mb = pedf.io.x[0];
+    if (mb.Addr == 3) { pedf.io.out[0] = 1; }
+}",
+        );
+        assert_eq!(order(&r), None);
+    }
+
+    /// An undecided loop forgets the locals it assigns and all filter
+    /// state, but keeps the locals it leaves alone.
+    #[test]
+    fn an_undecided_loop_forgets_what_it_may_change() {
+        let r = analyze(
+            "void work() {
+    U32 keep = 2;
+    U32 i = 0;
+    pedf.data.k = 1;
+    while (i < pedf.io.x[0]) { i = i + 1; }
+    if (keep == 2) { pedf.io.out[0] = 1; }
+    if (pedf.data.k == 1) { pedf.io.out2[0] = 1; }
+}",
+        );
+        assert_eq!(order(&r), None, "pedf.data.k is unknown after the loop");
+        assert_eq!(port(&r, "out").writes.as_exact(), Some(1));
+        let o2 = port(&r, "out2").writes;
+        assert_eq!((o2.min, o2.max), (0, Some(1)));
     }
 
     #[test]

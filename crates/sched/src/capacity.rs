@@ -20,9 +20,9 @@
 
 use std::collections::BTreeMap;
 
+use dfa::kernel::IoOp;
+use dfa::KernelReport;
 use pedf::graph::{ActorKind, AppGraph};
-
-use crate::trace::{IoOp, KernelTrace};
 
 /// Rounds of the periodic schedule the abstract simulation runs. With
 /// balanced per-round rates the FIFO state is periodic, so a handful of
@@ -63,11 +63,12 @@ struct Proc {
 }
 
 /// Build the simulation model. A data link between two filters is
-/// *analyzed* when both endpoint traces are exact and its per-round
-/// rates balance (`pushes == pops > 0`); everything else — boundary and
-/// control links, inexact kernels, rate-imbalanced links (dfa's DFA003
-/// territory) — is excluded and treated as never blocking.
-pub fn build_model(g: &AppGraph, traces: &BTreeMap<u32, KernelTrace>) -> Model {
+/// *analyzed* when the IO order of both endpoints is fixed and its exact
+/// per-round rates balance (`pushes == pops > 0`); everything else —
+/// boundary and control links, kernels without a fixed order,
+/// rate-imbalanced links (dfa's DFA003 territory) — is excluded and
+/// treated as never blocking.
+pub fn build_model(g: &AppGraph, kernels: &BTreeMap<u32, KernelReport>) -> Model {
     let mut analyzed: Vec<u32> = Vec::new();
     for l in g.data_links() {
         let (from_a, to_a) = g.link_ends(l.id);
@@ -75,32 +76,29 @@ pub fn build_model(g: &AppGraph, traces: &BTreeMap<u32, KernelTrace>) -> Model {
         if fa.kind != ActorKind::Filter || ta.kind != ActorKind::Filter {
             continue;
         }
-        let (Some(ft), Some(tt)) = (traces.get(&from_a.0), traces.get(&to_a.0)) else {
+        let (Some(fk), Some(tk)) = (kernels.get(&from_a.0), kernels.get(&to_a.0)) else {
             continue;
         };
-        if !ft.exact || !tt.exact {
+        if fk.io_order.is_none() || tk.io_order.is_none() {
             continue;
         }
-        let prod = &g.conn(l.from).name;
-        let cons = &g.conn(l.to).name;
-        let pushes = ft.pushes(prod);
-        let pops = tt.pops(cons);
-        if pushes > 0 && pushes == pops {
-            analyzed.push(l.id.0);
+        let pushes = fk.ports.get(&g.conn(l.from).name).map(|p| p.writes);
+        let pops = tk.ports.get(&g.conn(l.to).name).map(|p| p.reads);
+        match (pushes, pops) {
+            (Some(w), Some(r)) if w.as_exact().is_some_and(|n| n > 0) && w == r => {
+                analyzed.push(l.id.0);
+            }
+            _ => {}
         }
     }
     analyzed.sort_unstable();
 
     let mut procs = Vec::new();
     for a in g.filters() {
-        let Some(t) = traces.get(&a.id.0) else {
+        let Some(order) = kernels.get(&a.id.0).and_then(|k| k.io_order.as_ref()) else {
             continue;
         };
-        if !t.exact {
-            continue;
-        }
-        let ops = t
-            .ops
+        let ops = order
             .iter()
             .map(|(op, _)| {
                 let conn = g.conn_by_name(a.id, op.conn())?;
@@ -240,7 +238,6 @@ pub fn minimal_caps(model: &Model) -> Option<BTreeMap<u32, u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::trace_work;
     use pedf::graph::{ActorKind, Dir, LinkClass};
     use pedf::AppGraph;
 
@@ -273,19 +270,19 @@ mod tests {
         g
     }
 
-    fn traces(p_src: &str, c_src: &str) -> BTreeMap<u32, KernelTrace> {
-        let parse = |s: &str| kernelc::parser::parse(s, &|_| false).unwrap();
-        let mut t = BTreeMap::new();
-        t.insert(2, trace_work(&parse(p_src)));
-        t.insert(3, trace_work(&parse(c_src)));
-        t
+    fn kernels(p_src: &str, c_src: &str) -> BTreeMap<u32, KernelReport> {
+        let walk = |s: &str| {
+            let unit = kernelc::parser::parse(s, &|_| false).unwrap();
+            dfa::analyze_kernel(&unit, "k.c", "t", &[])
+        };
+        [(2, walk(p_src)), (3, walk(c_src))].into()
     }
 
     #[test]
     fn pipeline_burst_completes_at_capacity_one() {
         // Window pops free FIFO slots as soon as each read executes, so
         // a straight pipeline burst never needs more than one slot.
-        let t = traces(
+        let t = kernels(
             "void work() { pedf.io.out[0] = 1; pedf.io.out[1] = 2; }",
             "void work() { U32 a = pedf.io.in[1]; }",
         );
@@ -301,7 +298,7 @@ mod tests {
         // The consumer pops the gate token first, which the producer only
         // pushes after both burst tokens: at capacity 1 the second burst
         // push and the gate pop wait on each other forever.
-        let t = traces(
+        let t = kernels(
             "void work() {
     pedf.io.a_out[0] = 1;
     pedf.io.a_out[1] = 2;
@@ -329,7 +326,7 @@ mod tests {
 
     #[test]
     fn rate_imbalanced_links_are_excluded() {
-        let t = traces(
+        let t = kernels(
             "void work() { pedf.io.out[0] = 1; pedf.io.out[1] = 2; }",
             "void work() { U32 a = pedf.io.in[0]; }",
         );
@@ -339,8 +336,8 @@ mod tests {
     }
 
     #[test]
-    fn inexact_traces_are_excluded() {
-        let t = traces(
+    fn unordered_kernels_are_excluded() {
+        let t = kernels(
             "void work() { U32 n = pedf.data.k; if (n > 2) { pedf.io.out[0] = 1; } }",
             "void work() { U32 a = pedf.io.in[0]; }",
         );

@@ -3,9 +3,9 @@
 //!
 //! A whole-program performance pass composing the existing analyses:
 //!
-//! 1. **IO traces** ([`trace`]) — ordered per-firing push/pop sequences
-//!    per kernel, re-interpreted from the kernelc AST with the `dfa`
-//!    interval lattice.
+//! 1. **IO order** — `dfa`'s kernel walk ([`dfa::analyze_kernel`]) gives
+//!    each filter's per-firing rates and, where it is fixed, the ordered
+//!    push/pop sequence ([`dfa::KernelReport::io_order`]).
 //! 2. **Buffer sizing** ([`capacity`]) — Parks-style minimal
 //!    deadlock-free FIFO capacities by abstract KPN simulation, reported
 //!    as `SCH501` (capacity below minimum: will deadlock) and `SCH502`
@@ -27,13 +27,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use debuginfo::LineTable;
+use dfa::kernel::IoOp;
+use dfa::KernelReport;
 use mind::{CompiledApp, SourceRegistry};
 use pedf::graph::ActorKind;
 use pedf::{ActorId, AppGraph};
 
 pub mod capacity;
 pub mod throughput;
-pub mod trace;
 pub mod wcet;
 
 pub use debuginfo::{render_findings, Finding, Severity, Span};
@@ -94,22 +95,13 @@ pub struct AnalysisInput {
 
 impl AnalysisInput {
     pub fn from_app(app: &CompiledApp, sources: &SourceRegistry) -> AnalysisInput {
-        let struct_types = (0..app.types.len())
-            .map(|i| debuginfo::TypeId(i as u32))
-            .filter(|&id| !app.types.is_scalar(id))
-            .map(|id| app.types.name(id).to_string())
-            .collect();
-        let kernels = app
-            .kernel_files
-            .iter()
-            .filter_map(|(aid, file)| {
-                sources
-                    .get(file)
-                    .map(|src| (*aid, (file.clone(), src.to_string())))
-            })
-            .collect();
+        let dfa::AnalysisInput {
+            graph,
+            struct_types,
+            kernels,
+        } = dfa::AnalysisInput::from_app(app, sources);
         AnalysisInput {
-            graph: app.graph.clone(),
+            graph,
             struct_types,
             kernels,
             program: app.program.clone(),
@@ -129,7 +121,7 @@ pub struct Report {
     /// `true` when the abstract network deadlocks regardless of capacity
     /// (a starvation cycle — dfa's DFA004 names the cycle).
     pub structural: bool,
-    /// Filters whose IO traces were inexact (excluded from sizing).
+    /// Filters whose IO order is not fixed (excluded from sizing).
     pub inexact: BTreeSet<u32>,
     /// Cycles per graph iteration no schedule can beat (0 = unknown).
     pub period_lb: u64,
@@ -186,11 +178,10 @@ pub fn analyze(input: &AnalysisInput) -> Report {
     let mut report = Report::default();
     let is_type = |s: &str| input.struct_types.contains(s);
 
-    // Pass 1: ordered IO traces for every filter kernel that parses.
+    // Pass 1: rates and IO order for every filter kernel that parses.
     // (Parse failures are dfa's KC001; this pass just skips them.)
-    let mut traces: BTreeMap<u32, trace::KernelTrace> = BTreeMap::new();
-    let mut units: BTreeMap<u32, kernelc::ast::Unit> = BTreeMap::new();
-    for (aid, (_file, src)) in &input.kernels {
+    let mut kernels: BTreeMap<u32, KernelReport> = BTreeMap::new();
+    for (aid, (file, src)) in &input.kernels {
         let Some(actor) = input.graph.actors.get(aid.0 as usize) else {
             continue;
         };
@@ -198,17 +189,17 @@ pub fn analyze(input: &AnalysisInput) -> Report {
             continue;
         }
         if let Ok(unit) = kernelc::parser::parse(src, &is_type) {
-            let t = trace::trace_work(&unit);
-            if !t.exact {
+            // Findings are dfa's to report; only the touched ports matter.
+            let k = dfa::analyze_kernel(&unit, file, &actor.name, &[]);
+            if k.io_order.is_none() {
                 report.inexact.insert(aid.0);
             }
-            traces.insert(aid.0, t);
-            units.insert(aid.0, unit);
+            kernels.insert(aid.0, k);
         }
     }
 
     // Pass 2: minimal deadlock-free capacities, compared to elaboration.
-    let model = capacity::build_model(&input.graph, &traces);
+    let model = capacity::build_model(&input.graph, &kernels);
     if !model.links.is_empty() {
         match capacity::minimal_caps(&model) {
             None => report.structural = true,
@@ -227,7 +218,7 @@ pub fn analyze(input: &AnalysisInput) -> Report {
                                  deadlock-free size {min}: the network wedges"
                             ),
                         );
-                        if let Some(span) = first_push_span(input, &traces, link.from) {
+                        if let Some(span) = first_push_span(input, &kernels, link.from) {
                             f = f.with_span(span);
                         }
                         report.findings.push(f);
@@ -269,17 +260,15 @@ pub fn analyze(input: &AnalysisInput) -> Report {
 
     // Pass 4: repetition vector and throughput bound.
     let mut rates: BTreeMap<u32, BTreeMap<String, (u32, u32)>> = BTreeMap::new();
-    for (&aid, t) in &traces {
-        if !t.exact {
+    for (&aid, k) in &kernels {
+        if k.io_order.is_none() {
             continue;
         }
-        let actor = &input.graph.actors[aid as usize];
-        let per_conn = actor
-            .conns()
-            .map(|c| {
-                let name = input.graph.conn(c).name.clone();
-                let r = (t.pushes(&name), t.pops(&name));
-                (name, r)
+        let per_conn = k
+            .ports
+            .iter()
+            .filter_map(|(name, p)| {
+                Some((name.clone(), (p.writes.as_exact()?, p.reads.as_exact()?)))
             })
             .collect();
         rates.insert(aid, per_conn);
@@ -326,13 +315,13 @@ pub fn analyze(input: &AnalysisInput) -> Report {
 /// whose execution will wedge when the FIFO is undersized.
 fn first_push_span(
     input: &AnalysisInput,
-    traces: &BTreeMap<u32, trace::KernelTrace>,
+    kernels: &BTreeMap<u32, KernelReport>,
     from_conn: pedf::ConnId,
 ) -> Option<Span> {
     let conn = input.graph.conn(from_conn);
-    let t = traces.get(&conn.actor.0)?;
-    let line = t.ops.iter().find_map(|(op, line)| match op {
-        trace::IoOp::Push { conn: c } if c == &conn.name => Some(*line),
+    let order = kernels.get(&conn.actor.0)?.io_order.as_ref()?;
+    let line = order.iter().find_map(|(op, line)| match op {
+        IoOp::Push { conn: c } if c == &conn.name => Some(*line),
         _ => None,
     })?;
     let (file, _) = input.kernels.get(&conn.actor)?;

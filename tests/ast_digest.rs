@@ -15,13 +15,12 @@ use std::collections::BTreeMap;
 use std::hash::Hasher;
 
 use appgen::{generate, iter_seed, parse_seed};
-use dfa::kernel::{PortUse, Rate};
+use dfa::kernel::{IoOp, PortUse, Rate};
 use h264_pipeline::{build_decoder, decoder_sources, Bug};
 use mind::{CompiledApp, SourceRegistry};
 use p2012::PlatformConfig;
 use pedf::graph::ActorKind;
 use replay::Fnv64;
-use sched::trace::IoOp;
 
 const VARIANTS: [Bug; 9] = [
     Bug::None,
@@ -103,9 +102,7 @@ fn digest(label: &str, app: &CompiledApp, sources: &SourceRegistry) -> String {
             continue;
         }
         filters += 1;
-        let t = sched::trace::trace_work(&unit);
-        let io_order = t.exact.then_some(t.ops);
-        match &io_order {
+        match &rep.io_order {
             Some(order) => {
                 exact += 1;
                 ops += order.len();
