@@ -719,6 +719,9 @@ pub struct DfModel {
     /// Recorded token histories (`iface … record`), each a ring keeping
     /// the newest `HISTORY_CAP`; only recording interfaces have one.
     histories: BTreeMap<ConnId, Chunked<TokenId>>,
+    /// The catchpoint ids a pop consults, kept so that a watched pop
+    /// does not allocate. Empty between pops.
+    candidates: Vec<u32>,
 }
 
 impl Default for DfModel {
@@ -737,6 +740,7 @@ impl Default for DfModel {
             timeline: Chunked::default(),
             timeline_limit: RECORD_LIMIT,
             histories: BTreeMap::new(),
+            candidates: Vec::new(),
         }
     }
 }
@@ -1311,7 +1315,7 @@ impl DfModel {
         // (idle value catchpoints on other words are never consulted),
         // and receive-count watchers on the consuming actor. Fire in id
         // order, like the linear scan did.
-        let mut cand: Vec<u32> = Vec::new();
+        let mut cand = std::mem::take(&mut self.candidates);
         let index = &self.catches.index;
         if let Some(v) = index.recv_by_conn.get(&conn.0) {
             cand.extend_from_slice(v);
@@ -1324,7 +1328,7 @@ impl DfModel {
         }
         cand.sort_unstable();
         cand.dedup();
-        for id in cand {
+        for &id in &cand {
             let Some(c) = self.catch_by_id(id) else {
                 continue;
             };
@@ -1369,6 +1373,8 @@ impl DfModel {
                 _ => {}
             }
         }
+        cand.clear();
+        self.candidates = cand;
         self.reap_temporaries(stops);
     }
 

@@ -229,6 +229,8 @@ pub struct Session {
     /// between cycles.
     runtime_events: Vec<RuntimeEvent>,
     captured: Vec<DfEvent>,
+    /// The cycle's dataflow stops, before they join the stop queue.
+    df_stops: Vec<DfStop>,
     /// Entry-breakpoint stops found while visiting a cycle's PEs; they
     /// queue after the cycle's dataflow stops. Empty between cycles.
     entry_stops: Vec<Stop>,
@@ -288,6 +290,7 @@ impl Session {
             last_explore: None,
             runtime_events: Vec::new(),
             captured: Vec::new(),
+            df_stops: Vec::new(),
             entry_stops: Vec::new(),
             tt_next: 0,
             pe_visits: 0,
@@ -330,6 +333,7 @@ impl Session {
             last_explore: self.last_explore.clone(),
             runtime_events: Vec::new(),
             captured: Vec::new(),
+            df_stops: Vec::new(),
             entry_stops: Vec::new(),
             tt_next: 0,
             pe_visits: 0,
@@ -604,7 +608,6 @@ impl Session {
         //    cooperation mode.
         let coop = self.run.capture.mode == CaptureMode::RuntimeEvents;
         self.sys.runtime.events.drain_into(&mut self.runtime_events);
-        let mut stops = Vec::new();
         for ev in self.runtime_events.drain(..) {
             let mapped = match ev {
                 RuntimeEvent::TokenPushed { conn, value, .. } => Some(DfEvent::TokenPushed {
@@ -655,7 +658,7 @@ impl Session {
                 _ => None,
             };
             if let Some(ev) = mapped {
-                self.model.apply(ev, cycle, &mut stops);
+                self.model.apply(ev, cycle, &mut self.df_stops);
             }
         }
         // In cooperation mode WaitSync resets are invisible; mirror the
@@ -689,16 +692,16 @@ impl Session {
         }
         self.run.capture.drain_into(&mut self.captured);
         for ev in self.captured.drain(..) {
-            self.model.apply(ev, cycle, &mut stops);
+            self.model.apply(ev, cycle, &mut self.df_stops);
         }
         if self.model.booted && !self.run.graph_learned {
             self.run.capture.learn_graph(&self.model.graph);
             self.run.graph_learned = true;
         }
         // Step-both second leg: arm the receive end when the send fires.
-        for s in &stops {
-            self.run.stop_queue.push_back(Stop::Dataflow(s.clone()));
-        }
+        self.run
+            .stop_queue
+            .extend(self.df_stops.drain(..).map(Stop::Dataflow));
         self.run.stop_queue.extend(self.entry_stops.drain(..));
     }
 

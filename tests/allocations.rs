@@ -64,7 +64,7 @@ const ENV_SEED: u32 = 0xbeef;
 
 /// Pinned readings.
 const RUN_ALLOCATIONS: u64 = 594;
-const REVERSE_PAIR_ALLOCATIONS: u64 = 637;
+const REVERSE_PAIR_ALLOCATIONS: u64 = 587;
 const BARE_RUN_ALLOCATIONS: u64 = 0;
 
 fn decode_session() -> Session {
