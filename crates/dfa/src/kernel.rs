@@ -16,12 +16,13 @@
 //!   whether `red` pushes its second token before or after `pipe` can pop
 //!   the first decides whether capacity 1 deadlocks. The walk follows one
 //!   path wherever branches are decided and refuses to guess where they
-//!   are not: the order is *not fixed* (`None`) after an undecided `if`,
-//!   `&&` or `||` with IO in an arm, an undecided loop with IO in its body
-//!   or step, a loop that runs out of [`LOOP_FUEL`], a read whose index is
-//!   not a constant below [`MAX_WINDOW`], a controller primitive, or a
-//!   call past [`CALL_DEPTH`] to a callee with IO. "IO" is syntactic here,
-//!   and a helper call counts as IO.
+//!   are not: the order is *not fixed* (`None`) after an undecided `if`
+//!   with IO in an arm, an undecided `&&` or `||` with IO on its right, an
+//!   undecided loop with IO in its body or step, a loop that runs out of
+//!   `LOOP_FUEL`, a read whose index is not a constant below
+//!   `MAX_WINDOW`, a controller primitive, or a call past `CALL_DEPTH` to
+//!   a callee with IO. "IO" is syntactic here, and a helper call counts as
+//!   IO.
 //!
 //! The io semantics follow the runtime: `pedf.io.conn[i]` addresses the
 //! i-th queued token of the current firing, so a firing's consumption on a
@@ -35,10 +36,11 @@
 //! fields it assigns, and every `pedf.data`/`pedf.attribute` value (a
 //! helper it calls may write them).
 //!
-//! Helper calls are inlined, recursive ones too, up to [`CALL_DEPTH`]
+//! Helper calls are inlined, recursive ones too, up to `CALL_DEPTH`
 //! nested helpers. A call past that limit is not entered: it returns an
-//! unknown value, and every port the callee can reach (through its own
-//! calls too) gets an unbounded upper rate.
+//! unknown value, the filter state values are forgotten, and every port
+//! the callee can reach (through its own calls too) gets an unbounded
+//! upper rate.
 //!
 //! Documented imprecision (all sound over-approximations): 32-bit
 //! wrap-around is modeled as saturation; a write to any field marks the
@@ -448,23 +450,18 @@ impl<'a> Interp<'a> {
     fn read_var(&mut self, name: &str, st: &State) -> Iv {
         match st.vars.get(name) {
             Some(v) => {
-                match v.init {
-                    Init::Yes => {}
-                    Init::Maybe => self.emit(
-                        rules::UNINIT_LOCAL,
-                        Severity::Warning,
-                        format!("{}::{}", self.qname, name),
-                        format!("`{name}` may be read before initialization"),
-                        self.cur_line,
-                    ),
-                    Init::No => self.emit(
-                        rules::UNINIT_LOCAL,
-                        Severity::Error,
-                        format!("{}::{}", self.qname, name),
-                        format!("`{name}` is read before initialization"),
-                        self.cur_line,
-                    ),
-                }
+                let (sev, how) = match v.init {
+                    Init::Yes => return v.val,
+                    Init::Maybe => (Severity::Warning, "may be"),
+                    Init::No => (Severity::Error, "is"),
+                };
+                self.emit(
+                    rules::UNINIT_LOCAL,
+                    sev,
+                    format!("{}::{}", self.qname, name),
+                    format!("`{name}` {how} read before initialization"),
+                    self.cur_line,
+                );
                 v.val
             }
             // Unknown names are the compiler's problem, not the analyzer's.
@@ -507,7 +504,7 @@ impl<'a> Interp<'a> {
             match l.truth() {
                 t if t == skip => return Iv::from_bool(op == BinOp::LOr),
                 Tri::Maybe => {
-                    self.unfix_if(|| any_site_expr(rhs, &mut |_| true));
+                    self.unfix_if(|| any_site_expr(rhs, &mut is_io));
                     let skipped = st.clone();
                     let r = self.eval(rhs, st);
                     Self::join_branch(st, skipped);
@@ -565,9 +562,12 @@ impl<'a> Interp<'a> {
             return Iv::top();
         };
         if self.depth >= CALL_DEPTH || f.params.len() != argv.len() {
-            // Too deep to inline (deep recursion ends here): the value is
-            // unknown, and so is how often the callee's ports are used.
-            self.unfix_if(|| any_site_block(&f.body, &mut |_| true));
+            // Too deep to inline (deep recursion ends here), or a call
+            // kernelc would reject: the value is unknown, and so are the
+            // filter state the callee leaves and how often it uses the
+            // ports it reaches.
+            self.unfix_if(|| any_site_block(&f.body, &mut is_io));
+            st.cells.clear();
             for (conn, write) in reachable_ports(self.unit, name) {
                 self.meta.entry(conn.to_string()).or_default();
                 let c = st.io.entry(conn.to_string()).or_default();
@@ -625,7 +625,7 @@ impl<'a> Interp<'a> {
 
     fn exec_block(&mut self, blk: &Block, st: &mut State) {
         let mut shadow: Shadow = Vec::new();
-        for (i, s) in blk.stmts.iter().enumerate() {
+        for s in &blk.stmts {
             if st.flow != Flow::Normal {
                 let line = s.line();
                 self.emit(
@@ -635,21 +635,11 @@ impl<'a> Interp<'a> {
                     "unreachable statement (control already left this block)".to_string(),
                     line,
                 );
-                let _ = i;
                 break;
             }
             self.exec_stmt(s, st, &mut shadow);
         }
-        for (name, old) in shadow.into_iter().rev() {
-            match old {
-                Some(v) => {
-                    st.vars.insert(name, v);
-                }
-                None => {
-                    st.vars.remove(&name);
-                }
-            }
-        }
+        restore(shadow, st);
     }
 
     fn declare(&mut self, name: &str, v: VarState, st: &mut State, shadow: &mut Shadow) {
@@ -736,10 +726,10 @@ impl<'a> Interp<'a> {
                     }
                     Tri::Maybe => {
                         self.unfix_if(|| {
-                            any_site_block(then_blk, &mut |_| true)
+                            any_site_block(then_blk, &mut is_io)
                                 || else_blk
                                     .as_ref()
-                                    .is_some_and(|b| any_site_block(b, &mut |_| true))
+                                    .is_some_and(|b| any_site_block(b, &mut is_io))
                         });
                         let mut other = st.clone();
                         self.exec_block(then_blk, st);
@@ -765,16 +755,7 @@ impl<'a> Interp<'a> {
                     self.exec_stmt(i, st, &mut for_shadow);
                 }
                 self.exec_loop(*line, cond.as_ref(), step.as_deref(), body, st);
-                for (name, old) in for_shadow.into_iter().rev() {
-                    match old {
-                        Some(v) => {
-                            st.vars.insert(name, v);
-                        }
-                        None => {
-                            st.vars.remove(&name);
-                        }
-                    }
-                }
+                restore(for_shadow, st);
             }
             Stmt::Return { value, .. } => {
                 if let Some(e) = value {
@@ -841,16 +822,22 @@ impl<'a> Interp<'a> {
             if t == Tri::Maybe || fuel == 0 {
                 if t == Tri::Maybe {
                     self.unfix_if(|| {
-                        any_site_block(body, &mut |_| true)
-                            || step.is_some_and(|s| any_site_stmt(s, &mut |_| true))
+                        any_site_block(body, &mut is_io)
+                            || step.is_some_and(|s| any_site_stmt(s, &mut is_io))
                     });
                 } else {
                     self.order = None;
                 }
                 let mut assigned = HashSet::new();
-                collect_assigned_block(body, &mut assigned);
+                let mut note = |site| {
+                    if let Site::Assign(name) = site {
+                        assigned.insert(name);
+                    }
+                    false
+                };
+                any_site_block(body, &mut note);
                 if let Some(s) = step {
-                    collect_assigned_stmt(s, &mut assigned);
+                    any_site_stmt(s, &mut note);
                 }
                 st.havoc(&assigned);
                 let io_before = st.io.clone();
@@ -954,6 +941,7 @@ fn reachable_ports<'u>(unit: &'u Unit, name: &str) -> Vec<(&'u str, bool)> {
                 Site::Read(c) => ports.push((c, false)),
                 Site::Write(c) => ports.push((c, true)),
                 Site::Call(callee) => todo.push(callee),
+                Site::Assign(_) => {}
             }
             false
         });
@@ -961,12 +949,18 @@ fn reachable_ports<'u>(unit: &'u Unit, name: &str) -> Vec<(&'u str, bool)> {
     ports
 }
 
-/// One place where a kernel can move tokens: a port read or write, or a
-/// helper call (which may do either).
+/// A place in the AST that moves tokens (a port read or write, or a
+/// helper call, which may do either) or assigns a local or its field.
 enum Site<'s> {
     Read(&'s str),
     Write(&'s str),
     Call(&'s str),
+    Assign(&'s str),
+}
+
+/// Whether a site is IO, a helper call counting as IO.
+fn is_io(site: Site) -> bool {
+    !matches!(site, Site::Assign(_))
 }
 
 /// Offer every [`Site`] in `b` to `f` until it returns `true`; return
@@ -977,13 +971,16 @@ fn any_site_block<'s>(b: &'s Block, f: &mut impl FnMut(Site<'s>) -> bool) -> boo
 
 fn any_site_stmt<'s>(s: &'s Stmt, f: &mut impl FnMut(Site<'s>) -> bool) -> bool {
     match s {
-        Stmt::Decl { init, .. } => init.as_ref().is_some_and(|e| any_site_expr(e, f)),
+        Stmt::Decl { name, init, .. } => {
+            f(Site::Assign(name)) || init.as_ref().is_some_and(|e| any_site_expr(e, f))
+        }
         Stmt::Assign { target, value, .. } => {
             any_site_expr(value, f)
                 || match target {
                     LValue::Io { conn, index } => f(Site::Write(conn)) || any_site_expr(index, f),
                     LValue::Mem(e) => any_site_expr(e, f),
-                    LValue::Var(_) | LValue::Field(..) | LValue::Data(_) | LValue::Attr(_) => false,
+                    LValue::Var(name) | LValue::Field(name, _) => f(Site::Assign(name)),
+                    LValue::Data(_) | LValue::Attr(_) => false,
                 }
         }
         Stmt::If {
@@ -1032,55 +1029,22 @@ fn any_site_expr<'s>(e: &'s Expr, f: &mut impl FnMut(Site<'s>) -> bool) -> bool 
     }
 }
 
+/// Undo a scope's declarations, innermost first.
+fn restore(shadow: Shadow, st: &mut State) {
+    for (name, old) in shadow.into_iter().rev() {
+        match old {
+            Some(v) => st.vars.insert(name, v),
+            None => st.vars.remove(&name),
+        };
+    }
+}
+
 /// The known value under the key `key()` builds, or unknown.
 fn known(m: &HashMap<String, Iv>, key: impl FnOnce() -> String) -> Iv {
     if m.is_empty() {
         return Iv::top();
     }
     m.get(&key()).copied().unwrap_or_else(Iv::top)
-}
-
-fn collect_assigned_block<'s>(b: &'s Block, out: &mut HashSet<&'s str>) {
-    for s in &b.stmts {
-        collect_assigned_stmt(s, out);
-    }
-}
-
-fn collect_assigned_stmt<'s>(s: &'s Stmt, out: &mut HashSet<&'s str>) {
-    match s {
-        Stmt::Decl { name, .. } => {
-            out.insert(name);
-        }
-        Stmt::Assign {
-            target: LValue::Var(n) | LValue::Field(n, _),
-            ..
-        } => {
-            out.insert(n);
-        }
-        Stmt::Assign { .. } => {}
-        Stmt::If {
-            then_blk, else_blk, ..
-        } => {
-            collect_assigned_block(then_blk, out);
-            if let Some(e) = else_blk {
-                collect_assigned_block(e, out);
-            }
-        }
-        Stmt::While { body, .. } => collect_assigned_block(body, out),
-        Stmt::For {
-            init, step, body, ..
-        } => {
-            if let Some(i) = init {
-                collect_assigned_stmt(i, out);
-            }
-            if let Some(st) = step {
-                collect_assigned_stmt(st, out);
-            }
-            collect_assigned_block(body, out);
-        }
-        Stmt::Nested(b) => collect_assigned_block(b, out),
-        _ => {}
-    }
 }
 
 /// Analyze one kernel unit: abstract-interpret `work` (inlining helper

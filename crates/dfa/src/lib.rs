@@ -5,7 +5,9 @@
 //!
 //! 1. **Kernel analysis** ([`kernel`]) — an abstract interpreter over the
 //!    kernelc AST derives each actor's per-firing token rates (exact or
-//!    `[min,max]` intervals) and raises local safety lints.
+//!    `[min,max]` intervals) and, where it is fixed, the firing's ordered
+//!    IO (which `sched` sizes buffers from), and raises local safety
+//!    lints.
 //! 2. **Graph analysis** ([`graph`]) — SDF balance equations, structural
 //!    deadlock detection and FIFO-capacity checks over the application
 //!    graph, fed by the rates of pass 1.
@@ -48,7 +50,7 @@ pub mod testhook {
 
 pub use debuginfo::{render_findings, Finding, Severity, Span};
 pub use graph::{analyze_graph, GraphAnalysis};
-pub use kernel::{analyze_kernel, KernelReport, PortUse, Rate};
+pub use kernel::{analyze_kernel, IoOp, KernelReport, PortUse, Rate};
 
 /// Stable rule identifiers. `DFA0xx` = graph-level, `DFA1xx` =
 /// kernel-level, `KC0xx` = kernel compiler diagnostics surfaced through

@@ -20,8 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use dfa::kernel::IoOp;
-use dfa::KernelReport;
+use dfa::{IoOp, KernelReport};
 use pedf::graph::{ActorKind, AppGraph};
 
 /// Rounds of the periodic schedule the abstract simulation runs. With

@@ -27,8 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use debuginfo::LineTable;
-use dfa::kernel::IoOp;
-use dfa::KernelReport;
+use dfa::{IoOp, KernelReport};
 use mind::{CompiledApp, SourceRegistry};
 use pedf::graph::ActorKind;
 use pedf::{ActorId, AppGraph};
