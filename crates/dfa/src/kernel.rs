@@ -561,11 +561,10 @@ impl<'a> Interp<'a> {
         let Some(f) = self.unit.funcs.iter().find(|f| f.name == name) else {
             return Iv::top();
         };
-        if self.depth >= CALL_DEPTH || f.params.len() != argv.len() {
-            // Too deep to inline (deep recursion ends here), or a call
-            // kernelc would reject: the value is unknown, and so are the
-            // filter state the callee leaves and how often it uses the
-            // ports it reaches.
+        if self.depth >= CALL_DEPTH {
+            // Too deep to inline (deep recursion ends here): the value is
+            // unknown, and so are the filter state the callee leaves and
+            // how often it uses the ports it reaches.
             self.unfix_if(|| any_site_block(&f.body, &mut is_io));
             st.cells.clear();
             for (conn, write) in reachable_ports(self.unit, name) {
@@ -820,14 +819,13 @@ impl<'a> Interp<'a> {
                 exits.push(st.clone());
             }
             if t == Tri::Maybe || fuel == 0 {
-                if t == Tri::Maybe {
-                    self.unfix_if(|| {
-                        any_site_block(body, &mut is_io)
-                            || step.is_some_and(|s| any_site_stmt(s, &mut is_io))
-                    });
-                } else {
-                    self.order = None;
-                }
+                // Out of fuel the order is lost; with an unknown trip count,
+                // only if the loop does IO.
+                self.unfix_if(|| {
+                    t == Tri::True
+                        || any_site_block(body, &mut is_io)
+                        || step.is_some_and(|s| any_site_stmt(s, &mut is_io))
+                });
                 let mut assigned = HashSet::new();
                 let mut note = |site| {
                     if let Site::Assign(name) = site {
