@@ -699,9 +699,9 @@ impl Session {
             self.run.graph_learned = true;
         }
         // Step-both second leg: arm the receive end when the send fires.
-        self.run
-            .stop_queue
-            .extend(self.df_stops.drain(..).map(Stop::Dataflow));
+        for s in self.df_stops.drain(..) {
+            self.run.stop_queue.push_back(Stop::Dataflow(s));
+        }
         self.run.stop_queue.extend(self.entry_stops.drain(..));
     }
 
