@@ -81,13 +81,16 @@ pub fn build_model(g: &AppGraph, kernels: &BTreeMap<u32, KernelReport>) -> Model
         if fk.io_order.is_none() || tk.io_order.is_none() {
             continue;
         }
-        let pushes = fk.ports.get(&g.conn(l.from).name).map(|p| p.writes);
-        let pops = tk.ports.get(&g.conn(l.to).name).map(|p| p.reads);
-        match (pushes, pops) {
-            (Some(w), Some(r)) if w.as_exact().is_some_and(|n| n > 0) && w == r => {
-                analyzed.push(l.id.0);
-            }
-            _ => {}
+        let pushes = fk
+            .ports
+            .get(&g.conn(l.from).name)
+            .and_then(|p| p.writes.as_exact());
+        let pops = tk
+            .ports
+            .get(&g.conn(l.to).name)
+            .and_then(|p| p.reads.as_exact());
+        if pushes.is_some_and(|n| n > 0) && pushes == pops {
+            analyzed.push(l.id.0);
         }
     }
     analyzed.sort_unstable();
