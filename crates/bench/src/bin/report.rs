@@ -27,7 +27,10 @@
 //! the same state with time travel on and off, every checkpoint must
 //! replay to that end with no `REPLAY501`, the checkpoints must share
 //! the recorded history within the chunk bound, and seeded `goto` /
-//! `reverse-continue` pairs must land on the forward run's stops.
+//! `reverse-continue` pairs must land on the forward run's stops; a
+//! 512-macroblock decode must thin the checkpoint chain at least twice,
+//! keep it within the budget beside the pinned checkpoints, and replay
+//! every kept checkpoint to its end with no `REPLAY501`.
 //!
 //! `--e8-smoke` runs only a scaled-down E8 gate (64-session attach storm:
 //! the compile cache must be hit exactly once, transcripts must stay
@@ -56,8 +59,8 @@ use std::fmt::Write as _;
 use bench::{
     analyze_decoder, attach_load, checkpoint_overhead, fuzz_farm, fuzz_study, localization,
     mutation_study, recording_check, reverse_continue_latency, row_label, run_overhead, scaling,
-    server_load, throughput_study, verify_decoder, BoundRow, DebugConfig, FarmSummary,
-    MutationOutcome,
+    server_load, thinned_chain_check, throughput_study, verify_decoder, BoundRow, DebugConfig,
+    FarmSummary, MutationOutcome,
 };
 use h264_pipeline::Bug;
 
@@ -87,13 +90,16 @@ fn write_json(path: &str, body: &str) {
 
 /// The CI gate behind `--e6-smoke`: time travel must not change what the
 /// user sees, every checkpoint must replay to the recorded end, the
-/// checkpoints must share the recorded history, and reverse-continue must
-/// land where the forward run stopped (see `bench::recording_check`).
+/// checkpoints must share the recorded history, reverse-continue must
+/// land where the forward run stopped (see `bench::recording_check`),
+/// and a thinned chain must replay like a dense one
+/// (`bench::thinned_chain_check`).
 fn run_e6_smoke() -> i32 {
     const N_MBS: u64 = 256;
+    const THINNED_MBS: u64 = 512;
     println!(
         "e6-smoke: {N_MBS}-macroblock decode under `catch recv pipe::mc_in`, \
-         time travel every {} cycles vs. off",
+         time travel from every {} cycles vs. off",
         server::CHECKPOINT_INTERVAL
     );
     let r = recording_check(N_MBS, server::CHECKPOINT_INTERVAL);
@@ -119,14 +125,25 @@ fn run_e6_smoke() -> i32 {
         "e6-smoke: memory table: {} live chunks, {} distinct (bound {} + {} copied)",
         r.live_mem_chunks, r.distinct_mem_chunks, r.live_mem_chunks, r.mem_chunks_copied,
     );
-    for f in &r.failures {
+    let t = thinned_chain_check(THINNED_MBS, server::CHECKPOINT_INTERVAL);
+    println!(
+        "e6-smoke: {THINNED_MBS}-macroblock decode, end at cycle {}: thinned {} times, \
+         {} checkpoints ({} pinned, budget {}), each replayed to the end",
+        t.end_cycle,
+        t.thinnings,
+        t.checkpoints,
+        t.pinned,
+        dfdbg::CHECKPOINT_BUDGET,
+    );
+    let failures: Vec<&String> = r.failures.iter().chain(&t.failures).collect();
+    for f in &failures {
         eprintln!("e6-smoke: FAIL: {f}");
     }
-    if r.failures.is_empty() {
+    if failures.is_empty() {
         println!("e6-smoke: OK");
         0
     } else {
-        eprintln!("e6-smoke: {} failure(s)", r.failures.len());
+        eprintln!("e6-smoke: {} failure(s)", failures.len());
         1
     }
 }
@@ -926,7 +943,7 @@ fn main() {
         "{:<16} {:>10} {:>12} {:>13} {:>8} {:>8} {:>9}",
         "interval", "setup", "run wall", "checkpoints", "pages", "chunks", "overhead"
     );
-    let curve = checkpoint_overhead(n_mbs, &[1_000, 5_000, 10_000, 50_000]);
+    let curve = checkpoint_overhead(n_mbs, &[1_000, 2_000, 5_000, 10_000, 50_000]);
     let mut e6 = Vec::new();
     for p in &curve {
         println!(
@@ -957,10 +974,11 @@ fn main() {
             p.overhead,
         ));
     }
-    let rev = reverse_continue_latency(n_mbs, 10_000);
+    let rev = reverse_continue_latency(n_mbs, server::CHECKPOINT_INTERVAL);
     println!(
-        "\nreverse-continue from the end (interval 10k): {:.2}ms, rewound \
+        "\nreverse-continue from the end (interval {}): {:.2}ms, rewound \
          {} cycles",
+        rev.interval,
         rev.wall.as_secs_f64() * 1e3,
         rev.rewound_cycles,
     );
@@ -981,8 +999,8 @@ fn main() {
     println!(
         "\nShape check (EXPERIMENTS.md E6): setup (baseline hash + machine \
          fork) is\na one-time per-session cost; the steady-state \
-         recording overhead at the\ndefault 10k-cycle interval stays \
-         within the 10% gate. Denser intervals\nbuy shorter replays \
+         recording overhead at the\ndefault 2k-cycle starting interval \
+         stays within the 10% gate. Denser\nintervals buy shorter replays \
          at a steeper recording cost (reverse-continue from the\nend \
          is one restore plus one replay of the window before its hit)."
     );

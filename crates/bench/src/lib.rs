@@ -51,8 +51,9 @@ pub use fuzz_farm::{fuzz_study, mutation_study, FarmSummary, MutationOutcome};
 pub use localization::{localize, LocalizationResult, Strategy};
 pub use overhead::{run_overhead, DebugConfig, OverheadResult};
 pub use replay::{
-    checkpoint_overhead, recording_check, reverse_continue_latency, RecordingCheck, ReplayPoint,
-    ReverseLatency, ELEMENTS_PER_CHECKPOINT, REVERSE_PAIRS,
+    checkpoint_overhead, recording_check, reverse_continue_latency, thinned_chain_check,
+    RecordingCheck, ReplayPoint, ReverseLatency, ThinnedChainCheck, ELEMENTS_PER_CHECKPOINT,
+    REVERSE_PAIRS,
 };
 pub use scaling::{bounded_storm, catchpoint_scaling, ScalingPoint, StormResult};
 pub use sched_bound::{row_label, throughput_bound, throughput_study, BoundRow};

@@ -2,7 +2,7 @@
 //! latency.
 //!
 //! The checkpoint engine must be cheap enough to leave on for a whole
-//! interactive session: at the default 10k-cycle interval the wall-clock
+//! interactive session: at the default interval the wall-clock
 //! overhead over an identical un-recorded debug run should stay within a
 //! few percent (EXPERIMENTS.md sets the gate at 10%). The second half
 //! measures what the user actually waits for: the latency of a
@@ -14,11 +14,13 @@
 //! recording must not change what the user sees (§V: observing "does
 //! not alter the execution semantic"), every checkpoint must replay to
 //! the same end, checkpoints must share the recorded history, and
-//! reverse execution must land where the forward run stopped.
+//! reverse execution must land where the forward run stopped;
+//! [`thinned_chain_check`] adds the same replay check on a history long
+//! enough to thin the checkpoint chain.
 
 use std::time::{Duration, Instant};
 
-use dfdbg::{RecordedStorage, Session, Stop};
+use dfdbg::{RecordedStorage, Session, Stop, CHECKPOINT_BUDGET};
 use h264_pipeline::{build_decoder, Bug};
 use p2012::PlatformConfig;
 use pedf::{EnvSink, EnvSource, ValueGen};
@@ -284,26 +286,7 @@ pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
     let (live_mem_chunks, distinct_mem_chunks) = s.memory_chunks();
     let mem_chunks_copied = s.sys.platform.mem.work().chunks_copied;
     for id in 0..checkpoints as u32 {
-        if let Err(e) = s.restart(id) {
-            failures.push(format!("(b) restart {id}: {e}"));
-            continue;
-        }
-        while s.clock() < end {
-            let budget = end - s.clock();
-            if let Stop::Quiescent | Stop::Deadlock | Stop::Fault { .. } = s.run(budget) {
-                break;
-            }
-        }
-        if s.clock() != end || s.state_hash() != end_hash {
-            failures.push(format!(
-                "(b) restart {id}: replay ended at cycle {} hash {:#018x}",
-                s.clock(),
-                s.state_hash()
-            ));
-        }
-        if s.info_links() != links {
-            failures.push(format!("(b) restart {id}: `info links` differs at the end"));
-        }
+        replay_to_end(&mut s, id, (end, end_hash, &links), "(b)", &mut failures);
     }
     // (d): one seeded target in each slice of the span after the first
     // stop, so a stop precedes every target.
@@ -352,6 +335,95 @@ pub fn recording_check(n_mbs: u64, interval: u64) -> RecordingCheck {
         live_mem_chunks,
         distinct_mem_chunks,
         mem_chunks_copied,
+        failures,
+    }
+}
+
+/// `restart id`, then run forward to the end (cycle, state hash and
+/// `info links`); a miss is a failure labelled `check`.
+fn replay_to_end(
+    s: &mut Session,
+    id: u32,
+    (end, end_hash, links): (u64, u64, &str),
+    check: &str,
+    failures: &mut Vec<String>,
+) {
+    if let Err(e) = s.restart(id) {
+        failures.push(format!("{check} restart {id}: {e}"));
+        return;
+    }
+    while s.clock() < end {
+        let budget = end - s.clock();
+        if let Stop::Quiescent | Stop::Deadlock | Stop::Fault { .. } = s.run(budget) {
+            break;
+        }
+    }
+    if s.clock() != end || s.state_hash() != end_hash {
+        failures.push(format!(
+            "{check} restart {id}: replay ended at cycle {} hash {:#018x}",
+            s.clock(),
+            s.state_hash()
+        ));
+    }
+    if s.info_links() != links {
+        failures.push(format!(
+            "{check} restart {id}: `info links` differs at the end"
+        ));
+    }
+}
+
+/// What [`thinned_chain_check`] saw, and every violated property.
+#[derive(Debug, Clone)]
+pub struct ThinnedChainCheck {
+    pub end_cycle: u64,
+    /// How many times the chain thinned (its spacing doubled).
+    pub thinnings: u32,
+    pub checkpoints: usize,
+    pub pinned: usize,
+    pub failures: Vec<String>,
+}
+
+/// (e): decode `n_mbs` macroblocks with time travel from `interval`,
+/// long enough for the chain to thin at least twice, and check that it
+/// holds at most [`CHECKPOINT_BUDGET`] checkpoints beside the pinned
+/// ones, and that `restart` to every kept checkpoint, then replaying
+/// forward, gives the end hash and `info links` again with no
+/// `REPLAY501`.
+pub fn thinned_chain_check(n_mbs: u64, interval: u64) -> ThinnedChainCheck {
+    let mut failures = Vec::new();
+    let mut s = debug_session(n_mbs);
+    s.enable_time_travel(interval);
+    let stop = s.run(u64::MAX);
+    if stop != Stop::Quiescent {
+        failures.push(format!("(e) the decode stopped with {stop:?}"));
+    }
+    let (end, end_hash, links) = (s.clock(), s.state_hash(), s.info_links());
+    let spacing = s.checkpoint_spacing().unwrap_or(interval);
+    let thinnings = (spacing / interval).trailing_zeros();
+    if thinnings < 2 {
+        failures.push(format!(
+            "(e) the chain thinned {thinnings} times, want 2 or more"
+        ));
+    }
+    let chain = s.checkpoint_chain();
+    let pinned = chain.iter().filter(|c| c.pinned).count();
+    if chain.len() > CHECKPOINT_BUDGET + pinned {
+        failures.push(format!(
+            "(e) {} checkpoints > {CHECKPOINT_BUDGET} + {pinned} pinned",
+            chain.len()
+        ));
+    }
+    for c in &chain {
+        replay_to_end(&mut s, c.id, (end, end_hash, &links), "(e)", &mut failures);
+    }
+    for f in s.replay_findings() {
+        failures.push(format!("(e) {}: {}", f.rule, f.message));
+    }
+    ThinnedChainCheck {
+        end_cycle: end,
+        thinnings,
+        checkpoints: chain.len(),
+        pinned,
         failures,
     }
 }

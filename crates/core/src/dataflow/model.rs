@@ -17,9 +17,9 @@
 //! framework calls.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::Deref;
 use std::sync::Arc;
 
+pub use debuginfo::InlineSlice;
 use debuginfo::{TypeId, TypeTable, Value, Word};
 use p2012::PeId;
 use pedf::{ActorId, ActorKind, AppGraph, ConnId, Dir, LinkClass, LinkId};
@@ -40,45 +40,6 @@ fn token_slot(id: TokenId) -> u32 {
 #[inline]
 fn token_generation(id: TokenId) -> u32 {
     (id >> 32) as u32
-}
-
-/// A short run of plain values as plain data: none, one inline, or a
-/// shared slice. Copying one never allocates (a shared slice copies a
-/// pointer), so token records, and the chunks of the token store that
-/// hold them, copy and drop without touching the heap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InlineSlice<T> {
-    Empty,
-    One(T),
-    Shared(Arc<[T]>),
-}
-
-impl<T: Copy> InlineSlice<T> {
-    pub fn from_slice(s: &[T]) -> Self {
-        match s {
-            [] => InlineSlice::Empty,
-            [x] => InlineSlice::One(*x),
-            _ => InlineSlice::Shared(s.into()),
-        }
-    }
-}
-
-impl<T> Deref for InlineSlice<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        match self {
-            InlineSlice::Empty => &[],
-            InlineSlice::One(x) => std::slice::from_ref(x),
-            InlineSlice::Shared(s) => s,
-        }
-    }
-}
-
-impl<T: Copy> From<Vec<T>> for InlineSlice<T> {
-    fn from(v: Vec<T>) -> Self {
-        InlineSlice::from_slice(&v)
-    }
 }
 
 /// A token payload cut or zero-padded to `n` words; copied only when its

@@ -42,7 +42,7 @@ pub use dataflow::{
     CaptureMode, CatchCond, DfEvent, DfModel, DfSched, DfStop, FlowBehavior, InlineSlice, TokenId,
     TokenRec, TokenStore, TokenValue, RECORD_LIMIT,
 };
-pub use replay::CHECKPOINT_INTERVAL;
+pub use replay::{CheckpointInfo, CHECKPOINT_BUDGET, CHECKPOINT_INTERVAL};
 pub use session::{
     race_watch_sites, Breakpoint, CmdResult, RecordedStorage, Session, Stop, Watchpoint,
 };

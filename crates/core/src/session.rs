@@ -154,11 +154,26 @@ pub struct RecordedStorage {
     pub checkpoint_only_elements: usize,
 }
 
-/// Replay anchors: a replay lays one every `interval / ANCHORS_PER_INTERVAL`
-/// cycles of the checkpoint interval, and the session keeps the last
-/// `ANCHOR_RING` of them.
+/// Replay anchors: a replay lays one every `spacing / ANCHORS_PER_INTERVAL`
+/// cycles of the current checkpoint spacing, and the session keeps the
+/// last `ANCHOR_RING` of them.
 const ANCHORS_PER_INTERVAL: u64 = 10;
 const ANCHOR_RING: usize = 2;
+
+/// A replay anchor: a state (machine fork and recorded half, as a
+/// checkpoint holds) that a replay laid, and the clock of the boundary
+/// before it, where its dirty-page set starts.
+struct Anchor {
+    base: u64,
+    sys: System,
+    recorded: Recorded,
+}
+
+/// The clock of the latest checkpoint before `clock`.
+fn boundary_before(mgr: &CheckpointManager<Recorded>, clock: u64) -> Option<u64> {
+    let id = mgr.nearest_strictly_before(clock)?;
+    mgr.get(id).map(|c| c.clock)
+}
 
 const TT_DISABLED: &str = "time travel is not enabled (use `checkpoint` first)";
 
@@ -215,7 +230,7 @@ pub struct Session {
     /// near where they ended, so the next reverse command replays from
     /// close to its target. Not checkpoints: outside the hash chain and
     /// `info checkpoints`, and a forked session starts without them.
-    anchors: VecDeque<(System, Recorded)>,
+    anchors: VecDeque<Anchor>,
     /// The furthest cycle this session's timeline has reached, noted
     /// whenever `restart` leaves it. `goto` replays up to it even past a
     /// stop that ended the program, but never runs an ended program
@@ -545,7 +560,9 @@ impl Session {
                             head_delivered: true,
                             ..self.run.clone()
                         };
-                        mgr.checkpoint_at(&mut self.sys, (self.model.clone(), run));
+                        if mgr.periodic_at(&mut self.sys, (self.model.clone(), run)) {
+                            self.drop_stale_anchors(&mgr);
+                        }
                     }
                     self.tt_next = mgr.next_boundary(clock + 1);
                     self.tt = Some(mgr);
@@ -610,11 +627,10 @@ impl Session {
         self.sys.runtime.events.drain_into(&mut self.runtime_events);
         for ev in self.runtime_events.drain(..) {
             let mapped = match ev {
-                RuntimeEvent::TokenPushed { conn, value, .. } => Some(DfEvent::TokenPushed {
-                    conn,
-                    words: value.words.into(),
-                }),
-                RuntimeEvent::TokenPopped { conn, value, .. } => {
+                RuntimeEvent::TokenPushed { conn, words, .. } => {
+                    Some(DfEvent::TokenPushed { conn, words })
+                }
+                RuntimeEvent::TokenPopped { conn, words, .. } => {
                     let idx = self
                         .model
                         .conns
@@ -623,7 +639,7 @@ impl Session {
                     Some(DfEvent::TokenPopped {
                         conn,
                         index: idx,
-                        words: value.words.into(),
+                        words,
                     })
                 }
                 RuntimeEvent::BootComplete if coop => {
@@ -1607,7 +1623,9 @@ impl Session {
                  history (run forward past the last checkpoint first)"
                 .to_string())
         } else {
-            Ok(mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone())))
+            let id = mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone()));
+            self.drop_stale_anchors(&mgr);
+            Ok(id)
         };
         self.tt = Some(mgr);
         self.tt_next = 0;
@@ -1678,10 +1696,10 @@ impl Session {
         pred: impl Fn(&System) -> bool,
     ) -> CmdResult<Option<(System, Recorded)>> {
         let checkpoints = self.tt_mgr()?.iter().filter(|c| c.clock <= target);
-        let anchors = self.anchors.iter().filter(|(s, _)| s.clock() < target);
+        let anchors = self.anchors.iter().filter(|a| a.sys.clock() < target);
         Ok(checkpoints
             .map(|c| (&c.sys, &c.payload))
-            .chain(anchors.map(|(s, r)| (s, r)))
+            .chain(anchors.map(|a| (&a.sys, &a.recorded)))
             .filter(|(s, _)| pred(s))
             .max_by_key(|(s, _)| s.clock())
             .map(|(s, r)| (s.clone(), r.clone())))
@@ -1696,7 +1714,7 @@ impl Session {
         let spacing = self
             .tt
             .as_ref()
-            .map_or(u64::MAX, |m| (m.interval / ANCHORS_PER_INTERVAL).max(1));
+            .map_or(u64::MAX, |m| (m.interval() / ANCHORS_PER_INTERVAL).max(1));
         let slot = (clock / spacing).saturating_add(1).saturating_mul(spacing);
         let stop = self.run(to.min(slot) - clock);
         if self.sys.clock() == slot && slot < end && slot + ANCHOR_RING as u64 * spacing >= end {
@@ -1713,7 +1731,10 @@ impl Session {
     /// anchor still verifies the next boundary's chained hash.
     fn lay_anchor(&mut self, stop: &Stop) {
         let clock = self.sys.clock();
-        let laid = self.anchors.iter().any(|(s, _)| s.clock() == clock);
+        let Some(base) = self.tt.as_ref().and_then(|m| boundary_before(m, clock)) else {
+            return;
+        };
+        let laid = self.anchors.iter().any(|a| a.sys.clock() == clock);
         if laid || self.tt.as_ref().is_some_and(|m| m.has_checkpoint_at(clock)) {
             return;
         }
@@ -1725,7 +1746,21 @@ impl Session {
             self.anchors.pop_front();
         }
         let sys = self.sys.fork();
-        self.anchors.push_back((sys, (self.model.clone(), run)));
+        let recorded = (self.model.clone(), run);
+        self.anchors.push_back(Anchor {
+            base,
+            sys,
+            recorded,
+        });
+    }
+
+    /// Drop the anchors whose boundary no longer comes right before them
+    /// (the chain thinned it away, or a `checkpoint` went in between): a
+    /// replay from one would verify the next boundary over a dirty-page
+    /// set that starts elsewhere than the chain's.
+    fn drop_stale_anchors(&mut self, mgr: &CheckpointManager<Recorded>) {
+        self.anchors
+            .retain(|a| boundary_before(mgr, a.sys.clock()) == Some(a.base));
     }
 
     /// Land on an exact cycle: restore the latest checkpoint at or anchor
@@ -1969,6 +2004,17 @@ impl Session {
         }
     }
 
+    /// The checkpoint chain, oldest first (empty without time travel).
+    pub fn checkpoint_chain(&self) -> Vec<replay::CheckpointInfo> {
+        self.tt.iter().flat_map(|m| m.checkpoints()).collect()
+    }
+
+    /// The current spacing of periodic checkpoints: the interval time
+    /// travel was enabled with, doubled each time the chain thinned.
+    pub fn checkpoint_spacing(&self) -> Option<u64> {
+        self.tt.as_ref().map(|m| m.interval())
+    }
+
     /// Debugger work counter: how many PE inspections the run loop has
     /// made, one per PE per look. A look at every PE on every cycle would
     /// add three times the PE count per cycle.
@@ -2144,7 +2190,7 @@ impl Session {
         };
         let clock = self.sys.clock();
         self.horizon = clock;
-        self.anchors.retain(|(s, _)| s.clock() < clock);
+        self.anchors.retain(|a| a.sys.clock() < clock);
         mgr.invalidate_after(clock.saturating_sub(1));
         mgr.checkpoint_at(&mut self.sys, (self.model.clone(), self.run.clone()));
         self.tt = Some(mgr);

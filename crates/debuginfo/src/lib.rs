@@ -36,7 +36,7 @@ pub use finding::{
 pub use lines::{FileId, LineEntry, LineTable, SourceFile};
 pub use symbols::{ParamInfo, Symbol, SymbolId, SymbolKind, SymbolTable};
 pub use types::{ScalarType, TypeDef, TypeId, TypeTable};
-pub use value::Value;
+pub use value::{InlineSlice, Value};
 
 /// Machine word of the simulated platform. All registers, stack slots and
 /// token payload cells are 32-bit words; narrower scalar types are stored

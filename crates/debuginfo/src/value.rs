@@ -7,9 +7,50 @@
 //! of being scattered across the CLI.
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::types::{TypeDef, TypeId, TypeTable};
 use crate::Word;
+
+/// A short run of plain values as plain data: none, one inline, or a
+/// shared slice. Copying one never allocates (a shared slice copies a
+/// pointer), so token records, and the chunks of the token store that
+/// hold them, copy and drop without touching the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InlineSlice<T> {
+    Empty,
+    One(T),
+    Shared(Arc<[T]>),
+}
+
+impl<T: Copy> InlineSlice<T> {
+    pub fn from_slice(s: &[T]) -> Self {
+        match s {
+            [] => InlineSlice::Empty,
+            [x] => InlineSlice::One(*x),
+            _ => InlineSlice::Shared(s.into()),
+        }
+    }
+}
+
+impl<T> Deref for InlineSlice<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            InlineSlice::Empty => &[],
+            InlineSlice::One(x) => std::slice::from_ref(x),
+            InlineSlice::Shared(s) => s,
+        }
+    }
+}
+
+impl<T: Copy> From<Vec<T>> for InlineSlice<T> {
+    fn from(v: Vec<T>) -> Self {
+        InlineSlice::from_slice(&v)
+    }
+}
 
 /// A typed value: one or more payload words plus the type used to interpret
 /// them. Scalar values hold exactly one word; record values hold one word

@@ -22,7 +22,10 @@
 //!   `LOOP_FUEL`, a read whose index is not a constant below
 //!   `MAX_WINDOW`, a controller primitive, or a call past `CALL_DEPTH` to
 //!   a callee with IO. "IO" is syntactic here, and a helper call counts as
-//!   IO.
+//!   IO. IO that follows an undecided `return`, `break` or `continue`
+//!   before its path rejoins (the end of the call, of the loop, of the
+//!   iteration) runs on some paths only, and leaves the order unfixed
+//!   too.
 //!
 //! The io semantics follow the runtime: `pedf.io.conn[i]` addresses the
 //! i-th queued token of the current firing, so a firing's consumption on a
@@ -221,6 +224,29 @@ enum Flow {
     Continued,
 }
 
+/// How far the walk is past a path that left early: an undecided
+/// `continue`, `break` or `return` whose other arm the walk goes on
+/// with. Until that path rejoins (the next iteration, the end of the loop,
+/// the end of the call), the IO the walk meets runs on some paths only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Skip {
+    None,
+    Iteration,
+    Loop,
+    Call,
+}
+
+impl Skip {
+    fn of(flow: Flow) -> Skip {
+        match flow {
+            Flow::Normal => Skip::None,
+            Flow::Continued => Skip::Iteration,
+            Flow::Broke => Skip::Loop,
+            Flow::Returned => Skip::Call,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct State {
     vars: HashMap<String, VarState>,
@@ -302,6 +328,8 @@ struct Interp<'a> {
     cur_line: u32,
     /// The firing's IO so far; `None` once its order is not fixed.
     order: Option<Vec<(IoOp, u32)>>,
+    /// Whether a path has left early (see [`Skip`]).
+    skip: Skip,
     /// Helper calls being inlined below `work`.
     depth: usize,
     /// Per-inlined-function frames of states captured at `return`.
@@ -419,6 +447,9 @@ impl<'a> Interp<'a> {
         let slot = if write { &mut c.write } else { &mut c.read };
         slot.lo = slot.lo.max(lo_need);
         slot.hi = slot.hi.max(hi_need);
+        if self.skip != Skip::None {
+            self.order = None;
+        }
         let Some(order) = &mut self.order else {
             return;
         };
@@ -593,6 +624,7 @@ impl<'a> Interp<'a> {
         let saved_breaks = std::mem::take(&mut self.loop_breaks);
         let saved_conts = std::mem::take(&mut self.loop_continues);
         let saved_line = self.cur_line;
+        let saved_skip = self.skip;
         self.fn_exits.push(Vec::new());
         self.ret_vals.push(Vec::new());
         self.exec_block(&f.body, st);
@@ -617,6 +649,7 @@ impl<'a> Interp<'a> {
         self.loop_continues = saved_conts;
         self.depth -= 1;
         self.cur_line = saved_line;
+        self.skip = saved_skip;
         ret.unwrap_or_else(|| Iv::exact(0))
     }
 
@@ -735,7 +768,11 @@ impl<'a> Interp<'a> {
                         if let Some(e) = else_blk {
                             self.exec_block(e, &mut other);
                         }
+                        let left = Skip::of(st.flow).max(Skip::of(other.flow));
                         Self::join_branch(st, other);
+                        if st.flow == Flow::Normal {
+                            self.skip = self.skip.max(left);
+                        }
                     }
                 }
             }
@@ -802,6 +839,7 @@ impl<'a> Interp<'a> {
     ) {
         self.loop_breaks.push(Vec::new());
         self.loop_continues.push(Vec::new());
+        let outer_skip = self.skip;
         let mut exits: Vec<State> = Vec::new();
         let mut fuel = LOOP_FUEL;
         loop {
@@ -841,6 +879,10 @@ impl<'a> Interp<'a> {
                 let io_before = st.io.clone();
                 self.exec_block(body, st);
                 self.drain_continues(st);
+                if st.flow == Flow::Returned {
+                    // The loop may also not run, and leave normally.
+                    self.skip = Skip::Call;
+                }
                 if st.flow == Flow::Normal {
                     if let Some(s) = step {
                         let mut sh = Vec::new();
@@ -865,6 +907,9 @@ impl<'a> Interp<'a> {
             fuel -= 1;
             self.exec_block(body, st);
             self.drain_continues(st);
+            if self.skip == Skip::Iteration {
+                self.skip = outer_skip;
+            }
             match st.flow {
                 Flow::Normal => {
                     if let Some(s) = step {
@@ -879,6 +924,9 @@ impl<'a> Interp<'a> {
         }
         let breaks = self.loop_breaks.pop().unwrap();
         self.loop_continues.pop();
+        if self.skip != Skip::Call {
+            self.skip = outer_skip;
+        }
         let mut finals: Vec<State> = exits
             .into_iter()
             .filter(|s| s.flow == Flow::Normal)
@@ -1072,6 +1120,7 @@ pub fn analyze_kernel(unit: &Unit, file: &str, qname: &str, ports: &[String]) ->
         seq: 0,
         cur_line: work.line,
         order: Some(Vec::new()),
+        skip: Skip::None,
         depth: 0,
         fn_exits: vec![Vec::new()],
         ret_vals: vec![Vec::new()],
@@ -1471,6 +1520,57 @@ void work() {
 }",
         );
         assert_eq!(order(&r).unwrap(), ["pop x", "push out"]);
+    }
+
+    /// An undecided early exit skips the IO after it up to where its path
+    /// rejoins: the rest of the firing for `return` in `work`, the rest of
+    /// the loop for `break`, the rest of the iteration for `continue`.
+    #[test]
+    fn io_after_an_undecided_early_exit_unfixes_the_order() {
+        let r = analyze(
+            "void work() { U32 a = pedf.io.x[0]; if (a > 10) { return; } pedf.io.out[0] = a; }",
+        );
+        assert_eq!(order(&r), None);
+        let out = port(&r, "out").writes;
+        assert_eq!((out.min, out.max), (0, Some(1)));
+        for exit in ["break;", "continue;"] {
+            let r = analyze(&format!(
+                "void work() {{
+    U32 i;
+    for (i = 0; i < 2; i = i + 1) {{
+        U32 a = pedf.io.x[i];
+        if (a > 10) {{ {exit} }}
+        pedf.io.out[i] = a;
+    }}
+}}"
+            ));
+            assert_eq!(order(&r), None, "{exit}");
+        }
+        // Paths rejoin at the next iteration, after the loop and after
+        // the call: the IO there runs on every path.
+        let r = analyze(
+            "void work() {
+    U32 i;
+    for (i = 0; i < 1; i = i + 1) {
+        if (pedf.io.x[i] > 10) { break; }
+    }
+    pedf.io.out[0] = 1;
+}",
+        );
+        assert_eq!(order(&r).unwrap(), ["pop x", "push out"]);
+        let r = analyze(
+            "U32 f(U32 a) { if (a > 10) { return 0; } return a; }
+void work() {
+    U32 i;
+    for (i = 0; i < 2; i = i + 1) {
+        U32 a = pedf.io.x[i];
+        if (a > 10) { continue; }
+        a = a + 1;
+    }
+    pedf.io.out[0] = f(pedf.io.y[0]);
+}",
+        );
+        assert_eq!(order(&r).unwrap(), ["pop x", "pop x", "pop y", "push out"]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! observer (debugger or test) drains the buffer once per cycle instead of
 //! paying a breakpoint stop per framework call.
 
-use debuginfo::Value;
+use debuginfo::{InlineSlice, Word};
 
 use crate::graph::{ActorId, ConnId, LinkId};
 
@@ -28,14 +28,16 @@ pub enum RuntimeEvent {
         link: LinkId,
         /// Global (monotonic) token index on this link.
         index: u64,
-        value: Value,
+        /// The token's payload words (typed by `conn`); a one-word
+        /// payload is carried inline, so scalar events do not allocate.
+        words: InlineSlice<Word>,
     },
     /// A token left `link` through input connection `conn`.
     TokenPopped {
         conn: ConnId,
         link: LinkId,
         index: u64,
-        value: Value,
+        words: InlineSlice<Word>,
     },
     /// Controller scheduled the actor (ACTOR_START).
     ActorStarted {

@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use debuginfo::{TypeTable, Value, Word};
+use debuginfo::{InlineSlice, TypeTable, Value, Word};
 use p2012::{BlockReason, PeId, PeState, PeStatus, TrapCtx, TrapHandler, TrapResult};
 
 use crate::api::{self, traps};
@@ -392,7 +392,6 @@ impl Runtime {
         let Some(link) = c.link else {
             return self.fail(format!("push on unbound conn {}", c.name), "unbound");
         };
-        let ty = c.ty;
         let rt_written = self.conns_rt[conn.0 as usize].written;
         if idx != rt_written {
             return self.fail(
@@ -415,7 +414,7 @@ impl Runtime {
                     conn,
                     link,
                     index,
-                    value: Value::record(ty, words.to_vec()),
+                    words: InlineSlice::from_slice(words),
                 });
                 TrapResult::Done
             }
@@ -465,7 +464,7 @@ impl Runtime {
                         conn,
                         link,
                         index,
-                        value: Value::record(ty, words.clone()),
+                        words: InlineSlice::from_slice(words),
                     });
                 }
                 Ok(None) => return Err(TrapResult::Block(BlockReason::TokenWait { link: link.0 })),
@@ -836,7 +835,6 @@ impl Runtime {
             let Some(link) = c.link else {
                 continue;
             };
-            let ty = c.ty;
             let fifo = &mut self.fifos[link.0 as usize];
             // One token per cycle at most, catching up after stalls; a
             // full link postpones it, order preserved.
@@ -857,7 +855,7 @@ impl Runtime {
                     conn,
                     link,
                     index,
-                    value: Value::scalar(ty, v),
+                    words: InlineSlice::One(v),
                 });
             }
         }
@@ -869,7 +867,6 @@ impl Runtime {
             let Some(link) = c.link else {
                 continue;
             };
-            let ty = c.ty;
             let fifo = &mut self.fifos[link.0 as usize];
             if fifo.is_empty() || !k.due(ctx.clock) {
                 continue;
@@ -885,7 +882,7 @@ impl Runtime {
                     conn,
                     link,
                     index,
-                    value: Value::record(ty, words.clone()),
+                    words: InlineSlice::from_slice(words),
                 });
             }
         }

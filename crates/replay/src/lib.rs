@@ -26,6 +26,24 @@
 //!   finding through the shared `debuginfo::Finding` pipeline, proving
 //!   the simulator stays deterministic.
 //!
+//! The chain stays bounded however long the history grows. Periodic
+//! checkpoints start [`CHECKPOINT_INTERVAL`] cycles apart; when more than
+//! [`CHECKPOINT_BUDGET`] of them are kept, every second one (counting
+//! back from the newest, which stays) is dropped and the spacing doubles,
+//! so the kept ones stay evenly spread at about a twentieth of the
+//! history. The baseline, checkpoints taken by hand and the re-anchors
+//! after a history mutation are *pinned* and never dropped. A dropped
+//! boundary's dirty pages join the next kept boundary's, whose hash is
+//! recomputed over them from the previous kept hash, and every later
+//! hash is chained again: a replay that runs through the dropped cycle
+//! without stopping there verifies the next kept boundary exactly as
+//! before. Thinning renumbers the checkpoint ids to chain positions, `0`
+//! to `count - 1`; between thinnings ids only grow, so a history
+//! mutation that drops checkpoints leaves a gap rather than giving a
+//! dropped id to another state. The cost is the replay length: a
+//! jump far back replays up to history / 20 cycles. The debugger's
+//! replay anchors keep jumps near the present short.
+//!
 //! Restoring to checkpoint `C` replaces the machine with a clone of `C`'s
 //! fork; its pages stay shared, so this costs what a fork does. Two
 //! things live outside the recorded machine and carry over from the
@@ -42,11 +60,14 @@ use pedf::System;
 
 pub const RULE_DIVERGENCE: &str = "REPLAY501";
 
-/// The default checkpoint interval, in cycles: what every interactive
-/// front end records with and what `checkpoint` starts with. Cheap
-/// enough to leave on (EXPERIMENTS.md E6); the debugger's replay anchors
-/// bound how much of an interval a reverse command replays.
-pub const CHECKPOINT_INTERVAL: u64 = 10_000;
+/// The default starting spacing of periodic checkpoints, in cycles: what
+/// every interactive front end records with and what `checkpoint` starts
+/// with. Cheap enough to leave on (EXPERIMENTS.md E6); thinning doubles
+/// it as the history grows (see the module docs).
+pub const CHECKPOINT_INTERVAL: u64 = 2_000;
+
+/// How many periodic checkpoints the chain keeps before it thins.
+pub const CHECKPOINT_BUDGET: usize = 20;
 
 // ---- hashing ---------------------------------------------------------------
 
@@ -167,6 +188,15 @@ pub fn full_state_hash(sys: &System) -> u64 {
 
 // ---- checkpoints -----------------------------------------------------------
 
+/// The union of two page sets, sorted as `Memory::take_dirty` returns
+/// one.
+fn union(a: &[PageId], b: &[PageId]) -> Vec<PageId> {
+    let mut out = [a, b].concat();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 /// Replace the live machine with `recorded`, a fork taken earlier on this
 /// timeline (a checkpoint's, or any other the client kept), carrying over
 /// the installed watches and the environment's recordings (see the module
@@ -187,8 +217,11 @@ pub struct Checkpoint<X> {
     pub clock: u64,
     /// Chained boundary hash (see module docs).
     pub hash: u64,
-    /// Pages dirtied since the previous boundary (0 for the baseline).
-    pub pages: usize,
+    /// Pages dirtied since the previous boundary, sorted (none for the
+    /// baseline).
+    pub pages: Vec<PageId>,
+    /// Never dropped when the chain thins.
+    pub pinned: bool,
     /// The machine at `clock`, never stepped: restores clone it.
     pub sys: System,
     pub payload: X,
@@ -199,21 +232,25 @@ pub struct Checkpoint<X> {
 pub struct CheckpointInfo {
     pub id: u32,
     pub clock: u64,
+    /// How many pages were dirtied since the previous boundary.
     pub pages: usize,
     pub hash: u64,
+    pub pinned: bool,
 }
 
 /// The checkpoint chain plus divergence findings.
 #[derive(Debug, Clone)]
 pub struct CheckpointManager<X> {
-    /// Auto-checkpoint interval in cycles.
-    pub interval: u64,
+    /// Spacing of periodic checkpoints in cycles; doubles as the chain
+    /// thins.
+    interval: u64,
     checkpoints: Vec<Checkpoint<X>>,
     findings: Vec<Finding>,
     next_id: u32,
 }
 
 impl<X> CheckpointManager<X> {
+    /// A chain whose periodic checkpoints start `interval` cycles apart.
     pub fn new(interval: u64) -> Self {
         assert!(interval >= 1, "checkpoint interval must be positive");
         CheckpointManager {
@@ -222,6 +259,11 @@ impl<X> CheckpointManager<X> {
             findings: Vec::new(),
             next_id: 0,
         }
+    }
+
+    /// The current spacing of periodic checkpoints, in cycles.
+    pub fn interval(&self) -> u64 {
+        self.interval
     }
 
     pub fn is_initialized(&self) -> bool {
@@ -233,10 +275,17 @@ impl<X> CheckpointManager<X> {
     pub fn baseline(&mut self, sys: &mut System, payload: X) -> u32 {
         let _ = sys.platform.mem.take_dirty();
         let hash = full_state_hash(sys);
-        self.push(sys, hash, 0, payload)
+        self.push(sys, hash, Vec::new(), true, payload)
     }
 
-    fn push(&mut self, sys: &mut System, hash: u64, pages: usize, payload: X) -> u32 {
+    fn push(
+        &mut self,
+        sys: &mut System,
+        hash: u64,
+        pages: Vec<PageId>,
+        pinned: bool,
+        payload: X,
+    ) -> u32 {
         let id = self.next_id;
         self.next_id += 1;
         self.checkpoints.push(Checkpoint {
@@ -244,6 +293,7 @@ impl<X> CheckpointManager<X> {
             clock: sys.clock(),
             hash,
             pages,
+            pinned,
             sys: sys.fork(),
             payload,
         });
@@ -254,13 +304,15 @@ impl<X> CheckpointManager<X> {
         self.checkpoints.iter().map(|c| CheckpointInfo {
             id: c.id,
             clock: c.clock,
-            pages: c.pages,
+            pages: c.pages.len(),
             hash: c.hash,
+            pinned: c.pinned,
         })
     }
 
     pub fn get(&self, id: u32) -> Option<&Checkpoint<X>> {
-        self.checkpoints.iter().find(|c| c.id == id)
+        let i = self.checkpoints.binary_search_by_key(&id, |c| c.id).ok()?;
+        Some(&self.checkpoints[i])
     }
 
     /// Every checkpoint of the chain, oldest first.
@@ -333,13 +385,71 @@ impl<X> CheckpointManager<X> {
         h.finish()
     }
 
-    /// Record a new checkpoint at the current clock (first-run ground).
+    /// Record a pinned checkpoint at the current clock (first-run
+    /// ground): the chain never thins it away.
     pub fn checkpoint_at(&mut self, sys: &mut System, payload: X) -> u32 {
+        self.record(sys, true, payload)
+    }
+
+    /// Record the auto-policy's checkpoint at the current clock
+    /// (first-run ground), then thin the chain if it holds more than
+    /// [`CHECKPOINT_BUDGET`] periodic checkpoints. Returns whether it
+    /// thinned: ids are chain positions then, and earlier ones may name
+    /// other checkpoints.
+    pub fn periodic_at(&mut self, sys: &mut System, payload: X) -> bool {
+        self.record(sys, false, payload);
+        let periodic = self.checkpoints.iter().filter(|c| !c.pinned).count();
+        if periodic <= CHECKPOINT_BUDGET {
+            return false;
+        }
+        self.thin();
+        true
+    }
+
+    fn record(&mut self, sys: &mut System, pinned: bool, payload: X) -> u32 {
         debug_assert!(self.is_initialized(), "baseline() first");
         let dirty = sys.platform.mem.take_dirty();
         let prev = self.checkpoints.last().map_or(0, |c| c.hash);
         let hash = Self::boundary_hash(prev, sys, &dirty);
-        self.push(sys, hash, dirty.len(), payload)
+        self.push(sys, hash, dirty, pinned, payload)
+    }
+
+    /// Drop every second periodic checkpoint, counting back from the
+    /// newest (kept), double the spacing and renumber the ids to chain
+    /// positions. The pages of each dropped boundary join the next kept
+    /// one, whose hash is recomputed on its stored machine; every hash
+    /// after the first drop is chained again.
+    fn thin(&mut self) {
+        // How many periodic checkpoints are newer than the one at hand.
+        let mut newer = self.checkpoints.iter().filter(|c| !c.pinned).count();
+        let mut merged: Vec<PageId> = Vec::new();
+        let mut rechain = false;
+        let mut prev = 0;
+        let mut kept = Vec::with_capacity(self.checkpoints.len());
+        for mut c in std::mem::take(&mut self.checkpoints) {
+            if !c.pinned {
+                newer -= 1;
+                if newer % 2 == 1 {
+                    merged = union(&merged, &c.pages);
+                    rechain = true;
+                    continue;
+                }
+            }
+            if rechain {
+                if !merged.is_empty() {
+                    c.pages = union(&merged, &c.pages);
+                    merged.clear();
+                }
+                c.hash = Self::boundary_hash(prev, &c.sys, &c.pages);
+            }
+            prev = c.hash;
+            c.id = kept.len() as u32;
+            kept.push(c);
+        }
+        debug_assert!(merged.is_empty(), "the newest checkpoint is kept");
+        self.next_id = kept.len() as u32;
+        self.checkpoints = kept;
+        self.interval = self.interval.saturating_mul(2);
     }
 
     /// A replayed execution reached a recorded boundary: recompute the
@@ -393,12 +503,8 @@ impl<X> CheckpointManager<X> {
     /// timeline that no longer exists. The baseline is always retained:
     /// the chain starts there.
     pub fn invalidate_after(&mut self, clock: u64) {
-        let mut first = true;
-        self.checkpoints.retain(|c| {
-            let keep = first || c.clock <= clock;
-            first = false;
-            keep
-        });
+        let keep = self.checkpoints.partition_point(|c| c.clock <= clock);
+        self.checkpoints.truncate(keep.max(1));
     }
 
     /// Divergence findings accumulated by [`Self::verify_boundary`].
@@ -416,6 +522,7 @@ mod tests {
     use super::*;
     use debuginfo::TypeTable;
     use p2012::memory::L2_BASE;
+    use std::collections::HashMap;
 
     #[test]
     fn divergence_rule_is_registered() {
@@ -453,6 +560,128 @@ mod tests {
         platform.invoke(PeId(0), entry, &[L2_BASE]);
         platform.invoke(PeId(1), entry, &[L2_BASE + 5000]);
         System::new(platform, Runtime::new(TypeTable::new()))
+    }
+
+    /// PE 0 stores into a new L2 page every iteration (64 pages round),
+    /// PE 1 increments one counter: most intervals dirty pages the next
+    /// interval does not.
+    fn walker_system() -> System {
+        const SPAN: u32 = 64 * PAGE_WORDS;
+        let mut b = ProgramBuilder::new();
+        let walk = b.begin_func(1);
+        b.emit(Insn::Enter(1));
+        let top = b.here();
+        b.emit(Insn::LoadLocal(0));
+        b.emit(Insn::Const(L2_BASE));
+        b.emit(Insn::Add);
+        b.emit(Insn::LoadLocal(0));
+        b.emit(Insn::StoreMem);
+        b.emit(Insn::LoadLocal(0));
+        b.emit(Insn::Const(PAGE_WORDS + 1));
+        b.emit(Insn::Add);
+        b.emit(Insn::Const(SPAN - 1));
+        b.emit(Insn::BitAnd);
+        b.emit(Insn::StoreLocal(0));
+        b.emit(Insn::Jump(top));
+        let count = b.begin_func(1);
+        b.emit(Insn::Enter(1));
+        let top = b.here();
+        b.emit(Insn::LoadLocal(0));
+        b.emit(Insn::LoadLocal(0));
+        b.emit(Insn::LoadMem);
+        b.emit(Insn::Const(1));
+        b.emit(Insn::Add);
+        b.emit(Insn::StoreMem);
+        b.emit(Insn::Jump(top));
+        let mut platform = Platform::new(PlatformConfig::default());
+        platform.load(b.finish());
+        platform.invoke(PeId(0), walk, &[0]);
+        platform.invoke(PeId(1), count, &[L2_BASE + SPAN]);
+        System::new(platform, Runtime::new(TypeTable::new()))
+    }
+
+    /// Run to `end` as a debugger's run loop does: stop at every recorded
+    /// boundary to verify it and, on first-run ground, record the periodic
+    /// checkpoint due, noting the full state hash of each in `states`.
+    fn run_chain(
+        mgr: &mut CheckpointManager<()>,
+        sys: &mut System,
+        end: u64,
+        states: &mut HashMap<u64, u64>,
+    ) {
+        while sys.clock() < end {
+            let next = mgr.next_boundary(sys.clock() + 1).min(end);
+            sys.run(next - sys.clock());
+            let clock = sys.clock();
+            if mgr.has_checkpoint_at(clock) {
+                mgr.verify_boundary(sys, clock);
+            } else if mgr.creation_due(clock) {
+                states.insert(clock, full_state_hash(sys));
+                mgr.periodic_at(sys, ());
+            }
+        }
+    }
+
+    /// A long history thins the chain to the budget: ids stay chain
+    /// positions in clock order, the pinned checkpoints survive, and
+    /// every kept checkpoint restores to the forward run's state and
+    /// replays to the end with every kept boundary verified.
+    #[test]
+    fn a_long_chain_thins_to_the_budget_and_still_verifies() {
+        const START: u64 = 50;
+        const HAND: u64 = 1_234;
+        const END: u64 = 30_000;
+        let mut sys = walker_system();
+        let mut mgr: CheckpointManager<()> = CheckpointManager::new(START);
+        let mut states = HashMap::from([(0, full_state_hash(&sys))]);
+        mgr.baseline(&mut sys, ());
+        run_chain(&mut mgr, &mut sys, HAND, &mut states);
+        states.insert(HAND, full_state_hash(&sys));
+        mgr.checkpoint_at(&mut sys, ());
+        run_chain(&mut mgr, &mut sys, END, &mut states);
+        let end_hash = full_state_hash(&sys);
+
+        let infos: Vec<CheckpointInfo> = mgr.checkpoints().collect();
+        let periodic = infos.iter().filter(|c| !c.pinned).count();
+        let pinned: Vec<u64> = infos.iter().filter(|c| c.pinned).map(|c| c.clock).collect();
+        assert!(
+            mgr.interval() >= 4 * START,
+            "thinned {} times",
+            mgr.interval() / START
+        );
+        assert!(
+            periodic > CHECKPOINT_BUDGET / 2 && periodic <= CHECKPOINT_BUDGET,
+            "{periodic} periodic checkpoints"
+        );
+        assert_eq!(pinned, [0, HAND]);
+        for (i, c) in infos.iter().enumerate() {
+            assert_eq!(c.id as usize, i);
+            assert!(i == 0 || infos[i - 1].clock < c.clock, "{infos:?}");
+        }
+        assert!(mgr.findings().is_empty(), "{:?}", mgr.findings());
+
+        for c in &infos {
+            mgr.restore(&mut sys, c.id).unwrap();
+            assert_eq!(
+                Some(&full_state_hash(&sys)),
+                states.get(&c.clock),
+                "restart {}",
+                c.id
+            );
+            run_chain(&mut mgr, &mut sys, END, &mut HashMap::new());
+            assert_eq!(full_state_hash(&sys), end_hash, "replay from {}", c.id);
+        }
+        assert_eq!(
+            mgr.findings().first(),
+            None,
+            "{} findings",
+            mgr.findings().len()
+        );
+        assert_eq!(
+            mgr.checkpoints().count(),
+            infos.len(),
+            "replays record nothing"
+        );
     }
 
     #[test]

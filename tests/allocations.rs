@@ -63,8 +63,8 @@ const N_MBS: u64 = 256;
 const ENV_SEED: u32 = 0xbeef;
 
 /// Pinned readings.
-const RUN_ALLOCATIONS: u64 = 594;
-const REVERSE_PAIR_ALLOCATIONS: u64 = 587;
+const RUN_ALLOCATIONS: u64 = 938;
+const REVERSE_PAIR_ALLOCATIONS: u64 = 455;
 const BARE_RUN_ALLOCATIONS: u64 = 0;
 
 fn decode_session() -> Session {

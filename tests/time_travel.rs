@@ -841,3 +841,80 @@ fn history_mutation_drops_the_anchors_after_it() {
     };
     assert_eq!(script(true), script(false));
 }
+
+// ---- a thinning chain ------------------------------------------------------------
+
+/// Run forward to exactly `target`, through any catchpoint stops.
+fn run_until(s: &mut Session, target: u64) {
+    while s.sys.clock() < target {
+        match s.run(target - s.sys.clock()) {
+            Stop::CycleLimit | Stop::Dataflow(_) => {}
+            other => panic!("stopped with {other:?} before cycle {target}"),
+        }
+    }
+}
+
+/// The chain thins while the session holds replay anchors. Periodic
+/// checkpoint `k` sits `k` intervals after the baseline; the first
+/// thinning, when the 21st is recorded, drops every even `k`. Anchors
+/// laid after a dropped boundary go with it; anchors laid after a kept
+/// one stay. Going back onto the anchored cycle and on across the next
+/// kept boundary, whose hash now covers the dropped interval's pages
+/// too, then reversing from there, lands where a forward run without
+/// time travel was, and no replay reports `REPLAY501`. The dropped
+/// boundary is one whose interval dirtied a page the next did not, so
+/// a replay from a stale anchor would miss that page.
+#[test]
+fn thinning_drops_the_anchors_after_a_dropped_boundary() {
+    const START: u64 = 100;
+    let c0 = session_with(Bug::None, ANCHOR_MBS, 0xbeef).sys.clock();
+    let at = |k: u64, off: u64| c0 + k * START + off;
+    // (anchored target, a target past the next kept boundary, whether
+    // the anchors survive the thinning)
+    let cases = [
+        (at(10, 45), at(11, 45), false),
+        (at(13, 45), at(15, 45), true),
+    ];
+    let pages_at = |s: &Session, k: u64| {
+        let chain = s.checkpoint_chain();
+        chain.iter().find(|c| c.clock == at(k, 0)).unwrap().pages
+    };
+    let mut targets: Vec<u64> = cases.iter().flat_map(|c| [c.0, c.1]).collect();
+    targets.sort_unstable();
+    let (fwd_stops, fwd_states) = forward_reference(&targets);
+    let state_at = |t: u64| &fwd_states[targets.binary_search(&t).unwrap()];
+
+    for (anchored, past, kept) in cases {
+        let mut s = session_with(Bug::None, ANCHOR_MBS, 0xbeef);
+        s.enable_time_travel(START);
+        s.catch_iface_receive("pipe::mc_in").unwrap();
+        run_until(&mut s, at(15, 50));
+        let unmerged = pages_at(&s, 11);
+        s.goto_cycle(anchored).unwrap();
+        assert_eq!(s.replay_anchors(), 2, "goto {anchored} laid its anchors");
+        run_until(&mut s, at(21, 10));
+        assert_eq!(s.checkpoint_spacing(), Some(2 * START), "the chain thinned");
+        let merged = pages_at(&s, 11);
+        let survivors = s.replay_anchors();
+
+        s.goto_cycle(anchored).unwrap();
+        assert_eq!(&state_of(&s), state_at(anchored), "goto {anchored}");
+        run_until(&mut s, past);
+        assert_eq!(&state_of(&s), state_at(past), "run on to {past}");
+        let stop = s.reverse_continue().unwrap();
+        let want = fwd_stops.iter().rev().find(|x| x.0 < past).unwrap();
+        let got = (s.sys.clock(), s.describe(&stop), state_of(&s));
+        assert_eq!(&got, want, "reverse-continue from {past}");
+        assert!(
+            s.replay_findings().is_empty(),
+            "anchors kept: {kept}: {:?}",
+            s.replay_findings()
+        );
+        assert!(merged > unmerged, "interval 10 has a page of its own");
+        assert_eq!(
+            survivors,
+            if kept { 2 } else { 0 },
+            "anchors after thinning"
+        );
+    }
+}

@@ -24,10 +24,11 @@ const WORK: MachineWork = MachineWork {
     dispatches: 14_338,
 };
 /// Every checkpoint shares the memory; the stores after the run's
-/// checkpoints copy 32 pages, each in a chunk of its own.
+/// checkpoints (one every 2,000 cycles until the chain thins, then every
+/// 4,000) copy 116 pages, each in a chunk of its own.
 const MEM_WORK: MemoryWork = MemoryWork {
-    chunks_copied: 32,
-    pages_copied: 32,
+    chunks_copied: 116,
+    pages_copied: 116,
 };
 
 #[test]
