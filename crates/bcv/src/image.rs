@@ -44,11 +44,28 @@ impl Access {
     }
 }
 
+/// Worklist steps of the two passes: program points taken off the
+/// worklist by the depth pass and by the interval fixpoint (the
+/// collection sweep is not counted).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassWork {
+    pub depth_steps: u64,
+    pub interval_steps: u64,
+}
+
+impl std::ops::AddAssign for PassWork {
+    fn add_assign(&mut self, o: PassWork) {
+        self.depth_steps += o.depth_steps;
+        self.interval_steps += o.interval_steps;
+    }
+}
+
 /// Verification result for one function.
 #[derive(Debug, Default)]
 pub struct FuncReport {
     pub findings: Vec<Finding>,
     pub accesses: Vec<Access>,
+    pub work: PassWork,
 }
 
 /// Build a source span for `pc`, if the line table covers it (runtime
@@ -125,6 +142,7 @@ fn check_depths(
     subject: &str,
     lines: &LineTable,
     findings: &mut Vec<Finding>,
+    steps: &mut u64,
 ) -> bool {
     let mut emitted: BTreeSet<&'static str> = BTreeSet::new();
     let mut emit = |rule: &'static str, pc: CodeAddr, msg: String, out: &mut Vec<Finding>| {
@@ -140,6 +158,7 @@ fn check_depths(
     let mut work = vec![f.addr];
     depth_in.insert(f.addr, 0);
     while let Some(pc) = work.pop() {
+        *steps += 1;
         let depth = depth_in[&pc];
         let Some(insn) = prog.fetch(pc) else {
             emit(
@@ -267,6 +286,7 @@ fn interpret(
     states.insert(f.addr, entry);
     let mut work = vec![f.addr];
     while let Some(pc) = work.pop() {
+        report.work.interval_steps += 1;
         let Some(insn) = prog.fetch(pc) else { continue };
         let mut st = states[&pc].clone();
         transfer(prog, insn, &mut st);
@@ -335,7 +355,14 @@ pub fn verify_function(
     lines: &LineTable,
 ) -> FuncReport {
     let mut report = FuncReport::default();
-    if check_depths(prog, f, subject, lines, &mut report.findings) {
+    if check_depths(
+        prog,
+        f,
+        subject,
+        lines,
+        &mut report.findings,
+        &mut report.work.depth_steps,
+    ) {
         interpret(prog, f, subject, lines, &mut report);
     }
     report

@@ -37,7 +37,7 @@ pub mod image;
 pub mod race;
 
 pub use debuginfo::render_findings;
-pub use image::Access;
+pub use image::{Access, PassWork};
 
 /// Stable rule identifiers. `BCV2xx` = bytecode/stack verification,
 /// `MEM3xx` = static memory classification, `RACE4xx` = shared-memory
@@ -130,6 +130,8 @@ pub struct Report {
     /// (RACE401 only) — the multiverse explorer watches these words to
     /// witness an access-order flip dynamically.
     pub race_sites: Vec<race::RaceSite>,
+    /// Worklist steps of the per-function passes, summed over the image.
+    pub work: image::PassWork,
 }
 
 impl Report {
@@ -196,8 +198,10 @@ pub fn verify(input: &AnalysisInput) -> Report {
 
     // Layer 1+2a: per-function stack verification and access collection.
     let mut accesses: BTreeMap<CodeAddr, Vec<Access>> = BTreeMap::new();
+    let mut work = image::PassWork::default();
     for f in &prog.funcs {
         let rep = image::verify_function(prog, f, &subject_of(f.addr), lines);
+        work += rep.work;
         findings.extend(rep.findings);
         accesses.insert(f.addr, rep.accesses);
     }
@@ -261,6 +265,7 @@ pub fn verify(input: &AnalysisInput) -> Report {
         findings,
         race_pairs,
         race_sites,
+        work,
     }
 }
 

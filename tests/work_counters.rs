@@ -7,7 +7,11 @@
 //! found shared with a checkpoint and copied. A debugger that looked at every PE in each of its
 //! three per-cycle passes would make 33 visits per cycle; a machine that
 //! polled its blocked PEs would ask about 4.4 of them every cycle.
+//!
+//! Beside the decode, the file pins the work of two searches: the race
+//! hunt's simulated cycles and the bytecode verifier's worklist steps.
 
+use bcv::PassWork;
 use dfdbg::{Session, Stop, CHECKPOINT_INTERVAL};
 use h264_pipeline::{attach_env, build_decoder, Bug};
 use p2012::{MachineWork, MemoryWork, PlatformConfig};
@@ -90,4 +94,34 @@ fn the_race_hunt_costs_what_it_simulates() {
         (HUNT_CYCLES, HUNT_JOINED),
         "the pinned hunt counts moved"
     );
+}
+
+/// The bytecode verifier's worklist steps (points taken off the worklist
+/// by the depth pass and by the interval fixpoint), summed over the nine
+/// decoder variants. The fixpoint's order, joins and widening decide
+/// them, not how its states are stored.
+const BCV_WORK: PassWork = PassWork {
+    depth_steps: 7_963,
+    interval_steps: 8_155,
+};
+
+#[test]
+fn the_bytecode_verifier_visits_the_pinned_points() {
+    let mut work = PassWork::default();
+    for bug in [
+        Bug::None,
+        Bug::RateMismatch,
+        Bug::WrongValue,
+        Bug::Deadlock,
+        Bug::OobStore,
+        Bug::SharedScratch,
+        Bug::BenignScratch,
+        Bug::DmaOverlap,
+        Bug::TightFifo,
+    ] {
+        let (_, app) = build_decoder(bug, 4, PlatformConfig::default()).unwrap();
+        work += bcv::verify(&bcv::AnalysisInput::from_app(&app)).work;
+    }
+    println!("{work:?}");
+    assert_eq!(work, BCV_WORK, "the pinned verifier work moved");
 }
