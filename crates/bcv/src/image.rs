@@ -14,6 +14,17 @@
 //!
 //! Pass 2 only runs when pass 1 is clean — a function with inconsistent
 //! stack depths has no well-defined abstract state to join.
+//!
+//! Both passes summarize a `Call` by the callee's result count. An
+//! [`Image`] works those counts out once per image, one per function, and
+//! finds a call target's function by binary search, so a call costs the
+//! passes no rescan of the image. Each pass keeps its per-point states
+//! (depths, abstract frames, visit counts) in arrays indexed by
+//! `pc - f.addr`, and the sweep consumes the fixed states instead of
+//! copying them. Worklist order, joins, widening and the sweep's address
+//! order are those of a map keyed by address: [`PassWork`] counts the
+//! points each pass takes off its worklist, and `tests/work_counters.rs`
+//! pins their sum over the decoder variants.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -87,37 +98,74 @@ pub fn describe_pc(lines: &LineTable, pc: CodeAddr) -> String {
     }
 }
 
-/// How many values the first `Ret` of the function containing `addr`
-/// pushes back to its caller (0 when unknown — e.g. a call into the void).
-fn ret_count(prog: &Program, addr: CodeAddr) -> u8 {
-    let Some(f) = prog.func_at(addr) else {
-        return 0;
-    };
-    for pc in f.addr..f.end {
-        if let Some(Insn::Ret { retc }) = prog.fetch(pc) {
-            return retc;
-        }
-    }
-    0
+/// A linked image with what the passes ask about every call built once:
+/// how many values each function's first `Ret` pushes back to its caller.
+pub struct Image<'p> {
+    pub prog: &'p Program,
+    /// Per entry of `prog.funcs`.
+    rets: Vec<u8>,
 }
 
-/// Net stack effect of `insn` as `(pops, pushes)`.
-fn effect(prog: &Program, insn: Insn) -> (usize, usize) {
-    use Insn::*;
-    match insn {
-        Enter(_) | Nop | Jump(_) | Halt => (0, 0),
-        Const(_) | LoadLocal(_) => (0, 1),
-        StoreLocal(_) | Drop | JumpIfZero(_) | JumpIfNot(_) => (1, 0),
-        LoadLocalIdx(_) | Neg | Not | BitNot | LoadMem => (1, 1),
-        StoreLocalIdx(_) | StoreMem => (2, 0),
-        Dup => (1, 2),
-        Swap => (2, 2),
-        Add | Sub | Mul | Div | Rem | BitAnd | BitOr | BitXor | Shl | Shr | Sar | Eq | Ne | LtS
-        | LeS | GtS | GeS | LtU | GeU => (2, 1),
-        Call { addr, argc } => (argc as usize, ret_count(prog, addr) as usize),
-        Ret { retc } => (retc as usize, 0),
-        Trap { argc, retc, .. } => (argc as usize, retc as usize),
+impl<'p> Image<'p> {
+    pub fn new(prog: &'p Program) -> Image<'p> {
+        let rets = prog
+            .funcs
+            .iter()
+            .map(|f| {
+                (f.addr..f.end)
+                    .find_map(|pc| match prog.fetch(pc) {
+                        Some(Insn::Ret { retc }) => Some(retc),
+                        _ => None,
+                    })
+                    .unwrap_or(0)
+            })
+            .collect();
+        Image { prog, rets }
     }
+
+    /// How many values the first `Ret` of the function containing `addr`
+    /// pushes back to its caller (0 when unknown — e.g. a call into the
+    /// void).
+    fn ret_count(&self, addr: CodeAddr) -> u8 {
+        self.prog.func_index(addr).map_or(0, |i| self.rets[i])
+    }
+
+    /// Net stack effect of `insn` as `(pops, pushes)`.
+    fn effect(&self, insn: Insn) -> (usize, usize) {
+        use Insn::*;
+        match insn {
+            Enter(_) | Nop | Jump(_) | Halt => (0, 0),
+            Const(_) | LoadLocal(_) => (0, 1),
+            StoreLocal(_) | Drop | JumpIfZero(_) | JumpIfNot(_) => (1, 0),
+            LoadLocalIdx(_) | Neg | Not | BitNot | LoadMem => (1, 1),
+            StoreLocalIdx(_) | StoreMem => (2, 0),
+            Dup => (1, 2),
+            Swap => (2, 2),
+            Add | Sub | Mul | Div | Rem | BitAnd | BitOr | BitXor | Shl | Shr | Sar | Eq | Ne
+            | LtS | LeS | GtS | GeS | LtU | GeU => (2, 1),
+            Call { addr, argc } => (argc as usize, self.ret_count(addr) as usize),
+            Ret { retc } => (retc as usize, 0),
+            Trap { argc, retc, .. } => (argc as usize, retc as usize),
+        }
+    }
+
+    /// One abstract step of the fixpoint. A call is summarized rather
+    /// than entered: its results are unknown words.
+    fn transfer(&self, insn: Insn, st: &mut Frame) -> Effect {
+        let effect = absint::exec(insn, st);
+        if let Control::Call { addr, .. } = effect.control {
+            st.stack
+                .extend((0..self.ret_count(addr)).map(|_| Iv::top()));
+        }
+        effect
+    }
+}
+
+/// Slots for a per-point state of `f`, indexed by `pc - f.addr`. The entry
+/// has one even when the function is empty (the passes then look at the
+/// instruction at its address and report the fall-through).
+fn point_slots(f: &FuncMeta) -> usize {
+    (f.end.saturating_sub(f.addr) as usize).max(1)
 }
 
 /// Successor program points of `insn` at `pc`. Empty for terminators.
@@ -137,7 +185,7 @@ fn successors(insn: Insn, pc: CodeAddr) -> impl Iterator<Item = CodeAddr> {
 /// join would otherwise cascade into dozens of identical diagnostics).
 /// Returns `true` when the function is clean.
 fn check_depths(
-    prog: &Program,
+    image: &Image,
     f: &FuncMeta,
     subject: &str,
     lines: &LineTable,
@@ -154,13 +202,13 @@ fn check_depths(
             out.push(fi);
         }
     };
-    let mut depth_in: BTreeMap<CodeAddr, i64> = BTreeMap::new();
+    let mut depth_in: Vec<Option<i64>> = vec![None; point_slots(f)];
     let mut work = vec![f.addr];
-    depth_in.insert(f.addr, 0);
+    depth_in[0] = Some(0);
     while let Some(pc) = work.pop() {
         *steps += 1;
-        let depth = depth_in[&pc];
-        let Some(insn) = prog.fetch(pc) else {
+        let depth = depth_in[(pc - f.addr) as usize].expect("queued points have a depth");
+        let Some(insn) = image.prog.fetch(pc) else {
             emit(
                 rules::STACK_ESCAPE,
                 pc,
@@ -169,7 +217,7 @@ fn check_depths(
             );
             continue;
         };
-        let (pops, pushes) = effect(prog, insn);
+        let (pops, pushes) = image.effect(insn);
         if depth < pops as i64 {
             emit(
                 rules::STACK_UNDERFLOW,
@@ -206,12 +254,13 @@ fn check_depths(
                 emit(rules::STACK_ESCAPE, pc, what, findings);
                 continue;
             }
-            match depth_in.get(&succ) {
+            let slot = &mut depth_in[(succ - f.addr) as usize];
+            match *slot {
                 None => {
-                    depth_in.insert(succ, next);
+                    *slot = Some(next);
                     work.push(succ);
                 }
-                Some(&seen) if seen != next => {
+                Some(seen) if seen != next => {
                     emit(
                         rules::STACK_JOIN,
                         succ,
@@ -252,17 +301,6 @@ fn join_into(old: &mut Frame, new: &Frame, widen: bool) -> bool {
     changed
 }
 
-/// One abstract step of the fixpoint. A call is summarized rather than
-/// entered: its results are unknown words.
-fn transfer(prog: &Program, insn: Insn, st: &mut Frame) -> Effect {
-    let effect = absint::exec(insn, st);
-    if let Control::Call { addr, .. } = effect.control {
-        st.stack
-            .extend((0..ret_count(prog, addr)).map(|_| Iv::top()));
-    }
-    effect
-}
-
 /// Largest access range (in words) worth recording; wider intervals carry
 /// no overlap information a human could act on.
 const MAX_RANGE_WORDS: i64 = 0x1_0000;
@@ -271,7 +309,7 @@ const MAX_RANGE_WORDS: i64 = 0x1_0000;
 /// collection sweep over the fixed states recording memory accesses and
 /// definite local-index violations.
 fn interpret(
-    prog: &Program,
+    image: &Image,
     f: &FuncMeta,
     subject: &str,
     lines: &LineTable,
@@ -281,26 +319,37 @@ fn interpret(
         locals: vec![Iv::top(); f.argc as usize],
         stack: Vec::new(),
     };
-    let mut states: BTreeMap<CodeAddr, Frame> = BTreeMap::new();
-    let mut visits: BTreeMap<CodeAddr, u32> = BTreeMap::new();
-    states.insert(f.addr, entry);
+    let n = point_slots(f);
+    let mut states: Vec<Option<Frame>> = vec![None; n];
+    let mut visits: Vec<u32> = vec![0; n];
+    states[0] = Some(entry);
     let mut work = vec![f.addr];
     while let Some(pc) = work.pop() {
         report.work.interval_steps += 1;
-        let Some(insn) = prog.fetch(pc) else { continue };
-        let mut st = states[&pc].clone();
-        transfer(prog, insn, &mut st);
-        for succ in successors(insn, pc) {
-            if succ < f.addr || succ >= f.end {
-                continue;
-            }
-            let n = visits.entry(succ).or_insert(0);
-            *n += 1;
-            let widen = *n > WIDEN_AFTER;
-            let changed = match states.get_mut(&succ) {
+        let Some(insn) = image.prog.fetch(pc) else {
+            continue;
+        };
+        let mut st = states[(pc - f.addr) as usize]
+            .clone()
+            .expect("queued points have a state");
+        image.transfer(insn, &mut st);
+        let mut succs = successors(insn, pc)
+            .filter(|&succ| succ >= f.addr && succ < f.end)
+            .peekable();
+        while let Some(succ) = succs.next() {
+            let i = (succ - f.addr) as usize;
+            visits[i] += 1;
+            let widen = visits[i] > WIDEN_AFTER;
+            let changed = match &mut states[i] {
                 Some(old) => join_into(old, &st, widen),
-                None => {
-                    states.insert(succ, st.clone());
+                slot @ None => {
+                    // The last successor takes the state; a first one of
+                    // two gets a copy.
+                    *slot = Some(if succs.peek().is_none() {
+                        std::mem::take(&mut st)
+                    } else {
+                        st.clone()
+                    });
                     true
                 }
             };
@@ -309,11 +358,14 @@ fn interpret(
             }
         }
     }
-    // Collection sweep: one deterministic pass over the fixed states.
-    for (&pc, st) in &states {
-        let Some(insn) = prog.fetch(pc) else { continue };
-        let mut st = st.clone();
-        let effect = transfer(prog, insn, &mut st);
+    // Collection sweep: one deterministic pass over the fixed states, in
+    // address order.
+    for (pc, st) in (f.addr..).zip(states) {
+        let Some(mut st) = st else { continue };
+        let Some(insn) = image.prog.fetch(pc) else {
+            continue;
+        };
+        let effect = image.transfer(insn, &mut st);
         if let Some((addr, write)) = effect.access {
             if addr.lo >= 0
                 && addr.hi <= i64::from(u32::MAX)
@@ -349,21 +401,21 @@ fn interpret(
 
 /// Verify one function: depth pass, then (when clean) the interval pass.
 pub fn verify_function(
-    prog: &Program,
+    image: &Image,
     f: &FuncMeta,
     subject: &str,
     lines: &LineTable,
 ) -> FuncReport {
     let mut report = FuncReport::default();
     if check_depths(
-        prog,
+        image,
         f,
         subject,
         lines,
         &mut report.findings,
         &mut report.work.depth_steps,
     ) {
-        interpret(prog, f, subject, lines, &mut report);
+        interpret(image, f, subject, lines, &mut report);
     }
     report
 }

@@ -199,8 +199,9 @@ pub fn verify(input: &AnalysisInput) -> Report {
     // Layer 1+2a: per-function stack verification and access collection.
     let mut accesses: BTreeMap<CodeAddr, Vec<Access>> = BTreeMap::new();
     let mut work = image::PassWork::default();
+    let img = image::Image::new(prog);
     for f in &prog.funcs {
-        let rep = image::verify_function(prog, f, &subject_of(f.addr), lines);
+        let rep = image::verify_function(&img, f, &subject_of(f.addr), lines);
         work += rep.work;
         findings.extend(rep.findings);
         accesses.insert(f.addr, rep.accesses);
@@ -573,7 +574,12 @@ mod tests {
         b.emit(Insn::Drop);
         b.emit(Insn::Ret { retc: 0 });
         let prog = b.finish();
-        let rep = image::verify_function(&prog, &prog.funcs[0], "f", &LineTable::default());
+        let rep = image::verify_function(
+            &image::Image::new(&prog),
+            &prog.funcs[0],
+            "f",
+            &LineTable::default(),
+        );
         assert!(rep.findings.is_empty());
         assert_eq!(
             rep.accesses,

@@ -142,7 +142,18 @@ impl Program {
 
     /// Function metadata covering `addr`, if any.
     pub fn func_at(&self, addr: CodeAddr) -> Option<&FuncMeta> {
-        self.funcs.iter().find(|f| addr >= f.addr && addr < f.end)
+        self.func_index(addr).map(|i| &self.funcs[i])
+    }
+
+    /// Index in [`Program::funcs`] of the function covering `addr`.
+    /// [`ProgramBuilder`] lays functions out in address order without
+    /// overlap, so a binary search finds it.
+    pub fn func_index(&self, addr: CodeAddr) -> Option<usize> {
+        let i = self
+            .funcs
+            .partition_point(|f| f.addr <= addr)
+            .checked_sub(1)?;
+        (addr < self.funcs[i].end).then_some(i)
     }
 }
 
@@ -292,6 +303,20 @@ mod tests {
         assert_eq!(p.func_at(f1).unwrap().end, f2);
         assert_eq!(p.func_at(f2 + 1).unwrap().addr, f2);
         assert!(p.func_at(99).is_none());
+    }
+
+    #[test]
+    fn an_empty_function_covers_no_address() {
+        let mut b = ProgramBuilder::new();
+        b.begin_func(1); // closed at once: [0, 0)
+        let f = b.begin_func(0);
+        b.emit(Insn::Halt);
+        b.begin_func(0); // [1, 1), at the end of the image
+        let p = b.finish();
+        assert_eq!(p.funcs.len(), 3);
+        assert_eq!(p.func_index(f), Some(1));
+        assert_eq!(p.func_at(f).unwrap().argc, 0);
+        assert_eq!(p.func_index(1), None);
     }
 
     #[test]

@@ -35,10 +35,11 @@ fn digest(label: &str, app: &CompiledApp, sources: &SourceRegistry) -> String {
     let prog = &app.program;
     let lines = &app.info.lines;
     let mut h = Fnv64::new();
+    let image = bcv::image::Image::new(prog);
     let (mut accesses, mut findings) = (0usize, 0usize);
     for f in &prog.funcs {
         let subject = format!("0x{:04x}", f.addr);
-        let rep = bcv::image::verify_function(prog, f, &subject, lines);
+        let rep = bcv::image::verify_function(&image, f, &subject, lines);
         h.write_u32(f.addr);
         for a in &rep.accesses {
             for w in [a.pc, a.lo, a.hi, u32::from(a.write)] {
