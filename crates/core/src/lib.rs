@@ -32,6 +32,7 @@
 //! `mind` tool-chain, then [`Session::boot`] — the graph is reconstructed
 //! live from the framework's registration calls via function breakpoints.
 
+pub mod analysis;
 pub mod appcache;
 pub mod cli;
 pub mod dataflow;

@@ -407,31 +407,29 @@ impl Session {
         Ok(debuginfo::render_findings_json(&findings))
     }
 
-    /// Run the dataflow analyzer and (when its input is loaded) the
-    /// bytecode verifier, remember both reports for `graph dot`, and
-    /// return the merged, deterministically ordered findings.
+    /// Run the dataflow analyzer and (when their inputs are loaded) the
+    /// bytecode verifier and the performance analyzer through
+    /// [`crate::analysis::run`], remember the reports for `graph dot`,
+    /// and return the merged, deterministically ordered findings.
     fn run_analyzers(&mut self) -> CmdResult<Vec<dfa::Finding>> {
         let input = self
             .analysis
             .as_ref()
             .ok_or("no analysis input loaded (build one with dfa::AnalysisInput::from_app and call load_analysis)")?;
-        let mut report = dfa::analyze(input);
-        report.resolve_spans(&self.info.lines);
-        let mut findings = report.findings.clone();
-        self.last_analysis = Some(report);
-        if let Some(bi) = &self.bcv_input {
-            let br = bcv::verify(bi);
-            findings.extend(br.findings.iter().cloned());
-            self.last_bcv = Some(Arc::new(br));
+        let a = crate::analysis::run(
+            input,
+            self.bcv_input.as_deref(),
+            self.sched_input.as_deref(),
+            &self.info.lines,
+        );
+        self.last_analysis = Some(a.dfa);
+        if let Some(b) = a.bcv {
+            self.last_bcv = Some(Arc::new(b));
         }
-        if let Some(si) = &self.sched_input {
-            let mut sr = sched::analyze(si);
-            sr.resolve_spans(&self.info.lines);
-            findings.extend(sr.findings.iter().cloned());
-            self.last_sched = Some(sr);
+        if let Some(s) = a.sched {
+            self.last_sched = Some(s);
         }
-        debuginfo::sort_and_dedup_findings(&mut findings);
-        Ok(findings)
+        Ok(a.findings)
     }
 
     /// Switch to the framework-cooperation ablation (§V's second option):

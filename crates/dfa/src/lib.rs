@@ -181,6 +181,14 @@ impl Report {
 /// Kernels that fail to parse surface as `KC001` findings rather than
 /// aborting the analysis of the rest of the application.
 pub fn analyze(input: &AnalysisInput) -> Report {
+    analyze_with_kernels(input).0
+}
+
+/// [`analyze`], also handing back pass 1's per-kernel reports (one per
+/// kernel that parses, keyed by actor) for `sched` to size buffers from
+/// instead of parsing and walking the kernels again. The report keeps
+/// none of them.
+pub fn analyze_with_kernels(input: &AnalysisInput) -> (Report, BTreeMap<ActorId, KernelReport>) {
     let mut findings: Vec<Finding> = Vec::new();
     let mut reports: BTreeMap<ActorId, KernelReport> = BTreeMap::new();
     let is_type = |s: &str| input.struct_types.contains(s);
@@ -207,13 +215,14 @@ pub fn analyze(input: &AnalysisInput) -> Report {
     let ga = analyze_graph(&input.graph, &reports);
     findings.extend(ga.findings);
     debuginfo::sort_and_dedup_findings(&mut findings);
-    Report {
+    let report = Report {
         findings,
         deadlock_actors: ga.deadlock_actors,
         deadlock_links: ga.deadlock_links,
         rate_actors: ga.rate_actors,
         rate_links: ga.rate_links,
-    }
+    };
+    (report, reports)
 }
 
 #[cfg(test)]

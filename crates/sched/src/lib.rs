@@ -5,7 +5,13 @@
 //!
 //! 1. **IO order** — `dfa`'s kernel walk ([`dfa::analyze_kernel`]) gives
 //!    each filter's per-firing rates and, where it is fixed, the ordered
-//!    push/pop sequence ([`dfa::KernelReport::io_order`]).
+//!    push/pop sequence ([`dfa::KernelReport::io_order`]). [`analyze`]
+//!    parses and walks the filter kernels itself ([`walk_kernels`]); a
+//!    debug session's `analyze` instead hands over the kernel reports
+//!    `dfa` just built ([`dfa::analyze_with_kernels`]), so each kernel is
+//!    parsed and walked once. Both go through [`analyze_with_kernels`],
+//!    which keeps the filters' reports and their touched ports, and
+//!    drops the reports once the passes below are done.
 //! 2. **Buffer sizing** ([`capacity`]) — Parks-style minimal
 //!    deadlock-free FIFO capacities by abstract KPN simulation, reported
 //!    as `SCH501` (capacity below minimum: will deadlock) and `SCH502`
@@ -172,14 +178,19 @@ impl Report {
     }
 }
 
-/// Run all passes over `input` and return the merged, sorted report.
+/// Run all passes over `input` and return the merged, sorted report:
+/// parse and walk every filter kernel, then [`analyze_with_kernels`].
 pub fn analyze(input: &AnalysisInput) -> Report {
-    let mut report = Report::default();
-    let is_type = |s: &str| input.struct_types.contains(s);
+    analyze_with_kernels(input, walk_kernels(input))
+}
 
-    // Pass 1: rates and IO order for every filter kernel that parses.
-    // (Parse failures are dfa's KC001; this pass just skips them.)
-    let mut kernels: BTreeMap<u32, KernelReport> = BTreeMap::new();
+/// Pass 1 on its own: rates and IO order for every filter kernel that
+/// parses, keyed by actor. (Parse failures are dfa's KC001; this pass
+/// just skips them.) Findings are dfa's to report; only the touched
+/// ports matter here, so none are seeded.
+pub fn walk_kernels(input: &AnalysisInput) -> BTreeMap<ActorId, KernelReport> {
+    let is_type = |s: &str| input.struct_types.contains(s);
+    let mut kernels = BTreeMap::new();
     for (aid, (file, src)) in &input.kernels {
         let Some(actor) = input.graph.actors.get(aid.0 as usize) else {
             continue;
@@ -188,14 +199,37 @@ pub fn analyze(input: &AnalysisInput) -> Report {
             continue;
         }
         if let Ok(unit) = kernelc::parser::parse(src, &is_type) {
-            // Findings are dfa's to report; only the touched ports matter.
-            let k = dfa::analyze_kernel(&unit, file, &actor.name, &[]);
-            if k.io_order.is_none() {
-                report.inexact.insert(aid.0);
-            }
-            kernels.insert(aid.0, k);
+            kernels.insert(*aid, dfa::analyze_kernel(&unit, file, &actor.name, &[]));
         }
     }
+    kernels
+}
+
+/// Passes 2–4 over pass 1's kernel reports: either [`walk_kernels`]'s or
+/// the ones `dfa::analyze_with_kernels` built over the same application
+/// (a debug session hands those over, so each kernel is parsed and
+/// walked once per `analyze`). Reports of actors that are not filters
+/// are dropped, and so are ports the kernel never touches: dfa seeds
+/// every declared port, which would otherwise list exact-zero rates the
+/// walk here does not.
+pub fn analyze_with_kernels(
+    input: &AnalysisInput,
+    kernels: BTreeMap<ActorId, KernelReport>,
+) -> Report {
+    let mut report = Report::default();
+    let mut filters: BTreeMap<u32, KernelReport> = BTreeMap::new();
+    for (aid, mut k) in kernels {
+        let actor = input.graph.actors.get(aid.0 as usize);
+        if actor.is_none_or(|a| a.kind != ActorKind::Filter) {
+            continue;
+        }
+        k.ports.retain(|_, p| p.used);
+        if k.io_order.is_none() {
+            report.inexact.insert(aid.0);
+        }
+        filters.insert(aid.0, k);
+    }
+    let kernels = filters;
 
     // Pass 2: minimal deadlock-free capacities, compared to elaboration.
     let model = capacity::build_model(&input.graph, &kernels);

@@ -52,7 +52,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use dataflow_debugger::appgen::{capacity_arms, observe, replay_round_trip};
-use dataflow_debugger::dfdbg::{Session, Stop};
+use dataflow_debugger::dfdbg::{analysis, Session, Stop};
 use dataflow_debugger::h264::{
     attach_env, build_decoder, decoder_sources, golden, run_decoder_with_caps, Bug,
 };
@@ -110,17 +110,15 @@ fn main() -> ExitCode {
     let sched_input = sched::AnalysisInput::from_app(&app, &sources);
 
     let t0 = Instant::now();
-    let mut report = dfa::analyze(&input);
-    report.resolve_spans(&app.info.lines);
-    let bcv_report = bcv::verify(&bcv_input);
-    let mut sched_report = sched::analyze(&sched_input);
-    sched_report.resolve_spans(&app.info.lines);
+    let analysis = analysis::run(
+        &input,
+        Some(&bcv_input),
+        Some(&sched_input),
+        &app.info.lines,
+    );
     let wall = t0.elapsed();
-
-    let mut findings = report.findings.clone();
-    findings.extend(bcv_report.findings.iter().cloned());
-    findings.extend(sched_report.findings.iter().cloned());
-    dataflow_debugger::debuginfo::sort_and_dedup_findings(&mut findings);
+    let findings = analysis.findings;
+    let race_pairs = analysis.bcv.map(|b| b.race_pairs).unwrap_or_default();
 
     if json {
         print!(
@@ -141,9 +139,8 @@ fn main() -> ExitCode {
             "{}",
             dataflow_debugger::debuginfo::render_findings(&findings)
         );
-        if !bcv_report.race_pairs.is_empty() {
-            let names: Vec<String> = bcv_report
-                .race_pairs
+        if !race_pairs.is_empty() {
+            let names: Vec<String> = race_pairs
                 .iter()
                 .map(|&(a, b)| {
                     format!(

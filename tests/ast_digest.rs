@@ -10,6 +10,9 @@
 //!
 //! The test also checks that a fixed order agrees with the rates: its
 //! per-port pops and pushes equal the kernel's exact read and write rates.
+//! A second test checks, on the same inputs, that `sched` sized from the
+//! kernel reports dfa built reports what `sched` walking the kernels
+//! itself reports.
 
 use std::collections::BTreeMap;
 use std::hash::Hasher;
@@ -143,33 +146,75 @@ fn digest(label: &str, app: &CompiledApp, sources: &SourceRegistry) -> String {
     )
 }
 
-#[test]
-fn ast_walk_computes_the_pinned_values() {
-    let mut got = String::new();
+/// Call `f` on every decoder variant and generated app, with its label;
+/// an app that does not build comes as its error.
+fn each_input(mut f: impl FnMut(String, Result<(CompiledApp, SourceRegistry), String>)) {
     for bug in VARIANTS {
         let (_sys, app) = build_decoder(bug, 4, PlatformConfig::default()).unwrap();
-        got += &digest(&format!("{bug:?}"), &app, &decoder_sources(bug));
-        got.push('\n');
+        f(format!("{bug:?}"), Ok((app, decoder_sources(bug))));
     }
     let base = parse_seed("ci");
     for i in 0..GENERATED_APPS {
         let spec = generate(iter_seed(base, i));
         let sources = spec.to_sources();
-        let line = match mind::build_with_caps(
+        let built = mind::build_with_caps(
             &spec.to_adl(),
             &sources,
             PlatformConfig::default(),
             &BTreeMap::new(),
-        ) {
-            Ok((_sys, app)) => digest(&format!("ci/{i}"), &app, &sources),
-            Err(e) => format!("ci/{i} build error: {e}"),
-        };
-        got += &line;
-        got.push('\n');
+        );
+        f(
+            format!("ci/{i}"),
+            built
+                .map(|(_sys, app)| (app, sources))
+                .map_err(|e| e.to_string()),
+        );
     }
+}
+
+#[test]
+fn ast_walk_computes_the_pinned_values() {
+    let mut got = String::new();
+    each_input(|label, built| {
+        got += &match built {
+            Ok((app, sources)) => digest(&label, &app, &sources),
+            Err(e) => format!("{label} build error: {e}"),
+        };
+        got.push('\n');
+    });
     let want = include_str!("golden/ast_digests.txt");
     assert_eq!(
         got, want,
         "AST walk digests changed; the new ones are:\n{got}"
     );
+}
+
+/// In a debug session `sched` sizes buffers from the kernel reports dfa
+/// built (`dfa::analyze_with_kernels`), which seed every declared port,
+/// cover every kernel and carry dfa's findings. Its report must equal the
+/// one from `sched`'s own walk of the filter kernels.
+#[test]
+fn sched_from_dfa_kernel_reports_equals_its_own_walk() {
+    let mut apps = 0;
+    each_input(|label, built| {
+        let Ok((app, sources)) = built else { return };
+        apps += 1;
+        let input = sched::AnalysisInput::from_app(&app, &sources);
+        let own = sched::analyze(&input);
+        let (_, kernels) = dfa::analyze_with_kernels(&dfa::AnalysisInput::from_app(&app, &sources));
+        let shared = sched::analyze_with_kernels(&input, kernels);
+        assert_eq!(shared.findings, own.findings, "{label}: findings");
+        assert_eq!(shared.min_caps, own.min_caps, "{label}: min_caps");
+        assert_eq!(shared.structural, own.structural, "{label}: structural");
+        assert_eq!(shared.inexact, own.inexact, "{label}: inexact");
+        assert_eq!(shared.wcet, own.wcet, "{label}: wcet");
+        assert_eq!(shared.period_lb, own.period_lb, "{label}: period_lb");
+        assert_eq!(shared.bottleneck, own.bottleneck, "{label}: bottleneck");
+        assert_eq!(
+            (&shared.bold_actors, &shared.bold_links),
+            (&own.bold_actors, &own.bold_links),
+            "{label}: bottleneck cycle"
+        );
+    });
+    assert!(apps > VARIANTS.len(), "only {apps} inputs built");
 }
