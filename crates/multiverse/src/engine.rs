@@ -465,15 +465,16 @@ struct Run {
     sig: Signature,
     /// A COW fork taken right after the last installed override's
     /// decision was consumed (the cheapest point descendants can branch
-    /// from), with the decision counters at that moment.
-    snap: Option<(System, [u64; 2])>,
+    /// from).
+    snap: Option<Snapshot>,
     /// Cycles simulated, up to the join for a joined universe.
     cycles: u64,
     joined: bool,
 }
 
 /// Run `sys` until a terminal condition or the absolute-clock horizon,
-/// draining engine watch hits each cycle; take the snapshot when
+/// draining engine watch hits each cycle onto the ones `sys` made before
+/// (`prefix`: the hits and their cycles); take the snapshot when
 /// `snapshot` is requested.
 ///
 /// Under [`Rungs::Join`], once the overrides are consumed, a universe
@@ -488,10 +489,10 @@ fn run_universe(
     overrides: &[ChoiceRec],
     snapshot: bool,
     mut rungs: Rungs,
+    prefix: (Vec<(u32, bool)>, Vec<u64>),
 ) -> Run {
-    let mut hits: Vec<(u32, bool)> = Vec::new();
-    let mut hit_cycles: Vec<u64> = Vec::new();
-    let mut snap: Option<(System, [u64; 2])> = None;
+    let (mut hits, mut hit_cycles) = prefix;
+    let mut snap: Option<Snapshot> = None;
     let mut consumed = overrides.is_empty();
     let mut cycles = 0;
     let mut spliced: Option<Signature> = None;
@@ -520,7 +521,12 @@ fn run_universe(
                     sys.runtime.policy.decisions(ChoiceKind::ActorStart),
                     sys.runtime.policy.decisions(ChoiceKind::DmaOrder),
                 ];
-                snap = Some((sys.fork(), counters));
+                snap = Some(Snapshot {
+                    sys: sys.fork(),
+                    counters,
+                    hits: hits.clone(),
+                    hit_cycles: hit_cycles.clone(),
+                });
             }
             // Consumed overrides can no longer fire; without them the
             // policy's state is comparable with the reference's.
@@ -633,13 +639,24 @@ fn splice(
 
 // ---- ancestor pool -----------------------------------------------------
 
+/// A universe frozen mid-run, with what a run forked from it must carry
+/// on from: the decision counters and the watched accesses so far. The
+/// machine's state does not hold those accesses (the engine drains them
+/// every cycle), so without them a universe forked from the snapshot
+/// would compare a cut-off hit list with the reference's.
+struct Snapshot {
+    sys: System,
+    counters: [u64; 2],
+    hits: Vec<(u32, bool)>,
+    hit_cycles: Vec<u64>,
+}
+
 /// A pooled snapshot: a universe frozen right after its overrides were
 /// consumed, reusable as a fork base by any descendant whose extra
 /// overrides all lie in the snapshot's future.
 struct PoolEntry {
     key: Vec<ChoiceRec>,
-    sys: System,
-    counters: [u64; 2],
+    snap: Snapshot,
     tick: u64,
 }
 
@@ -654,8 +671,12 @@ impl Pool {
         Pool {
             entries: vec![PoolEntry {
                 key: Vec::new(),
-                sys: root,
-                counters: [0, 0],
+                snap: Snapshot {
+                    sys: root,
+                    counters: [0, 0],
+                    hits: Vec::new(),
+                    hit_cycles: Vec::new(),
+                },
                 tick: 0,
             }],
             next_tick: 1,
@@ -665,8 +686,9 @@ impl Pool {
 
     /// Fork the deepest usable ancestor for `overrides`: its key must be a
     /// subset of `overrides` and every remaining override's decision must
-    /// still be ahead of the snapshot's counters.
-    fn fork_for(&mut self, overrides: &[ChoiceRec]) -> System {
+    /// still be ahead of the snapshot's counters. Returns the fork with
+    /// the ancestor's watched accesses so far.
+    fn fork_for(&mut self, overrides: &[ChoiceRec]) -> (System, Vec<(u32, bool)>, Vec<u64>) {
         let mut best = 0usize; // root always qualifies
         for (i, e) in self.entries.iter().enumerate().skip(1) {
             let subset = e.key.iter().all(|k| overrides.contains(k));
@@ -676,7 +698,7 @@ impl Pool {
             let future = overrides
                 .iter()
                 .filter(|o| !e.key.contains(o))
-                .all(|o| e.counters[o.kind.slot()] <= o.index);
+                .all(|o| e.snap.counters[o.kind.slot()] <= o.index);
             if !future {
                 continue;
             }
@@ -687,16 +709,16 @@ impl Pool {
         }
         self.entries[best].tick = self.next_tick;
         self.next_tick += 1;
-        self.entries[best].sys.fork()
+        let snap = &mut self.entries[best].snap;
+        (snap.sys.fork(), snap.hits.clone(), snap.hit_cycles.clone())
     }
 
     /// Insert a snapshot, evicting the least-recently-used non-root entry
     /// when full. Returns current pool payload bytes for peak tracking.
-    fn insert(&mut self, key: Vec<ChoiceRec>, sys: System, counters: [u64; 2]) -> u64 {
+    fn insert(&mut self, key: Vec<ChoiceRec>, snap: Snapshot) -> u64 {
         self.entries.push(PoolEntry {
             key,
-            sys,
-            counters,
+            snap,
             tick: self.next_tick,
         });
         self.next_tick += 1;
@@ -715,10 +737,10 @@ impl Pool {
     }
 
     fn bytes(&self) -> u64 {
-        let root = &self.entries[0].sys.platform.mem;
+        let root = &self.entries[0].snap.sys.platform.mem;
         self.entries
             .iter()
-            .map(|e| e.sys.platform.mem.words_apart_from(root) as u64 * 4)
+            .map(|e| e.snap.sys.platform.mem.words_apart_from(root) as u64 * 4)
             .sum()
     }
 }
@@ -930,7 +952,15 @@ pub fn explore(mut root: System, cfg: &ExploreConfig) -> ExploreReport {
         sig: reference,
         cycles,
         ..
-    } = run_universe(&mut ref_sys, horizon_abs, n_watches, &[], false, rungs);
+    } = run_universe(
+        &mut ref_sys,
+        horizon_abs,
+        n_watches,
+        &[],
+        false,
+        rungs,
+        Default::default(),
+    );
     stats.cycles_stepped += cycles;
     let recording = ref_sys.runtime.policy.recording.take().unwrap_or_default();
     stats.universes_explored += 1;
@@ -1028,7 +1058,7 @@ pub fn explore(mut root: System, cfg: &ExploreConfig) -> ExploreReport {
                 }
                 let mut ovs = base.clone();
                 ovs.push(cand.rec());
-                let mut sys = pool.fork_for(&ovs);
+                let (mut sys, hits, hit_cycles) = pool.fork_for(&ovs);
                 stats.universes_forked += 1;
                 sys.runtime.policy.recording = None;
                 sys.runtime.policy.set_overrides(&ovs);
@@ -1043,7 +1073,15 @@ pub fn explore(mut root: System, cfg: &ExploreConfig) -> ExploreReport {
                     snap,
                     cycles,
                     joined,
-                } = run_universe(&mut sys, horizon_abs, n_watches, &ovs, may_extend, rungs);
+                } = run_universe(
+                    &mut sys,
+                    horizon_abs,
+                    n_watches,
+                    &ovs,
+                    may_extend,
+                    rungs,
+                    (hits, hit_cycles),
+                );
                 stats.cycles_stepped += cycles;
                 stats.universes_joined += u64::from(joined);
                 stats.universes_explored += 1;
@@ -1078,8 +1116,8 @@ pub fn explore(mut root: System, cfg: &ExploreConfig) -> ExploreReport {
                 // gone.
                 drop(sys);
                 if may_extend {
-                    if let Some((snap_sys, counters)) = snap {
-                        let bytes = pool.insert(ovs.clone(), snap_sys, counters);
+                    if let Some(snap) = snap {
+                        let bytes = pool.insert(ovs.clone(), snap);
                         stats.peak_pool_bytes = stats.peak_pool_bytes.max(bytes);
                     }
                     next_parents.push((ovs, ci + 1));

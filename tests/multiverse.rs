@@ -142,3 +142,44 @@ fn explore_argument_errors_are_reported() {
     let out = c.exec("explore --budget 2 --until finding RACE401");
     assert!(out.contains("until=race"), "{out}");
 }
+
+/// The benign hunt the `explore` benchmark runs, at three pool sizes: 0
+/// (every universe forks from the root), the default 8 and more than
+/// the hunt ever pools. Where a universe forks from must not change what
+/// it observes, so the per-universe lines and the stats agree, apart
+/// from the pool's peak size and the cycles the forks saved.
+#[test]
+fn universes_classify_alike_at_every_pool_size() {
+    let mut cli = build_cli(Bug::BenignScratch, 4).unwrap();
+    cli.exec("analyze");
+    let session = &mut cli.session;
+    let race_sites = dataflow_debugger::dfdbg::race_watch_sites(
+        &session.sys.runtime.graph,
+        &session.last_bcv.as_ref().unwrap().race_sites,
+    );
+    assert!(!race_sites.is_empty());
+    let mut hunt = |pool_max: usize| {
+        let cfg = multiverse::ExploreConfig {
+            until: multiverse::Until::Race,
+            budget: 5000,
+            horizon: 200_000,
+            race_sites: race_sites.clone(),
+            pool_max,
+            ..Default::default()
+        };
+        let mut report = multiverse::explore(session.sys.fork(), &cfg);
+        report.stats.peak_pool_bytes = 0;
+        report.stats.cycles_stepped = 0;
+        let summary = report.transcript.pop().unwrap();
+        let summary = summary.split(" pool-peak=").next().unwrap().to_string();
+        (report.transcript, summary, report.stats)
+    };
+    let from_root = hunt(0);
+    assert!(from_root.2.universes_pruned > 0, "{:?}", from_root.2);
+    for pool_max in [8, 1000] {
+        let pooled = hunt(pool_max);
+        assert_eq!(pooled.0, from_root.0, "pool_max {pool_max}: universe lines");
+        assert_eq!(pooled.1, from_root.1, "pool_max {pool_max}: summary");
+        assert_eq!(pooled.2, from_root.2, "pool_max {pool_max}: stats");
+    }
+}
