@@ -6,7 +6,7 @@
 //! 1. **IO order** — `dfa`'s kernel walk ([`dfa::analyze_kernel`]) gives
 //!    each filter's per-firing rates and, where it is fixed, the ordered
 //!    push/pop sequence ([`dfa::KernelReport::io_order`]). [`analyze`]
-//!    parses and walks the filter kernels itself ([`walk_kernels`]); a
+//!    parses and walks the filter kernels itself; a
 //!    debug session's `analyze` instead hands over the kernel reports
 //!    `dfa` just built ([`dfa::analyze_with_kernels`]), so each kernel is
 //!    parsed and walked once. Both go through [`analyze_with_kernels`],
@@ -188,7 +188,7 @@ pub fn analyze(input: &AnalysisInput) -> Report {
 /// parses, keyed by actor. (Parse failures are dfa's KC001; this pass
 /// just skips them.) Findings are dfa's to report; only the touched
 /// ports matter here, so none are seeded.
-pub fn walk_kernels(input: &AnalysisInput) -> BTreeMap<ActorId, KernelReport> {
+fn walk_kernels(input: &AnalysisInput) -> BTreeMap<ActorId, KernelReport> {
     let is_type = |s: &str| input.struct_types.contains(s);
     let mut kernels = BTreeMap::new();
     for (aid, (file, src)) in &input.kernels {
@@ -205,7 +205,7 @@ pub fn walk_kernels(input: &AnalysisInput) -> BTreeMap<ActorId, KernelReport> {
     kernels
 }
 
-/// Passes 2–4 over pass 1's kernel reports: either [`walk_kernels`]'s or
+/// Passes 2–4 over pass 1's kernel reports: either `walk_kernels`'s or
 /// the ones `dfa::analyze_with_kernels` built over the same application
 /// (a debug session hands those over, so each kernel is parsed and
 /// walked once per `analyze`). Reports of actors that are not filters
