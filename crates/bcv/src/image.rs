@@ -101,7 +101,7 @@ pub fn describe_pc(lines: &LineTable, pc: CodeAddr) -> String {
 /// A linked image with what the passes ask about every call built once:
 /// how many values each function's first `Ret` pushes back to its caller.
 pub struct Image<'p> {
-    pub prog: &'p Program,
+    prog: &'p Program,
     /// Per entry of `prog.funcs`.
     rets: Vec<u8>,
 }
