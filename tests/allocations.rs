@@ -11,6 +11,9 @@
 //!   the snapshot the reverse pass keeps of each hit.
 //! * The same decoder's second bare `System::run(20000)`, with no
 //!   debugger attached: what the machine and the runtime allocate.
+//! * The second `analyze --json` on an unbooted Deadlock decoder session
+//!   with all three analyzers' inputs loaded, as the `analyze` benchmark
+//!   runs it: kernel parse, dfa, bcv, sched and the JSON rendering.
 //!
 //! The counts are deterministic. A change that moves them should say why
 //! and give the new readings.
@@ -20,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dfdbg::cli::Cli;
 use dfdbg::{Session, Stop, CHECKPOINT_INTERVAL};
-use h264_pipeline::{attach_env, build_decoder, Bug};
+use h264_pipeline::{attach_env, build_decoder, decoder_sources, Bug};
 use p2012::PlatformConfig;
 
 /// Every `alloc`, `alloc_zeroed` and `realloc`, process-wide.
@@ -66,6 +69,7 @@ const ENV_SEED: u32 = 0xbeef;
 const RUN_ALLOCATIONS: u64 = 938;
 const REVERSE_PAIR_ALLOCATIONS: u64 = 455;
 const BARE_RUN_ALLOCATIONS: u64 = 0;
+const ANALYZE_ALLOCATIONS: u64 = 4_116;
 
 fn decode_session() -> Session {
     let (sys, app) = build_decoder(Bug::None, N_MBS, PlatformConfig::default()).unwrap();
@@ -116,15 +120,31 @@ fn the_hot_paths_allocate_what_is_pinned() {
     let (_, bare) = allocations(|| sys.run(20_000));
     assert!(sys.first_fault().is_none());
 
+    // One `analyze --json` on an unbooted session with every analyzer's
+    // input loaded.
+    let (sys, app) = build_decoder(Bug::Deadlock, 8, PlatformConfig::default()).unwrap();
+    let sources = decoder_sources(Bug::Deadlock);
+    let mut s = Session::attach(sys, app.info.clone());
+    s.load_analysis(dfa::AnalysisInput::from_app(&app, &sources));
+    s.load_bcv_input(bcv::AnalysisInput::from_app(&app));
+    s.load_sched_input(sched::AnalysisInput::from_app(&app, &sources));
+    let mut cli = Cli::new(s);
+    let first = cli.exec("analyze --json");
+    let (again, analyze) = allocations(|| cli.exec("analyze --json"));
+    assert_eq!(again, first);
+    assert!(first.contains("DFA003"), "{first}");
+
     println!(
-        "run 20000: {run} allocations; goto + reverse-continue: {pair}; bare run 20000: {bare}"
+        "run 20000: {run} allocations; goto + reverse-continue: {pair}; bare run 20000: {bare}; \
+         analyze --json: {analyze}"
     );
     assert_eq!(
-        (run, pair, bare),
+        (run, pair, bare, analyze),
         (
             RUN_ALLOCATIONS,
             REVERSE_PAIR_ALLOCATIONS,
-            BARE_RUN_ALLOCATIONS
+            BARE_RUN_ALLOCATIONS,
+            ANALYZE_ALLOCATIONS
         ),
         "the pinned allocation counts moved"
     );
