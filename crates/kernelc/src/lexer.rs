@@ -5,13 +5,22 @@
 //! `pedf.io.* / pedf.data.* / pedf.attribute.*` framework accesses. Tokens
 //! carry their source line so the code generator can emit a faithful line
 //! table — source-level debugging of kernels is half the point.
+//!
+//! The lexer walks the source's bytes and hands out [`Tok`]s that borrow
+//! it: an identifier is a slice of the source, and a token is `Copy`, so
+//! lexing allocates only the token vector. Every token the language has is
+//! ASCII; a multi-byte character is decoded only where it can stand,
+//! which is as whitespace (skipped, as `char::is_whitespace` says) or in a
+//! comment, and anywhere else it is the "unexpected character" error.
+//! Columns still count characters: each line keeps how many bytes its
+//! multi-byte characters add beyond one.
 
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
-    Ident(String),
+/// A lexical token, borrowing identifiers from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'src> {
+    Ident(&'src str),
     Num(u32),
     // punctuation
     LParen,
@@ -57,7 +66,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -69,9 +78,9 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its 1-based source line and column.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
-    pub tok: Tok,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spanned<'src> {
+    pub tok: Tok<'src>,
     pub line: u32,
     pub col: u32,
 }
@@ -90,44 +99,87 @@ impl fmt::Display for LexError {
     }
 }
 
+/// Is `b` a UTF-8 continuation byte (one a multi-byte character adds)?
+fn continuation(b: u8) -> usize {
+    usize::from(b & 0xc0 == 0x80)
+}
+
+/// The operator or punctuation token starting at `i`, with its width.
+fn punct<'src>(bytes: &[u8], i: usize) -> Option<(Tok<'src>, usize)> {
+    let two = match (bytes[i], bytes.get(i + 1)) {
+        (b'<', Some(b'<')) => Some(Tok::Shl),
+        (b'>', Some(b'>')) => Some(Tok::Shr),
+        (b'<', Some(b'=')) => Some(Tok::Le),
+        (b'>', Some(b'=')) => Some(Tok::Ge),
+        (b'=', Some(b'=')) => Some(Tok::EqEq),
+        (b'!', Some(b'=')) => Some(Tok::Ne),
+        (b'&', Some(b'&')) => Some(Tok::AndAnd),
+        (b'|', Some(b'|')) => Some(Tok::OrOr),
+        _ => None,
+    };
+    if let Some(t) = two {
+        return Some((t, 2));
+    }
+    let one = match bytes[i] {
+        b'(' => Tok::LParen,
+        b')' => Tok::RParen,
+        b'{' => Tok::LBrace,
+        b'}' => Tok::RBrace,
+        b'[' => Tok::LBracket,
+        b']' => Tok::RBracket,
+        b';' => Tok::Semi,
+        b',' => Tok::Comma,
+        b'.' => Tok::Dot,
+        b'=' => Tok::Assign,
+        b'+' => Tok::Plus,
+        b'-' => Tok::Minus,
+        b'*' => Tok::Star,
+        b'/' => Tok::Slash,
+        b'%' => Tok::Percent,
+        b'&' => Tok::Amp,
+        b'|' => Tok::Pipe,
+        b'^' => Tok::Caret,
+        b'~' => Tok::Tilde,
+        b'!' => Tok::Bang,
+        b'<' => Tok::Lt,
+        b'>' => Tok::Gt,
+        _ => return None,
+    };
+    Some((one, 1))
+}
+
 /// Tokenize `src`. Comments (`//` and `/* */`) are skipped; an unterminated
 /// block comment is an error.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
-    let mut out = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
+    let bytes = src.as_bytes();
+    let n = bytes.len();
+    // Kernels run at about one token per four or five bytes.
+    let mut out = Vec::with_capacity(n / 4 + 1);
     let mut i = 0;
     let mut line: u32 = 1;
-    // Index of the first character of the current line; columns are 1-based
-    // offsets from it.
+    // Byte offset of the current line's first character, and how many
+    // continuation bytes the line has before `i`: columns are 1-based
+    // character offsets from the line's start.
     let mut line_start = 0usize;
-    let n = bytes.len();
-
-    macro_rules! push {
-        ($t:expr, $col:expr) => {
-            out.push(Spanned {
-                tok: $t,
-                line,
-                col: $col,
-            })
-        };
-    }
+    let mut extra = 0usize;
 
     while i < n {
-        let c = bytes[i];
-        let col = (i - line_start + 1) as u32;
-        match c {
-            '\n' => {
+        let b = bytes[i];
+        let col = (i - line_start - extra + 1) as u32;
+        match b {
+            b'\n' => {
                 line += 1;
                 i += 1;
                 line_start = i;
+                extra = 0;
             }
-            c if c.is_whitespace() => i += 1,
-            '/' if i + 1 < n && bytes[i + 1] == '/' => {
-                while i < n && bytes[i] != '\n' {
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                while i < n && bytes[i] != b'\n' {
+                    extra += continuation(bytes[i]);
                     i += 1;
                 }
             }
-            '/' if i + 1 < n && bytes[i + 1] == '*' => {
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
                 let start = line;
                 i += 2;
                 loop {
@@ -138,42 +190,40 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                             msg: "unterminated block comment".into(),
                         });
                     }
-                    if bytes[i] == '\n' {
+                    if bytes[i] == b'\n' {
                         line += 1;
                         line_start = i + 1;
+                        extra = 0;
                     }
-                    if bytes[i] == '*' && bytes[i + 1] == '/' {
+                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
                         i += 2;
                         break;
                     }
+                    extra += continuation(bytes[i]);
                     i += 1;
                 }
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            b if b.is_ascii_alphabetic() || b == b'_' => {
                 let start = i;
-                while i < n && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
+                while i < n && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                let word: String = bytes[start..i].iter().collect();
-                push!(
-                    match word.as_str() {
-                        "void" => Tok::KwVoid,
-                        "if" => Tok::KwIf,
-                        "else" => Tok::KwElse,
-                        "while" => Tok::KwWhile,
-                        "for" => Tok::KwFor,
-                        "return" => Tok::KwReturn,
-                        "break" => Tok::KwBreak,
-                        "continue" => Tok::KwContinue,
-                        _ => Tok::Ident(word),
-                    },
-                    col
-                );
+                let tok = match &src[start..i] {
+                    "void" => Tok::KwVoid,
+                    "if" => Tok::KwIf,
+                    "else" => Tok::KwElse,
+                    "while" => Tok::KwWhile,
+                    "for" => Tok::KwFor,
+                    "return" => Tok::KwReturn,
+                    "break" => Tok::KwBreak,
+                    "continue" => Tok::KwContinue,
+                    word => Tok::Ident(word),
+                };
+                out.push(Spanned { tok, line, col });
             }
-            c if c.is_ascii_digit() => {
+            b if b.is_ascii_digit() => {
                 let start = i;
-                let value = if c == '0' && i + 1 < n && (bytes[i + 1] == 'x' || bytes[i + 1] == 'X')
-                {
+                let value = if b == b'0' && matches!(bytes.get(i + 1), Some(b'x' | b'X')) {
                     i += 2;
                     let hs = i;
                     while i < n && bytes[i].is_ascii_hexdigit() {
@@ -186,8 +236,8 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                             msg: "empty hex literal".into(),
                         });
                     }
-                    let s: String = bytes[hs..i].iter().collect();
-                    u32::from_str_radix(&s, 16).map_err(|_| LexError {
+                    let s = &src[hs..i];
+                    u32::from_str_radix(s, 16).map_err(|_| LexError {
                         line,
                         col,
                         msg: format!("hex literal 0x{s} out of range"),
@@ -196,63 +246,36 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                     while i < n && bytes[i].is_ascii_digit() {
                         i += 1;
                     }
-                    let s: String = bytes[start..i].iter().collect();
+                    let s = &src[start..i];
                     s.parse::<u32>().map_err(|_| LexError {
                         line,
                         col,
                         msg: format!("literal {s} out of range"),
                     })?
                 };
-                push!(Tok::Num(value), col);
+                out.push(Spanned {
+                    tok: Tok::Num(value),
+                    line,
+                    col,
+                });
             }
             _ => {
-                let two = if i + 1 < n {
-                    Some((bytes[i], bytes[i + 1]))
-                } else {
-                    None
+                // `i` is on a character boundary: every arm above stops
+                // on an ASCII byte or at the end.
+                let c = src[i..].chars().next().expect("i < n");
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                    extra += c.len_utf8() - 1;
+                    continue;
+                }
+                let Some((tok, width)) = punct(bytes, i) else {
+                    return Err(LexError {
+                        line,
+                        col,
+                        msg: format!("unexpected character `{c}`"),
+                    });
                 };
-                let (tok, width) = match two {
-                    Some(('<', '<')) => (Tok::Shl, 2),
-                    Some(('>', '>')) => (Tok::Shr, 2),
-                    Some(('<', '=')) => (Tok::Le, 2),
-                    Some(('>', '=')) => (Tok::Ge, 2),
-                    Some(('=', '=')) => (Tok::EqEq, 2),
-                    Some(('!', '=')) => (Tok::Ne, 2),
-                    Some(('&', '&')) => (Tok::AndAnd, 2),
-                    Some(('|', '|')) => (Tok::OrOr, 2),
-                    _ => match c {
-                        '(' => (Tok::LParen, 1),
-                        ')' => (Tok::RParen, 1),
-                        '{' => (Tok::LBrace, 1),
-                        '}' => (Tok::RBrace, 1),
-                        '[' => (Tok::LBracket, 1),
-                        ']' => (Tok::RBracket, 1),
-                        ';' => (Tok::Semi, 1),
-                        ',' => (Tok::Comma, 1),
-                        '.' => (Tok::Dot, 1),
-                        '=' => (Tok::Assign, 1),
-                        '+' => (Tok::Plus, 1),
-                        '-' => (Tok::Minus, 1),
-                        '*' => (Tok::Star, 1),
-                        '/' => (Tok::Slash, 1),
-                        '%' => (Tok::Percent, 1),
-                        '&' => (Tok::Amp, 1),
-                        '|' => (Tok::Pipe, 1),
-                        '^' => (Tok::Caret, 1),
-                        '~' => (Tok::Tilde, 1),
-                        '!' => (Tok::Bang, 1),
-                        '<' => (Tok::Lt, 1),
-                        '>' => (Tok::Gt, 1),
-                        other => {
-                            return Err(LexError {
-                                line,
-                                col,
-                                msg: format!("unexpected character `{other}`"),
-                            })
-                        }
-                    },
-                };
-                push!(tok, col);
+                out.push(Spanned { tok, line, col });
                 i += width;
             }
         }
@@ -260,7 +283,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
     out.push(Spanned {
         tok: Tok::Eof,
         line,
-        col: (i - line_start + 1) as u32,
+        col: (i - line_start - extra + 1) as u32,
     });
     Ok(out)
 }
@@ -279,12 +302,12 @@ mod tests {
             toks("void work() { U32 x = 0x1F; }"),
             vec![
                 Tok::KwVoid,
-                Tok::Ident("work".into()),
+                Tok::Ident("work"),
                 Tok::LParen,
                 Tok::RParen,
                 Tok::LBrace,
-                Tok::Ident("U32".into()),
-                Tok::Ident("x".into()),
+                Tok::Ident("U32"),
+                Tok::Ident("x"),
                 Tok::Assign,
                 Tok::Num(31),
                 Tok::Semi,
@@ -299,15 +322,15 @@ mod tests {
         assert_eq!(
             toks("a <= b >> 2 == c && d"),
             vec![
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Le,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::Shr,
                 Tok::Num(2),
                 Tok::EqEq,
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::AndAnd,
-                Tok::Ident("d".into()),
+                Tok::Ident("d"),
                 Tok::Eof
             ]
         );
@@ -318,7 +341,7 @@ mod tests {
         let spanned = lex("a; // one\n/* two\nthree */ b;").unwrap();
         let b = spanned
             .iter()
-            .find(|s| s.tok == Tok::Ident("b".into()))
+            .find(|s| s.tok == Tok::Ident("b"))
             .unwrap();
         assert_eq!(b.line, 3);
     }
@@ -328,13 +351,13 @@ mod tests {
         assert_eq!(
             toks("pedf.io.an_input[n]"),
             vec![
-                Tok::Ident("pedf".into()),
+                Tok::Ident("pedf"),
                 Tok::Dot,
-                Tok::Ident("io".into()),
+                Tok::Ident("io"),
                 Tok::Dot,
-                Tok::Ident("an_input".into()),
+                Tok::Ident("an_input"),
                 Tok::LBracket,
-                Tok::Ident("n".into()),
+                Tok::Ident("n"),
                 Tok::RBracket,
                 Tok::Eof
             ]
@@ -354,10 +377,10 @@ mod tests {
     fn tokens_and_errors_carry_columns() {
         let spanned = lex("ab = 7;\n  cd;").unwrap();
         let at = |t: &Tok| spanned.iter().find(|s| s.tok == *t).unwrap();
-        assert_eq!(at(&Tok::Ident("ab".into())).col, 1);
+        assert_eq!(at(&Tok::Ident("ab")).col, 1);
         assert_eq!(at(&Tok::Assign).col, 4);
         assert_eq!(at(&Tok::Num(7)).col, 6);
-        assert_eq!(at(&Tok::Ident("cd".into())).col, 3);
+        assert_eq!(at(&Tok::Ident("cd")).col, 3);
 
         let e = lex("x;\n  @").unwrap_err();
         assert_eq!((e.line, e.col), (2, 3));

@@ -3,6 +3,12 @@
 //! The only context the parser needs is *which identifiers are type names*
 //! (for `CbCrMB_t mb;`-style declarations), supplied as a predicate so the
 //! parser stays independent of the type table representation.
+//!
+//! Statements and unary operators descend one function each; binary
+//! operators go through one precedence-climbing loop ([`Parser::binary`])
+//! over the C precedence table in [`binop`], every level left-associative.
+//! Tokens are `Copy` and borrow the source, so the only allocations are
+//! the token vector and the AST itself.
 
 use debuginfo::ScalarType;
 
@@ -14,21 +20,49 @@ use crate::CompileError;
 /// parser recursion tracks source nesting; without a ceiling a generated
 /// kernel like `((((…))))` or a thousand-deep `else if` chain overflows
 /// the stack — a crash, where a fuzzer-facing front end must return a
-/// `CompileError` (surfaced as a KC001 finding) instead. Each level costs
-/// the whole precedence chain (~10 frames), so the ceiling must stay well
-/// under what a 2 MiB debug-build thread stack can absorb; real kernels
-/// nest single digits deep.
+/// `CompileError` (surfaced as a KC001 finding) instead. A parenthesized
+/// level costs four frames (`expr`, `binary`, `unary`, `primary`), plus
+/// one `binary` frame per operator that binds tighter than the one before
+/// it (at most nine more), so the ceiling must stay well under what a
+/// 2 MiB debug-build thread stack can absorb; real kernels nest single
+/// digits deep.
 const MAX_NEST_DEPTH: u32 = 64;
 
-pub struct Parser<'a> {
-    toks: Vec<Spanned>,
+/// The binary operator `t` stands for, with its precedence (higher binds
+/// tighter), or `None` when `t` is no binary operator.
+fn binop(t: Tok<'_>) -> Option<(BinOp, u8)> {
+    Some(match t {
+        Tok::OrOr => (BinOp::LOr, 0),
+        Tok::AndAnd => (BinOp::LAnd, 1),
+        Tok::Pipe => (BinOp::BitOr, 2),
+        Tok::Caret => (BinOp::BitXor, 3),
+        Tok::Amp => (BinOp::BitAnd, 4),
+        Tok::EqEq => (BinOp::Eq, 5),
+        Tok::Ne => (BinOp::Ne, 5),
+        Tok::Lt => (BinOp::Lt, 6),
+        Tok::Le => (BinOp::Le, 6),
+        Tok::Gt => (BinOp::Gt, 6),
+        Tok::Ge => (BinOp::Ge, 6),
+        Tok::Shl => (BinOp::Shl, 7),
+        Tok::Shr => (BinOp::Shr, 7),
+        Tok::Plus => (BinOp::Add, 8),
+        Tok::Minus => (BinOp::Sub, 8),
+        Tok::Star => (BinOp::Mul, 9),
+        Tok::Slash => (BinOp::Div, 9),
+        Tok::Percent => (BinOp::Rem, 9),
+        _ => return None,
+    })
+}
+
+pub struct Parser<'src, 'a> {
+    toks: Vec<Spanned<'src>>,
     pos: usize,
     depth: u32,
     is_type: &'a dyn Fn(&str) -> bool,
 }
 
-impl<'a> Parser<'a> {
-    pub fn new(src: &str, is_type: &'a dyn Fn(&str) -> bool) -> Result<Self, CompileError> {
+impl<'src, 'a> Parser<'src, 'a> {
+    pub fn new(src: &'src str, is_type: &'a dyn Fn(&str) -> bool) -> Result<Self, CompileError> {
         let toks = lex(src).map_err(|e| CompileError {
             line: e.line,
             col: e.col,
@@ -51,12 +85,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+    fn peek(&self) -> Tok<'src> {
+        self.toks[self.pos].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
+    fn peek2(&self) -> Tok<'src> {
+        self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
     }
 
     fn line(&self) -> u32 {
@@ -67,8 +101,9 @@ impl<'a> Parser<'a> {
         self.toks[self.pos].col
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    /// The current token; moves past it unless it is the final `Eof`.
+    fn bump(&mut self) -> Tok<'src> {
+        let t = self.toks[self.pos].tok;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -83,8 +118,8 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn expect(&mut self, t: Tok) -> Result<(), CompileError> {
-        if *self.peek() == t {
+    fn expect(&mut self, t: Tok<'_>) -> Result<(), CompileError> {
+        if self.peek() == t {
             self.bump();
             Ok(())
         } else {
@@ -92,7 +127,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, CompileError> {
+    /// An identifier, still borrowed from the source.
+    fn ident_str(&mut self) -> Result<&'src str, CompileError> {
         match self.bump() {
             Tok::Ident(s) => Ok(s),
             other => {
@@ -100,6 +136,10 @@ impl<'a> Parser<'a> {
                 self.err(format!("expected identifier, found {other}"))
             }
         }
+    }
+
+    fn ident(&mut self) -> Result<String, CompileError> {
+        self.ident_str().map(str::to_string)
     }
 
     /// Is the current token the start of a type name?
@@ -114,9 +154,9 @@ impl<'a> Parser<'a> {
     fn type_name(&mut self) -> Result<TypeName, CompileError> {
         match self.bump() {
             Tok::KwVoid => Ok(TypeName::Void),
-            Tok::Ident(s) => match ScalarType::parse(&s) {
+            Tok::Ident(s) => match ScalarType::parse(s) {
                 Some(st) => Ok(TypeName::Scalar(st)),
-                None if (self.is_type)(&s) => Ok(TypeName::Named(s)),
+                None if (self.is_type)(s) => Ok(TypeName::Named(s.to_string())),
                 None => {
                     self.pos -= 1;
                     self.err(format!("unknown type `{s}`"))
@@ -132,7 +172,7 @@ impl<'a> Parser<'a> {
     /// Parse a whole unit (sequence of function definitions).
     pub fn unit(&mut self) -> Result<Unit, CompileError> {
         let mut funcs = Vec::new();
-        while *self.peek() != Tok::Eof {
+        while self.peek() != Tok::Eof {
             funcs.push(self.func()?);
         }
         if funcs.is_empty() {
@@ -147,7 +187,7 @@ impl<'a> Parser<'a> {
         let name = self.ident()?;
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
-        if *self.peek() != Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
                 let pty = self.type_name()?;
                 if pty == TypeName::Void {
@@ -155,7 +195,7 @@ impl<'a> Parser<'a> {
                 }
                 let pname = self.ident()?;
                 params.push((pname, pty));
-                if *self.peek() == Tok::Comma {
+                if self.peek() == Tok::Comma {
                     self.bump();
                 } else {
                     break;
@@ -176,8 +216,8 @@ impl<'a> Parser<'a> {
     fn block(&mut self) -> Result<Block, CompileError> {
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
-        while *self.peek() != Tok::RBrace {
-            if *self.peek() == Tok::Eof {
+        while self.peek() != Tok::RBrace {
+            if self.peek() == Tok::Eof {
                 return self.err("unexpected end of file in block");
             }
             stmts.push(self.stmt()?);
@@ -195,7 +235,7 @@ impl<'a> Parser<'a> {
 
     fn stmt_inner(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LBrace => Ok(Stmt::Nested(self.block()?)),
             Tok::KwIf => {
                 self.bump();
@@ -203,9 +243,9 @@ impl<'a> Parser<'a> {
                 let cond = self.expr()?;
                 self.expect(Tok::RParen)?;
                 let then_blk = self.block()?;
-                let else_blk = if *self.peek() == Tok::KwElse {
+                let else_blk = if self.peek() == Tok::KwElse {
                     self.bump();
-                    if *self.peek() == Tok::KwIf {
+                    if self.peek() == Tok::KwIf {
                         // `else if` sugar: wrap in a block.
                         let inner = self.stmt()?;
                         Some(Block { stmts: vec![inner] })
@@ -233,19 +273,19 @@ impl<'a> Parser<'a> {
             Tok::KwFor => {
                 self.bump();
                 self.expect(Tok::LParen)?;
-                let init = if *self.peek() == Tok::Semi {
+                let init = if self.peek() == Tok::Semi {
                     None
                 } else {
                     Some(Box::new(self.simple_stmt()?))
                 };
                 self.expect(Tok::Semi)?;
-                let cond = if *self.peek() == Tok::Semi {
+                let cond = if self.peek() == Tok::Semi {
                     None
                 } else {
                     Some(self.expr()?)
                 };
                 self.expect(Tok::Semi)?;
-                let step = if *self.peek() == Tok::RParen {
+                let step = if self.peek() == Tok::RParen {
                     None
                 } else {
                     Some(Box::new(self.simple_stmt()?))
@@ -262,7 +302,7 @@ impl<'a> Parser<'a> {
             }
             Tok::KwReturn => {
                 self.bump();
-                let value = if *self.peek() == Tok::Semi {
+                let value = if self.peek() == Tok::Semi {
                     None
                 } else {
                     Some(self.expr()?)
@@ -286,7 +326,7 @@ impl<'a> Parser<'a> {
                     return self.err("cannot declare a void variable");
                 }
                 let name = self.ident()?;
-                let init = if *self.peek() == Tok::Assign {
+                let init = if self.peek() == Tok::Assign {
                     self.bump();
                     Some(self.expr()?)
                 } else {
@@ -313,7 +353,7 @@ impl<'a> Parser<'a> {
     fn simple_stmt(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
         let e = self.expr()?;
-        if *self.peek() == Tok::Assign {
+        if self.peek() == Tok::Assign {
             self.bump();
             let target = self.expr_to_lvalue(e, line)?;
             let value = self.expr()?;
@@ -343,138 +383,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    // ---- expression precedence climbing --------------------------------
+    // ---- expressions ----------------------------------------------------
 
     pub fn expr(&mut self) -> Result<Expr, CompileError> {
         self.enter_nested()?;
-        let r = self.logical_or();
+        let r = self.binary(0);
         self.depth -= 1;
         r
     }
 
-    fn logical_or(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.logical_and()?;
-        while *self.peek() == Tok::OrOr {
-            self.bump();
-            let rhs = self.logical_and()?;
-            lhs = Expr::Binary(BinOp::LOr, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bit_or()?;
-        while *self.peek() == Tok::AndAnd {
-            self.bump();
-            let rhs = self.bit_or()?;
-            lhs = Expr::Binary(BinOp::LAnd, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bit_xor()?;
-        while *self.peek() == Tok::Pipe {
-            self.bump();
-            let rhs = self.bit_xor()?;
-            lhs = Expr::Binary(BinOp::BitOr, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bit_and()?;
-        while *self.peek() == Tok::Caret {
-            self.bump();
-            let rhs = self.bit_and()?;
-            lhs = Expr::Binary(BinOp::BitXor, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.equality()?;
-        while *self.peek() == Tok::Amp {
-            self.bump();
-            let rhs = self.equality()?;
-            lhs = Expr::Binary(BinOp::BitAnd, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => BinOp::Eq,
-                Tok::Ne => BinOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.relational()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn relational(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.shift()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOp::Lt,
-                Tok::Le => BinOp::Le,
-                Tok::Gt => BinOp::Gt,
-                Tok::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.shift()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn shift(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Shl => BinOp::Shl,
-                Tok::Shr => BinOp::Shr,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.additive()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, CompileError> {
+    /// Precedence climbing: a unary operand followed by every binary
+    /// operator of precedence `min` or tighter. An operator's right
+    /// operand takes only tighter ones, so equal precedences associate
+    /// to the left.
+    fn binary(&mut self, min: u8) -> Result<Expr, CompileError> {
         let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Rem,
-                _ => break,
-            };
+        while let Some((op, prec)) = binop(self.peek()).filter(|&(_, prec)| prec >= min) {
             self.bump();
-            let rhs = self.unary()?;
+            let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -505,15 +431,15 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
-            Tok::Ident(name) if name == "pedf" => self.pedf_expr(),
+            Tok::Ident("pedf") => self.pedf_expr(),
             Tok::Ident(name) => match self.peek() {
                 Tok::LParen => {
                     self.bump();
                     let mut args = Vec::new();
-                    if *self.peek() != Tok::RParen {
+                    if self.peek() != Tok::RParen {
                         loop {
                             args.push(self.expr()?);
-                            if *self.peek() == Tok::Comma {
+                            if self.peek() == Tok::Comma {
                                 self.bump();
                             } else {
                                 break;
@@ -521,14 +447,17 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect(Tok::RParen)?;
-                    Ok(Expr::Call { name, args })
+                    Ok(Expr::Call {
+                        name: name.to_string(),
+                        args,
+                    })
                 }
                 Tok::Dot => {
                     self.bump();
                     let field = self.ident()?;
-                    Ok(Expr::Field(name, field))
+                    Ok(Expr::Field(name.to_string(), field))
                 }
-                _ => Ok(Expr::Var(name)),
+                _ => Ok(Expr::Var(name.to_string())),
             },
             other => {
                 self.pos -= 1;
@@ -540,8 +469,8 @@ impl<'a> Parser<'a> {
     /// Everything after the `pedf` keyword.
     fn pedf_expr(&mut self) -> Result<Expr, CompileError> {
         self.expect(Tok::Dot)?;
-        let ns = self.ident()?;
-        let e = match ns.as_str() {
+        let ns = self.ident_str()?;
+        let e = match ns {
             "io" => {
                 self.expect(Tok::Dot)?;
                 let conn = self.ident()?;
@@ -571,7 +500,7 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::LParen)?;
                 let arg = self.ident()?;
                 self.expect(Tok::RParen)?;
-                match ns.as_str() {
+                match ns {
                     "available" => PedfExpr::Available(arg),
                     "space" => PedfExpr::Space(arg),
                     "start" => PedfExpr::Start(arg),
@@ -588,7 +517,7 @@ impl<'a> Parser<'a> {
             "run" | "wait_init" | "wait_sync" | "step_begin" | "step_end" => {
                 self.expect(Tok::LParen)?;
                 self.expect(Tok::RParen)?;
-                match ns.as_str() {
+                match ns {
                     "run" => PedfExpr::Run,
                     "wait_init" => PedfExpr::WaitInit,
                     "wait_sync" => PedfExpr::WaitSync,
