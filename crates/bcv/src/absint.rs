@@ -30,9 +30,14 @@ impl Frame {
         self.stack.pop().unwrap_or_else(Iv::full)
     }
 
-    fn pop_n(&mut self, n: u8) -> Vec<Iv> {
-        let keep = self.stack.len().saturating_sub(usize::from(n));
-        self.stack.split_off(keep)
+    /// Where the top `n` operands start (all of them when fewer).
+    pub fn top_start(&self, n: u8) -> usize {
+        self.stack.len().saturating_sub(usize::from(n))
+    }
+
+    /// Drop the top `n` operands (all of them when fewer).
+    pub fn drop_top(&mut self, n: u8) {
+        self.stack.truncate(self.top_start(n));
     }
 
     /// The frame slots `base + off` may name, clipped to the frame: empty
@@ -55,15 +60,12 @@ pub enum Control {
         target: CodeAddr,
         taken: Tri,
     },
-    /// A call; `args` were popped from the caller's stack in order.
-    Call {
-        addr: CodeAddr,
-        args: Vec<Iv>,
-    },
-    /// A return; `results` were popped from the callee's stack in order.
-    Ret {
-        results: Vec<Iv>,
-    },
+    /// A call. Its `argc` arguments are still on top of the caller's
+    /// stack, in order, for the analysis to take.
+    Call { addr: CodeAddr, argc: u8 },
+    /// A return. Its `retc` results are still on top of the callee's
+    /// stack, in order, for the analysis to take.
+    Ret { retc: u8 },
     Halt,
 }
 
@@ -198,14 +200,8 @@ pub fn exec(insn: Insn, frame: &mut Frame) -> Effect {
             let taken = frame.pop().truth();
             effect.control = Control::Branch { target, taken };
         }
-        Call { addr, argc } => {
-            let args = frame.pop_n(argc);
-            effect.control = Control::Call { addr, args };
-        }
-        Ret { retc } => {
-            let results = frame.pop_n(retc);
-            effect.control = Control::Ret { results };
-        }
+        Call { addr, argc } => effect.control = Control::Call { addr, argc },
+        Ret { retc } => effect.control = Control::Ret { retc },
         LoadMem => {
             let addr = frame.pop();
             effect.access = Some((addr, false));
@@ -217,8 +213,7 @@ pub fn exec(insn: Insn, frame: &mut Frame) -> Effect {
             effect.access = Some((addr, true));
         }
         Trap { argc, retc, .. } => {
-            let keep = frame.stack.len().saturating_sub(usize::from(argc));
-            frame.stack.truncate(keep);
+            frame.drop_top(argc);
             frame.stack.extend((0..retc).map(|_| Iv::top()));
         }
         Halt => effect.control = Control::Halt,

@@ -18,13 +18,21 @@
 //! Both passes summarize a `Call` by the callee's result count. An
 //! [`Image`] works those counts out once per image, one per function, and
 //! finds a call target's function by binary search, so a call costs the
-//! passes no rescan of the image. Each pass keeps its per-point states
-//! (depths, abstract frames, visit counts) in arrays indexed by
-//! `pc - f.addr`, and the sweep consumes the fixed states instead of
-//! copying them. Worklist order, joins, widening and the sweep's address
-//! order are those of a map keyed by address: [`PassWork`] counts the
-//! points each pass takes off its worklist, and `tests/work_counters.rs`
-//! pins their sum over the decoder variants.
+//! passes no rescan of the image.
+//!
+//! Per-point state lives in an [`Arena`] that one verification owns and
+//! hands from function to function. Each pass indexes its per-point
+//! arrays (depths, frame slots, visit counts) by `pc - f.addr`. Every
+//! point's abstract frame sits in one flat `Vec<Iv>`: its slot is an
+//! offset plus its locals' and stack's lengths. A join merges into the
+//! slot in place; a state whose locals grow is appended again, and the
+//! arena is cleared for the next function. Each visit copies its point's
+//! slot into one reused working frame and steps it there, so neither the
+//! fixpoint nor the sweep allocates per point. Worklist order, joins,
+//! widening and the sweep's address order are those of a map keyed by
+//! address: [`PassWork`] counts the points each pass takes off its
+//! worklist, and `tests/work_counters.rs` pins their sum over the decoder
+//! variants.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -150,14 +158,112 @@ impl<'p> Image<'p> {
     }
 
     /// One abstract step of the fixpoint. A call is summarized rather
-    /// than entered: its results are unknown words.
+    /// than entered: its arguments are dropped and its results are
+    /// unknown words.
     fn transfer(&self, insn: Insn, st: &mut Frame) -> Effect {
         let effect = absint::exec(insn, st);
-        if let Control::Call { addr, .. } = effect.control {
-            st.stack
-                .extend((0..self.ret_count(addr)).map(|_| Iv::top()));
+        match effect.control {
+            Control::Call { addr, argc } => {
+                st.drop_top(argc);
+                st.stack
+                    .extend((0..self.ret_count(addr)).map(|_| Iv::top()));
+            }
+            Control::Ret { retc } => st.drop_top(retc),
+            _ => {}
         }
         effect
+    }
+}
+
+/// Where one program point's abstract frame sits in [`Arena::values`]:
+/// `locals` values from `off`, then `stack` values.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    off: usize,
+    locals: usize,
+    stack: usize,
+}
+
+/// The per-point state of both passes, reused from function to function
+/// by one verification: it grows to the largest function's needs and no
+/// further.
+#[derive(Debug, Default)]
+pub struct Arena {
+    /// Depth pass: the stack depth entering each point.
+    depths: Vec<Option<i64>>,
+    /// Interval pass: each point's frame slot in `values`.
+    slots: Vec<Option<Slot>>,
+    /// Interval pass: every point's frame, one after another.
+    values: Vec<Iv>,
+    /// Interval pass: how often each point was joined into.
+    visits: Vec<u32>,
+    /// Either pass's worklist.
+    work: Vec<CodeAddr>,
+    /// The frame a visit steps: a copy of its point's slot.
+    frame: Frame,
+}
+
+impl Arena {
+
+    /// Copy point `i`'s frame into the working frame.
+    fn load(&mut self, i: usize) -> bool {
+        let Some(slot) = self.slots[i] else {
+            return false;
+        };
+        let (locals, rest) = self.values[slot.off..].split_at(slot.locals);
+        self.frame.locals.clear();
+        self.frame.locals.extend_from_slice(locals);
+        self.frame.stack.clear();
+        self.frame.stack.extend_from_slice(&rest[..slot.stack]);
+        true
+    }
+
+    /// Join the working frame into point `i`'s slot, or give the point
+    /// its first state. With `widen`, any value still moving is pushed
+    /// straight to the full interval so the fixpoint terminates. Returns
+    /// whether the point's state changed.
+    fn join_into(&mut self, i: usize, widen: bool) -> bool {
+        let Some(mut slot) = self.slots[i] else {
+            let off = self.values.len();
+            self.values.extend_from_slice(&self.frame.locals);
+            self.values.extend_from_slice(&self.frame.stack);
+            self.slots[i] = Some(Slot {
+                off,
+                locals: self.frame.locals.len(),
+                stack: self.frame.stack.len(),
+            });
+            return true;
+        };
+        let new = &self.frame;
+        let mut changed = false;
+        if slot.locals < new.locals.len() {
+            // The locals grow: append the slot again, new locals zero.
+            let off = self.values.len();
+            self.values
+                .extend_from_within(slot.off..slot.off + slot.locals);
+            self.values.resize(off + new.locals.len(), Iv::exact(0));
+            let stack = slot.off + slot.locals;
+            self.values.extend_from_within(stack..stack + slot.stack);
+            slot.off = off;
+            slot.locals = new.locals.len();
+            self.slots[i] = Some(slot);
+            changed = true;
+        }
+        let (locals, rest) = self.values[slot.off..].split_at_mut(slot.locals);
+        let mut merge = |dst: &mut Iv, src: Iv| {
+            let joined = Iv::join(*dst, src);
+            if joined != *dst {
+                *dst = if widen { Iv::full() } else { joined };
+                changed = true;
+            }
+        };
+        for (dst, v) in locals.iter_mut().zip(&new.locals) {
+            merge(dst, *v);
+        }
+        for (dst, v) in rest[..slot.stack].iter_mut().zip(&new.stack) {
+            merge(dst, *v);
+        }
+        changed
     }
 }
 
@@ -186,6 +292,7 @@ fn successors(insn: Insn, pc: CodeAddr) -> impl Iterator<Item = CodeAddr> {
 /// Returns `true` when the function is clean.
 fn check_depths(
     image: &Image,
+    arena: &mut Arena,
     f: &FuncMeta,
     subject: &str,
     lines: &LineTable,
@@ -202,9 +309,13 @@ fn check_depths(
             out.push(fi);
         }
     };
-    let mut depth_in: Vec<Option<i64>> = vec![None; point_slots(f)];
-    let mut work = vec![f.addr];
+    let depth_in = &mut arena.depths;
+    depth_in.clear();
+    depth_in.resize(point_slots(f), None);
     depth_in[0] = Some(0);
+    let work = &mut arena.work;
+    work.clear();
+    work.push(f.addr);
     while let Some(pc) = work.pop() {
         *steps += 1;
         let depth = depth_in[(pc - f.addr) as usize].expect("queued points have a depth");
@@ -275,32 +386,6 @@ fn check_depths(
     emitted.is_empty()
 }
 
-/// Join `new` into `old`. With `widen`, any slot still moving is pushed
-/// straight to the full interval so the fixpoint terminates.
-fn join_into(old: &mut Frame, new: &Frame, widen: bool) -> bool {
-    let mut changed = false;
-    if old.locals.len() < new.locals.len() {
-        old.locals.resize(new.locals.len(), Iv::exact(0));
-        changed = true;
-    }
-    let mut merge = |dst: &mut Iv, src: Iv| {
-        let joined = Iv::join(*dst, src);
-        if joined != *dst {
-            *dst = if widen { Iv::full() } else { joined };
-            changed = true;
-        }
-    };
-    for (i, v) in new.locals.iter().enumerate() {
-        merge(&mut old.locals[i], *v);
-    }
-    for (i, v) in new.stack.iter().enumerate() {
-        if i < old.stack.len() {
-            merge(&mut old.stack[i], *v);
-        }
-    }
-    changed
-}
-
 /// Largest access range (in words) worth recording; wider intervals carry
 /// no overlap information a human could act on.
 const MAX_RANGE_WORDS: i64 = 0x1_0000;
@@ -310,62 +395,56 @@ const MAX_RANGE_WORDS: i64 = 0x1_0000;
 /// definite local-index violations.
 fn interpret(
     image: &Image,
+    arena: &mut Arena,
     f: &FuncMeta,
     subject: &str,
     lines: &LineTable,
     report: &mut FuncReport,
 ) {
-    let entry = Frame {
-        locals: vec![Iv::top(); f.argc as usize],
-        stack: Vec::new(),
-    };
     let n = point_slots(f);
-    let mut states: Vec<Option<Frame>> = vec![None; n];
-    let mut visits: Vec<u32> = vec![0; n];
-    states[0] = Some(entry);
-    let mut work = vec![f.addr];
-    while let Some(pc) = work.pop() {
+    arena.values.clear();
+    arena.slots.clear();
+    arena.slots.resize(n, None);
+    arena.visits.clear();
+    arena.visits.resize(n, 0);
+    arena.values.resize(f.argc as usize, Iv::top());
+    arena.slots[0] = Some(Slot {
+        off: 0,
+        locals: f.argc as usize,
+        stack: 0,
+    });
+    arena.work.clear();
+    arena.work.push(f.addr);
+    while let Some(pc) = arena.work.pop() {
         report.work.interval_steps += 1;
         let Some(insn) = image.prog.fetch(pc) else {
             continue;
         };
-        let mut st = states[(pc - f.addr) as usize]
-            .clone()
-            .expect("queued points have a state");
-        image.transfer(insn, &mut st);
-        let mut succs = successors(insn, pc)
-            .filter(|&succ| succ >= f.addr && succ < f.end)
-            .peekable();
-        while let Some(succ) = succs.next() {
+        assert!(
+            arena.load((pc - f.addr) as usize),
+            "queued points have a state"
+        );
+        image.transfer(insn, &mut arena.frame);
+        for succ in successors(insn, pc).filter(|&succ| succ >= f.addr && succ < f.end) {
             let i = (succ - f.addr) as usize;
-            visits[i] += 1;
-            let widen = visits[i] > WIDEN_AFTER;
-            let changed = match &mut states[i] {
-                Some(old) => join_into(old, &st, widen),
-                slot @ None => {
-                    // The last successor takes the state; a first one of
-                    // two gets a copy.
-                    *slot = Some(if succs.peek().is_none() {
-                        std::mem::take(&mut st)
-                    } else {
-                        st.clone()
-                    });
-                    true
-                }
-            };
-            if changed {
-                work.push(succ);
+            arena.visits[i] += 1;
+            let widen = arena.visits[i] > WIDEN_AFTER;
+            if arena.join_into(i, widen) {
+                arena.work.push(succ);
             }
         }
     }
     // Collection sweep: one deterministic pass over the fixed states, in
     // address order.
-    for (pc, st) in (f.addr..).zip(states) {
-        let Some(mut st) = st else { continue };
+    for (i, pc) in (f.addr..).take(n).enumerate() {
         let Some(insn) = image.prog.fetch(pc) else {
             continue;
         };
-        let effect = image.transfer(insn, &mut st);
+        if !arena.load(i) {
+            continue;
+        }
+        let st = &mut arena.frame;
+        let effect = image.transfer(insn, st);
         if let Some((addr, write)) = effect.access {
             if addr.lo >= 0
                 && addr.hi <= i64::from(u32::MAX)
@@ -400,8 +479,11 @@ fn interpret(
 }
 
 /// Verify one function: depth pass, then (when clean) the interval pass.
+/// `arena` holds the passes' per-point state; one arena serves every
+/// function of an image in turn.
 pub fn verify_function(
     image: &Image,
+    arena: &mut Arena,
     f: &FuncMeta,
     subject: &str,
     lines: &LineTable,
@@ -409,13 +491,14 @@ pub fn verify_function(
     let mut report = FuncReport::default();
     if check_depths(
         image,
+        arena,
         f,
         subject,
         lines,
         &mut report.findings,
         &mut report.work.depth_steps,
     ) {
-        interpret(image, f, subject, lines, &mut report);
+        interpret(image, arena, f, subject, lines, &mut report);
     }
     report
 }

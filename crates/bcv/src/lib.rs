@@ -185,23 +185,27 @@ pub fn verify(input: &AnalysisInput) -> Report {
         }
         actor_funcs.insert(aid, reach);
     }
-    let subject_of = |faddr: CodeAddr| -> String {
-        match func_actors.get(&faddr) {
+    // Each function's subject: the actors whose work reaches it.
+    let subjects: Vec<String> = prog
+        .funcs
+        .iter()
+        .map(|f| match func_actors.get(&f.addr) {
             Some(aids) if !aids.is_empty() => aids
                 .iter()
                 .map(|&a| input.graph.qualified_name(a))
                 .collect::<Vec<_>>()
                 .join(", "),
             _ => "image".to_string(),
-        }
-    };
+        })
+        .collect();
 
     // Layer 1+2a: per-function stack verification and access collection.
     let mut accesses: BTreeMap<CodeAddr, Vec<Access>> = BTreeMap::new();
     let mut work = image::PassWork::default();
     let img = image::Image::new(prog);
-    for f in &prog.funcs {
-        let rep = image::verify_function(&img, f, &subject_of(f.addr), lines);
+    let mut arena = image::Arena::default();
+    for (f, subject) in prog.funcs.iter().zip(&subjects) {
+        let rep = image::verify_function(&img, &mut arena, f, subject, lines);
         work += rep.work;
         findings.extend(rep.findings);
         accesses.insert(f.addr, rep.accesses);
@@ -209,9 +213,17 @@ pub fn verify(input: &AnalysisInput) -> Report {
 
     // Layer 2b: classify the collected accesses against the memory map.
     let cluster_of: BTreeMap<u16, u16> = input.pe_clusters.iter().map(|&(p, c)| (p.0, c)).collect();
-    for f in &prog.funcs {
+    let ranges = mapped_ranges(&input.mem_map);
+    for (f, subject) in prog.funcs.iter().zip(&subjects) {
         for acc in &accesses[&f.addr] {
-            classify_access(input, &cluster_of, &func_actors, f.addr, acc, &mut findings);
+            let at = Classify {
+                input,
+                ranges: &ranges,
+                cluster_of: &cluster_of,
+                actors: func_actors.get(&f.addr),
+                subject,
+            };
+            at.access(acc, &mut findings);
         }
     }
 
@@ -290,89 +302,88 @@ fn mapped_ranges(map: &MemoryMap) -> Vec<(u32, u32, Region)> {
     out
 }
 
-fn classify_access(
-    input: &AnalysisInput,
-    cluster_of: &BTreeMap<u16, u16>,
-    func_actors: &BTreeMap<CodeAddr, BTreeSet<ActorId>>,
-    faddr: CodeAddr,
-    acc: &Access,
-    findings: &mut Vec<Finding>,
-) {
-    let subject = match func_actors.get(&faddr) {
-        Some(aids) if !aids.is_empty() => aids
-            .iter()
-            .map(|&a| input.graph.qualified_name(a))
-            .collect::<Vec<_>>()
-            .join(", "),
-        _ => "image".to_string(),
-    };
-    let verb = if acc.write { "store to" } else { "load from" };
-    let push =
-        |rule: &'static str, sev: Severity, subj: String, msg: String, out: &mut Vec<Finding>| {
+/// What classifying one function's accesses needs: the platform's
+/// mapped ranges, built once per verification, and the function's actors
+/// and subject.
+struct Classify<'a> {
+    input: &'a AnalysisInput,
+    ranges: &'a [(u32, u32, Region)],
+    cluster_of: &'a BTreeMap<u16, u16>,
+    actors: Option<&'a BTreeSet<ActorId>>,
+    subject: &'a str,
+}
+
+impl Classify<'_> {
+    fn access(&self, acc: &Access, findings: &mut Vec<Finding>) {
+        let input = self.input;
+        let verb = if acc.write { "store to" } else { "load from" };
+        let push = |rule: &'static str, sev: Severity, subj: &str, msg: String, out: &mut Vec<Finding>| {
             let mut fi = Finding::new(rule, sev, subj, msg);
             if let Some(sp) = image::span_at(&input.lines, acc.pc) {
                 fi = fi.with_span(sp);
             }
             out.push(fi);
         };
-    let ranges = mapped_ranges(&input.mem_map);
-    let hits: Vec<&(u32, u32, Region)> = ranges
-        .iter()
-        .filter(|(lo, hi, _)| acc.overlaps(*lo, *hi))
-        .collect();
-    if hits.is_empty() {
-        let l1_window_end = L1_BASE + u32::from(input.mem_map.clusters) * L1_STRIDE - 1;
-        if acc.overlaps(L1_BASE, l1_window_end) {
-            push(
-                rules::REGION_HOLE,
-                Severity::Error,
-                subject,
-                format!(
-                    "{verb} [0x{:08x}, 0x{:08x}] lands in an unbacked hole of the L1 window \
-                     (each bank maps {} words)",
-                    acc.lo, acc.hi, input.mem_map.l1_words
-                ),
-                findings,
-            );
-        } else {
-            push(
-                rules::UNMAPPED_ACCESS,
-                Severity::Error,
-                subject,
-                format!(
-                    "{verb} [0x{:08x}, 0x{:08x}]: no memory region maps this address",
-                    acc.lo, acc.hi
-                ),
-                findings,
-            );
+        let mut hits = self
+            .ranges
+            .iter()
+            .filter(|(lo, hi, _)| acc.overlaps(*lo, *hi));
+        let Some(&(lo, hi, region)) = hits.next() else {
+            let l1_window_end = L1_BASE + u32::from(input.mem_map.clusters) * L1_STRIDE - 1;
+            if acc.overlaps(L1_BASE, l1_window_end) {
+                push(
+                    rules::REGION_HOLE,
+                    Severity::Error,
+                    self.subject,
+                    format!(
+                        "{verb} [0x{:08x}, 0x{:08x}] lands in an unbacked hole of the L1 window \
+                         (each bank maps {} words)",
+                        acc.lo, acc.hi, input.mem_map.l1_words
+                    ),
+                    findings,
+                );
+            } else {
+                push(
+                    rules::UNMAPPED_ACCESS,
+                    Severity::Error,
+                    self.subject,
+                    format!(
+                        "{verb} [0x{:08x}, 0x{:08x}]: no memory region maps this address",
+                        acc.lo, acc.hi
+                    ),
+                    findings,
+                );
+            }
+            return;
+        };
+        // Fully inside a single region: cluster-locality check for L1.
+        let Region::L1 { cluster } = region else {
+            return;
+        };
+        if hits.next().is_some() || acc.lo < lo || acc.hi > hi {
+            return;
         }
-        return;
-    }
-    // Fully inside a single region: cluster-locality check for L1.
-    if let [&(lo, hi, Region::L1 { cluster })] = hits.as_slice() {
-        if acc.lo >= lo && acc.hi <= hi {
-            let Some(aids) = func_actors.get(&faddr) else {
-                return;
+        let Some(aids) = self.actors else {
+            return;
+        };
+        for &aid in aids {
+            let actor = input.graph.actor(aid);
+            let Some(pe) = actor.pe else { continue };
+            let Some(&ac) = self.cluster_of.get(&pe.0) else {
+                continue;
             };
-            for &aid in aids {
-                let actor = input.graph.actor(aid);
-                let Some(pe) = actor.pe else { continue };
-                let Some(&ac) = cluster_of.get(&pe.0) else {
-                    continue;
-                };
-                if ac != u16::MAX && ac != cluster {
-                    push(
-                        rules::CROSS_CLUSTER_L1,
-                        Severity::Warning,
-                        input.graph.qualified_name(aid),
-                        format!(
-                            "{verb} [0x{:08x}, 0x{:08x}] targets cluster {cluster} L1 but the \
-                             actor runs on cluster {ac} — remote L1 traffic",
-                            acc.lo, acc.hi
-                        ),
-                        findings,
-                    );
-                }
+            if ac != u16::MAX && ac != cluster {
+                push(
+                    rules::CROSS_CLUSTER_L1,
+                    Severity::Warning,
+                    &input.graph.qualified_name(aid),
+                    format!(
+                        "{verb} [0x{:08x}, 0x{:08x}] targets cluster {cluster} L1 but the \
+                         actor runs on cluster {ac} — remote L1 traffic",
+                        acc.lo, acc.hi
+                    ),
+                    findings,
+                );
             }
         }
     }
@@ -576,6 +587,7 @@ mod tests {
         let prog = b.finish();
         let rep = image::verify_function(
             &image::Image::new(&prog),
+            &mut image::Arena::default(),
             &prog.funcs[0],
             "f",
             &LineTable::default(),

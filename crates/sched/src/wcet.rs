@@ -92,7 +92,8 @@ pub fn analyze_entry(program: &Program, map: &MemoryMap, entry: CodeAddr) -> Cyc
                         next
                     }
                 },
-                Control::Call { addr, args } => {
+                Control::Call { addr, argc } => {
+                    let args = frame.stack.split_off(frame.top_start(argc));
                     if st.frames.len() >= FRAME_BUDGET {
                         // Call too deep: the true cost from here is
                         // unknowable.
@@ -106,11 +107,12 @@ pub fn analyze_entry(program: &Program, map: &MemoryMap, entry: CodeAddr) -> Cyc
                     st.frames.push((callee, next));
                     addr
                 }
-                Control::Ret { results } => {
-                    let (_, ret_pc) = st.frames.pop().expect("a frame executed the Ret");
+                Control::Ret { retc } => {
+                    let results = frame.top_start(retc);
+                    let (callee, ret_pc) = st.frames.pop().expect("a frame executed the Ret");
                     match st.frames.last_mut() {
                         Some((caller, _)) => {
-                            caller.stack.extend(results);
+                            caller.stack.extend_from_slice(&callee.stack[results..]);
                             ret_pc
                         }
                         None => {

@@ -69,7 +69,7 @@ const ENV_SEED: u32 = 0xbeef;
 const RUN_ALLOCATIONS: u64 = 938;
 const REVERSE_PAIR_ALLOCATIONS: u64 = 455;
 const BARE_RUN_ALLOCATIONS: u64 = 0;
-const ANALYZE_ALLOCATIONS: u64 = 4_116;
+const ANALYZE_ALLOCATIONS: u64 = 1_501;
 
 fn decode_session() -> Session {
     let (sys, app) = build_decoder(Bug::None, N_MBS, PlatformConfig::default()).unwrap();
