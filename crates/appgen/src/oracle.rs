@@ -164,14 +164,18 @@ fn build(
     Ok((sys, app))
 }
 
-/// Run the three analyzers over the spec and merge the findings the same
-/// way the `analyze` CLI does.
+/// Run the three analyzers over the spec and merge the findings the way
+/// the `analyze` CLI does, with spans left unresolved.
 pub fn static_pass(spec: &AppSpec) -> Result<StaticVerdict, String> {
     let (_sys, app) = build(spec, &BTreeMap::new())?;
     let sources = spec.to_sources();
-    let dfa_rep = dfa::analyze(&dfa::AnalysisInput::from_app(&app, &sources));
+    // `sched` sizes buffers from the kernel reports dfa built, so every
+    // kernel is parsed and walked once. Spans stay unresolved.
+    let (dfa_rep, kernels) =
+        dfa::analyze_with_kernels(&dfa::AnalysisInput::from_app(&app, &sources));
     let bcv_rep = bcv::verify(&bcv::AnalysisInput::from_app(&app));
-    let sched_rep = sched::analyze(&sched::AnalysisInput::from_app(&app, &sources));
+    let sched_rep =
+        sched::analyze_with_kernels(&sched::AnalysisInput::from_app(&app, &sources), kernels);
     let mut findings = dfa_rep.findings.clone();
     findings.extend(bcv_rep.findings.iter().cloned());
     findings.extend(sched_rep.findings.iter().cloned());
