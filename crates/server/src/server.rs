@@ -23,7 +23,7 @@
 //! returning.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -47,11 +47,9 @@ use crate::session::{
 /// idle clock.
 const POLL_SLICE: Duration = Duration::from_millis(50);
 
-/// How long the accept loop sleeps when no connection is pending. This
-/// must stay far below the attach latencies E8 measures: a freshly
-/// connected client's first request sits unread until the accept loop
-/// wakes, so this sleep is a floor on observed attach time.
-const ACCEPT_SLICE: Duration = Duration::from_millis(1);
+/// How long the accept loop backs off after a failed accept (say, out of
+/// file descriptors) before it tries again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Server tuning; the defaults suit both interactive use and CI.
 #[derive(Debug, Clone)]
@@ -109,13 +107,20 @@ pub struct Shared {
     /// the server's lifetime; attaches fork its prototypes.
     pub cache: DecoderCache,
     shutdown: AtomicBool,
+    /// Where a connection reaches the listener, to wake its accept.
+    wake_addr: SocketAddr,
     start: Instant,
     next_session: AtomicU64,
 }
 
 impl Shared {
+    /// Flag the shutdown and wake the accept loop, which blocks in
+    /// `accept` until a connection arrives, by connecting to the server's
+    /// own address. Only system calls are made (no allocation, no lock),
+    /// so a signal handler may call this.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Relaxed);
+        let _ = TcpStream::connect(self.wake_addr);
     }
 
     pub fn shutdown_requested(&self) -> bool {
@@ -195,7 +200,13 @@ pub struct Server {
 impl Server {
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let log_capacity = cfg.log_capacity;
         Ok(Server {
             listener,
@@ -206,6 +217,7 @@ impl Server {
                 cfg,
                 cache: DecoderCache::new(),
                 shutdown: AtomicBool::new(false),
+                wake_addr,
                 start: Instant::now(),
                 next_session: AtomicU64::new(1),
             }),
@@ -222,11 +234,15 @@ impl Server {
         Arc::clone(&self.shared)
     }
 
-    /// Accept loop; returns after a graceful drain.
+    /// Accept loop; returns after a graceful drain. It blocks in `accept`
+    /// and so does no work while no client connects;
+    /// [`Shared::request_shutdown`] wakes it with a connection of its own,
+    /// which is dropped unserved.
     pub fn run(self) {
         let mut threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shared.shutdown_requested() {
             match self.listener.accept() {
+                Ok(_) if self.shared.shutdown_requested() => break,
                 Ok((stream, peer)) => {
                     let shared = Arc::clone(&self.shared);
                     let id = shared.next_session.fetch_add(1, Relaxed);
@@ -234,10 +250,7 @@ impl Server {
                         Connection::serve(id, stream, peer, shared);
                     }));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_SLICE);
-                }
-                Err(_) => std::thread::sleep(ACCEPT_SLICE),
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
             threads.retain(|t| !t.is_finished());
         }

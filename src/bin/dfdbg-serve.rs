@@ -48,7 +48,8 @@ mod sig {
     //! Minimal SIGTERM/SIGINT hookup without the libc crate (the build
     //! environment is offline): `signal` comes from the C runtime we are
     //! already linked against, and the handler only performs an atomic
-    //! store, which is async-signal-safe.
+    //! store and a loopback connect to wake the accept loop (the
+    //! `socket`, `connect` and `close` calls are async-signal-safe).
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }

@@ -59,6 +59,30 @@ fn sixteen_concurrent_deadlock_diagnoses_are_isolated() {
     );
 }
 
+/// The accept loop blocks in `accept` until a connection arrives, and a
+/// shutdown wakes it with a connection of its own. Twenty servers in a
+/// row are bound, run and shut down, half of them at once and half after
+/// sitting idle in `accept`; a missed wake would hang one, so the loop
+/// must finish promptly.
+#[test]
+fn twenty_servers_in_a_row_stop_promptly() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for i in 0..20 {
+            let (_addr, shared, handle) = boot(ServerConfig::default());
+            if i % 2 == 1 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            shared.request_shutdown();
+            handle.join().expect("server stopped");
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a server did not stop after its shutdown request");
+}
+
 /// Sessions attached to *different* variants at the same time must each
 /// see their own workload's behaviour.
 #[test]
