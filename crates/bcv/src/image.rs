@@ -556,3 +556,39 @@ pub fn max_call_depth(
     }
     go(calls, entry, &mut BTreeSet::new(), &mut BTreeMap::new())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A join merges into the point's slot in place; one whose locals
+    /// grow appends the slot again, the missing locals joining as the
+    /// VM's fresh zeros; widening sends a moving value to the full
+    /// interval.
+    #[test]
+    fn joins_merge_in_place_and_grow_by_appending() {
+        let mut a = Arena {
+            slots: vec![None],
+            frame: Frame {
+                locals: vec![Iv::exact(7)],
+                stack: vec![Iv::exact(1)],
+            },
+            ..Arena::default()
+        };
+        assert!(a.join_into(0, false));
+        a.frame.locals = vec![Iv::exact(7), Iv::exact(5), Iv::exact(0)];
+        a.frame.stack = vec![Iv::exact(2)];
+        assert!(a.join_into(0, false));
+        assert_eq!(a.values.len(), 2 + 4);
+        assert!(a.load(0));
+        assert_eq!(a.frame.locals, [Iv::exact(7), Iv::new(0, 5), Iv::exact(0)]);
+        assert_eq!(a.frame.stack, [Iv::new(1, 2)]);
+
+        assert!(!a.join_into(0, false));
+        a.frame.stack[0] = Iv::exact(3);
+        assert!(a.join_into(0, true));
+        assert_eq!(a.values.len(), 2 + 4);
+        assert!(a.load(0));
+        assert_eq!(a.frame.stack, [Iv::full()]);
+    }
+}
