@@ -62,10 +62,15 @@ pub enum Control {
     },
     /// A call. Its `argc` arguments are still on top of the caller's
     /// stack, in order, for the analysis to take.
-    Call { addr: CodeAddr, argc: u8 },
+    Call {
+        addr: CodeAddr,
+        argc: u8,
+    },
     /// A return. Its `retc` results are still on top of the callee's
     /// stack, in order, for the analysis to take.
-    Ret { retc: u8 },
+    Ret {
+        retc: u8,
+    },
     Halt,
 }
 

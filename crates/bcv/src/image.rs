@@ -204,7 +204,6 @@ pub struct Arena {
 }
 
 impl Arena {
-
     /// Copy point `i`'s frame into the working frame.
     fn load(&mut self, i: usize) -> bool {
         let Some(slot) = self.slots[i] else {

@@ -317,13 +317,14 @@ impl Classify<'_> {
     fn access(&self, acc: &Access, findings: &mut Vec<Finding>) {
         let input = self.input;
         let verb = if acc.write { "store to" } else { "load from" };
-        let push = |rule: &'static str, sev: Severity, subj: &str, msg: String, out: &mut Vec<Finding>| {
-            let mut fi = Finding::new(rule, sev, subj, msg);
-            if let Some(sp) = image::span_at(&input.lines, acc.pc) {
-                fi = fi.with_span(sp);
-            }
-            out.push(fi);
-        };
+        let push =
+            |rule: &'static str, sev: Severity, subj: &str, msg: String, out: &mut Vec<Finding>| {
+                let mut fi = Finding::new(rule, sev, subj, msg);
+                if let Some(sp) = image::span_at(&input.lines, acc.pc) {
+                    fi = fi.with_span(sp);
+                }
+                out.push(fi);
+            };
         let mut hits = self
             .ranges
             .iter()

@@ -292,7 +292,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -339,10 +339,7 @@ mod tests {
     #[test]
     fn comments_and_lines() {
         let spanned = lex("a; // one\n/* two\nthree */ b;").unwrap();
-        let b = spanned
-            .iter()
-            .find(|s| s.tok == Tok::Ident("b"))
-            .unwrap();
+        let b = spanned.iter().find(|s| s.tok == Tok::Ident("b")).unwrap();
         assert_eq!(b.line, 3);
     }
 

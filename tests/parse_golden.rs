@@ -64,10 +64,62 @@ impl Rng {
 /// The token-soup alphabet of `crates/kernelc/tests/hardening.rs`, plus
 /// whitespace and comments with non-ASCII text and a few literals.
 const SOUP: &[&str] = &[
-    "a", "b", "x", "z", "A", "Q", "U", "0", "1", "7", "9", "_", "(", ")", "{", "}", ";", ",",
-    "=", "+", "*", "/", "<", ">", "!", "&", "|", "[", "]", "-", " ", "pedf.", "io.", "U32 ",
-    "if", "else", "for", "while", "return", "void ", "\t", "\r\n", "\n", "\u{a0}", "é",
-    "// é\n", "/* é */", "/*", "0x1F", "0x", "99999999999", "^", "~", "%", "==", "&&",
+    "a",
+    "b",
+    "x",
+    "z",
+    "A",
+    "Q",
+    "U",
+    "0",
+    "1",
+    "7",
+    "9",
+    "_",
+    "(",
+    ")",
+    "{",
+    "}",
+    ";",
+    ",",
+    "=",
+    "+",
+    "*",
+    "/",
+    "<",
+    ">",
+    "!",
+    "&",
+    "|",
+    "[",
+    "]",
+    "-",
+    " ",
+    "pedf.",
+    "io.",
+    "U32 ",
+    "if",
+    "else",
+    "for",
+    "while",
+    "return",
+    "void ",
+    "\t",
+    "\r\n",
+    "\n",
+    "\u{a0}",
+    "é",
+    "// é\n",
+    "/* é */",
+    "/*",
+    "0x1F",
+    "0x",
+    "99999999999",
+    "^",
+    "~",
+    "%",
+    "==",
+    "&&",
 ];
 
 /// Statement fragments of the hardening generators.
@@ -110,8 +162,8 @@ const SEPS: &[&str] = &[
 ];
 
 const BINOPS: &[&str] = &[
-    "||", "&&", "|", "^", "&", "==", "!=", "<", "<=", ">", ">=", "<<", ">>", "+", "-", "*",
-    "/", "%",
+    "||", "&&", "|", "^", "&", "==", "!=", "<", "<=", ">", ">=", "<<", ">>", "+", "-", "*", "/",
+    "%",
 ];
 
 fn operand(r: &mut Rng, depth: u32) -> String {
@@ -184,13 +236,26 @@ fn corpus() -> (Vec<(&'static str, String)>, BTreeSet<String>) {
     }
     for n in 58..70 {
         let (open, close) = ("(".repeat(n), ")".repeat(n));
-        out.push(("parens", format!("void work() {{ U32 x; x = {open}1{close}; }}")));
+        out.push((
+            "parens",
+            format!("void work() {{ U32 x; x = {open}1{close}; }}"),
+        ));
         out.push((
             "mixed",
-            format!("void work() {{\r\n\tx = {}1{};\r\n}}", "-(".repeat(n / 2), ")".repeat(n / 2)),
+            format!(
+                "void work() {{\r\n\tx = {}1{};\r\n}}",
+                "-(".repeat(n / 2),
+                ")".repeat(n / 2)
+            ),
         ));
-        out.push(("unary", format!("void work() {{ x = {}1; }}", "!~-".repeat(n / 3))));
-        out.push(("blocks", format!("void work() {{ {}{} }}", "{".repeat(n), "}".repeat(n))));
+        out.push((
+            "unary",
+            format!("void work() {{ x = {}1; }}", "!~-".repeat(n / 3)),
+        ));
+        out.push((
+            "blocks",
+            format!("void work() {{ {}{} }}", "{".repeat(n), "}".repeat(n)),
+        ));
         let mut elifs = String::from("void work() { U32 x; ");
         for _ in 0..n {
             elifs.push_str("if (x) { } else ");
@@ -215,7 +280,13 @@ fn corpus() -> (Vec<(&'static str, String)>, BTreeSet<String>) {
             let mut s: String = src
                 .split(' ')
                 .enumerate()
-                .map(|(i, w)| if i == 0 { w.to_string() } else { format!("{}{w}", r.pick(seps)) })
+                .map(|(i, w)| {
+                    if i == 0 {
+                        w.to_string()
+                    } else {
+                        format!("{}{w}", r.pick(seps))
+                    }
+                })
                 .collect();
             let kind = match variant {
                 0 => "kernel",
