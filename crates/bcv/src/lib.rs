@@ -216,14 +216,15 @@ pub fn verify(input: &AnalysisInput) -> Report {
     let ranges = mapped_ranges(&input.mem_map);
     for (f, subject) in prog.funcs.iter().zip(&subjects) {
         for acc in &accesses[&f.addr] {
-            let at = Classify {
+            classify_access(
                 input,
-                ranges: &ranges,
-                cluster_of: &cluster_of,
-                actors: func_actors.get(&f.addr),
+                &ranges,
+                &cluster_of,
+                func_actors.get(&f.addr),
                 subject,
-            };
-            at.access(acc, &mut findings);
+                acc,
+                &mut findings,
+            );
         }
     }
 
@@ -302,90 +303,84 @@ fn mapped_ranges(map: &MemoryMap) -> Vec<(u32, u32, Region)> {
     out
 }
 
-/// What classifying one function's accesses needs: the platform's
-/// mapped ranges, built once per verification, and the function's actors
-/// and subject.
-struct Classify<'a> {
-    input: &'a AnalysisInput,
-    ranges: &'a [(u32, u32, Region)],
-    cluster_of: &'a BTreeMap<u16, u16>,
-    actors: Option<&'a BTreeSet<ActorId>>,
-    subject: &'a str,
-}
-
-impl Classify<'_> {
-    fn access(&self, acc: &Access, findings: &mut Vec<Finding>) {
-        let input = self.input;
-        let verb = if acc.write { "store to" } else { "load from" };
-        let push =
-            |rule: &'static str, sev: Severity, subj: &str, msg: String, out: &mut Vec<Finding>| {
-                let mut fi = Finding::new(rule, sev, subj, msg);
-                if let Some(sp) = image::span_at(&input.lines, acc.pc) {
-                    fi = fi.with_span(sp);
-                }
-                out.push(fi);
-            };
-        let mut hits = self
-            .ranges
-            .iter()
-            .filter(|(lo, hi, _)| acc.overlaps(*lo, *hi));
-        let Some(&(lo, hi, region)) = hits.next() else {
-            let l1_window_end = L1_BASE + u32::from(input.mem_map.clusters) * L1_STRIDE - 1;
-            if acc.overlaps(L1_BASE, l1_window_end) {
-                push(
-                    rules::REGION_HOLE,
-                    Severity::Error,
-                    self.subject,
-                    format!(
-                        "{verb} [0x{:08x}, 0x{:08x}] lands in an unbacked hole of the L1 window \
-                         (each bank maps {} words)",
-                        acc.lo, acc.hi, input.mem_map.l1_words
-                    ),
-                    findings,
-                );
-            } else {
-                push(
-                    rules::UNMAPPED_ACCESS,
-                    Severity::Error,
-                    self.subject,
-                    format!(
-                        "{verb} [0x{:08x}, 0x{:08x}]: no memory region maps this address",
-                        acc.lo, acc.hi
-                    ),
-                    findings,
-                );
+/// Classify one access of a function against the platform's mapped
+/// `ranges` (built once per verification); `actors` and `subject` are the
+/// function's.
+fn classify_access(
+    input: &AnalysisInput,
+    ranges: &[(u32, u32, Region)],
+    cluster_of: &BTreeMap<u16, u16>,
+    actors: Option<&BTreeSet<ActorId>>,
+    subject: &str,
+    acc: &Access,
+    findings: &mut Vec<Finding>,
+) {
+    let verb = if acc.write { "store to" } else { "load from" };
+    let push =
+        |rule: &'static str, sev: Severity, subj: &str, msg: String, out: &mut Vec<Finding>| {
+            let mut fi = Finding::new(rule, sev, subj, msg);
+            if let Some(sp) = image::span_at(&input.lines, acc.pc) {
+                fi = fi.with_span(sp);
             }
-            return;
+            out.push(fi);
         };
-        // Fully inside a single region: cluster-locality check for L1.
-        let Region::L1 { cluster } = region else {
-            return;
-        };
-        if hits.next().is_some() || acc.lo < lo || acc.hi > hi {
-            return;
+    let mut hits = ranges.iter().filter(|(lo, hi, _)| acc.overlaps(*lo, *hi));
+    let Some(&(lo, hi, region)) = hits.next() else {
+        let l1_window_end = L1_BASE + u32::from(input.mem_map.clusters) * L1_STRIDE - 1;
+        if acc.overlaps(L1_BASE, l1_window_end) {
+            push(
+                rules::REGION_HOLE,
+                Severity::Error,
+                subject,
+                format!(
+                    "{verb} [0x{:08x}, 0x{:08x}] lands in an unbacked hole of the L1 window \
+                     (each bank maps {} words)",
+                    acc.lo, acc.hi, input.mem_map.l1_words
+                ),
+                findings,
+            );
+        } else {
+            push(
+                rules::UNMAPPED_ACCESS,
+                Severity::Error,
+                subject,
+                format!(
+                    "{verb} [0x{:08x}, 0x{:08x}]: no memory region maps this address",
+                    acc.lo, acc.hi
+                ),
+                findings,
+            );
         }
-        let Some(aids) = self.actors else {
-            return;
+        return;
+    };
+    // Fully inside a single region: cluster-locality check for L1.
+    let Region::L1 { cluster } = region else {
+        return;
+    };
+    if hits.next().is_some() || acc.lo < lo || acc.hi > hi {
+        return;
+    }
+    let Some(aids) = actors else {
+        return;
+    };
+    for &aid in aids {
+        let actor = input.graph.actor(aid);
+        let Some(pe) = actor.pe else { continue };
+        let Some(&ac) = cluster_of.get(&pe.0) else {
+            continue;
         };
-        for &aid in aids {
-            let actor = input.graph.actor(aid);
-            let Some(pe) = actor.pe else { continue };
-            let Some(&ac) = self.cluster_of.get(&pe.0) else {
-                continue;
-            };
-            if ac != u16::MAX && ac != cluster {
-                push(
-                    rules::CROSS_CLUSTER_L1,
-                    Severity::Warning,
-                    &input.graph.qualified_name(aid),
-                    format!(
-                        "{verb} [0x{:08x}, 0x{:08x}] targets cluster {cluster} L1 but the \
-                         actor runs on cluster {ac} — remote L1 traffic",
-                        acc.lo, acc.hi
-                    ),
-                    findings,
-                );
-            }
+        if ac != u16::MAX && ac != cluster {
+            push(
+                rules::CROSS_CLUSTER_L1,
+                Severity::Warning,
+                &input.graph.qualified_name(aid),
+                format!(
+                    "{verb} [0x{:08x}, 0x{:08x}] targets cluster {cluster} L1 but the \
+                     actor runs on cluster {ac} — remote L1 traffic",
+                    acc.lo, acc.hi
+                ),
+                findings,
+            );
         }
     }
 }
